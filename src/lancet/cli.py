@@ -3,7 +3,8 @@
 One subcommand per analysis, uniform conventions everywhere: machine output
 goes to stdout (or ``--output``), diagnostics go to stderr, and two runs on
 the same input produce byte-identical results.  Exit codes: 0 success, 1
-diagnostics treated as errors under ``--strict``, 2 usage/parse/IO errors.
+diagnostics treated as errors under ``--strict``, 2 usage/parse/IO errors
+and inputs nested too deeply (or too large) to analyze.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
         if args.package is None:
             print("error: provide --entry files or a --package root", file=sys.stderr)
             return USAGE_ERROR
-        entries = sorted(str(p) for p in Path(args.package).rglob("*.py"))
+        entries = sorted(str(p) for p in Path(args.package).rglob("*.py") if p.is_file())
         if not entries:
             print(f"error: no Python files under {args.package}", file=sys.stderr)
             return USAGE_ERROR
@@ -215,6 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_name(args: argparse.Namespace) -> str:
+    for attr in ("file", "root", "entry", "package"):
+        value = getattr(args, attr, None)
+        if value:
+            return value if isinstance(value, str) else " ".join(value)
+    return "<input>"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -231,6 +240,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: {_input_name(args)}: too deeply nested or too large to analyze "
+              f"({type(exc).__name__})", file=sys.stderr)
         return USAGE_ERROR
 
 

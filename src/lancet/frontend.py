@@ -182,6 +182,8 @@ def parse_module(text: str, path: str | Path = "<string>") -> ast.Module:
         ) from None
     except ValueError as exc:  # e.g. null bytes
         raise ParseError(str(path), 1, 0, str(exc)) from None
+    except RecursionError:
+        raise ParseError(str(path), 1, 0, "too deeply nested to parse") from None
     tree = _FStringFolder().visit(tree)
     ast.fix_missing_locations(tree)
     _validate(tree, str(path))

@@ -11,12 +11,34 @@ single function); attribute and subscript stores are not versioned, and
 bindings other than plain assignments (``def``, ``class``, imports) are not
 tracked here.  ``x += e`` is both a use of the old versions and a new
 definition.
+
+Reaching definitions use the classic gen/kill bit-vector formulation
+(Cooper & Torczon, *Engineering a Compiler*, ch. 9) on Python ints.  Each
+variable's versions own one contiguous bit range, allocated over the names
+in sorted order: bit ``offset[name] + v`` stands for ``(name, v)`` and
+``mask[name]`` covers every version of ``name``.  Per block, ``gen`` holds
+the last definition of each name the block assigns and ``kill`` the masks of
+those names (a name with one version has no other bit to kill);
+``OUT = gen | (IN & ~kill)`` is iterated in reverse post-order until no
+``OUT`` changes.  Inside a block the live state is one int, a definition
+clears its name's other bits and sets its own, and a use's version set is
+decoded from ``(live & mask[name]) >> offset[name]``.
+
+Folding is a dependency-driven worklist.  Every candidate definition is
+evaluated once; one whose evaluation stops at a single-version operand that
+is not folded yet waits on that version and is evaluated again only when it
+folds.  Evaluation is deterministic and only ever sees more folded values,
+so the result is the same in any order.  Folding is bounded (see
+``MAX_FOLD_INT_BITS`` and ``MAX_FOLD_STR_LEN``): a step certain to exceed a
+bound is refused before it is computed, and a definition whose value
+exceeds one is marked ``fold_failed``.
 """
 
 from __future__ import annotations
 
 import ast
 import operator
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -165,41 +187,55 @@ def _definitions(stmt: ast.stmt) -> list[tuple[str, ast.expr | None, str]]:
 
 def _uses(stmt: ast.stmt) -> set[str]:
     """Names read when the statement's head executes."""
-    names: set[str] = set()
-    for expr in head_exprs(stmt):
-        _collect_loads(expr, names, shadowed=frozenset())
+    names = _collect_loads(head_exprs(stmt))
     if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
         names.add(stmt.target.id)
     return names
 
 
-def _collect_loads(node: ast.AST, out: set[str], shadowed: frozenset[str]) -> None:
-    if isinstance(node, ast.Name):
-        if isinstance(node.ctx, ast.Load) and node.id not in shadowed:
-            out.add(node.id)
-        return
-    if isinstance(node, ast.Lambda):
-        for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
-            _collect_loads(default, out, shadowed)
-        return  # the body runs later, against its own scope
-    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-        bound = set(shadowed)
-        for gen in node.generators:
-            bound.update(name for name, _ in _unpack(gen.target, None))
-        inner = frozenset(bound)
-        # The first iterable is evaluated in the enclosing scope.
-        for i, gen in enumerate(node.generators):
-            _collect_loads(gen.iter, out, shadowed if i == 0 else inner)
-            for test in gen.ifs:
-                _collect_loads(test, out, inner)
-        if isinstance(node, ast.DictComp):
-            _collect_loads(node.key, out, inner)
-            _collect_loads(node.value, out, inner)
+_NO_SHADOW: frozenset[str] = frozenset()
+
+
+def _collect_loads(roots: list[ast.expr]) -> set[str]:
+    """Names loaded by ``roots`` in the enclosing scope (explicit-stack walk)."""
+    out: set[str] = set()
+    stack: list[tuple[ast.AST, frozenset[str]]] = [(root, _NO_SHADOW) for root in roots]
+    while stack:
+        node, shadowed = stack.pop()
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+                out.add(node.id)
+        elif isinstance(node, ast.Lambda):
+            # Only the defaults run now; the body runs later, in its own scope.
+            args = node.args
+            stack.extend((d, shadowed) for d in args.defaults)
+            stack.extend((d, shadowed) for d in args.kw_defaults if d is not None)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            bound = set(shadowed)
+            for gen in node.generators:
+                bound.update(name for name, _ in _unpack(gen.target, None))
+            inner = frozenset(bound)
+            # The first iterable is evaluated in the enclosing scope.
+            for i, gen in enumerate(node.generators):
+                stack.append((gen.iter, shadowed if i == 0 else inner))
+                stack.extend((test, inner) for test in gen.ifs)
+            if isinstance(node, ast.DictComp):
+                stack.append((node.key, inner))
+                stack.append((node.value, inner))
+            else:
+                stack.append((node.elt, inner))
         else:
-            _collect_loads(node.elt, out, inner)
-        return
-    for child in ast.iter_child_nodes(node):
-        _collect_loads(child, out, shadowed)
+            # Inlined ast.iter_child_nodes (twice as fast here); nodes with
+            # no fields (contexts, operators) are not pushed.
+            for field_name in node._fields:
+                child = getattr(node, field_name, None)
+                if isinstance(child, ast.expr):
+                    stack.append((child, shadowed))
+                elif isinstance(child, list):
+                    stack.extend((c, shadowed) for c in child if isinstance(c, ast.AST))
+                elif isinstance(child, ast.AST) and child._fields:
+                    stack.append((child, shadowed))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,52 +288,76 @@ def compute_ssa(cfg: Cfg) -> tuple[SsaUseMap, ConstDict]:
             if assigned:
                 stmt_defs[(bid, idx)] = assigned
 
-    versioned = set(next_version)
+    # Bit layout: each name's versions own one contiguous range, allocated
+    # over the names in sorted order; bit offset[name] + v is (name, v).
+    offset: dict[str, int] = {}
+    mask: dict[str, int] = {}
+    bit = 0
+    for name in sorted(next_version):
+        offset[name] = bit
+        mask[name] = ((1 << next_version[name]) - 1) << bit
+        bit += next_version[name]
 
-    # Block-level gen/kill.
-    gen: dict[int, dict[str, int]] = {}
-    killed: dict[int, set[str]] = {}
-    for bid, block in cfg.blocks.items():
-        last: dict[str, int] = {}
-        for idx in range(len(block.statements)):
-            for name, version in stmt_defs.get((bid, idx), ()):
-                last[name] = version
-        gen[bid] = last
-        killed[bid] = set(last)
+    # A definition clears the other bits of its name (only names with more
+    # than one version have any) and sets its own bit.
+    clear = {name: ~mask[name] for name, count in next_version.items() if count > 1}
 
-    in_sets: dict[int, set[tuple[str, int]]] = {bid: set() for bid in cfg.blocks}
-    out_sets: dict[int, set[tuple[str, int]]] = {bid: set() for bid in cfg.blocks}
+    # Block-level gen and complemented kill (sites are in statement order).
+    gen: dict[int, int] = dict.fromkeys(cfg.blocks, 0)
+    keep: dict[int, int] = dict.fromkeys(cfg.blocks, -1)
+    for (bid, _), defs in stmt_defs.items():
+        for name, version in defs:
+            if name in clear:
+                gen[bid] &= clear[name]
+                keep[bid] &= clear[name]
+            gen[bid] |= 1 << (offset[name] + version)
+
+    preds = {
+        bid: [edge.source.id for edge in cfg.blocks[bid].predecessors] for bid in rpo
+    }
+    in_bits: dict[int, int] = dict.fromkeys(cfg.blocks, 0)
+    out_bits: dict[int, int] = dict.fromkeys(cfg.blocks, 0)
     changed = True
     while changed:
         changed = False
         for bid in rpo:
-            block = cfg.blocks[bid]
-            new_in: set[tuple[str, int]] = set()
-            for edge in block.predecessors:
-                new_in |= out_sets[edge.source.id]
-            survivors = {(n, v) for (n, v) in new_in if n not in killed[bid]}
-            new_out = survivors | {(n, v) for n, v in gen[bid].items()}
-            if new_in != in_sets[bid] or new_out != out_sets[bid]:
-                in_sets[bid] = new_in
-                out_sets[bid] = new_out
+            new_in = 0
+            for pred in preds[bid]:
+                new_in |= out_bits[pred]
+            in_bits[bid] = new_in
+            new_out = gen[bid] | (new_in & keep[bid])
+            if new_out != out_bits[bid]:
+                out_bits[bid] = new_out
                 changed = True
 
     use_map = SsaUseMap()
     for bid, block in cfg.blocks.items():
         rows: list[dict[str, set[int]]] = []
-        live = set(in_sets[bid])
+        live = in_bits[bid]
         for idx, stmt in enumerate(block.statements):
-            row = {
-                name: {v for (n, v) in live if n == name}
+            rows.append({
+                name: _versions((live & mask[name]) >> offset[name])
                 for name in sorted(_uses(stmt))
-                if name in versioned
-            }
-            rows.append(row)
+                if name in mask
+            })
             for name, version in stmt_defs.get((bid, idx), ()):
-                live = {(n, v) for (n, v) in live if n != name}
-                live.add((name, version))
+                if name in clear:
+                    live &= clear[name]
+                live |= 1 << (offset[name] + version)
         use_map.per_block[bid] = rows
     return use_map, const
+
+
+def _versions(bits: int) -> set[int]:
+    """The version numbers whose bits are set."""
+    if not bits & (bits - 1):  # zero or one version: the common case
+        return {bits.bit_length() - 1} if bits else set()
+    out: set[int] = set()
+    while bits:
+        low = bits & -bits
+        out.add(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +389,64 @@ _CMP_OPS = {
 }
 
 
+# Fold bounds.  A definition whose value would exceed one is marked
+# ``fold_failed``.  The steps that can grow a value fast (``**``, ``<<``,
+# ``*`` and string ``+``) are refused before computing when their result is
+# certain to exceed a bound, so a huge power or repeat in the source costs
+# nothing.  4,096 bits is about 1,233 decimal digits, well under the
+# interpreter's 4,300-digit int-to-str limit.
+MAX_FOLD_INT_BITS = 4096
+MAX_FOLD_STR_LEN = 4096
+
+
 class _NotConstant(Exception):
-    pass
+    """No constant value (yet).
+
+    ``waits_on`` is the single-version operand, not folded so far, at which
+    evaluation stopped; None when no later fold can change the outcome.
+    """
+
+    def __init__(self, waits_on: tuple[str, int] | None = None) -> None:
+        self.waits_on = waits_on
 
 
 class _FoldFault(Exception):
     pass
+
+
+_GROWING_OPS = (ast.Pow, ast.LShift, ast.Mult, ast.Add)
+
+
+def _exceeds_bound(op: ast.operator, left: object, right: object) -> bool:
+    """Whether ``left op right`` is certain to exceed a fold bound."""
+    if isinstance(left, int) and isinstance(right, int):
+        if isinstance(op, ast.Pow):
+            # |left| ** right has at least (bits - 1) * right + 1 bits.
+            return right > 0 and (abs(left).bit_length() - 1) * right >= MAX_FOLD_INT_BITS
+        if isinstance(op, ast.LShift):
+            return left != 0 and left.bit_length() + right > MAX_FOLD_INT_BITS
+        if isinstance(op, ast.Mult):
+            # A nonzero product has at least bits(left) + bits(right) - 1 bits.
+            bits = left.bit_length() + right.bit_length() - 1
+            return left != 0 and right != 0 and bits > MAX_FOLD_INT_BITS
+        return False
+    if isinstance(op, ast.Mult):
+        if isinstance(left, int) and isinstance(right, str):
+            left, right = right, left
+        return (
+            isinstance(left, str) and isinstance(right, int)
+            and len(left) * right > MAX_FOLD_STR_LEN
+        )
+    return (
+        isinstance(left, str) and isinstance(right, str)
+        and len(left) + len(right) > MAX_FOLD_STR_LEN
+    )
+
+
+def _too_large(value: object) -> bool:
+    if isinstance(value, int):
+        return value.bit_length() > MAX_FOLD_INT_BITS
+    return isinstance(value, str) and len(value) > MAX_FOLD_STR_LEN
 
 
 def _eval_expr(
@@ -352,7 +464,7 @@ def _eval_expr(
             raise _NotConstant
         key = (expr.id, next(iter(versions)))
         if key not in folded:
-            raise _NotConstant
+            raise _NotConstant(key)
         return folded[key]
     if isinstance(expr, ast.UnaryOp):
         value = _eval_expr(expr.operand, env, folded)
@@ -374,6 +486,8 @@ def _eval_expr(
             raise _NotConstant
         left = _eval_expr(expr.left, env, folded)
         right = _eval_expr(expr.right, env, folded)
+        if isinstance(expr.op, _GROWING_OPS) and _exceeds_bound(expr.op, left, right):
+            raise _FoldFault
         try:
             return fn(left, right)
         except (ZeroDivisionError, TypeError, ValueError, OverflowError):
@@ -411,34 +525,44 @@ def fold_constants(const_dict: ConstDict, use_map: SsaUseMap) -> ConstDict:
 
     A definition folds when each free variable has a single reaching version
     at the defining statement and that version is itself folded.  Arithmetic
-    faults (division by zero and friends) leave the entry unfolded with
-    ``fold_failed`` set.  The input is not modified.
+    faults (division by zero and friends) and results past the fold bounds
+    leave the entry unfolded with ``fold_failed`` set.  The input is not
+    modified.
     """
     result = ConstDict(
         entries={key: replace(value) for key, value in const_dict.entries.items()}
     )
     folded: dict[tuple[str, int], object] = {}
-
-    progress = True
-    while progress:
-        progress = False
-        for key, value in result.entries.items():
-            if key in folded or value.fold_failed:
-                continue
-            if value.expr is None or value.kind in (KIND_CALL, KIND_OTHER, KIND_UNKNOWN):
-                continue
-            bid, idx = value.site
-            env = use_map.per_block[bid][idx]
-            try:
-                constant = _eval_expr(value.expr, env, folded)
-            except _NotConstant:
-                continue
-            except _FoldFault:
-                value.fold_failed = True
-                continue
-            value.folded = constant
-            folded[key] = constant
-            progress = True
+    # A blocked definition waits on the version that stopped its evaluation
+    # and is evaluated again only once that version folds.
+    waiting: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    # Entry order puts a definition after those it reads, outside loops.
+    worklist = deque(
+        key
+        for key, value in result.entries.items()
+        if not value.fold_failed
+        and value.expr is not None
+        and value.kind not in (KIND_CALL, KIND_OTHER, KIND_UNKNOWN)
+    )
+    while worklist:
+        key = worklist.popleft()
+        value = result.entries[key]
+        bid, idx = value.site
+        try:
+            constant = _eval_expr(value.expr, use_map.per_block[bid][idx], folded)
+        except _NotConstant as blocked:
+            if blocked.waits_on is not None:
+                waiting.setdefault(blocked.waits_on, []).append(key)
+            continue
+        except _FoldFault:
+            value.fold_failed = True
+            continue
+        if _too_large(constant):
+            value.fold_failed = True
+            continue
+        value.folded = constant
+        folded[key] = constant
+        worklist.extend(waiting.pop(key, ()))
     return result
 
 

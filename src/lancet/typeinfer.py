@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .frontend import ParseError, SourceFile, module_name_for_path, parse_module, walk
 from .modgraph import NameContext, Unresolved, build_name_context, resolve_fqn
-from .rewriter import TEMP_PREFIX, simplify_module
+from .rewriter import TEMP_PREFIX, FixpointError, simplify_module
 
 __all__ = [
     "TypeRecord",
@@ -390,6 +390,9 @@ class _Engine:
                 tree = simplify_module(tree)
         except ParseError as exc:
             self.diagnostics.append(str(exc))
+            return
+        except (FixpointError, OSError) as exc:
+            self.diagnostics.append(f"{display}: skipped: {exc}")
             return
         ctx = build_name_context(tree, module_name, is_package=path.name == "__init__.py")
         module = _ModuleInfo(fqn=module_name, file=display, tree=tree, ctx=ctx)
@@ -827,7 +830,9 @@ def _run_engine(
             except ValueError:
                 continue
             engine.load_file(path, str(path), module_name)
-    else:
+    elif entry_path.is_file():
         engine.load_file(entry_path, str(entry), entry_path.stem)
+    else:
+        raise FileNotFoundError(f"entry point not found: {entry}")
     engine.run()
     return engine, engine.records()

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,67 @@ def test_dynamic_feature_diagnostics_on_stderr(capsys, tmp_path):
     assert "dynamic feature" in err
     code_strict, _, _ = _run(capsys, "callgraph", "--entry", str(target), "--strict")
     assert code_strict == 1
+
+
+def test_missing_typeinfer_entry_exits_2(capsys):
+    code, out, err = _run(capsys, "typeinfer", "does_not_exist.py")
+    assert code == 2
+    assert out == ""
+    assert "does_not_exist.py" in err
+
+
+def _package_with_directory_named_like_a_module(tmp_path: Path) -> Path:
+    root = tmp_path / "pkg"
+    (root / "d.py").mkdir(parents=True)
+    (root / "__init__.py").write_text("")
+    (root / "m.py").write_text("def f():\n    return 1\n\nx = f()\n")
+    return root
+
+
+def test_typeinfer_skips_a_directory_named_like_a_module(capsys, tmp_path):
+    root = _package_with_directory_named_like_a_module(tmp_path)
+    code, out, err = _run(capsys, "typeinfer", str(root))
+    assert code == 0
+    assert f"{root / 'd.py'}: skipped:" in err
+    assert any(r.get("variable") == "x" for r in json.loads(out))
+
+
+def test_callgraph_package_ignores_a_directory_named_like_a_module(capsys, tmp_path):
+    root = _package_with_directory_named_like_a_module(tmp_path)
+    code, out, _ = _run(capsys, "callgraph", "--package", str(root))
+    assert code == 0
+    assert json.loads(out)["pkg.m"] == ["pkg.m.f"]
+
+
+def test_big_folded_power_still_serializes(capsys, tmp_path):
+    target = tmp_path / "big.py"
+    target.write_text("x = 7 ** 20000\ny = x % 10\n")
+    code, out, err = _run(capsys, "ssa", str(target))
+    assert code == 0, err
+    constants = json.loads(out)["constants"]
+    assert constants["x#0"]["folded"] is None
+    assert constants["y#0"]["folded"] is None
+
+
+@pytest.mark.parametrize("terms", [300, 3100])
+def test_deeply_nested_input_never_crashes(tmp_path, terms):
+    target = tmp_path / "deep.py"
+    target.write_text("x = " + "+".join(["1"] * terms) + "\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (
+        ["rewrite", str(target)],
+        ["cfg", str(target)],
+        ["ssa", str(target)],
+        ["alias", str(target)],
+        ["fqn", str(target)],
+        ["imports", str(tmp_path)],
+        ["callgraph", "--entry", str(target)],
+        ["typeinfer", str(target)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lancet.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode in (0, 2), (argv, proc.stderr[-500:])
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr[-500:])

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import ast
+import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from lancet.cfg import build_from_file, build_from_source
 from lancet.rewriter import simplify_module
 from lancet.frontend import parse_module
 from lancet.cfg import build_from_ast
 from lancet.ssa import (
+    MAX_FOLD_INT_BITS,
+    MAX_FOLD_STR_LEN,
     AliasPair,
+    ConstDict,
     alias_pairs,
     compute_ssa,
     fold_constants,
@@ -17,6 +22,7 @@ from lancet.ssa import (
 )
 
 from helpers import all_cfgs, corpus_files, oracle_reaching_sites
+from strategies import programs
 
 MERGE_SOURCE = """c = 10
 a = -1
@@ -159,6 +165,55 @@ def test_merged_versions_block_folding():
     assert not folded[("c", 0)].is_folded
 
 
+def test_folding_does_not_depend_on_entry_order():
+    source = "x = 0\nwhile x < 3:\n    y = x\n    x = 1\nz = 2\nw = z * 3 + 4\nv = w - z\n"
+    _, use_map, const = _ssa_for(source)
+    shuffled = ConstDict(entries=dict(reversed(list(const.entries.items()))))
+    forward = fold_constants(const, use_map)
+    backward = fold_constants(shuffled, use_map)
+    summary = {k: (v.folded if v.is_folded else None, v.fold_failed) for k, v in forward.items()}
+    assert summary == {
+        k: (v.folded if v.is_folded else None, v.fold_failed) for k, v in backward.items()
+    }
+    assert summary[("v", 0)] == (8, False)
+    assert summary[("y", 0)] == (None, False)
+
+
+_POW3_ABOVE_BOUND = next(
+    k for k in itertools.count(MAX_FOLD_INT_BITS // 2) if 3**k >> MAX_FOLD_INT_BITS
+)
+
+
+# A step certain to exceed a bound is refused before it is computed, so the
+# just-above cases wrap it in an operation that would bring the value back
+# under the bound.  The 3 ** k and a + a cases pass every step and are
+# refused on the definition's final value.
+@pytest.mark.parametrize(
+    "source, folds",
+    [
+        (f"x = 2 ** {MAX_FOLD_INT_BITS - 1}\n", True),
+        (f"x = 2 ** {MAX_FOLD_INT_BITS} % 7\n", False),
+        (f"x = 3 ** {_POW3_ABOVE_BOUND - 1}\n", True),
+        (f"x = 3 ** {_POW3_ABOVE_BOUND}\n", False),
+        (f"x = 1 << {MAX_FOLD_INT_BITS - 1}\n", True),
+        (f"x = (1 << {MAX_FOLD_INT_BITS}) >> {MAX_FOLD_INT_BITS}\n", False),
+        (f"a = 1 << {MAX_FOLD_INT_BITS // 2 - 1}\nx = a * a\n", True),
+        (f"a = 1 << {MAX_FOLD_INT_BITS // 2}\nx = a * a % 7\n", False),
+        (f"a = 1 << {MAX_FOLD_INT_BITS - 1}\nx = a + a\n", False),
+        (f"x = 'ab' * {MAX_FOLD_STR_LEN // 2}\n", True),
+        (f"x = 'ab' * {MAX_FOLD_STR_LEN // 2 + 1} == ''\n", False),
+        (f"x = {MAX_FOLD_STR_LEN // 2 + 1} * 'ab' == ''\n", False),
+        (f"a = 'ab' * {MAX_FOLD_STR_LEN // 2}\nx = a + 'c' == ''\n", False),
+        ("x = 1 ** 10 ** 9\n", True),
+    ],
+)
+def test_fold_bounds(source, folds):
+    _, use_map, const = _ssa_for(source)
+    value = fold_constants(const, use_map)[("x", 0)]
+    assert value.is_folded is folds
+    assert value.fold_failed is not folds
+
+
 # ---------------------------------------------------------------------------
 # Alias pairs
 
@@ -208,6 +263,38 @@ def test_use_sets_match_independent_oracle(path):
                 for name, sites in oracle_row.items()
             }
             assert got_row == translated, (path.name, cfg.name, bid, idx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(programs())
+def test_use_sets_match_independent_oracle_on_generated_programs(source):
+    # Simplified first, as above: the oracle reads lambda bodies and
+    # comprehension targets as uses, which the rewrite turns into functions
+    # and loops.  Every CFG is checked, whatever its size.
+    top = build_from_ast("m", simplify_module(parse_module(source)))
+    for cfg in all_cfgs(top):
+        use_map, const = compute_ssa(cfg)
+        version_at = {(name, value.site): version for (name, version), value in const.items()}
+        for (bid, idx), oracle_row in oracle_reaching_sites(cfg).items():
+            translated = {
+                name: {version_at[(name, site)] for site in sites}
+                for name, sites in oracle_row.items()
+            }
+            assert use_map[bid][idx] == translated, (source, cfg.name, bid, idx)
+
+
+def test_long_straight_line_uses_see_the_latest_definition():
+    lines = ["v = 0"] + [f"v = v + {i % 7}" if i % 3 else f"w{i} = v" for i in range(1, 6000)]
+    cfg = build_from_source("m", "\n".join(lines) + "\n")
+    use_map, const = compute_ssa(cfg)
+    (rows,) = use_map.per_block.values()
+    assert len(rows) == 6000
+    latest_v = 0
+    for i, row in enumerate(rows[1:], start=1):
+        assert row == {"v": {latest_v}}, i
+        if i % 3:
+            latest_v += 1
+    assert len(const) == 6000
 
 
 def _dominators(cfg) -> dict[int, set[int]]:
