@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import head_exprs, iter_calls
-from .frontend import ParseError, module_name_for_path, parse_module
-from .modgraph import resolve_relative
+from .frontend import ParseError, parse_module, positional_params
+from .modgraph import discover, import_bindings
 from .rewriter import FixpointError, simplify_module
+from .ssa import target_names
 
 __all__ = [
     "CgNode",
@@ -113,9 +114,8 @@ class _Scope:
 
 class _Analyzer:
     def __init__(self, package_root: Path | None) -> None:
-        self.package_root = package_root
+        self.files: dict[str, Path] = {}  # package modules, parsed once reached
         self.modules: dict[str, ast.Module] = {}
-        self.module_paths: dict[str, Path] = {}
         self.scopes: list[_Scope] = []
         self.module_scopes: dict[str, _Scope] = {}
         self.definitions: dict[str, str] = {}  # fqn -> "function" | "class"
@@ -127,30 +127,11 @@ class _Analyzer:
         self.external_mods: set[str] = set()
         self.diagnostics: list[str] = []
         self._diag_seen: set[str] = set()
+        if package_root is not None and package_root.is_dir():
+            tree, self.diagnostics = discover(package_root)
+            self.files = {node.full_name: Path(node.path) for node in tree.iter_modules()}
 
     # -- module loading ------------------------------------------------------
-
-    def module_fqn_for(self, path: Path) -> str:
-        if self.package_root is not None:
-            try:
-                return module_name_for_path(self.package_root, path)
-            except ValueError:
-                pass
-        return path.stem
-
-    def internal_path(self, dotted: str) -> Path | None:
-        """File for a dotted name when it lives under the package root."""
-        if self.package_root is None:
-            return None
-        parts = dotted.split(".")
-        if parts[0] != self.package_root.name:
-            return None
-        base = self.package_root.joinpath(*parts[1:])
-        if base.with_suffix(".py").is_file():
-            return base.with_suffix(".py")
-        if (base / "__init__.py").is_file():
-            return base / "__init__.py"
-        return None
 
     def load(self, path: Path, fqn: str) -> None:
         if fqn in self.modules:
@@ -163,7 +144,6 @@ class _Analyzer:
             self.diagnostics.append(f"{path}: skipped: {exc}")
             return
         self.modules[fqn] = module
-        self.module_paths[fqn] = path
         scope = _Scope(fqn, "module", None, fqn)
         self.module_scopes[fqn] = scope
         self._collect_scope(scope, module.body, is_package=path.name == "__init__.py")
@@ -182,7 +162,7 @@ class _Analyzer:
                 scope.methods[stmt.name] = fqn
             self.definitions[fqn] = "function"
             child = _Scope(fqn, "function", scope, scope.module_fqn)
-            child.params = [a.arg for a in _positional_params(stmt.args)]
+            child.params = [a.arg for a in positional_params(stmt.args)]
             self.func_params[fqn] = child.params
             for name in child.params:
                 child.bindings[name] = ("slot", child.slot(name))
@@ -198,65 +178,40 @@ class _Analyzer:
             if stmt.decorator_list:
                 self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
             self._collect_scope(child, stmt.body)
-        elif isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                self._bind_import(scope, alias)
-        elif isinstance(stmt, ast.ImportFrom):
-            self._bind_import_from(scope, stmt, is_package)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            self._bind_import(scope, stmt, is_package)
         elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):
             targets = list(stmt.targets) if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
-                for name in _target_names(target):
+                for name in target_names(target):
                     scope.bindings.setdefault(name, ("slot", scope.slot(name)))
         if isinstance(stmt, (ast.If, ast.While, ast.For)):
             for inner in list(stmt.body) + list(stmt.orelse):
                 self._collect_statement(scope, inner, is_package)
 
-    def _bind_import(self, scope: _Scope, alias: ast.alias) -> None:
-        dotted = alias.name
-        target = self.internal_path(dotted)
-        if target is not None:
-            self.load(target, dotted)
-            bound = alias.asname or dotted.split(".")[0]
-            if alias.asname:
-                scope.bindings[bound] = ("mod", dotted)
-            else:
-                scope.bindings[bound] = ("mod", dotted.split(".")[0])
-                # Ensure the top-level package is loadable for attribute walks.
-                top = self.internal_path(dotted.split(".")[0])
-                if top is not None:
-                    self.load(top, dotted.split(".")[0])
-        else:
-            self.external_mods.add(dotted)
-            bound = alias.asname or dotted.split(".")[0]
-            scope.bindings[bound] = ("ext", dotted if alias.asname else dotted.split(".")[0])
-
-    def _bind_import_from(self, scope: _Scope, stmt: ast.ImportFrom, is_package: bool) -> None:
-        resolved = resolve_relative(scope.module_fqn, is_package, stmt.level, stmt.module)
-        if resolved is None:
+    def _bind_import(self, scope: _Scope, stmt: ast.Import | ast.ImportFrom,
+                     is_package: bool) -> None:
+        bindings = import_bindings(stmt, scope.module_fqn, is_package)
+        if bindings is None:
             self.diagnostics.append(
                 f"{scope.module_fqn}: unresolvable relative import at line {stmt.lineno}"
             )
             return
-        target = self.internal_path(resolved)
-        if target is not None:
-            self.load(target, resolved)
-            for alias in stmt.names:
-                if alias.name == "*":
-                    self._diagnose(scope, stmt, "star import; names not tracked")
-                    continue
-                submodule = self.internal_path(f"{resolved}.{alias.name}")
-                if submodule is not None:
-                    self.load(submodule, f"{resolved}.{alias.name}")
-                    scope.bindings[alias.asname or alias.name] = ("mod", f"{resolved}.{alias.name}")
-                else:
-                    scope.bindings[alias.asname or alias.name] = ("slot", f"{resolved}.{alias.name}")
-        else:
-            self.external_mods.add(resolved)
-            for alias in stmt.names:
-                if alias.name == "*":
-                    continue
-                scope.bindings[alias.asname or alias.name] = ("ext", f"{resolved}.{alias.name}")
+        for module, pairs in bindings:
+            if module not in self.files:
+                self.external_mods.add(module)
+                for local, target in pairs:
+                    scope.bindings[local] = ("ext", target)
+                continue
+            self.load(self.files[module], module)
+            if isinstance(stmt, ast.ImportFrom) and stmt.names[0].name == "*":
+                self._diagnose(scope, stmt, "star import; names not tracked")
+            for local, target in pairs:
+                if target != module and target in self.files:
+                    self.load(self.files[target], target)
+                # ``import a.b`` binds package ``a`` even if ``a`` has no file.
+                is_module = isinstance(stmt, ast.Import) or target in self.files
+                scope.bindings[local] = ("mod" if is_module else "slot", target)
 
     # -- value propagation -----------------------------------------------------
 
@@ -491,23 +446,6 @@ class _Analyzer:
         return graph
 
 
-def _positional_params(args: ast.arguments) -> list[ast.arg]:
-    return list(args.posonlyargs) + list(args.args)
-
-
-def _target_names(target: ast.expr) -> list[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: list[str] = []
-        for elt in target.elts:
-            if isinstance(elt, ast.Starred):
-                elt = elt.value
-            out.extend(_target_names(elt))
-        return out
-    return []
-
-
 def _iter_scope_statements(body: list[ast.stmt]):
     """Statements of one scope, descending into branches but not definitions."""
     for stmt in body:
@@ -522,19 +460,28 @@ _MAX_ROUNDS = 1000
 def analyze(entry_points: list[str | Path], package_root: str | Path | None = None) -> CallGraph:
     """Build the call graph reachable from ``entry_points``.
 
-    ``package_root`` names the project directory; imports that resolve to
-    files under it are followed and become internal modules, everything else
-    is external.  Entry files missing from disk raise ``OSError``; files that
+    ``package_root`` names the project directory; imports of the modules
+    :func:`~lancet.modgraph.discover` finds under it are followed and become
+    internal modules, everything else is external.  An entry file keeps its
+    module name from that walk; any other is named by its stem.  With a
+    package root and no entry points, every module of the package is an
+    entry point.  Entry files missing from disk raise ``OSError``; files that
     fail to parse are skipped with a diagnostic.
     """
     root = Path(package_root).resolve() if package_root is not None else None
     analyzer = _Analyzer(root)
+    names = {path: name for name, path in analyzer.files.items()}
     for entry in entry_points:
         path = Path(entry)
         if not path.is_file():
             raise FileNotFoundError(f"entry point not found: {entry}")
         path = path.resolve()
-        analyzer.load(path, analyzer.module_fqn_for(path))
+        analyzer.load(path, names.get(path, path.stem))
+    if root is not None and not entry_points:
+        if not analyzer.files:
+            raise FileNotFoundError(f"no Python files under {package_root}")
+        for name, path in analyzer.files.items():
+            analyzer.load(path, name)
 
     for _ in range(_MAX_ROUNDS):
         if not analyzer.sweep():

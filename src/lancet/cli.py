@@ -118,14 +118,9 @@ def _cmd_fqn(args: argparse.Namespace) -> int:
 
 def _cmd_callgraph(args: argparse.Namespace) -> int:
     entries = list(args.entry or [])
-    if not entries:
-        if args.package is None:
-            print("error: provide --entry files or a --package root", file=sys.stderr)
-            return USAGE_ERROR
-        entries = sorted(str(p) for p in Path(args.package).rglob("*.py") if p.is_file())
-        if not entries:
-            print(f"error: no Python files under {args.package}", file=sys.stderr)
-            return USAGE_ERROR
+    if not entries and args.package is None:
+        print("error: provide --entry files or a --package root", file=sys.stderr)
+        return USAGE_ERROR
     graph = cg.analyze(entries, package_root=args.package)
     if args.format == "simple-json":
         _emit(cg.to_simple_json(graph), args.output)

@@ -30,6 +30,7 @@ __all__ = [
     "parse_module",
     "unparse",
     "module_name_for_path",
+    "positional_params",
     "walk",
     "node_span",
     "trees_equal",
@@ -310,6 +311,11 @@ def module_name_for_path(root: str | Path, file: str | Path) -> str:
     if rel.stem != "__init__":
         parts.append(rel.stem)
     return ".".join(parts)
+
+
+def positional_params(args: ast.arguments) -> list[ast.arg]:
+    """Parameters that call-site positions bind: positional-only, then regular."""
+    return list(args.posonlyargs) + list(args.args)
 
 
 def walk(node: ast.AST, order: str = "pre") -> Iterator[ast.AST]:

@@ -1,11 +1,15 @@
-"""Project directory trees, import graphs, and qualified-name resolution.
+"""Project discovery, import graphs, and qualified-name resolution.
 
-:func:`build_dir_tree` mirrors a project directory as a :class:`TreeNode`
-tree with every ``.py`` file parsed and attached; :func:`parse_imports`
-turns each import statement into an :class:`ImportRelation` with relative
-imports resolved against the importer's package.  A module is a *leaf* when
-it has no outgoing project-internal imports - the bottom of the dependency
-hierarchy, analyzable without project context.
+This module decides, for every project-level analysis, which files form a
+project, what each one is named and what an import statement binds.
+:func:`discover` walks a project directory once, without parsing;
+:func:`build_dir_tree` parses the modules it finds into a :class:`TreeNode`
+tree; :func:`import_bindings` maps one import statement to the names it
+binds.  :func:`parse_imports` turns each import statement into an
+:class:`ImportRelation` with relative imports resolved against the
+importer's package.  A module is a *leaf* when it has no outgoing
+project-internal imports - the bottom of the dependency hierarchy,
+analyzable without project context.
 
 :func:`resolve_fqn` maps a call name (a ``Name`` or dotted attribute chain)
 to its fully qualified dotted path by substituting import bindings at the
@@ -21,7 +25,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .frontend import ParseError, parse_module, walk
+from .frontend import ParseError, SourceFile, parse_module, walk
 from .ssa import AliasPair
 
 __all__ = [
@@ -30,7 +34,9 @@ __all__ = [
     "ImportGraph",
     "NameContext",
     "Unresolved",
+    "discover",
     "build_dir_tree",
+    "import_bindings",
     "parse_imports",
     "build_import_graph",
     "leaf_nodes",
@@ -45,7 +51,11 @@ _SKIP_DIRS = {"__pycache__"}
 
 @dataclass
 class TreeNode:
-    """One directory or module file; ``module`` is set only for ``.py`` leaves."""
+    """One directory or module file of a project.
+
+    ``is_module`` marks ``.py`` leaves; once parsed, a leaf holds its
+    ``module`` or, when it does not parse, its ``parse_error``.
+    """
 
     name: str
     full_name: str
@@ -53,10 +63,7 @@ class TreeNode:
     children: list["TreeNode"] = field(default_factory=list)
     module: ast.Module | None = None
     parse_error: ParseError | None = None
-
-    @property
-    def is_module(self) -> bool:
-        return self.module is not None or self.parse_error is not None
+    is_module: bool = False
 
     def iter_modules(self):
         if self.is_module:
@@ -91,44 +98,73 @@ class ImportGraph:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def build_dir_tree(root: str | Path) -> TreeNode:
-    """Mirror ``root`` as a tree, parsing every ``.py`` file found.
+def discover(root: str | Path) -> tuple[TreeNode, list[str]]:
+    """Walk the project directory ``root`` without parsing anything.
 
-    Files that fail to parse keep their node with ``parse_error`` set;
-    non-source files are skipped.  Raises ``OSError`` when ``root`` itself is
-    unreadable or not a directory.
+    Returns the directory tree, whose paths extend ``root`` as given, and a
+    diagnostic for each directory the walk skipped.  The rules:
+    dot-directories and ``__pycache__`` are skipped; a package shadows a
+    same-named module, as in CPython's import system; a directory named like
+    a module (``d.py``) is skipped; entries come in sorted order; and each
+    resolved directory is visited once, so a symlink back into the tree
+    (or a second link to one directory) is skipped.  Module names start
+    with the resolved root's name.  Raises ``OSError`` when ``root`` cannot
+    be listed.
     """
-    rootp = Path(root).resolve()
-    if not rootp.is_dir():
-        raise NotADirectoryError(f"not a directory: {root}")
-    return _build_node(rootp, rootp.name)
+    rootp = Path(root)
+    real = rootp.resolve()
+    diagnostics: list[str] = []
+    return _walk_dir(rootp, real.name, {real}, diagnostics), diagnostics
 
 
-def _build_node(path: Path, full_name: str) -> TreeNode:
+def _walk_dir(path: Path, full_name: str, seen: set[Path], diagnostics: list[str]) -> TreeNode:
     node = TreeNode(name=path.name, full_name=full_name, path=str(path))
     taken: set[str] = set()
     for entry in sorted(path.iterdir(), key=lambda p: p.name):
         if entry.is_dir():
             if entry.name in _SKIP_DIRS or entry.name.startswith("."):
                 continue
-            node.children.append(_build_node(entry, f"{full_name}.{entry.name}"))
             taken.add(entry.name)
-        elif entry.suffix == ".py":
+            if entry.suffix == ".py":
+                diagnostics.append(f"{entry}: skipped: a directory, not a module")
+                continue
+            real = entry.resolve()
+            if real in seen:
+                diagnostics.append(f"{entry}: skipped: {real} is already part of the project")
+                continue
+            seen.add(real)
+            node.children.append(_walk_dir(entry, f"{full_name}.{entry.name}", seen, diagnostics))
+        elif entry.suffix == ".py" and entry.stem not in taken:
             stem = entry.stem
-            if stem in taken:
-                continue  # a sibling package shadows the module, as in imports
             child_full = full_name if stem == "__init__" else f"{full_name}.{stem}"
-            child = TreeNode(name=stem, full_name=child_full, path=str(entry))
-            try:
-                text = entry.read_bytes().decode("utf-8")
-                child.module = parse_module(text, str(entry))
-            except UnicodeDecodeError as exc:
-                child.parse_error = ParseError(str(entry), 1, 0, f"not valid UTF-8: {exc.reason}")
-            except ParseError as exc:
-                child.parse_error = exc
-            node.children.append(child)
+            node.children.append(
+                TreeNode(name=stem, full_name=child_full, path=str(entry), is_module=True)
+            )
             taken.add(stem)
     return node
+
+
+def _parsed_tree(root: str | Path) -> tuple[TreeNode, list[str]]:
+    rootp = Path(root).resolve()
+    if not rootp.is_dir():
+        raise NotADirectoryError(f"not a directory: {root}")
+    tree, diagnostics = discover(rootp)
+    for node in tree.iter_modules():
+        try:
+            node.module = parse_module(SourceFile.load(node.path).text, node.path)
+        except ParseError as exc:
+            node.parse_error = exc
+    return tree, diagnostics
+
+
+def build_dir_tree(root: str | Path) -> TreeNode:
+    """Mirror ``root`` as a tree (see :func:`discover`), parsing every module.
+
+    Files that fail to parse keep their node with ``parse_error`` set;
+    non-source files are skipped.  Raises ``OSError`` when ``root`` itself is
+    unreadable or not a directory.
+    """
+    return _parsed_tree(root)[0]
 
 
 def resolve_relative(importer: str, is_package: bool, level: int, module: str | None) -> str | None:
@@ -150,47 +186,60 @@ def resolve_relative(importer: str, is_package: bool, level: int, module: str | 
     return ".".join(parts) if parts else None
 
 
+def import_bindings(
+    stmt: ast.Import | ast.ImportFrom, importer: str, is_package: bool
+) -> list[tuple[str, list[tuple[str, str]]]] | None:
+    """What one import statement in module ``importer`` binds.
+
+    One ``(module, [(local name, dotted target), ...])`` entry per module the
+    statement loads: ``import a.b`` binds ``a`` to ``a``, ``import a.b as c``
+    binds ``c`` to ``a.b``, and ``from m import x as y`` binds ``y`` to
+    ``m.x``, with a relative ``m`` anchored by :func:`resolve_relative`.  A
+    ``*`` binds nothing.  None when a relative import reaches above the
+    project root.
+    """
+    if isinstance(stmt, ast.Import):
+        out: list[tuple[str, list[tuple[str, str]]]] = []
+        for alias in stmt.names:
+            if alias.asname:
+                out.append((alias.name, [(alias.asname, alias.name)]))
+            else:
+                top = alias.name.split(".")[0]
+                out.append((alias.name, [(top, top)]))
+        return out
+    module = resolve_relative(importer, is_package, stmt.level, stmt.module)
+    if module is None:
+        return None
+    return [(module, [(alias.asname or alias.name, f"{module}.{alias.name}")
+                      for alias in stmt.names if alias.name != "*"])]
+
+
 def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str]]:
     relations: list[ImportRelation] = []
     diagnostics: list[str] = []
     assert node.module is not None
     is_package = node.name == "__init__"
     for stmt in walk(node.module):
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                relations.append(
-                    ImportRelation(
-                        importer=node.full_name,
-                        imported_module=alias.name,
-                        symbols=((alias.name, alias.asname),),
-                        relative_level=0,
-                    )
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        bindings = import_bindings(stmt, node.full_name, is_package)
+        resolved = bindings is not None
+        if not resolved:
+            diagnostics.append(
+                f"{node.path}:{stmt.lineno}: relative import reaches above the project root"
+            )
+            bindings = [("." * stmt.level + (stmt.module or ""), [])]
+        groups = [[alias] for alias in stmt.names] if isinstance(stmt, ast.Import) else [stmt.names]
+        for (module, _), aliases in zip(bindings, groups):
+            relations.append(
+                ImportRelation(
+                    importer=node.full_name,
+                    imported_module=module,
+                    symbols=tuple((a.name, a.asname) for a in aliases),
+                    relative_level=getattr(stmt, "level", 0),
+                    resolved=resolved,
                 )
-        elif isinstance(stmt, ast.ImportFrom):
-            resolved = resolve_relative(node.full_name, is_package, stmt.level, stmt.module)
-            symbols = tuple((a.name, a.asname) for a in stmt.names)
-            if resolved is None:
-                diagnostics.append(
-                    f"{node.path}:{stmt.lineno}: relative import reaches above the project root"
-                )
-                relations.append(
-                    ImportRelation(
-                        importer=node.full_name,
-                        imported_module="." * stmt.level + (stmt.module or ""),
-                        symbols=symbols,
-                        relative_level=stmt.level,
-                        resolved=False,
-                    )
-                )
-            else:
-                relations.append(
-                    ImportRelation(
-                        importer=node.full_name,
-                        imported_module=resolved,
-                        symbols=symbols,
-                        relative_level=stmt.level,
-                    )
-                )
+            )
     return relations, diagnostics
 
 
@@ -207,8 +256,8 @@ def parse_imports(tree: TreeNode) -> dict[str, list[ImportRelation]]:
 
 def build_import_graph(root: str | Path) -> ImportGraph:
     """Directory tree + import relations + project-internal edge set."""
-    tree = build_dir_tree(root)
-    graph = ImportGraph(tree=tree)
+    tree, diagnostics = _parsed_tree(root)
+    graph = ImportGraph(tree=tree, diagnostics=diagnostics)
     project = {node.full_name for node in tree.iter_modules() if node.module is not None}
     for node in tree.iter_modules():
         if node.module is None:
@@ -284,21 +333,9 @@ def build_name_context(
 ) -> NameContext:
     ctx = NameContext(module=module_name)
     for stmt in walk(module):
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                if alias.asname:
-                    ctx.bindings[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    ctx.bindings[root] = root
-        elif isinstance(stmt, ast.ImportFrom):
-            resolved = resolve_relative(module_name, is_package, stmt.level, stmt.module)
-            if resolved is None:
-                continue
-            for alias in stmt.names:
-                if alias.name == "*":
-                    continue
-                ctx.bindings[alias.asname or alias.name] = f"{resolved}.{alias.name}"
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for _, pairs in import_bindings(stmt, module_name, is_package) or ():
+                ctx.bindings.update(pairs)
     for stmt in module.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             ctx.bindings[stmt.name] = f"{module_name}.{stmt.name}"

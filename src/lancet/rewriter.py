@@ -18,9 +18,6 @@ Rules are applied to a fixpoint by :func:`simplify_module`; each rule's
 output never re-matches the rule itself, so the process terminates.
 Temporaries come from :class:`TempNamer`, which avoids every identifier
 already present in the module.
-
-Rule ids above 5 are reserved for registered extensions (see
-:func:`register_rule`).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import ast
 import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .frontend import parse_module, unparse, walk
 
@@ -39,7 +36,6 @@ __all__ = [
     "TransformHookError",
     "FixpointError",
     "RULES",
-    "register_rule",
     "apply_rule",
     "simplify_module",
     "simplify_source",
@@ -373,23 +369,13 @@ def _locate(stmts: list[ast.stmt], origin: ast.stmt) -> list[ast.stmt]:
     return stmts
 
 
-RULES: list[RewriteRule] = [
+RULES: tuple[RewriteRule, ...] = (
     RewriteRule(1, "ComprehensionUnfolding", _match_comprehension, _build_comprehension),
     RewriteRule(2, "NestedCallHandling", _match_nested_call, _build_nested_call),
     RewriteRule(3, "SubscriptionAssignment", _match_subscript_call, _build_subscript_call),
     RewriteRule(4, "LambdaConversion", _match_lambda, _build_lambda),
     RewriteRule(5, "CallChainSplitting", _match_call_chain, _build_call_chain),
-]
-
-
-def register_rule(rule: RewriteRule) -> None:
-    """Add an extension rule (id must be 6 or higher and unused)."""
-    if rule.id <= 5:
-        raise ValueError("rule ids 1..5 are reserved for the built-in rules")
-    if any(r.id == rule.id for r in RULES):
-        raise ValueError(f"rule id {rule.id} already registered")
-    RULES.append(rule)
-    RULES.sort(key=lambda r: r.id)
+)
 
 
 def apply_rule(rule: RewriteRule, stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
@@ -402,7 +388,7 @@ def apply_rule(rule: RewriteRule, stmt: ast.stmt, namer: TempNamer) -> list[ast.
 _BODY_FIELDS = ("body", "orelse")
 
 
-def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer, rules: list[RewriteRule],
+def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer, rules: Sequence[RewriteRule],
                    budget: list[int]) -> tuple[list[ast.stmt], int]:
     """One scan of a statement list; produced statements are re-examined."""
     out = list(stmts)
@@ -434,7 +420,7 @@ def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer, rules: list[RewriteR
     return out, changed
 
 
-def simplify_module(module: ast.Module, rules: list[RewriteRule] | None = None) -> ast.Module:
+def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = None) -> ast.Module:
     """Rewrite a module until no rule matches anywhere.
 
     The input tree is not modified.  Raises :class:`FixpointError` if the

@@ -53,6 +53,7 @@ __all__ = [
     "fold_constants",
     "alias_pairs",
     "to_json_dict",
+    "target_names",
 ]
 
 _UNFOLDED = object()
@@ -163,6 +164,11 @@ def _unpack(target: ast.expr, value: ast.expr | None) -> list[tuple[str, ast.exp
         return out
     # Attribute / subscript stores are not versioned.
     return []
+
+
+def target_names(target: ast.expr) -> list[str]:
+    """Names an assignment target binds, in order (starred ones included)."""
+    return [name for name, _ in _unpack(target, None)]
 
 
 def _definitions(stmt: ast.stmt) -> list[tuple[str, ast.expr | None, str]]:

@@ -25,9 +25,10 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .frontend import ParseError, SourceFile, module_name_for_path, parse_module, walk
-from .modgraph import NameContext, Unresolved, build_name_context, resolve_fqn
+from .frontend import ParseError, SourceFile, parse_module, positional_params, walk
+from .modgraph import NameContext, Unresolved, build_name_context, discover, resolve_fqn
 from .rewriter import TEMP_PREFIX, FixpointError, simplify_module
+from .ssa import target_names
 
 __all__ = [
     "TypeRecord",
@@ -361,6 +362,9 @@ class _Resolver:
         return set(self.engine.returns.get(method_fqn, set()))
 
 
+_MAX_ROUNDS = 10
+
+
 class _DiagnosticLog(list):
     """List of diagnostics that ignores repeats (fixpoint sweeps re-walk code)."""
 
@@ -428,7 +432,7 @@ class _Engine:
     def _param_env(self, info: _FuncInfo) -> dict[str, set[str]]:
         env: dict[str, set[str]] = {}
         inferred = self.params.get(info.fqn, {})
-        for i, arg in enumerate(_positional_params(info.node.args)):
+        for i, arg in enumerate(positional_params(info.node.args)):
             if i == 0 and info.class_fqn is not None and arg.arg in ("self", "cls"):
                 env[arg.arg] = {info.class_fqn}
             else:
@@ -470,7 +474,7 @@ class _Engine:
                 if bindings is not None and stmt.target.id in bindings:
                     bindings[stmt.target.id][1].update(combined)
             elif isinstance(stmt, ast.For):
-                for name in _target_names(stmt.target):
+                for name in target_names(stmt.target):
                     env[name] = env.get(name, set()) | {ANY}
             elif isinstance(stmt, ast.Return) and returns is not None:
                 if stmt.value is None:
@@ -555,7 +559,7 @@ class _Engine:
     # -- fixpoint ----------------------------------------------------------------
 
     def run(self) -> None:
-        for _ in range(10):
+        for _ in range(_MAX_ROUNDS):
             changed = False
             call_sites: dict[str, list[tuple[list[set[str]], dict[str, set[str]]]]] = {}
 
@@ -580,6 +584,11 @@ class _Engine:
                     changed = True
             if not changed:
                 break
+        else:
+            self.diagnostics.append(
+                f"type inference stopped after {_MAX_ROUNDS} rounds without converging; "
+                "some types may be incomplete"
+            )
 
     def _return_set(self, info: _FuncInfo, returns: list[tuple[int, set[str], bool]]) -> set[str]:
         if info.has_yield:
@@ -603,7 +612,7 @@ class _Engine:
         sites: list[tuple[list[set[str]], dict[str, set[str]]]],
     ) -> dict[str, set[str]]:
         constraints = _backward_constraints(info.node, self.table)
-        params = [a.arg for a in _positional_params(info.node.args)]
+        params = [a.arg for a in positional_params(info.node.args)]
         skip_self = 1 if info.class_fqn is not None and params and params[0] in ("self", "cls") else 0
         out: dict[str, set[str]] = {}
         for i, name in enumerate(params):
@@ -693,7 +702,7 @@ class _Engine:
 
 def _backward_constraints(fn: ast.FunctionDef, table: HeuristicTable) -> dict[str, set[str]]:
     """Types forced on parameters by how the body uses them."""
-    params = {a.arg for a in _positional_params(fn.args)}
+    params = {a.arg for a in positional_params(fn.args)}
     out: dict[str, set[str]] = {}
     for node in ast.walk(fn):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -728,7 +737,7 @@ def infer_parameters(
     for name, types in _backward_constraints(function, table).items():
         constraints.setdefault(name, set()).update(types)
     records = []
-    params = [a.arg for a in _positional_params(function.args)]
+    params = [a.arg for a in positional_params(function.args)]
     for i, name in enumerate(params):
         evidence: set[str] = set(constraints.get(name, set()))
         for pos, kw in call_sites:
@@ -746,23 +755,6 @@ def infer_parameters(
             )
         )
     return records
-
-
-def _positional_params(args: ast.arguments) -> list[ast.arg]:
-    return list(args.posonlyargs) + list(args.args)
-
-
-def _target_names(target: ast.expr) -> list[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: list[str] = []
-        for elt in target.elts:
-            if isinstance(elt, ast.Starred):
-                elt = elt.value
-            out.extend(_target_names(elt))
-        return out
-    return []
 
 
 def _has_own_yield(fn: ast.FunctionDef) -> bool:
@@ -824,12 +816,10 @@ def _run_engine(
     engine = _Engine(table or default_table(), simplify)
     entry_path = Path(entry)
     if entry_path.is_dir():
-        for path in sorted(entry_path.rglob("*.py")):
-            try:
-                module_name = module_name_for_path(entry_path, path)
-            except ValueError:
-                continue
-            engine.load_file(path, str(path), module_name)
+        tree, diagnostics = discover(entry_path)
+        engine.diagnostics.extend(diagnostics)
+        for node in tree.iter_modules():
+            engine.load_file(Path(node.path), node.path, node.full_name)
     elif entry_path.is_file():
         engine.load_file(entry_path, str(entry), entry_path.stem)
     else:
