@@ -116,6 +116,7 @@ class _Analyzer:
     def __init__(self, package_root: Path | None) -> None:
         self.files: dict[str, Path] = {}  # package modules, parsed once reached
         self.modules: dict[str, ast.Module] = {}
+        self.failed: set[str] = set()  # modules that did not load; not retried
         self.scopes: list[_Scope] = []
         self.module_scopes: dict[str, _Scope] = {}
         self.definitions: dict[str, str] = {}  # fqn -> "function" | "class"
@@ -134,7 +135,7 @@ class _Analyzer:
     # -- module loading ------------------------------------------------------
 
     def load(self, path: Path, fqn: str) -> None:
-        if fqn in self.modules:
+        if fqn in self.modules or fqn in self.failed:
             return
         try:
             text = path.read_bytes().decode("utf-8")
@@ -142,6 +143,7 @@ class _Analyzer:
             module = simplify_module(module)
         except (ParseError, FixpointError, OSError, UnicodeDecodeError) as exc:
             self.diagnostics.append(f"{path}: skipped: {exc}")
+            self.failed.add(fqn)
             return
         self.modules[fqn] = module
         scope = _Scope(fqn, "module", None, fqn)
@@ -168,7 +170,7 @@ class _Analyzer:
                 child.bindings[name] = ("slot", child.slot(name))
             if stmt.decorator_list:
                 self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
-            self._collect_scope(child, stmt.body)
+            self._collect_scope(child, stmt.body, is_package=is_package)
         elif isinstance(stmt, ast.ClassDef):
             fqn = scope.slot(stmt.name)
             scope.bindings[stmt.name] = ("slot", fqn)
@@ -177,7 +179,7 @@ class _Analyzer:
             self.class_scopes[fqn] = child
             if stmt.decorator_list:
                 self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
-            self._collect_scope(child, stmt.body)
+            self._collect_scope(child, stmt.body, is_package=is_package)
         elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._bind_import(scope, stmt, is_package)
         elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):

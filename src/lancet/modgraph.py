@@ -270,12 +270,13 @@ def build_import_graph(root: str | Path) -> ImportGraph:
         for rel in relations:
             if not rel.resolved:
                 continue
-            if rel.imported_module in project:
-                graph.internal_edges.add((rel.importer, rel.imported_module))
-            for symbol, _alias in rel.symbols:
-                candidate = f"{rel.imported_module}.{symbol}"
-                if candidate in project:
-                    graph.internal_edges.add((rel.importer, candidate))
+            targets = [rel.imported_module]
+            targets += [f"{rel.imported_module}.{symbol}" for symbol, _alias in rel.symbols]
+            for target in targets:
+                # ``from . import x`` in a package's ``__init__`` names the
+                # package itself; a module is no dependency of its own.
+                if target in project and target != rel.importer:
+                    graph.internal_edges.add((rel.importer, target))
     return graph
 
 

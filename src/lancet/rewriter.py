@@ -18,6 +18,13 @@ Rules are applied to a fixpoint by :func:`simplify_module`; each rule's
 output never re-matches the rule itself, so the process terminates.
 Temporaries come from :class:`TempNamer`, which avoids every identifier
 already present in the module.
+
+Rewriting is copy-on-write: no rule and no pass modifies a node it was
+given.  A rewritten statement is rebuilt along the path from the statement
+to the node that changes, a compound statement whose ``body`` or ``orelse``
+changes is replaced by a shallow copy carrying the new list, and every
+other node of the result is shared with the input.  Neither the input nor
+the result may therefore be mutated by any caller.
 """
 
 from __future__ import annotations
@@ -67,18 +74,25 @@ class TransformHookError(Exception):
 class TempNamer:
     """Generates `_ret`, `_ret_1`, ... temporaries that collide with nothing.
 
-    ``forbidden`` starts as the set of identifiers bound or referenced in the
-    module under rewrite; every emitted name is added to it.
+    ``forbidden`` holds the names to avoid; every emitted name is added to
+    it.  :meth:`for_module` adds the identifiers bound or referenced in the
+    module under rewrite, collected on the first :meth:`fresh` call, so a
+    module that needs no temporary is never walked for them.  That module
+    must not change before then.
     """
 
     forbidden: set[str] = field(default_factory=set)
     counter: int = 0
+    pending: ast.AST | None = None
 
     @classmethod
     def for_module(cls, module: ast.Module) -> "TempNamer":
-        return cls(forbidden=collect_identifiers(module))
+        return cls(pending=module)
 
     def fresh(self) -> str:
+        if self.pending is not None:
+            self.forbidden |= collect_identifiers(self.pending)
+            self.pending = None
         while True:
             name = TEMP_PREFIX if self.counter == 0 else f"{TEMP_PREFIX}_{self.counter}"
             self.counter += 1
@@ -212,20 +226,25 @@ def _match_nested_call(stmt: ast.stmt) -> bool:
 
 
 def _build_nested_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    new_stmt = copy.deepcopy(stmt)
-    call = _nested_call_site(new_stmt)
+    call = _nested_call_site(stmt)
     assert call is not None
     index = _hoistable_call_arg(call)
     assert index is not None
-    flat: list[ast.expr] = list(call.args) + [kw.value for kw in call.keywords]
-    inner = flat[index]
     temp = namer.fresh()
+    new_call = copy.copy(call)
     if index < len(call.args):
-        call.args[index] = _load(temp)
+        inner = call.args[index]
+        new_call.args = list(call.args)
+        new_call.args[index] = _load(temp)
     else:
-        call.keywords[index - len(call.args)].value = _load(temp)
+        pos = index - len(call.args)
+        keyword = copy.copy(call.keywords[pos])
+        inner = keyword.value
+        keyword.value = _load(temp)
+        new_call.keywords = list(call.keywords)
+        new_call.keywords[pos] = keyword
     hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=inner)
-    return _locate([hoisted, new_stmt], stmt)
+    return _locate([hoisted, _with_value(stmt, new_call)], stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +262,11 @@ def _match_subscript_call(stmt: ast.stmt) -> bool:
 
 
 def _build_subscript_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    new_stmt = copy.deepcopy(stmt)
-    sub = _stmt_value(new_stmt)
+    sub = _stmt_value(stmt)
     assert isinstance(sub, ast.Subscript)
-    inner = sub.value
     temp = namer.fresh()
-    sub.value = _load(temp)
-    hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=inner)
-    return _locate([hoisted, new_stmt], stmt)
+    hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=sub.value)
+    return _locate([hoisted, _with_value(stmt, _with_value(sub, _load(temp)))], stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +290,8 @@ def _build_lambda(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
     assert isinstance(lam, ast.Lambda)
     fn = ast.FunctionDef(
         name=target.id,
-        args=copy.deepcopy(lam.args),
-        body=[ast.Return(value=copy.deepcopy(lam.body))],
+        args=lam.args,
+        body=[ast.Return(value=lam.body)],
         decorator_list=[],
         returns=None,
         type_comment=None,
@@ -303,8 +319,7 @@ def _match_call_chain(stmt: ast.stmt) -> bool:
 
 
 def _build_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    new_stmt = copy.deepcopy(stmt)
-    top = _chain_value(new_stmt)
+    top = _chain_value(stmt)
     assert top is not None
 
     # Walk down the chain spine; `segments` ends up outermost-last.
@@ -332,10 +347,11 @@ def _build_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
         receiver = namer.fresh()
         out.append(ast.Assign(targets=[ast.Name(id=receiver, ctx=ast.Store())], value=call))
 
-    last = segments[-1]
-    assert isinstance(last.func, ast.Attribute)
-    last.func.value = _load(receiver)
-    out.append(new_stmt)
+    # The outermost link stays in the statement, now called on the last temp.
+    assert isinstance(top.func, ast.Attribute)
+    last = copy.copy(top)
+    last.func = _with_value(top.func, _load(receiver))
+    out.append(_with_value(stmt, last))
     return _locate(out, stmt)
 
 
@@ -360,6 +376,13 @@ def _stmt_value(stmt: ast.stmt) -> ast.expr | None:
     if isinstance(stmt, (ast.Expr, ast.Return)):
         return stmt.value
     return None
+
+
+def _with_value(node: ast.AST, value: ast.expr) -> ast.AST:
+    """A shallow copy of ``node`` whose ``value`` field is ``value``."""
+    new = copy.copy(node)
+    new.value = value
+    return new
 
 
 def _locate(stmts: list[ast.stmt], origin: ast.stmt) -> list[ast.stmt]:
@@ -390,7 +413,10 @@ _BODY_FIELDS = ("body", "orelse")
 
 def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer, rules: Sequence[RewriteRule],
                    budget: list[int]) -> tuple[list[ast.stmt], int]:
-    """One scan of a statement list; produced statements are re-examined."""
+    """One scan of a statement list; produced statements are re-examined.
+
+    Returns a new list; ``stmts`` and the statements in it are not modified.
+    """
     out = list(stmts)
     changed = 0
     i = 0
@@ -400,8 +426,11 @@ def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer, rules: Sequence[Rewr
             inner = getattr(stmt, fname, None)
             if isinstance(inner, list) and inner and isinstance(inner[0], ast.stmt):
                 new_inner, n = _rewrite_block(inner, namer, rules, budget)
-                setattr(stmt, fname, new_inner)
-                changed += n
+                if n:
+                    stmt = copy.copy(stmt)
+                    setattr(stmt, fname, new_inner)
+                    out[i] = stmt
+                    changed += n
         fired = False
         for rule in rules:
             if rule.matcher(stmt):
@@ -423,17 +452,25 @@ def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer, rules: Sequence[Rewr
 def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = None) -> ast.Module:
     """Rewrite a module until no rule matches anywhere.
 
-    The input tree is not modified.  Raises :class:`FixpointError` if the
-    rules fail to settle within the pass limit.
+    The input tree is not modified.  The result is a shallow copy of the
+    module with a new ``body`` list; it shares every statement and
+    expression no rule touched with the input (a module where no rule fires
+    yields the input's statements themselves), so no caller may mutate
+    either tree.  Every statement a rule builds carries the location of the
+    statement it replaces; the input is expected to be fully located, as
+    :func:`~lancet.frontend.parse_module` leaves it.  Raises
+    :class:`FixpointError` if the rules fail to settle within the pass
+    limit.
     """
     active = RULES if rules is None else rules
-    result = copy.deepcopy(module)
-    namer = TempNamer.for_module(result)
+    namer = TempNamer.for_module(module)
+    body = module.body
     for _ in range(_MAX_PASSES):
         budget = [_MAX_REWRITES_PER_PASS]
-        result.body, changed = _rewrite_block(result.body, namer, active, budget)
+        body, changed = _rewrite_block(body, namer, active, budget)
         if not changed:
-            ast.fix_missing_locations(result)
+            result = copy.copy(module)
+            result.body = body
             return result
     raise FixpointError(f"no fixpoint after {_MAX_PASSES} passes")
 

@@ -139,6 +139,28 @@ def test_package_with_subdirectories(tmp_path):
     assert external == []
 
 
+def test_relative_import_inside_a_package_function(tmp_path):
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "__init__.py").write_text("def f():\n    from .m import g\n    return g()\n")
+    (root / "m.py").write_text("def g():\n    return 1\n")
+    (root / "main.py").write_text("from . import f\n\nf()\n")
+    edges = set(output_edges(analyze([], package_root=root)))
+    assert ("pkg.f", "pkg.m.g") in edges
+    assert ("pkg.f", "m.g") not in edges
+
+
+def test_unparsable_module_is_reported_once(tmp_path):
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "bad.py").write_text("def broken(:\n")
+    (root / "a.py").write_text("from .bad import x\n")
+    (root / "b.py").write_text("from .bad import y\n")
+    graph = analyze([], package_root=root)
+    skipped = [d for d in graph.diagnostics if "skipped" in d]
+    assert len(skipped) == 1 and str(root / "bad.py") in skipped[0]
+
+
 def test_missing_entry_point_raises():
     with pytest.raises(FileNotFoundError):
         analyze([CG / "no_such_file.py"])

@@ -314,3 +314,28 @@ def test_deeply_nested_input_never_crashes(tmp_path, terms):
         )
         assert proc.returncode in (0, 2), (argv, proc.stderr[-500:])
         assert "Traceback" not in proc.stderr, (argv, proc.stderr[-500:])
+
+
+def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
+    target = tmp_path / "deep.py"
+    target.write_text("x = " + "+".join(["1"] * 300) + "\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = {}
+    for argv in (
+        ["rewrite", str(target)],
+        ["cfg", str(target)],
+        ["ssa", str(target)],
+        ["alias", str(target)],
+        ["fqn", str(target)],
+        ["imports", str(tmp_path)],
+        ["callgraph", "--entry", str(target)],
+        ["typeinfer", str(target)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lancet.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])
+        outputs[argv[0]] = proc.stdout
+    assert json.loads(outputs["ssa"])["constants"]["x#0"]["folded"] == 300

@@ -123,6 +123,16 @@ def test_internal_edges_and_leaves():
     assert [n.full_name for n in leaf_nodes(graph)] == ["example.module_c"]
 
 
+def test_package_importing_its_own_submodule_has_no_self_edge(tmp_path):
+    root = tmp_path / "app"
+    (root / "core").mkdir(parents=True)
+    (root / "core" / "__init__.py").write_text("from . import engine\n")
+    (root / "core" / "engine.py").write_text("x = 1\n")
+    graph = build_import_graph(root)
+    assert graph.internal_edges == {("app.core", "app.core.engine")}
+    assert [n.full_name for n in leaf_nodes(graph)] == ["app.core.engine"]
+
+
 def test_every_non_leaf_has_an_outgoing_internal_edge():
     graph = build_import_graph(EXAMPLE)
     leaves = {n.full_name for n in leaf_nodes(graph)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lancet.frontend import parse_module, trees_equal, unparse, walk
+from lancet.frontend import ParseError, parse_module, trees_equal, unparse, walk
 from lancet.rewriter import (
     RULES,
     FixpointError,
@@ -242,3 +242,56 @@ def test_generated_programs_simplify_to_a_fixpoint(source):
         if isinstance(node, ast.stmt):
             for rule in RULES:
                 assert not rule.matcher(node)
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write: the input is never modified and untouched statements are
+# shared, so no whole-module copy can come back unnoticed.
+
+
+def _assert_rewrites_leave_input_alone(tree: ast.Module) -> None:
+    before = ast.dump(tree, include_attributes=True)
+    simplified = simplify_module(tree)
+    assert ast.dump(tree, include_attributes=True) == before
+    for node in walk(simplified):
+        if "lineno" in node._attributes:
+            assert getattr(node, "lineno", None) is not None, ast.dump(node)
+            assert getattr(node, "end_lineno", None) is not None, ast.dump(node)
+    namer = TempNamer.for_module(tree)
+    for stmt in [node for node in walk(tree) if isinstance(node, ast.stmt)]:
+        for rule in RULES:
+            if rule.matcher(stmt):
+                apply_rule(rule, stmt, namer)
+                assert ast.dump(tree, include_attributes=True) == before, rule.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_generated_programs_are_not_modified_by_rewriting(source):
+    _assert_rewrites_leave_input_alone(parse_module(source))
+
+
+def test_corpus_is_not_modified_by_rewriting():
+    for path in corpus_files():
+        try:
+            tree = parse_module(path.read_text(encoding="utf-8"), str(path))
+        except ParseError:
+            continue
+        _assert_rewrites_leave_input_alone(tree)
+
+
+def test_module_without_matches_shares_every_statement():
+    tree = parse_module("a = 1\nb = a + 2\nif b > 2:\n    print(b)\nelse:\n    b = -a\n")
+    simplified = simplify_module(tree)
+    assert simplified is not tree and simplified.body is not tree.body
+    assert len(simplified.body) == len(tree.body)
+    assert all(new is old for new, old in zip(simplified.body, tree.body))
+
+
+def test_rewrite_in_a_branch_copies_only_that_branch():
+    tree = parse_module("a = 1\nif a:\n    x = f(g())\nelse:\n    y = 2\n")
+    simplified = simplify_module(tree)
+    assert simplified.body[0] is tree.body[0]
+    branch, original = simplified.body[1], tree.body[1]
+    assert branch is not original and len(original.body) == 1 and len(branch.body) == 2
+    assert branch.test is original.test and branch.orelse is original.orelse
