@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .frontend import SourceFile, node_span, parse_module
+from .frontend import SourceFile, child_nodes, node_span, parse_module
 
 __all__ = [
     "Block",
@@ -135,13 +135,16 @@ def head_exprs(stmt: ast.stmt) -> list[ast.expr]:
 
 def _iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
     """Pre-order walk of an expression, skipping deferred lambda bodies."""
-    yield expr
-    if isinstance(expr, ast.Lambda):
-        for default in expr.args.defaults + [d for d in expr.args.kw_defaults if d is not None]:
-            yield from _iter_eager(default)
-        return
-    for child in ast.iter_child_nodes(expr):
-        yield from _iter_eager(child)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ast.Lambda):
+            children = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+        else:
+            children = child_nodes(node)
+        children.reverse()
+        stack += children
 
 
 def iter_calls(expr: ast.expr) -> Iterator[ast.Call]:

@@ -6,12 +6,21 @@ restricted to a fixed statement/expression subset (see ``SUPPORTED_STMTS`` /
 :class:`ParseError` carrying the first offending source location, so the
 downstream passes never have to defend against constructs they do not model.
 
-Two normalizations happen at parse time:
+Parsing is ``ast.parse`` followed by one pre-order pass over an explicit
+stack, which does both normalizations at once:
 
-* f-strings are replaced by opaque string constants (their verbatim text),
-  so no ``JoinedStr``/``FormattedValue`` nodes survive parsing;
-* contextual rules the bare grammar does not enforce (``return``/``yield``
-  outside a function, ``break``/``continue`` outside a loop) are checked here.
+* f-strings are replaced by opaque string constants (their source text, at
+  the f-string's location), so no ``JoinedStr``/``FormattedValue`` nodes
+  survive parsing and nothing inside an f-string is checked;
+* every other node is checked against the subset through a table keyed by
+  node type, together with the contextual rules the bare grammar does not
+  enforce (``return``/``yield`` outside a function, ``break``/``continue``
+  outside a loop).
+
+The pass checks nodes in source order, so an error names the first offending
+construct, and it does not recurse, so only ``ast.parse`` itself limits how
+deeply an input may nest.  Every node ``ast.parse`` returns is located, so
+no location-fixing pass runs.
 
 Spans use 1-based line numbers and 0-based columns, as produced by the
 tokenizer (tabs expand per the usual 8-column convention).
@@ -20,6 +29,7 @@ tokenizer (tabs expand per the usual 8-column convention).
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -32,6 +42,7 @@ __all__ = [
     "module_name_for_path",
     "positional_params",
     "walk",
+    "child_nodes",
     "node_span",
     "trees_equal",
     "dump_structure",
@@ -128,13 +139,10 @@ SUPPORTED_EXPRS = (
 )
 
 # Auxiliary grammar nodes that carry no statement/expression semantics of
-# their own (operators, contexts, comprehension clauses, argument lists).
+# their own (comprehension clauses, argument lists).  Operator and context
+# nodes are accepted too: they sit in ``ctx``/``op``/``ops`` fields, which
+# validation does not enter.
 _AUX_NODES = (
-    ast.expr_context,
-    ast.boolop,
-    ast.operator,
-    ast.unaryop,
-    ast.cmpop,
     ast.comprehension,
     ast.arguments,
     ast.arg,
@@ -161,14 +169,6 @@ _REJECT_HINTS = {
 }
 
 
-class _FStringFolder(ast.NodeTransformer):
-    """Replace f-string nodes with opaque string constants (their source text)."""
-
-    def visit_JoinedStr(self, node: ast.JoinedStr) -> ast.Constant:
-        folded = ast.Constant(value=ast.unparse(node))
-        return ast.copy_location(folded, node)
-
-
 def parse_module(text: str, path: str | Path = "<string>") -> ast.Module:
     """Parse ``text`` into a module tree restricted to the supported subset.
 
@@ -185,10 +185,77 @@ def parse_module(text: str, path: str | Path = "<string>") -> ast.Module:
         raise ParseError(str(path), 1, 0, str(exc)) from None
     except RecursionError:
         raise ParseError(str(path), 1, 0, "too deeply nested to parse") from None
-    tree = _FStringFolder().visit(tree)
-    ast.fix_missing_locations(tree)
-    _validate(tree, str(path))
+    _fold_and_validate(tree, str(path))
     return tree
+
+
+_AST = ast.AST  # a global, not an attribute lookup, for every field of every node
+
+
+def child_nodes(node: ast.AST, fields: tuple[str, ...] | None = None) -> list[ast.AST]:
+    """The nodes held in ``fields`` of ``node`` (default: all), in field order.
+
+    With every field this is ``list(ast.iter_child_nodes(node))``.
+    """
+    out: list[ast.AST] = []
+    for name in node._fields if fields is None else fields:
+        value = getattr(node, name, None)
+        if isinstance(value, _AST):
+            out.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, _AST):
+                    out.append(item)
+    return out
+
+
+# A handler checks one node and returns the children to visit next, in visit
+# order, as groups of (owner, nodes, in_function, in_loop); ``owner`` is the
+# node whose fields hold ``nodes``, so that an f-string among them can be
+# replaced in place.
+_Group = tuple[ast.AST, list, bool, bool]
+
+
+def _fold_and_validate(tree: ast.Module, path: str) -> None:
+    """Fold f-strings and validate the subset in one pre-order pass.
+
+    The pass keeps an explicit stack of (node, in_function, in_loop), so tree
+    depth is bounded by memory, not by the interpreter's recursion limit.
+    Children are pushed in reverse, so nodes are checked in source order and
+    the first offending construct is the one reported.  An f-string is
+    replaced in its owner's field by a constant holding its source text before
+    it is visited; the constant takes the f-string's location.  Context and
+    operator nodes carry no check and are never pushed.
+    """
+    stack: list[tuple[ast.AST, bool, bool]] = [(tree, False, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, in_function, in_loop = pop()
+        cls = type(node)
+        fields = _PLAIN_FIELDS.get(cls)
+        if fields is not None:
+            groups: tuple[_Group, ...] = ((node, child_nodes(node, fields), in_function, in_loop),)
+        else:
+            groups = _HANDLERS.get(cls, _unsupported)(node, path, in_function, in_loop)
+        for owner, kids, fn, loop in reversed(groups):
+            for kid in reversed(kids):
+                if type(kid) is ast.JoinedStr:
+                    kid = _fold_fstring(owner, kid)
+                push((kid, fn, loop))
+
+
+def _fold_fstring(owner: ast.AST, node: ast.JoinedStr) -> ast.Constant:
+    """Replace ``node`` in ``owner``'s fields by its source text as a constant."""
+    folded = ast.copy_location(ast.Constant(value=ast.unparse(node)), node)
+    for name in owner._fields:
+        value = getattr(owner, name, None)
+        if value is node:
+            setattr(owner, name, folded)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if item is node:
+                    value[i] = folded
+    return folded
 
 
 def _reject(node: ast.AST, path: str, message: str) -> None:
@@ -197,78 +264,132 @@ def _reject(node: ast.AST, path: str, message: str) -> None:
     raise ParseError(path, line, col, message)
 
 
-def _validate(node: ast.AST, path: str, *, in_function: bool = False, in_loop: bool = False) -> None:
-    for hint_type, message in _REJECT_HINTS.items():
-        if isinstance(node, hint_type):
-            _reject(node, path, message)
+def _rejecter(message: str):
+    def handler(node: ast.AST, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
+        _reject(node, path, message)
+        return ()
 
-    if isinstance(node, ast.FunctionDef):
-        for dec in node.decorator_list:
-            if not isinstance(dec, ast.Name):
-                _reject(dec, path, "only bare-name decorators are supported")
-        if node.returns is not None:
-            _reject(node.returns, path, "return annotations are not supported")
-        for a in _all_args(node.args):
-            if a.annotation is not None:
-                _reject(a.annotation, path, "parameter annotations are not supported")
-        for child in node.decorator_list + node.args.defaults + node.args.kw_defaults:
-            if child is not None:
-                _validate(child, path, in_function=in_function, in_loop=in_loop)
-        for stmt in node.body:
-            _validate(stmt, path, in_function=True, in_loop=False)
-        return
-    if isinstance(node, ast.ClassDef):
-        for dec in node.decorator_list:
-            if not isinstance(dec, ast.Name):
-                _reject(dec, path, "only bare-name decorators are supported")
-        for child in node.bases + [kw.value for kw in node.keywords]:
-            _validate(child, path, in_function=in_function, in_loop=in_loop)
-        for stmt in node.body:
-            # A class body is not a loop/function context for break/return.
-            _validate(stmt, path, in_function=False, in_loop=False)
-        return
-    if isinstance(node, ast.Lambda):
-        for a in _all_args(node.args):
-            if a.annotation is not None:
-                _reject(a.annotation, path, "parameter annotations are not supported")
-        for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
-            _validate(default, path, in_function=in_function, in_loop=in_loop)
-        _validate(node.body, path, in_function=True, in_loop=False)
-        return
-    if isinstance(node, (ast.Return, ast.Yield)):
-        if not in_function:
-            kind = "return" if isinstance(node, ast.Return) else "yield"
-            _reject(node, path, f"'{kind}' outside function")
-    if isinstance(node, (ast.Break, ast.Continue)):
-        if not in_loop:
-            kind = "break" if isinstance(node, ast.Break) else "continue"
-            _reject(node, path, f"'{kind}' outside loop")
-    if isinstance(node, (ast.While, ast.For)):
-        for field, value in ast.iter_fields(node):
-            children = value if isinstance(value, list) else [value]
-            # The else clause of a loop is not a loop context for break/continue.
-            inner = in_loop or field == "body"
-            for child in children:
-                if isinstance(child, ast.AST):
-                    _validate(child, path, in_function=in_function, in_loop=inner)
-        return
-    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-        for gen in node.generators:
-            if gen.is_async:
-                _reject(node, path, "async comprehensions are not supported")
-        for child in ast.walk(node):
-            if isinstance(child, ast.Yield):
-                _reject(child, path, "'yield' inside a comprehension")
+    return handler
 
-    if isinstance(node, ast.stmt) and not isinstance(node, SUPPORTED_STMTS):
-        _reject(node, path, f"unsupported statement: {type(node).__name__}")
-    if isinstance(node, ast.expr) and not isinstance(node, SUPPORTED_EXPRS):
-        _reject(node, path, f"unsupported expression: {type(node).__name__}")
-    if not isinstance(node, (ast.Module, ast.stmt, ast.expr) + _AUX_NODES):
-        _reject(node, path, f"unsupported construct: {type(node).__name__}")
 
-    for child in ast.iter_child_nodes(node):
-        _validate(child, path, in_function=in_function, in_loop=in_loop)
+def _unsupported(node: ast.AST, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
+    if isinstance(node, ast.stmt):
+        kind = "statement"
+    elif isinstance(node, ast.expr):
+        kind = "expression"
+    else:
+        kind = "construct"
+    _reject(node, path, f"unsupported {kind}: {type(node).__name__}")
+    return ()
+
+
+def _check_decorators(node: ast.FunctionDef | ast.ClassDef, path: str) -> None:
+    for dec in node.decorator_list:
+        if type(dec) is not ast.Name:
+            _reject(dec, path, "only bare-name decorators are supported")
+
+
+def _defaults(args: ast.arguments) -> list[ast.expr]:
+    return args.defaults + [d for d in args.kw_defaults if d is not None]
+
+
+def _function_def(node: ast.FunctionDef, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
+    _check_decorators(node, path)
+    if node.returns is not None:
+        _reject(node.returns, path, "return annotations are not supported")
+    args = node.args
+    for a in _all_args(args):
+        if a.annotation is not None:
+            _reject(a.annotation, path, "parameter annotations are not supported")
+    return (
+        (node, node.decorator_list, in_function, in_loop),
+        (args, _defaults(args), in_function, in_loop),
+        (node, node.body, True, False),
+    )
+
+
+def _class_def(node: ast.ClassDef, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
+    _check_decorators(node, path)
+    return (
+        (node, node.bases, in_function, in_loop),
+        *((kw, [kw.value], in_function, in_loop) for kw in node.keywords),
+        # A class body is not a loop/function context for break/return.
+        (node, node.body, False, False),
+    )
+
+
+def _lambda(node: ast.Lambda, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
+    return (
+        (node.args, _defaults(node.args), in_function, in_loop),
+        (node, [node.body], True, False),
+    )
+
+
+def _return_or_yield(node: ast.Return | ast.Yield, path: str, in_function: bool,
+                     in_loop: bool) -> tuple[_Group, ...]:
+    if not in_function:
+        kind = "return" if type(node) is ast.Return else "yield"
+        _reject(node, path, f"'{kind}' outside function")
+    return ((node, child_nodes(node), in_function, in_loop),)
+
+
+def _break_or_continue(node: ast.Break | ast.Continue, path: str, in_function: bool,
+                       in_loop: bool) -> tuple[_Group, ...]:
+    if not in_loop:
+        kind = "break" if type(node) is ast.Break else "continue"
+        _reject(node, path, f"'{kind}' outside loop")
+    return ()
+
+
+def _loop(node: ast.While | ast.For, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
+    # The else clause of a loop is not a loop context for break/continue.
+    return tuple(
+        (node, child_nodes(node, (name,)), in_function, in_loop or name == "body")
+        for name in node._fields
+    )
+
+
+def _comprehension(node: ast.ListComp | ast.SetComp | ast.DictComp | ast.GeneratorExp, path: str,
+                   in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
+    for gen in node.generators:
+        if gen.is_async:
+            _reject(node, path, "async comprehensions are not supported")
+    # Breadth-first, as ``ast.walk``, so the yield reported stays the same; an
+    # f-string is an opaque constant, so its inside is not searched.
+    queue = deque([node])
+    while queue:
+        inner = queue.popleft()
+        if type(inner) is ast.Yield:
+            _reject(inner, path, "'yield' inside a comprehension")
+        if type(inner) is not ast.JoinedStr:
+            queue.extend(child_nodes(inner))
+    return ((node, child_nodes(node), in_function, in_loop),)
+
+
+_HANDLERS = {
+    **{cls: _rejecter(message) for cls, message in _REJECT_HINTS.items()},
+    ast.FunctionDef: _function_def,
+    ast.ClassDef: _class_def,
+    ast.Lambda: _lambda,
+    ast.Return: _return_or_yield,
+    ast.Yield: _return_or_yield,
+    ast.Break: _break_or_continue,
+    ast.Continue: _break_or_continue,
+    ast.While: _loop,
+    ast.For: _loop,
+    ast.ListComp: _comprehension,
+    ast.SetComp: _comprehension,
+    ast.DictComp: _comprehension,
+    ast.GeneratorExp: _comprehension,
+}
+
+# Every other supported node has no check of its own, and its children
+# inherit its context.  Context and operator fields are left out.
+_PLAIN_FIELDS = {
+    cls: tuple(name for name in cls._fields if name not in ("ctx", "op", "ops"))
+    for cls in (ast.Module, *SUPPORTED_STMTS, *SUPPORTED_EXPRS, *_AUX_NODES)
+    if cls not in _HANDLERS
+}
 
 
 def _all_args(args: ast.arguments) -> list[ast.arg]:
@@ -321,16 +442,31 @@ def positional_params(args: ast.arguments) -> list[ast.arg]:
 def walk(node: ast.AST, order: str = "pre") -> Iterator[ast.AST]:
     """Yield every node of the tree exactly once, in deterministic order.
 
-    ``order`` is ``"pre"`` (node before children) or ``"post"``.
+    ``order`` is ``"pre"`` (node before children) or ``"post"``.  Children
+    come in field order, as from ``ast.iter_child_nodes``.  The walk keeps an
+    explicit stack, so tree depth is not limited by the recursion limit.
     """
     if order not in ("pre", "post"):
         raise ValueError(f"order must be 'pre' or 'post', got {order!r}")
     if order == "pre":
-        yield node
-    for child in ast.iter_child_nodes(node):
-        yield from walk(child, order)
-    if order == "post":
-        yield node
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            yield node
+            children = child_nodes(node)
+            children.reverse()
+            stack += children
+        return
+    # Post order: a node is yielded when popped the second time, after its
+    # children.
+    pending: list[tuple[ast.AST, bool]] = [(node, False)]
+    while pending:
+        node, expanded = pending.pop()
+        if expanded:
+            yield node
+        else:
+            pending.append((node, True))
+            pending.extend([(child, False) for child in reversed(child_nodes(node))])
 
 
 def node_span(node: ast.AST) -> tuple[int, int, int, int] | None:

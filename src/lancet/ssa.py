@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import ast
 import operator
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -398,9 +399,10 @@ _CMP_OPS = {
 # Fold bounds.  A definition whose value would exceed one is marked
 # ``fold_failed``.  The steps that can grow a value fast (``**``, ``<<``,
 # ``*`` and string ``+``) are refused before computing when their result is
-# certain to exceed a bound, so a huge power or repeat in the source costs
-# nothing.  4,096 bits is about 1,233 decimal digits, well under the
-# interpreter's 4,300-digit int-to-str limit.
+# certain to exceed a bound, and printf-style ``str % value`` when a width or
+# precision in the format does, so a huge power, repeat or field width in the
+# source costs nothing.  4,096 bits is about 1,233 decimal digits, well under
+# the interpreter's 4,300-digit int-to-str limit.
 MAX_FOLD_INT_BITS = 4096
 MAX_FOLD_STR_LEN = 4096
 
@@ -420,7 +422,27 @@ class _FoldFault(Exception):
     pass
 
 
-_GROWING_OPS = (ast.Pow, ast.LShift, ast.Mult, ast.Add)
+_GROWING_OPS = (ast.Pow, ast.LShift, ast.Mult, ast.Add, ast.Mod)
+
+# One printf-style conversion: ``%%``, or an optional mapping key and flags,
+# then the width and the precision (the two groups; ``*`` takes them from the
+# arguments).  Left to ``re``'s cache, so that importing lancet compiles
+# nothing.
+_PRINTF_SPEC = r"%(?:%|(?:\([^)]*\))?[-#0 +]*(\*|\d*)(?:\.(\*|\d*))?)"
+
+
+def _printf_exceeds_bound(fmt: str) -> bool:
+    """Whether a conversion in ``fmt`` has a width or precision above
+    ``MAX_FOLD_STR_LEN`` or one taken from the arguments."""
+    for match in re.finditer(_PRINTF_SPEC, fmt):
+        for number in match.groups():
+            if number == "*":
+                return True
+            # Lengths first, so a long digit string is never converted.
+            digits = (number or "").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_FOLD_STR_LEN)) or int(digits) > MAX_FOLD_STR_LEN:
+                return True
+    return False
 
 
 def _exceeds_bound(op: ast.operator, left: object, right: object) -> bool:
@@ -436,6 +458,8 @@ def _exceeds_bound(op: ast.operator, left: object, right: object) -> bool:
             bits = left.bit_length() + right.bit_length() - 1
             return left != 0 and right != 0 and bits > MAX_FOLD_INT_BITS
         return False
+    if isinstance(op, ast.Mod):
+        return isinstance(left, str) and _printf_exceeds_bound(left)
     if isinstance(op, ast.Mult):
         if isinstance(left, int) and isinstance(right, str):
             left, right = right, left

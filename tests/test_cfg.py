@@ -5,8 +5,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from lancet.cfg import (
+    _iter_eager,
     build_from_file,
     build_from_source,
     stmt_head_text,
@@ -14,7 +16,9 @@ from lancet.cfg import (
     to_json,
     visit_function_cfgs,
 )
+from lancet.frontend import parse_module
 from helpers import all_cfgs, corpus_files
+from strategies import programs
 
 DATA = Path(__file__).parent / "data"
 
@@ -326,3 +330,23 @@ def test_loop_free_path_enumeration_matches_structure(source):
     cfg = build_from_source("m", source)
     tree = ast.parse(source)
     assert _cfg_paths(cfg) == _structural_paths(tree.body)
+
+
+def _recursive_eager(expr: ast.AST) -> list[ast.AST]:
+    out = [expr]
+    if isinstance(expr, ast.Lambda):
+        children = expr.args.defaults + [d for d in expr.args.kw_defaults if d is not None]
+    else:
+        children = list(ast.iter_child_nodes(expr))
+    for child in children:
+        out.extend(_recursive_eager(child))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_iter_eager_matches_recursive_reference(source: str):
+    tree = parse_module(source + "f = lambda a=g(1), *, b=h(2): k(a)\n")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.expr):
+            assert [id(n) for n in _iter_eager(node)] == [id(n) for n in _recursive_eager(node)]

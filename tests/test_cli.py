@@ -339,3 +339,19 @@ def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         outputs[argv[0]] = proc.stdout
     assert json.loads(outputs["ssa"])["constants"]["x#0"]["folded"] == 300
+
+
+def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
+    # Parsing never recurses, so the subcommands that neither print, fold nor
+    # type the expression get exit 0; rewrite, cfg, ssa, alias and typeinfer
+    # still recurse on it after parsing (ROADMAP aim 3).
+    target = tmp_path / "deep.py"
+    target.write_text("x = " + "+".join(["1"] * 1000) + "\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["imports", str(tmp_path)], ["fqn", str(target)], ["callgraph", "--entry", str(target)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lancet.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])

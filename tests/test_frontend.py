@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +109,137 @@ def test_first_offending_location_is_reported():
     assert exc.value.line == 3
 
 
+# (source, expected ParseError text or None for accepted).  The texts pin the
+# message and location of every rejection, so a change to the validation pass
+# that reorders the visit or drops a check shows here.
+DIAGNOSTICS = [
+    ('async def f():\n    pass\n', 'm.py:1:0: async function definitions are not supported'),
+    ('async for x in y:\n    pass\n', 'm.py:1:0: async for is not supported'),
+    ('async with a as b:\n    pass\n', 'm.py:1:0: async with is not supported'),
+    ('x = await y\n', 'm.py:1:4: await is not supported'),
+    ('match x:\n    case 1:\n        pass\n', 'm.py:1:0: match statements are not supported'),
+    ('try:\n    pass\nexcept E:\n    pass\n', 'm.py:1:0: try statements are not supported'),
+    ('raise ValueError()\n', 'm.py:1:0: raise statements are not supported'),
+    ('assert x\n', 'm.py:1:0: assert statements are not supported'),
+    ('del x\n', 'm.py:1:0: del statements are not supported'),
+    ('with a as b:\n    pass\n', 'm.py:1:0: with statements are not supported'),
+    ('x: int = 1\n', 'm.py:1:0: annotated assignments are not supported'),
+    ('if (n := 3) > 2:\n    pass\n', 'm.py:1:4: assignment expressions are not supported'),
+    ('y = a if b else c\n', 'm.py:1:4: conditional expressions are not supported'),
+    ('s = {1, 2}\n', 'm.py:1:4: set literals are not supported'),
+    ('def f():\n    yield from g()\n', 'm.py:2:4: yield from is not supported'),
+    ('try:\n    pass\nexcept* E:\n    pass\n', 'm.py:1:0: unsupported statement: TryStar'),
+    ('return 1\n', "m.py:1:0: 'return' outside function"),
+    ('x = (yield 2)\n', "m.py:1:5: 'yield' outside function"),
+    ('break\n', "m.py:1:0: 'break' outside loop"),
+    ('continue\n', "m.py:1:0: 'continue' outside loop"),
+    ('for i in x:\n    pass\nelse:\n    break\n', "m.py:4:4: 'break' outside loop"),
+    ('while x:\n    pass\nelse:\n    continue\n', "m.py:4:4: 'continue' outside loop"),
+    ('for i in x:\n    pass\nelse:\n    return 1\n', "m.py:4:4: 'return' outside function"),
+    ('def f():\n    for i in x:\n        pass\n    else:\n        return 1\n', None),
+    ('def f():\n    while x:\n        pass\n    else:\n        break\n', "m.py:5:8: 'break' outside loop"),
+    ('def f():\n    class A:\n        return 1\n', "m.py:3:8: 'return' outside function"),
+    ('def f():\n    class A:\n        x = (yield)\n', "m.py:3:13: 'yield' outside function"),
+    ('for i in x:\n    class A:\n        break\n', "m.py:3:8: 'break' outside loop"),
+    ('while x:\n    def g():\n        continue\n', "m.py:3:8: 'continue' outside loop"),
+    ('for i in x:\n    f = lambda: (yield)\n', None),
+    ('f = lambda: (yield)\n', None),
+    ('f = lambda a=(yield): a\n', "m.py:1:14: 'yield' outside function"),
+    ('def f():\n    g = lambda a=(yield): a\n', None),
+    ('class A:\n    def m(self):\n        return 1\n', None),
+    ('@a.b\ndef f():\n    pass\n', 'm.py:1:1: only bare-name decorators are supported'),
+    ('@a()\nclass A:\n    pass\n', 'm.py:1:1: only bare-name decorators are supported'),
+    ("@f'{x}'\ndef g():\n    pass\n", 'm.py:1:1: only bare-name decorators are supported'),
+    ('def f(x: int):\n    pass\n', 'm.py:1:9: parameter annotations are not supported'),
+    ('def f(a, /, b: int):\n    pass\n', 'm.py:1:15: parameter annotations are not supported'),
+    ('def f(*, k: int):\n    pass\n', 'm.py:1:12: parameter annotations are not supported'),
+    ('def f(*a: int):\n    pass\n', 'm.py:1:10: parameter annotations are not supported'),
+    ('def f(**k: int):\n    pass\n', 'm.py:1:11: parameter annotations are not supported'),
+    ('def f() -> int:\n    pass\n', 'm.py:1:11: return annotations are not supported'),
+    ("def f(x: f'{a}'):\n    pass\n", 'm.py:1:9: parameter annotations are not supported'),
+    ("def f(y):\n    return [f'{(yield)}' for x in y]\n", None),
+    ("x = [f'{await a}' for a in y]\n", None),
+    ("x = f'{(yield)}'\n", None),
+    ("def f(a=f'{x if y else z}'):\n    pass\n", None),
+    ('def f(y):\n    lst = [(yield x) for x in y]\n', "m.py:2:12: 'yield' inside a comprehension"),
+    ('x = [a async for a in y]\n', 'm.py:1:4: async comprehensions are not supported'),
+    ('def f(y):\n    return {k: (yield) for k in y}\n', "m.py:2:16: 'yield' inside a comprehension"),
+    ('def f(y):\n    return [lambda: (yield) for x in y]\n', "m.py:2:21: 'yield' inside a comprehension"),
+    ('assert x\ndel y\n', 'm.py:1:0: assert statements are not supported'),
+    ('x = (a if b else c) + {1}\n', 'm.py:1:5: conditional expressions are not supported'),
+    ('x = {1} if a else b\n', 'm.py:1:4: conditional expressions are not supported'),
+    ('def f(a=(b if c else d)):\n    assert x\n', 'm.py:1:9: conditional expressions are not supported'),
+    ('@a.b\ndef f(x: int):\n    pass\n', 'm.py:1:1: only bare-name decorators are supported'),
+    ('def f(x: int) -> int:\n    pass\n', 'm.py:1:17: return annotations are not supported'),
+    ('class A(b if c else d, metaclass={1}):\n    pass\n', 'm.py:1:8: conditional expressions are not supported'),
+    ('for i in {1}:\n    break\nelse:\n    break\n', 'm.py:1:9: set literals are not supported'),
+    ('x = [a async for a in y if (yield)]\n', 'm.py:1:4: async comprehensions are not supported'),
+    ('def f(y):\n    return [(a if b else c, (yield)) for x in y]\n', "m.py:2:29: 'yield' inside a comprehension"),
+    ('def f(y):\n    return [(g((yield 1)), (yield 2)) for x in y]\n', "m.py:2:28: 'yield' inside a comprehension"),
+    ('def f(y):\n    return [((yield 1), g((yield 2))) for x in y]\n', "m.py:2:14: 'yield' inside a comprehension"),
+    ('x = lambda a={1}: (b if c else d)\n', 'm.py:1:13: set literals are not supported'),
+    ('while (yield):\n    break\n', "m.py:1:7: 'yield' outside function"),
+]
+
+
+@pytest.mark.parametrize("source, expected", DIAGNOSTICS)
+def test_diagnostics_are_pinned(source, expected):
+    if expected is None:
+        parse_module(source, "m.py")
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse_module(source, "m.py")
+        assert str(exc.value) == expected
+
+
+_LOCATION_ATTRS = ("lineno", "col_offset", "end_lineno", "end_col_offset")
+
+
+def _assert_fully_located(tree: ast.AST) -> None:
+    for node in ast.walk(tree):
+        if "lineno" in node._attributes:
+            for attr in _LOCATION_ATTRS:
+                assert getattr(node, attr, None) is not None, (ast.dump(node), attr)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = f'{a}-b'\n",
+        "def f(a=f'{x!r:>{w}}', *, b=f'{y}'):\n    return [f'{i}' for i in a]\n",
+        "class A(metaclass=f'{m}'):\n    x = (f'{a}', f'{b}')\n",
+    ],
+)
+def test_folded_fstrings_are_located(source):
+    _assert_fully_located(parse_module(source))
+
+
+def test_folded_fstring_takes_its_location():
+    (stmt,) = parse_module("x = (\n  f'{a}'\n)\n").body
+    assert (stmt.value.lineno, stmt.value.col_offset) == (2, 2)
+    assert (stmt.value.end_lineno, stmt.value.end_col_offset) == (2, 8)
+
+
+DEEP_CHAIN_SCRIPT = """
+import ast
+from lancet.frontend import parse_module, walk
+tree = parse_module("x = " + "+".join(["1"] * 2900) + "\\n")
+print(sum(isinstance(n, ast.BinOp) for n in walk(tree)),
+      sum(isinstance(n, ast.BinOp) for n in walk(tree, "post")))
+"""
+
+
+def test_deep_chain_parses_without_recursion():
+    # A fresh interpreter: how deep ``ast.parse`` itself may go depends on the
+    # caller's stack depth, and under pytest that is already large.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", DEEP_CHAIN_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.split() == ["2899", "2899"]
+
+
 def test_fstrings_become_opaque_string_constants():
     tree = parse_module("x = f'{a}-b'")
     value = tree.body[0].value
@@ -192,6 +326,21 @@ def test_walk_visits_each_node_once():
     assert sum(isinstance(n, ast.FunctionDef) for n in nodes) == 1
 
 
+def _recursive_walk(node: ast.AST, order: str) -> list[ast.AST]:
+    out = [node] if order == "pre" else []
+    for child in ast.iter_child_nodes(node):
+        out.extend(_recursive_walk(child, order))
+    return out if order == "pre" else out + [node]
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_walk_matches_recursive_reference(source: str):
+    tree = parse_module(source)
+    for order in ("pre", "post"):
+        assert [id(n) for n in walk(tree, order)] == [id(n) for n in _recursive_walk(tree, order)]
+
+
 def test_leaf_walk():
     leaf = ast.Constant(value=3)
     assert list(walk(leaf)) == [leaf]
@@ -219,6 +368,7 @@ def test_corpus_round_trip_and_spans(path: Path):
     text = path.read_text(encoding="utf-8")
     tree = parse_module(text, str(path))
     assert trees_equal(tree, parse_module(unparse(tree)))
+    _assert_fully_located(tree)
     for node in walk(tree):
         span = node_span(node)
         if span is not None:
@@ -230,5 +380,6 @@ def test_corpus_round_trip_and_spans(path: Path):
 @given(programs())
 def test_generated_programs_round_trip(source: str):
     tree = parse_module(source)
+    _assert_fully_located(tree)
     assert trees_equal(tree, parse_module(unparse(tree)))
     assert dump_structure(parse_module(source)) == dump_structure(tree)

@@ -205,6 +205,13 @@ _POW3_ABOVE_BOUND = next(
         (f"x = {MAX_FOLD_STR_LEN // 2 + 1} * 'ab' == ''\n", False),
         (f"a = 'ab' * {MAX_FOLD_STR_LEN // 2}\nx = a + 'c' == ''\n", False),
         ("x = 1 ** 10 ** 9\n", True),
+        (f"x = '%{MAX_FOLD_STR_LEN}d' % 1\n", True),
+        (f"x = '%{MAX_FOLD_STR_LEN + 1}d' % 1 == ''\n", False),
+        (f"x = '%0{MAX_FOLD_STR_LEN + 1}x' % 1 == ''\n", False),
+        (f"x = '%.{MAX_FOLD_STR_LEN + 1}f' % 1.5 == ''\n", False),
+        ("x = '%*d' % 1\n", False),
+        (f"x = '%%{MAX_FOLD_STR_LEN + 1}d %d' % 1\n", True),
+        (f"x = {MAX_FOLD_STR_LEN + 1} % 7\n", True),
     ],
 )
 def test_fold_bounds(source, folds):
