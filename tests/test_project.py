@@ -18,7 +18,11 @@ from helpers import CORPUS
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE = CORPUS / "imports" / "example"
-GOLDEN = json.loads((REPO / "tests" / "data" / "project_golden.json").read_text(encoding="utf-8"))
+GOLDEN = [
+    case
+    for name in ("project_golden.json", "corpus_golden.json")
+    for case in json.loads((REPO / "tests" / "data" / name).read_text(encoding="utf-8"))
+]
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -29,9 +33,15 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_project_outputs_are_pinned(capsys, monkeypatch, case):
-    """Outputs on ``tests/corpus/project/app`` (a namespace root with plain,
+    """Outputs pinned byte for byte.  ``project_golden.json``: the
+    subcommands on ``tests/corpus/project/app`` (a namespace root with plain,
     aliased, relative, star, escaping and external imports), captured before
-    discovery and import binding moved into ``modgraph``."""
+    discovery and import binding moved into ``modgraph``.
+    ``corpus_golden.json``: ``callgraph --entry`` (both formats) and
+    ``typeinfer`` (with and without ``--no-simplify``) on every file of
+    ``tests/corpus/{callgraph,typeinfer,programs}``, and ``imports``,
+    ``callgraph --package`` and ``typeinfer`` on ``tests/corpus/imports/example``,
+    captured before callgraph and typeinfer shared one scope table."""
     monkeypatch.chdir(REPO)
     code, out, err = _run(capsys, *case["argv"])
     root = str(REPO)
