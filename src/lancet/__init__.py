@@ -2,18 +2,19 @@
 
 Submodules:
 
-* :mod:`lancet.frontend` - parsing, unparsing, traversal, module naming
+* :mod:`lancet.frontend` - parsing, unparsing, traversal
 * :mod:`lancet.rewriter` - source simplification rules and transform hooks
 * :mod:`lancet.cfg` - control-flow graphs with DOT/JSON export
 * :mod:`lancet.ssa` - SSA use sets, constant folding, alias pairs
-* :mod:`lancet.modgraph` - directory trees, import graphs, FQN resolution
+* :mod:`lancet.modgraph` - project discovery and naming, module loading, scopes,
+  import graphs, FQN resolution
 * :mod:`lancet.callgraph` - project call graphs
 * :mod:`lancet.typeinfer` - heuristic type inference
 * :mod:`lancet.cli` - the ``lancet`` command
 """
 
 from .cfg import Block, Cfg, Link, build_from_file, build_from_source, to_dot
-from .frontend import ParseError, SourceFile, module_name_for_path, parse_module, unparse, walk
+from .frontend import ParseError, SourceFile, parse_module, unparse, walk
 from .rewriter import RewriteRule, TempNamer, TransformHook, run_transforms, simplify_module
 from .ssa import AliasPair, ConstDict, SsaUseMap, alias_pairs, compute_ssa, fold_constants
 from .modgraph import ImportGraph, TreeNode, build_import_graph, leaf_nodes, resolve_fqn
@@ -31,7 +32,6 @@ __all__ = [
     "to_dot",
     "ParseError",
     "SourceFile",
-    "module_name_for_path",
     "parse_module",
     "unparse",
     "walk",

@@ -33,10 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import head_exprs, iter_calls
-from .frontend import ParseError, parse_module, positional_params
-from .modgraph import discover, import_bindings
-from .rewriter import FixpointError, simplify_module
-from .ssa import target_names
+from .modgraph import Scope, ScopeTable, discover, import_bindings, load_module
 
 __all__ = [
     "CgNode",
@@ -83,45 +80,11 @@ class CallGraph:
         return [CgNode(fqn=fqn, kind=self.nodes[fqn]) for fqn in sorted(self.nodes)]
 
 
-# ---------------------------------------------------------------------------
-# Scopes
-
-
-class _Scope:
-    def __init__(self, fqn: str, kind: str, parent: "_Scope | None", module_fqn: str) -> None:
-        self.fqn = fqn
-        self.kind = kind  # "module" | "function" | "class"
-        self.parent = parent
-        self.module_fqn = module_fqn
-        self.statements: list[ast.stmt] = []
-        # local name -> ("slot", fqn) | ("ext", dotted) | ("mod", module fqn)
-        self.bindings: dict[str, tuple[str, str]] = {}
-        self.params: list[str] = []
-        self.methods: dict[str, str] = {}  # class scopes: method name -> fqn
-
-    def slot(self, name: str) -> str:
-        return f"{self.fqn}.{name}"
-
-    def lookup(self, name: str) -> tuple[str, str] | None:
-        scope: _Scope | None = self
-        while scope is not None:
-            # Class bodies are invisible to the scopes nested inside them.
-            if name in scope.bindings and (scope is self or scope.kind != "class"):
-                return scope.bindings[name]
-            scope = scope.parent
-        return None
-
-
 class _Analyzer:
     def __init__(self, package_root: Path | None) -> None:
-        self.files: dict[str, Path] = {}  # package modules, parsed once reached
-        self.modules: dict[str, ast.Module] = {}
+        self.files: dict[str, Path] = {}  # package modules, loaded once reached
         self.failed: set[str] = set()  # modules that did not load; not retried
-        self.scopes: list[_Scope] = []
-        self.module_scopes: dict[str, _Scope] = {}
-        self.definitions: dict[str, str] = {}  # fqn -> "function" | "class"
-        self.func_params: dict[str, list[str]] = {}
-        self.class_scopes: dict[str, _Scope] = {}
+        self.table = ScopeTable()
         self.values: dict[str, set[Value]] = {}
         self.call_edges: set[tuple[str, str]] = set()
         self.flow_edges: set[tuple[str, str]] = set()
@@ -135,68 +98,28 @@ class _Analyzer:
     # -- module loading ------------------------------------------------------
 
     def load(self, path: Path, fqn: str) -> None:
-        if fqn in self.modules or fqn in self.failed:
+        if fqn in self.table.modules or fqn in self.failed:
             return
-        try:
-            text = path.read_bytes().decode("utf-8")
-            module = parse_module(text, str(path))
-            module = simplify_module(module)
-        except (ParseError, FixpointError, OSError, UnicodeDecodeError) as exc:
-            self.diagnostics.append(f"{path}: skipped: {exc}")
+        module, diagnostic = load_module(path, simplify=True)
+        if module is None:
+            self.diagnostics.append(diagnostic)
             self.failed.add(fqn)
             return
-        self.modules[fqn] = module
-        scope = _Scope(fqn, "module", None, fqn)
-        self.module_scopes[fqn] = scope
-        self._collect_scope(scope, module.body, is_package=path.name == "__init__.py")
+        is_package = path.name == "__init__.py"
+        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package))
 
-    def _collect_scope(self, scope: _Scope, body: list[ast.stmt], *, is_package: bool = False) -> None:
-        self.scopes.append(scope)
-        scope.statements = body
-        for stmt in body:
-            self._collect_statement(scope, stmt, is_package)
-
-    def _collect_statement(self, scope: _Scope, stmt: ast.stmt, is_package: bool) -> None:
-        if isinstance(stmt, ast.FunctionDef):
-            fqn = scope.slot(stmt.name)
-            scope.bindings[stmt.name] = ("slot", fqn)
-            if scope.kind == "class":
-                scope.methods[stmt.name] = fqn
-            self.definitions[fqn] = "function"
-            child = _Scope(fqn, "function", scope, scope.module_fqn)
-            child.params = [a.arg for a in positional_params(stmt.args)]
-            self.func_params[fqn] = child.params
-            for name in child.params:
-                child.bindings[name] = ("slot", child.slot(name))
-            if stmt.decorator_list:
-                self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
-            self._collect_scope(child, stmt.body, is_package=is_package)
-        elif isinstance(stmt, ast.ClassDef):
-            fqn = scope.slot(stmt.name)
-            scope.bindings[stmt.name] = ("slot", fqn)
-            self.definitions[fqn] = "class"
-            child = _Scope(fqn, "class", scope, scope.module_fqn)
-            self.class_scopes[fqn] = child
-            if stmt.decorator_list:
-                self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
-            self._collect_scope(child, stmt.body, is_package=is_package)
-        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+    def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool) -> None:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._bind_import(scope, stmt, is_package)
-        elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):
-            targets = list(stmt.targets) if isinstance(stmt, ast.Assign) else [stmt.target]
-            for target in targets:
-                for name in target_names(target):
-                    scope.bindings.setdefault(name, ("slot", scope.slot(name)))
-        if isinstance(stmt, (ast.If, ast.While, ast.For)):
-            for inner in list(stmt.body) + list(stmt.orelse):
-                self._collect_statement(scope, inner, is_package)
+        elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.decorator_list:
+            self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
 
-    def _bind_import(self, scope: _Scope, stmt: ast.Import | ast.ImportFrom,
+    def _bind_import(self, scope: Scope, stmt: ast.Import | ast.ImportFrom,
                      is_package: bool) -> None:
-        bindings = import_bindings(stmt, scope.module_fqn, is_package)
+        bindings = import_bindings(stmt, scope.module, is_package)
         if bindings is None:
             self.diagnostics.append(
-                f"{scope.module_fqn}: unresolvable relative import at line {stmt.lineno}"
+                f"{scope.module}: unresolvable relative import at line {stmt.lineno}"
             )
             return
         for module, pairs in bindings:
@@ -228,7 +151,7 @@ class _Analyzer:
         current |= values
         return len(current) != before
 
-    def eval_expr(self, expr: ast.expr, scope: _Scope) -> set[Value]:
+    def eval_expr(self, expr: ast.expr, scope: Scope) -> set[Value]:
         if isinstance(expr, ast.Name):
             binding = scope.lookup(expr.id)
             if binding is None:
@@ -248,8 +171,6 @@ class _Analyzer:
                 elif kind == "class":
                     out.add(("class", fqn))
             return out
-        if isinstance(expr, (ast.Tuple, ast.List)):
-            return set()
         return set()
 
     def _binding_values(self, binding: tuple[str, str]) -> set[Value]:
@@ -266,14 +187,14 @@ class _Analyzer:
             return {("ext", f"{fqn}.{attr}")}
         if kind == "mod":
             dotted = f"{fqn}.{attr}"
-            if dotted in self.modules:
+            if dotted in self.table.modules:
                 return {("mod", dotted)}
-            mod_scope = self.module_scopes.get(fqn)
+            mod_scope = self.table.modules.get(fqn)
             if mod_scope is not None and attr in mod_scope.bindings:
                 return self._binding_values(mod_scope.bindings[attr])
             return set()
         if kind == "class":
-            class_scope = self.class_scopes.get(fqn)
+            class_scope = self.table.classes.get(fqn)
             if class_scope is None:
                 return set()
             if attr in class_scope.methods:
@@ -285,17 +206,17 @@ class _Analyzer:
 
     def sweep(self) -> bool:
         changed = False
-        for scope in self.scopes:
-            for stmt in _iter_scope_statements(scope.statements):
+        for scope in self.table.scopes:
+            for stmt in scope.statements:
                 changed |= self._sweep_statement(scope, stmt)
         return changed
 
-    def _sweep_statement(self, scope: _Scope, stmt: ast.stmt) -> bool:
+    def _sweep_statement(self, scope: Scope, stmt: ast.stmt) -> bool:
         changed = False
         if isinstance(stmt, ast.FunctionDef):
             fqn = scope.slot(stmt.name)
             changed |= self._add(fqn, {("func", fqn)})
-            params = self.func_params.get(fqn, [])
+            params = self._params(fqn)
             defaults = stmt.args.defaults
             for name, default in zip(reversed(params), reversed(defaults)):
                 changed |= self._add(f"{fqn}.{name}", self.eval_expr(default, scope))
@@ -318,7 +239,7 @@ class _Analyzer:
                 changed |= self._process_call(scope, call)
         return changed
 
-    def _assign_target(self, scope: _Scope, target: ast.expr, value_expr: ast.expr,
+    def _assign_target(self, scope: Scope, target: ast.expr, value_expr: ast.expr,
                        values: set[Value]) -> bool:
         changed = False
         if isinstance(target, ast.Name):
@@ -341,12 +262,12 @@ class _Analyzer:
                 changed |= self._assign_target(scope, elt, inner_expr, inner_vals)
         return changed
 
-    def _note_flow(self, scope: _Scope, src_name: str, dst_slot: str) -> None:
+    def _note_flow(self, scope: Scope, src_name: str, dst_slot: str) -> None:
         binding = scope.lookup(src_name)
         if binding is not None and binding[0] == "slot":
             self.flow_edges.add((binding[1], dst_slot))
 
-    def _process_call(self, scope: _Scope, call: ast.Call) -> bool:
+    def _process_call(self, scope: Scope, call: ast.Call) -> bool:
         changed = False
         caller = scope.fqn
         func = call.func
@@ -365,7 +286,7 @@ class _Analyzer:
                 changed |= self._edge(caller, fqn)
                 self_offset = 0
                 if isinstance(func, ast.Attribute) and any(k == "class" for k, _ in receivers):
-                    params = self.func_params.get(fqn, [])
+                    params = self._params(fqn)
                     if params:
                         for r_kind, r_fqn in receivers:
                             if r_kind == "class":
@@ -378,7 +299,7 @@ class _Analyzer:
                 for i_kind, i_fqn in init:
                     if i_kind == "func":
                         changed |= self._edge(caller, i_fqn)
-                        params = self.func_params.get(i_fqn, [])
+                        params = self._params(i_fqn)
                         if params:
                             changed |= self._add(f"{i_fqn}.{params[0]}", {("class", fqn)})
                         changed |= self._flow_arguments(scope, call, i_fqn, 1)
@@ -386,9 +307,9 @@ class _Analyzer:
                 changed |= self._edge(caller, fqn)
         return changed
 
-    def _flow_arguments(self, scope: _Scope, call: ast.Call, fqn: str, offset: int) -> bool:
+    def _flow_arguments(self, scope: Scope, call: ast.Call, fqn: str, offset: int) -> bool:
         changed = False
-        params = self.func_params.get(fqn, [])
+        params = self._params(fqn)
         for i, arg in enumerate(call.args):
             if isinstance(arg, ast.Starred):
                 continue
@@ -406,6 +327,10 @@ class _Analyzer:
                 changed |= self._add(slot, self.eval_expr(kw.value, scope))
         return changed
 
+    def _params(self, fqn: str) -> list[str]:
+        scope = self.table.functions.get(fqn)
+        return scope.params if scope is not None else []
+
     def _edge(self, caller: str, callee: str) -> bool:
         edge = (caller, callee)
         if edge in self.call_edges:
@@ -413,9 +338,9 @@ class _Analyzer:
         self.call_edges.add(edge)
         return True
 
-    def _diagnose(self, scope: _Scope, node: ast.AST, message: str) -> None:
+    def _diagnose(self, scope: Scope, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
-        text = f"{scope.module_fqn}:{line}: {message}"
+        text = f"{scope.module}:{line}: {message}"
         if text not in self._diag_seen:
             self._diag_seen.add(text)
             self.diagnostics.append(text)
@@ -424,14 +349,15 @@ class _Analyzer:
 
     def result(self) -> CallGraph:
         graph = CallGraph()
-        graph.internal_mods = set(self.modules)
+        graph.internal_mods = set(self.table.modules)
         graph.external_mods = set(self.external_mods)
         graph.diagnostics = list(self.diagnostics)
 
-        for fqn in self.modules:
+        for fqn in self.table.modules:
             graph.nodes[fqn] = "module"
-        for fqn, kind in self.definitions.items():
-            graph.nodes[fqn] = kind
+        for scope in self.table.scopes:
+            if scope.kind != "module":
+                graph.nodes[scope.fqn] = scope.kind
         for caller, callee in self.call_edges:
             graph.nodes.setdefault(callee, "external")
             graph.nodes.setdefault(caller, "external")
@@ -446,14 +372,6 @@ class _Analyzer:
             value_sets={slot: set(vals) for slot, vals in self.values.items()},
         )
         return graph
-
-
-def _iter_scope_statements(body: list[ast.stmt]):
-    """Statements of one scope, descending into branches but not definitions."""
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, (ast.If, ast.While, ast.For)):
-            yield from _iter_scope_statements(list(stmt.body) + list(stmt.orelse))
 
 
 _MAX_ROUNDS = 1000
@@ -488,6 +406,11 @@ def analyze(entry_points: list[str | Path], package_root: str | Path | None = No
     for _ in range(_MAX_ROUNDS):
         if not analyzer.sweep():
             break
+    else:
+        analyzer.diagnostics.append(
+            f"call graph construction stopped after {_MAX_ROUNDS} rounds without converging; "
+            "some edges may be missing"
+        )
     return analyzer.result()
 
 

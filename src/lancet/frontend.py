@@ -39,7 +39,6 @@ __all__ = [
     "SourceFile",
     "parse_module",
     "unparse",
-    "module_name_for_path",
     "positional_params",
     "walk",
     "child_nodes",
@@ -64,9 +63,8 @@ class ParseError(Exception):
 class SourceFile:
     """A source file queued for analysis.
 
-    ``module_name`` is the dotted name the file is known by; for standalone
-    files it is the file stem, for files inside a project it is derived with
-    :func:`module_name_for_path`.
+    ``module_name`` is the file stem; a module of a project is named by
+    :func:`lancet.modgraph.discover` instead.
     """
 
     path: str
@@ -74,8 +72,8 @@ class SourceFile:
     module_name: str
 
     @classmethod
-    def load(cls, path: str | Path, root: str | Path | None = None) -> "SourceFile":
-        """Read ``path`` as UTF-8 and derive its module name.
+    def load(cls, path: str | Path) -> "SourceFile":
+        """Read ``path`` as UTF-8 and take its stem as the module name.
 
         Raises :class:`ParseError` when the bytes do not decode as UTF-8 and
         ``OSError`` for filesystem problems.
@@ -86,10 +84,7 @@ class SourceFile:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(str(p), 1, 0, f"not valid UTF-8: {exc.reason}") from None
-        if root is not None:
-            name = module_name_for_path(root, p)
-        else:
-            name = p.stem if p.suffix == ".py" else p.name
+        name = p.stem if p.suffix == ".py" else p.name
         return cls(path=str(p), text=text, module_name=name)
 
 
@@ -412,26 +407,6 @@ def unparse(node: ast.AST) -> str:
     if isinstance(node, ast.Module):
         return text + "\n" if text else ""
     return text
-
-
-def module_name_for_path(root: str | Path, file: str | Path) -> str:
-    """Dotted module name of ``file`` relative to the project directory ``root``.
-
-    The root directory's own name is the first component; ``__init__.py``
-    maps to its package's name.
-    """
-    rootp = Path(root).resolve()
-    filep = Path(file).resolve()
-    try:
-        rel = filep.relative_to(rootp)
-    except ValueError:
-        raise ValueError(f"{file} is not under {root}") from None
-    if rel.suffix != ".py":
-        raise ValueError(f"not a Python source file: {file}")
-    parts = [rootp.name] + list(rel.parts[:-1])
-    if rel.stem != "__init__":
-        parts.append(rel.stem)
-    return ".".join(parts)
 
 
 def positional_params(args: ast.arguments) -> list[ast.arg]:

@@ -1,22 +1,29 @@
-"""Project discovery, import graphs, and qualified-name resolution.
+"""Project discovery, loading, scopes, import graphs, and name resolution.
 
-This module decides, for every project-level analysis, which files form a
-project, what each one is named and what an import statement binds.
-:func:`discover` walks a project directory once, without parsing;
-:func:`build_dir_tree` parses the modules it finds into a :class:`TreeNode`
-tree; :func:`import_bindings` maps one import statement to the names it
-binds.  :func:`parse_imports` turns each import statement into an
+This module owns the project model every project-level analysis shares:
+which files form a project, what each one is named, how it is loaded, which
+scopes it holds and what an import statement binds.  :func:`discover` walks
+a project directory once, without parsing; :func:`load_module` reads, parses
+and optionally simplifies one module, or returns the one diagnostic that
+skips it; :func:`build_dir_tree` loads the modules the walk finds into a
+:class:`TreeNode` tree.  :class:`ScopeTable` walks a loaded module once into
+its module, function and class :class:`Scope` records, each with its own
+statements as one flat list; the call graph and type inference both read
+it.  :func:`import_bindings` maps one import statement to the names it
+binds, and :func:`parse_imports` turns each import statement into an
 :class:`ImportRelation` with relative imports resolved against the
 importer's package.  A module is a *leaf* when it has no outgoing
 project-internal imports - the bottom of the dependency hierarchy,
 analyzable without project context.
 
-:func:`resolve_fqn` maps a call name (a ``Name`` or dotted attribute chain)
-to its fully qualified dotted path by substituting import bindings at the
-leftmost position, optionally composing with SSA alias pairs
-(``g = getcwd; g()`` resolves through ``getcwd``).  Unknown roots come back
-as :class:`Unresolved`, a ``str`` subclass carrying the syntactic dotted
-text unchanged, so resolution is idempotent.
+Names resolve by one of two rules.  :meth:`Scope.lookup` is Python's nested
+rule (the call graph's).  :func:`resolve_fqn` is the flat module-level view
+(``fqn`` and type inference): it maps a call name (a ``Name`` or dotted
+attribute chain) to its fully qualified dotted path by substituting import
+bindings at the leftmost position, optionally composing with SSA alias
+pairs (``g = getcwd; g()`` resolves through ``getcwd``).  Unknown roots come
+back as :class:`Unresolved`, a ``str`` subclass carrying the syntactic
+dotted text unchanged, so resolution is idempotent.
 """
 
 from __future__ import annotations
@@ -24,17 +31,22 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from .frontend import ParseError, SourceFile, parse_module, walk
-from .ssa import AliasPair
+from .frontend import ParseError, SourceFile, parse_module, positional_params, walk
+from .rewriter import FixpointError, simplify_module
+from .ssa import AliasPair, target_names
 
 __all__ = [
     "TreeNode",
+    "Scope",
+    "ScopeTable",
     "ImportRelation",
     "ImportGraph",
     "NameContext",
     "Unresolved",
     "discover",
+    "load_module",
     "build_dir_tree",
     "import_bindings",
     "parse_imports",
@@ -53,8 +65,9 @@ _SKIP_DIRS = {"__pycache__"}
 class TreeNode:
     """One directory or module file of a project.
 
-    ``is_module`` marks ``.py`` leaves; once parsed, a leaf holds its
-    ``module`` or, when it does not parse, its ``parse_error``.
+    ``is_module`` marks ``.py`` leaves; once loaded, a leaf holds its
+    ``module`` or, when it cannot be loaded, the diagnostic that skipped it
+    (see :func:`load_module`) in ``parse_error``.
     """
 
     name: str
@@ -62,7 +75,7 @@ class TreeNode:
     path: str
     children: list["TreeNode"] = field(default_factory=list)
     module: ast.Module | None = None
-    parse_error: ParseError | None = None
+    parse_error: str | None = None
     is_module: bool = False
 
     def iter_modules(self):
@@ -144,23 +157,37 @@ def _walk_dir(path: Path, full_name: str, seen: set[Path], diagnostics: list[str
     return node
 
 
+def load_module(path: str | Path, *, simplify: bool = False) -> tuple[ast.Module | None, str | None]:
+    """Read, parse and, with ``simplify``, simplify the module file ``path``.
+
+    Returns the module and None, or None and the one diagnostic that skips
+    the module: the :class:`ParseError` text (``path:line:col: message``)
+    when the file does not parse or is not UTF-8, else
+    ``path: skipped: reason`` (unreadable file, rewriter fixpoint failure).
+    """
+    try:
+        module = parse_module(SourceFile.load(path).text, str(path))
+        return (simplify_module(module) if simplify else module), None
+    except ParseError as exc:
+        return None, str(exc)
+    except (OSError, FixpointError) as exc:
+        return None, f"{path}: skipped: {getattr(exc, 'strerror', None) or exc}"
+
+
 def _parsed_tree(root: str | Path) -> tuple[TreeNode, list[str]]:
     rootp = Path(root).resolve()
     if not rootp.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
     tree, diagnostics = discover(rootp)
     for node in tree.iter_modules():
-        try:
-            node.module = parse_module(SourceFile.load(node.path).text, node.path)
-        except ParseError as exc:
-            node.parse_error = exc
+        node.module, node.parse_error = load_module(node.path)
     return tree, diagnostics
 
 
 def build_dir_tree(root: str | Path) -> TreeNode:
-    """Mirror ``root`` as a tree (see :func:`discover`), parsing every module.
+    """Mirror ``root`` as a tree (see :func:`discover`), loading every module.
 
-    Files that fail to parse keep their node with ``parse_error`` set;
+    Files that cannot be loaded keep their node with ``parse_error`` set;
     non-source files are skipped.  Raises ``OSError`` when ``root`` itself is
     unreadable or not a directory.
     """
@@ -262,7 +289,7 @@ def build_import_graph(root: str | Path) -> ImportGraph:
     for node in tree.iter_modules():
         if node.module is None:
             if node.parse_error is not None:
-                graph.diagnostics.append(str(node.parse_error))
+                graph.diagnostics.append(node.parse_error)
             continue
         relations, diagnostics = _relations_for(node)
         graph.module_dict[node.full_name] = relations
@@ -300,6 +327,108 @@ def external_modules(graph: ImportGraph) -> set[str]:
             if rel.resolved and rel.imported_module not in project:
                 out.add(rel.imported_module)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scopes
+
+
+@dataclass(eq=False)
+class Scope:
+    """One module, function or class body of a loaded module.
+
+    ``statements`` are the scope's own statements in pre-order: the bodies
+    and ``else`` clauses of ``if``/``while``/``for`` are included, the bodies
+    of nested definitions are not.  ``bindings`` map a local name to
+    ``("slot", fqn)`` for a definition, parameter or assignment target, or to
+    what an import bound it to.  ``params`` are a function's positional
+    parameters; ``methods`` map a class's method names to their FQNs.
+    """
+
+    fqn: str
+    kind: str  # "module" | "function" | "class"
+    node: ast.Module | ast.FunctionDef | ast.ClassDef
+    module: str
+    parent: "Scope | None" = None
+    params: list[str] = field(default_factory=list)
+    methods: dict[str, str] = field(default_factory=dict)
+    bindings: dict[str, tuple[str, str]] = field(default_factory=dict)
+    statements: list[ast.stmt] = field(default_factory=list)
+
+    def slot(self, name: str) -> str:
+        return f"{self.fqn}.{name}"
+
+    def lookup(self, name: str) -> tuple[str, str] | None:
+        """``name``'s binding by Python's nested rule: this scope, then the
+        enclosing ones, whose class bodies are invisible from inside."""
+        scope: Scope | None = self
+        while scope is not None:
+            if name in scope.bindings and (scope is self or scope.kind != "class"):
+                return scope.bindings[name]
+            scope = scope.parent
+        return None
+
+
+class ScopeTable:
+    """The scopes of the modules added so far, in pre-order, indexed by FQN.
+
+    A later definition of an FQN replaces an earlier one in the indexes.
+    """
+
+    def __init__(self) -> None:
+        self.scopes: list[Scope] = []
+        self.modules: dict[str, Scope] = {}
+        self.functions: dict[str, Scope] = {}
+        self.classes: dict[str, Scope] = {}
+
+    def add_module(
+        self,
+        module: ast.Module,
+        name: str,
+        on_statement: Callable[[Scope, ast.stmt], None] | None = None,
+    ) -> None:
+        """Walk ``module`` once, adding each scope as the walk enters it.
+
+        ``on_statement(scope, stmt)`` is called for every statement as the
+        walk reaches it, before its body; scopes it adds (an import that
+        loads another module) take that place in the pre-order.
+        """
+        root = Scope(name, "module", module, name)
+        self.modules[name] = root
+        self.scopes.append(root)
+        stack = [(stmt, root) for stmt in reversed(module.body)]
+        while stack:
+            stmt, scope = stack.pop()
+            scope.statements.append(stmt)
+            if on_statement is not None:
+                on_statement(scope, stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                child = self._add_definition(scope, stmt)
+                stack += [(inner, child) for inner in reversed(stmt.body)]
+                continue
+            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    for local in target_names(target):
+                        scope.bindings.setdefault(local, ("slot", scope.slot(local)))
+            if isinstance(stmt, (ast.If, ast.While, ast.For)):
+                stack += [(inner, scope) for inner in reversed(stmt.body + stmt.orelse)]
+
+    def _add_definition(self, parent: Scope, stmt: ast.FunctionDef | ast.ClassDef) -> Scope:
+        fqn = parent.slot(stmt.name)
+        parent.bindings[stmt.name] = ("slot", fqn)
+        if isinstance(stmt, ast.ClassDef):
+            child = Scope(fqn, "class", stmt, parent.module, parent)
+            self.classes[fqn] = child
+        else:
+            if parent.kind == "class":
+                parent.methods[stmt.name] = fqn
+            params = [a.arg for a in positional_params(stmt.args)]
+            child = Scope(fqn, "function", stmt, parent.module, parent, params,
+                          bindings={p: ("slot", f"{fqn}.{p}") for p in params})
+            self.functions[fqn] = child
+        self.scopes.append(child)
+        return child
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,13 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .frontend import ParseError, SourceFile, parse_module, positional_params, walk
-from .modgraph import NameContext, Unresolved, build_name_context, discover, resolve_fqn
-from .rewriter import TEMP_PREFIX, FixpointError, simplify_module
+from .cfg import head_exprs
+from .frontend import positional_params, walk
+from .modgraph import (
+    NameContext, Scope, ScopeTable, Unresolved, build_name_context, discover, load_module,
+    resolve_fqn,
+)
+from .rewriter import TEMP_PREFIX
 from .ssa import target_names
 
 __all__ = [
@@ -301,47 +305,22 @@ def _type_of_call(
 # Project model
 
 
-@dataclass
-class _FuncInfo:
-    fqn: str
-    name: str
-    node: ast.FunctionDef
-    module: "_ModuleInfo"
-    class_fqn: str | None = None
-    has_yield: bool = False
-
-
-@dataclass
-class _ClassInfo:
-    fqn: str
-    methods: dict[str, str] = field(default_factory=dict)  # name -> function fqn
-
-
-@dataclass
-class _ModuleInfo:
-    fqn: str
-    file: str
-    tree: ast.Module
-    ctx: NameContext
-
-
 class _Resolver:
     """Resolves call targets for one module against project-wide results."""
 
-    def __init__(self, engine: "_Engine", module: _ModuleInfo) -> None:
+    def __init__(self, engine: "_Engine", ctx: NameContext) -> None:
         self.engine = engine
-        self.module = module
+        self.ctx = ctx
 
     def call_target(self, func: ast.expr) -> set[str] | None:
-        fqn = resolve_fqn(func, self.module.ctx)
+        fqn = resolve_fqn(func, self.ctx)
         if isinstance(fqn, Unresolved):
             return None
         engine = self.engine
-        if fqn in engine.classes:
+        if fqn in engine.scopes.classes:
             return {fqn}
-        if fqn in engine.functions:
-            info = engine.functions[fqn]
-            if info.has_yield:
+        if fqn in engine.scopes.functions:
+            if fqn in engine.generators:
                 return {ANY}
             # Not-yet-computed returns are bottom, not Any; the fixpoint
             # fills them in.
@@ -352,12 +331,11 @@ class _Resolver:
         return None
 
     def method_return(self, receiver_type: str, attr: str) -> set[str] | None:
-        cls = self.engine.classes.get(receiver_type)
+        cls = self.engine.scopes.classes.get(receiver_type)
         if cls is None or attr not in cls.methods:
             return None
         method_fqn = cls.methods[attr]
-        info = self.engine.functions.get(method_fqn)
-        if info is not None and info.has_yield:
+        if method_fqn in self.engine.generators:
             return {ANY}
         return set(self.engine.returns.get(method_fqn, set()))
 
@@ -374,83 +352,44 @@ class _DiagnosticLog(list):
 
 
 class _Engine:
-    def __init__(self, table: HeuristicTable, simplify: bool) -> None:
+    def __init__(self, table: HeuristicTable) -> None:
         self.table = table
-        self.simplify = simplify
-        self.modules: list[_ModuleInfo] = []
-        self.functions: dict[str, _FuncInfo] = {}
-        self.classes: dict[str, _ClassInfo] = {}
+        self.scopes = ScopeTable()
+        self.modules: dict[str, tuple[str, NameContext]] = {}  # name -> (file, context)
+        self.generators: set[str] = set()
         self.returns: dict[str, set[str]] = {}
         self.params: dict[str, dict[str, set[str]]] = {}
         self.diagnostics: list[str] = _DiagnosticLog()
 
-    # -- loading -------------------------------------------------------------
-
-    def load_file(self, path: Path, display: str, module_name: str) -> None:
-        try:
-            source = SourceFile.load(path)
-            tree = parse_module(source.text, display)
-            if self.simplify:
-                tree = simplify_module(tree)
-        except ParseError as exc:
-            self.diagnostics.append(str(exc))
-            return
-        except (FixpointError, OSError) as exc:
-            self.diagnostics.append(f"{display}: skipped: {exc}")
-            return
-        ctx = build_name_context(tree, module_name, is_package=path.name == "__init__.py")
-        module = _ModuleInfo(fqn=module_name, file=display, tree=tree, ctx=ctx)
-        self.modules.append(module)
-        self._collect(module, tree.body, prefix=module_name, class_fqn=None)
-
-    def _collect(self, module: _ModuleInfo, body: list[ast.stmt], prefix: str,
-                 class_fqn: str | None) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.FunctionDef):
-                fqn = f"{prefix}.{stmt.name}"
-                info = _FuncInfo(
-                    fqn=fqn,
-                    name=stmt.name,
-                    node=stmt,
-                    module=module,
-                    class_fqn=class_fqn,
-                    has_yield=_has_own_yield(stmt),
-                )
-                self.functions[fqn] = info
-                if class_fqn is not None:
-                    self.classes[class_fqn].methods[stmt.name] = fqn
-                self._collect(module, stmt.body, prefix=fqn, class_fqn=None)
-            elif isinstance(stmt, ast.ClassDef):
-                fqn = f"{prefix}.{stmt.name}"
-                self.classes[fqn] = _ClassInfo(fqn=fqn)
-                self._collect(module, stmt.body, prefix=fqn, class_fqn=fqn)
-            elif isinstance(stmt, (ast.If, ast.While, ast.For)):
-                self._collect(module, list(stmt.body) + list(stmt.orelse), prefix, class_fqn)
+    def add_module(self, module: ast.Module, file: str, name: str) -> None:
+        ctx = build_name_context(module, name, is_package=Path(file).name == "__init__.py")
+        self.modules[name] = (file, ctx)
+        self.scopes.add_module(module, name)
 
     # -- environment walks -----------------------------------------------------
 
-    def _param_env(self, info: _FuncInfo) -> dict[str, set[str]]:
+    def _param_env(self, scope: Scope) -> dict[str, set[str]]:
         env: dict[str, set[str]] = {}
-        inferred = self.params.get(info.fqn, {})
-        for i, arg in enumerate(positional_params(info.node.args)):
-            if i == 0 and info.class_fqn is not None and arg.arg in ("self", "cls"):
-                env[arg.arg] = {info.class_fqn}
+        inferred = self.params.get(scope.fqn, {})
+        owner = _class_of(scope)
+        for i, name in enumerate(scope.params):
+            if i == 0 and owner is not None and name in ("self", "cls"):
+                env[name] = {owner}
             else:
-                env[arg.arg] = set(inferred.get(arg.arg, set()))
+                env[name] = set(inferred.get(name, set()))
         return env
 
     def _walk_body(
         self,
-        info_module: _ModuleInfo,
-        body: list[ast.stmt],
+        scope: Scope,
         env: dict[str, set[str]],
         bindings: dict[str, tuple[int, set[str]]] | None,
         returns: list[tuple[int, set[str], bool]] | None,
         call_sink: dict[str, list[tuple[list[set[str]], dict[str, set[str]]]]] | None,
     ) -> None:
         """Flow-insensitive walk: types accumulate as unions in ``env``."""
-        resolver = _Resolver(self, info_module)
-        for stmt in body:
+        resolver = _Resolver(self, self.modules[scope.module][1])
+        for stmt in scope.statements:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 kind = "callable" if isinstance(stmt, ast.FunctionDef) else ANY
                 env[stmt.name] = {kind}
@@ -477,24 +416,11 @@ class _Engine:
                 for name in target_names(stmt.target):
                     env[name] = env.get(name, set()) | {ANY}
             elif isinstance(stmt, ast.Return) and returns is not None:
-                if stmt.value is None:
-                    returns.append((stmt.lineno, {"None"}, True))
-                else:
-                    returns.append(
-                        (
-                            stmt.lineno,
-                            type_of_expr(
-                                stmt.value, env, self.table,
-                                resolver=resolver, diagnostics=self.diagnostics,
-                            ),
-                            False,
-                        )
-                    )
-            if isinstance(stmt, (ast.If, ast.While, ast.For)):
-                self._walk_body(
-                    info_module, list(stmt.body) + list(stmt.orelse),
-                    env, bindings, returns, call_sink,
+                bare = stmt.value is None
+                types = {"None"} if bare else type_of_expr(
+                    stmt.value, env, self.table, resolver=resolver, diagnostics=self.diagnostics
                 )
+                returns.append((stmt.lineno, types, bare))
 
     def _bind_target(
         self,
@@ -508,10 +434,7 @@ class _Engine:
         if isinstance(target, ast.Name):
             env[target.id] = env.get(target.id, set()) | value_types
             if bindings is not None:
-                if target.id not in bindings:
-                    bindings[target.id] = (stmt.lineno, set(value_types))
-                else:
-                    bindings[target.id][1].update(value_types)
+                bindings.setdefault(target.id, (stmt.lineno, set()))[1].update(value_types)
         elif isinstance(target, (ast.Tuple, ast.List)):
             value = stmt.value if isinstance(stmt, ast.Assign) else None
             elementwise = (
@@ -519,17 +442,10 @@ class _Engine:
                 and len(value.elts) == len(target.elts)
             )
             for i, elt in enumerate(target.elts):
-                if elementwise:
-                    inner = type_of_expr(value.elts[i], env, self.table, resolver=resolver)
-                else:
-                    inner = {ANY}
                 if isinstance(elt, ast.Name):
-                    env[elt.id] = env.get(elt.id, set()) | inner
-                    if bindings is not None:
-                        if elt.id not in bindings:
-                            bindings[elt.id] = (stmt.lineno, set(inner))
-                        else:
-                            bindings[elt.id][1].update(inner)
+                    inner = (type_of_expr(value.elts[i], env, self.table, resolver=resolver)
+                             if elementwise else {ANY})
+                    self._bind_target(elt, stmt, inner, env, bindings)
 
     def _record_calls(
         self,
@@ -538,11 +454,14 @@ class _Engine:
         resolver: _Resolver,
         call_sink: dict[str, list[tuple[list[set[str]], dict[str, set[str]]]]],
     ) -> None:
-        for node in walk(stmt):
+        """Record the argument types of each project-function call in the
+        statement's own expressions (lambda bodies included); the statements
+        nested in a branch record theirs when the walk reaches them."""
+        for node in (node for expr in head_exprs(stmt) for node in walk(expr)):
             if not isinstance(node, ast.Call):
                 continue
-            fqn = resolve_fqn(node.func, resolver.module.ctx)
-            if isinstance(fqn, Unresolved) or fqn not in self.functions:
+            fqn = resolve_fqn(node.func, resolver.ctx)
+            if isinstance(fqn, Unresolved) or fqn not in self.scopes.functions:
                 continue
             pos = [
                 type_of_expr(arg, env, self.table, resolver=resolver)
@@ -559,26 +478,29 @@ class _Engine:
     # -- fixpoint ----------------------------------------------------------------
 
     def run(self) -> None:
+        functions = self.scopes.functions
+        self.generators = {
+            fqn for fqn, scope in functions.items()
+            if any(isinstance(node, ast.Yield) for stmt in scope.statements
+                   for expr in head_exprs(stmt) for node in ast.walk(expr))
+        }
         for _ in range(_MAX_ROUNDS):
             changed = False
             call_sites: dict[str, list[tuple[list[set[str]], dict[str, set[str]]]]] = {}
 
-            for module in self.modules:
-                env: dict[str, set[str]] = {}
-                self._walk_body(module, module.tree.body, env, None, None, call_sites)
-            for fqn in sorted(self.functions):
-                info = self.functions[fqn]
-                env = self._param_env(info)
+            for module in self.scopes.modules.values():
+                self._walk_body(module, {}, None, None, call_sites)
+            for fqn in sorted(functions):
+                scope = functions[fqn]
                 returns: list[tuple[int, set[str], bool]] = []
-                self._walk_body(info.module, info.node.body, env, None, returns, call_sites)
-                new_ret = self._return_set(info, returns)
+                self._walk_body(scope, self._param_env(scope), None, returns, call_sites)
+                new_ret = self._return_set(scope, returns)
                 if new_ret != self.returns.get(fqn):
                     self.returns[fqn] = new_ret
                     changed = True
 
-            for fqn in sorted(self.functions):
-                info = self.functions[fqn]
-                new_params = self._infer_params(info, call_sites.get(fqn, []))
+            for fqn in sorted(functions):
+                new_params = self._infer_params(functions[fqn], call_sites.get(fqn, []))
                 if new_params != self.params.get(fqn):
                     self.params[fqn] = new_params
                     changed = True
@@ -590,8 +512,8 @@ class _Engine:
                 "some types may be incomplete"
             )
 
-    def _return_set(self, info: _FuncInfo, returns: list[tuple[int, set[str], bool]]) -> set[str]:
-        if info.has_yield:
+    def _return_set(self, scope: Scope, returns: list[tuple[int, set[str], bool]]) -> set[str]:
+        if scope.fqn in self.generators:
             return {ANY}
         if not returns:
             return {"None"}
@@ -600,7 +522,7 @@ class _Engine:
         for _, types, is_bare in returns:
             out |= types
             bare = bare or is_bare
-        body = info.node.body
+        body = scope.node.body
         falls_through = not isinstance(body[-1], ast.Return)
         if falls_through and not bare:
             out.add("None")
@@ -608,85 +530,41 @@ class _Engine:
 
     def _infer_params(
         self,
-        info: _FuncInfo,
+        scope: Scope,
         sites: list[tuple[list[set[str]], dict[str, set[str]]]],
     ) -> dict[str, set[str]]:
-        constraints = _backward_constraints(info.node, self.table)
-        params = [a.arg for a in positional_params(info.node.args)]
-        skip_self = 1 if info.class_fqn is not None and params and params[0] in ("self", "cls") else 0
-        out: dict[str, set[str]] = {}
-        for i, name in enumerate(params):
-            if i < skip_self:
-                continue
-            evidence: set[str] = set(constraints.get(name, set()))
-            for pos, kw in sites:
-                slot = i - skip_self
-                if slot < len(pos):
-                    evidence |= pos[slot]
-                if name in kw:
-                    evidence |= kw[name]
-            out[name] = evidence
-        return out
+        params = scope.params
+        skip_self = 1 if _class_of(scope) is not None and params and params[0] in ("self", "cls") else 0
+        return _param_evidence(params[skip_self:], _backward_constraints(scope.node, self.table), sites)
 
     # -- records -------------------------------------------------------------------
 
     def records(self) -> list[TypeRecord]:
         records: list[TypeRecord] = []
-        for module in self.modules:
-            env: dict[str, set[str]] = {}
+        functions = [self.scopes.functions[fqn] for fqn in sorted(self.scopes.functions)]
+        for scope in [*self.scopes.modules.values(), *functions]:
+            file = self.modules[scope.module][0]
+            function = scope.node.name if scope.kind == "function" else None
             bindings: dict[str, tuple[int, set[str]]] = {}
-            self._walk_body(module, module.tree.body, env, bindings, None, None)
-            for name in sorted(bindings):
-                if name.startswith(TEMP_PREFIX):
-                    continue
-                line, types = bindings[name]
-                records.append(
-                    TypeRecord(
-                        file=module.file, line_number=line, variable=name,
-                        type=set(types) or {ANY},
-                    )
-                )
-
-        for fqn in sorted(self.functions):
-            info = self.functions[fqn]
             returns: list[tuple[int, set[str], bool]] = []
-            env = self._param_env(info)
-            bindings = {}
-            self._walk_body(info.module, info.node.body, env, bindings, returns, None)
-
-            ret_line = returns[0][0] if returns else info.node.lineno
-            records.append(
-                TypeRecord(
-                    file=info.module.file,
-                    line_number=ret_line,
-                    function=info.name,
-                    type=set(self.returns.get(fqn, {"None"})) or {ANY},
-                )
-            )
-            for name in sorted(bindings):
-                if name.startswith(TEMP_PREFIX):
-                    continue
-                line, types = bindings[name]
-                records.append(
-                    TypeRecord(
-                        file=info.module.file,
-                        line_number=line,
-                        function=info.name,
-                        variable=name,
-                        type=set(types) or {ANY},
-                    )
-                )
-            inferred = self.params.get(fqn, {})
-            for name in inferred:
-                records.append(
-                    TypeRecord(
-                        file=info.module.file,
-                        line_number=info.node.lineno,
-                        function=info.name,
-                        parameter=name,
-                        type=set(inferred[name]) or {ANY},
-                    )
-                )
+            self._walk_body(scope, self._param_env(scope), bindings, returns, None)
+            if function is not None:
+                records.append(TypeRecord(
+                    file=file, line_number=returns[0][0] if returns else scope.node.lineno,
+                    function=function, type=set(self.returns.get(scope.fqn, {"None"})) or {ANY},
+                ))
+            records += [
+                TypeRecord(file=file, line_number=line, function=function, variable=name,
+                           type=set(types) or {ANY})
+                for name, (line, types) in sorted(bindings.items())
+                if not name.startswith(TEMP_PREFIX)
+            ]
+            if function is not None:
+                records += [
+                    TypeRecord(file=file, line_number=scope.node.lineno, function=function,
+                               parameter=name, type=set(types) or {ANY})
+                    for name, types in self.params.get(scope.fqn, {}).items()
+                ]
 
         records.sort(
             key=lambda r: (
@@ -736,46 +614,37 @@ def infer_parameters(
     constraints = dict(body_constraints or {})
     for name, types in _backward_constraints(function, table).items():
         constraints.setdefault(name, set()).update(types)
-    records = []
     params = [a.arg for a in positional_params(function.args)]
+    return [
+        TypeRecord(file=file, line_number=function.lineno, function=function.name,
+                   parameter=name, type=evidence or {ANY})
+        for name, evidence in _param_evidence(params, constraints, call_sites).items()
+    ]
+
+
+def _param_evidence(
+    params: list[str],
+    constraints: dict[str, set[str]],
+    sites: list[tuple[list[set[str]], dict[str, set[str]]]],
+) -> dict[str, set[str]]:
+    """Each parameter's body constraints plus the argument types that call
+    sites pass it, by position or by keyword."""
+    out: dict[str, set[str]] = {}
     for i, name in enumerate(params):
         evidence: set[str] = set(constraints.get(name, set()))
-        for pos, kw in call_sites:
+        for pos, kw in sites:
             if i < len(pos):
                 evidence |= pos[i]
             if name in kw:
                 evidence |= kw[name]
-        records.append(
-            TypeRecord(
-                file=file,
-                line_number=function.lineno,
-                function=function.name,
-                parameter=name,
-                type=evidence or {ANY},
-            )
-        )
-    return records
+        out[name] = evidence
+    return out
 
 
-def _has_own_yield(fn: ast.FunctionDef) -> bool:
-    """Yield anywhere in the function's own body (nested defs excluded)."""
-
-    def scan(stmts: list[ast.stmt]) -> bool:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, (ast.If, ast.While, ast.For)):
-                heads = [stmt.test] if isinstance(stmt, (ast.If, ast.While)) else [stmt.iter]
-                if any(isinstance(n, ast.Yield) for h in heads for n in ast.walk(h)):
-                    return True
-                if scan(list(stmt.body) + list(stmt.orelse)):
-                    return True
-                continue
-            if any(isinstance(node, ast.Yield) for node in ast.walk(stmt)):
-                return True
-        return False
-
-    return scan(fn.body)
+def _class_of(scope: Scope) -> str | None:
+    """The class a method is defined in, else None."""
+    parent = scope.parent
+    return parent.fqn if parent is not None and parent.kind == "class" else None
 
 
 def infer_types(
@@ -803,26 +672,21 @@ def infer_types_report(
 ) -> tuple[list[TypeRecord], list[str]]:
     """Like :func:`infer_types`, but also returns the diagnostics collected
     (skipped files, suspicious operations)."""
-    engine, records = _run_engine(entry, simplify=simplify, table=table)
-    return records, list(engine.diagnostics)
-
-
-def _run_engine(
-    entry: str | Path,
-    *,
-    simplify: bool = True,
-    table: HeuristicTable | None = None,
-) -> tuple[_Engine, list[TypeRecord]]:
-    engine = _Engine(table or default_table(), simplify)
+    engine = _Engine(table or default_table())
     entry_path = Path(entry)
     if entry_path.is_dir():
         tree, diagnostics = discover(entry_path)
         engine.diagnostics.extend(diagnostics)
-        for node in tree.iter_modules():
-            engine.load_file(Path(node.path), node.path, node.full_name)
+        files = [(node.path, node.full_name) for node in tree.iter_modules()]
     elif entry_path.is_file():
-        engine.load_file(entry_path, str(entry), entry_path.stem)
+        files = [(str(entry), entry_path.stem)]
     else:
         raise FileNotFoundError(f"entry point not found: {entry}")
+    for file, name in files:
+        module, diagnostic = load_module(file, simplify=simplify)
+        if module is None:
+            engine.diagnostics.append(diagnostic)
+        else:
+            engine.add_module(module, file, name)
     engine.run()
-    return engine, engine.records()
+    return engine.records(), list(engine.diagnostics)

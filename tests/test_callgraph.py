@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from lancet import callgraph
 from lancet.callgraph import analyze, output_edges, output_mods, to_simple_json
+from lancet.cli import main
 
 from helpers import CORPUS, corpus_files, trace_call_edges
 
@@ -157,8 +159,8 @@ def test_unparsable_module_is_reported_once(tmp_path):
     (root / "a.py").write_text("from .bad import x\n")
     (root / "b.py").write_text("from .bad import y\n")
     graph = analyze([], package_root=root)
-    skipped = [d for d in graph.diagnostics if "skipped" in d]
-    assert len(skipped) == 1 and str(root / "bad.py") in skipped[0]
+    skipped = [d for d in graph.diagnostics if str(root / "bad.py") in d]
+    assert skipped == [f"{root / 'bad.py'}:1:11: invalid syntax"]
 
 
 def test_missing_entry_point_raises():
@@ -214,3 +216,15 @@ def test_traced_edges_are_a_subset_of_computed_edges(path: Path):
     computed = set(output_edges(analyze([path])))
     missing = traced - computed
     assert not missing, f"{path.name}: traced edges not covered: {sorted(missing)}"
+
+
+def test_round_cap_is_diagnosed(capsys, monkeypatch):
+    """A fixpoint cut short by the round cap says so; ``--strict`` exits 1."""
+    monkeypatch.setattr(callgraph, "_MAX_ROUNDS", 1)
+    message = ("call graph construction stopped after 1 rounds without converging; "
+               "some edges may be missing")
+    assert analyze([CG / "higher_order.py"]).diagnostics == [message]
+    assert main(["callgraph", "--entry", str(CG / "higher_order.py"), "--strict"]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    monkeypatch.setattr(callgraph, "_MAX_ROUNDS", 1000)
+    assert analyze([CG / "higher_order.py"]).diagnostics == []

@@ -13,7 +13,6 @@ from lancet.frontend import (
     ParseError,
     SourceFile,
     dump_structure,
-    module_name_for_path,
     node_span,
     parse_module,
     trees_equal,
@@ -278,27 +277,9 @@ def test_source_file_rejects_non_utf8(tmp_path):
 
 
 def test_source_file_module_names(tmp_path):
-    root = tmp_path / "proj"
-    root.mkdir()
-    target = root / "mod.py"
+    target = tmp_path / "mod.py"
     target.write_text("x = 1\n", encoding="utf-8")
     assert SourceFile.load(target).module_name == "mod"
-    assert SourceFile.load(target, root=root).module_name == "proj.mod"
-
-
-def test_module_name_for_path(tmp_path):
-    root = tmp_path / "example"
-    (root / "sub").mkdir(parents=True)
-    (root / "module_a.py").touch()
-    (root / "sub" / "mod.py").touch()
-    (root / "sub" / "__init__.py").touch()
-    assert module_name_for_path(root, root / "module_a.py") == "example.module_a"
-    assert module_name_for_path(root, root / "sub" / "mod.py") == "example.sub.mod"
-    assert module_name_for_path(root, root / "sub" / "__init__.py") == "example.sub"
-    with pytest.raises(ValueError):
-        module_name_for_path(root / "sub", root / "module_a.py")
-    with pytest.raises(ValueError):
-        module_name_for_path(root, root / "sub" / "notes.txt")
 
 
 def test_walk_orders():

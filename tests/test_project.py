@@ -141,3 +141,23 @@ def test_typeinfer_round_cap_is_diagnosed(capsys, tmp_path):
     code, _, err = _run(capsys, "typeinfer", str(path), "--strict")
     assert code == 1
     assert err == diagnostic + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["imports"], ["callgraph", "--package"], ["typeinfer"],
+], ids=lambda argv: argv[0])
+def test_unloadable_modules_are_skipped_with_one_line_each(capsys, tmp_path, argv):
+    """A syntax error, non-UTF-8 bytes and a dangling symlink: every command
+    skips each module with the same line and analyzes the rest."""
+    root = tmp_path.resolve() / "proj"
+    _write(root, {"good.py": "def f():\n    return 1\n", "bad.py": "def broken(:\n"})
+    (root / "latin.py").write_bytes("x = '\xe9'\n".encode("latin-1"))
+    (root / "dangling.py").symlink_to(root / "missing.py")
+    code, out, err = _run(capsys, *argv, str(root))
+    assert code == 0
+    assert "good" in out and not any(name in out for name in ("bad", "latin", "dangling"))
+    assert err.splitlines() == [
+        f"{root / 'bad.py'}:1:11: invalid syntax",
+        f"{root / 'dangling.py'}: skipped: No such file or directory",
+        f"{root / 'latin.py'}:1:0: not valid UTF-8: invalid continuation byte",
+    ]

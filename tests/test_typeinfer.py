@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from lancet import typeinfer
 from lancet.frontend import parse_module
 from lancet.typeinfer import (
     HeuristicTable,
     default_table,
     infer_parameters,
     infer_types,
+    infer_types_report,
     load_signature_table,
     type_of_expr,
 )
@@ -248,3 +250,43 @@ def test_dynamic_agreement(path: Path):
         seen = observed.params.get((function, parameter))
         if seen:
             assert type_agrees(seen, record.type), (path.name, function, parameter, seen, record.type)
+
+
+def test_each_call_is_recorded_once_per_round(tmp_path, monkeypatch):
+    """A call three branches deep is one call site per fixpoint round, not
+    one per enclosing statement."""
+    path = tmp_path / "deep_call.py"
+    path.write_text(
+        "def f(a):\n    return a\n\n"
+        "c = 1\nif c:\n    while c:\n        if c:\n            f(1)\n        c = 0\n",
+        encoding="utf-8",
+    )
+    seen: list[int] = []
+    infer = typeinfer._Engine._infer_params
+
+    def counting(engine, scope, sites):
+        if scope.fqn == "deep_call.f":
+            seen.append(len(sites))
+        return infer(engine, scope, sites)
+
+    monkeypatch.setattr(typeinfer._Engine, "_infer_params", counting)
+    records, _ = infer_types_report(path)
+    assert seen and seen == [1] * len(seen)
+    (param,) = [r for r in records if r.parameter == "a"]
+    assert param.type == {"int"}
+
+
+def test_call_in_a_branch_sees_the_branch_bindings(tmp_path):
+    """Arguments bound earlier in the same branch, or inside a def in a
+    branch, are typed where the call is, not as Any from outside."""
+    path = tmp_path / "branchy.py"
+    path.write_text(
+        "def f(a):\n    return a\n\n"
+        "def g(b):\n    return b\n\n"
+        "c = 1\nif c:\n    y = 1\n    f(y)\nelse:\n    def h():\n        k = 's'\n        return g(k)\n",
+        encoding="utf-8",
+    )
+    records, _ = infer_types_report(path)
+    params = {(r.function, r.parameter): r.type for r in records if r.parameter is not None}
+    assert params[("f", "a")] == {"int"}
+    assert params[("g", "b")] == {"str"}
