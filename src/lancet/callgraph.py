@@ -7,6 +7,12 @@ sets until nothing grows, then each syntactic call contributes edges from
 its enclosing definition (module-body calls attach to the module node) to
 every callable in its callee's value set.
 
+The fixpoint is solved with a worklist.  Every statement is evaluated once,
+in scope pre-order, and each slot notes the statements that read it; when a
+slot grows, its readers are queued to be evaluated again.  Value sets only
+grow, over a finite set of callables, so the queue runs dry, and what it
+leaves is the least fixpoint, whatever the order of evaluation.
+
 Design points:
 
 * one value set per qualified name - no context, flow, or field
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,10 +67,9 @@ class CgNode:
 
 @dataclass
 class AssignmentGraph:
-    """Flows-to relation over qualified names, with the value sets they carry."""
+    """The slots (qualified names) read or written, with the value sets they carry."""
 
     nodes: set[str] = field(default_factory=set)
-    edges: set[tuple[str, str]] = field(default_factory=set)
     value_sets: dict[str, set[Value]] = field(default_factory=dict)
 
 
@@ -87,10 +93,15 @@ class _Analyzer:
         self.table = ScopeTable()
         self.values: dict[str, set[Value]] = {}
         self.call_edges: set[tuple[str, str]] = set()
-        self.flow_edges: set[tuple[str, str]] = set()
         self.external_mods: set[str] = set()
         self.diagnostics: list[str] = []
         self._diag_seen: set[str] = set()
+        # Worklist state: the statements that read each slot, by index in
+        # solve()'s work list, and the queue of those to evaluate again.
+        self._readers: dict[str, list[int]] = {}
+        self._reading = 0
+        self._queue: deque[int] = deque()
+        self._queued = bytearray()
         if package_root is not None and package_root.is_dir():
             tree, self.diagnostics = discover(package_root)
             self.files = {node.full_name: Path(node.path) for node in tree.iter_modules()}
@@ -141,15 +152,24 @@ class _Analyzer:
     # -- value propagation -----------------------------------------------------
 
     def _get(self, slot: str) -> set[Value]:
+        readers = self._readers.get(slot)
+        if readers is None:
+            self._readers[slot] = [self._reading]
+        elif readers[-1] != self._reading:
+            readers.append(self._reading)
         return self.values.setdefault(slot, set())
 
-    def _add(self, slot: str, values: set[Value]) -> bool:
+    def _add(self, slot: str, values: set[Value]) -> None:
         if not values:
-            return False
-        current = self._get(slot)
+            return
+        current = self.values.setdefault(slot, set())
         before = len(current)
         current |= values
-        return len(current) != before
+        if len(current) != before:
+            for reader in self._readers.get(slot, ()):
+                if not self._queued[reader]:
+                    self._queued[reader] = 1
+                    self._queue.append(reader)
 
     def eval_expr(self, expr: ast.expr, scope: Scope) -> set[Value]:
         if isinstance(expr, ast.Name):
@@ -204,50 +224,44 @@ class _Analyzer:
             return set()
         return set()
 
-    def sweep(self) -> bool:
-        changed = False
-        for scope in self.table.scopes:
-            for stmt in scope.statements:
-                changed |= self._sweep_statement(scope, stmt)
-        return changed
+    def solve(self) -> None:
+        """Evaluate every statement once in scope order, then again whenever
+        a slot it read has grown, until no slot grows."""
+        work = [(scope, stmt) for scope in self.table.scopes for stmt in scope.statements]
+        self._queue = deque(range(len(work)))
+        self._queued = bytearray([1]) * len(work)
+        while self._queue:
+            self._reading = self._queue.popleft()
+            self._queued[self._reading] = 0
+            self._evaluate(*work[self._reading])
 
-    def _sweep_statement(self, scope: Scope, stmt: ast.stmt) -> bool:
-        changed = False
+    def _evaluate(self, scope: Scope, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.FunctionDef):
             fqn = scope.slot(stmt.name)
-            changed |= self._add(fqn, {("func", fqn)})
+            self._add(fqn, {("func", fqn)})
             params = self._params(fqn)
-            defaults = stmt.args.defaults
-            for name, default in zip(reversed(params), reversed(defaults)):
-                changed |= self._add(f"{fqn}.{name}", self.eval_expr(default, scope))
+            for name, default in zip(reversed(params), reversed(stmt.args.defaults)):
+                self._add(f"{fqn}.{name}", self.eval_expr(default, scope))
         elif isinstance(stmt, ast.ClassDef):
             fqn = scope.slot(stmt.name)
-            changed |= self._add(fqn, {("class", fqn)})
+            self._add(fqn, {("class", fqn)})
         elif isinstance(stmt, ast.Assign):
             values = self.eval_expr(stmt.value, scope)
             for target in stmt.targets:
-                changed |= self._assign_target(scope, target, stmt.value, values)
+                self._assign_target(scope, target, stmt.value, values)
         elif isinstance(stmt, ast.Return) and stmt.value is not None and scope.kind == "function":
-            ret = f"{scope.fqn}.{RETURN_SLOT}"
-            src = self.eval_expr(stmt.value, scope)
-            if isinstance(stmt.value, ast.Name):
-                self._note_flow(scope, stmt.value.id, ret)
-            changed |= self._add(ret, src)
+            self._add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
 
         for expr in head_exprs(stmt):
             for call in iter_calls(expr):
-                changed |= self._process_call(scope, call)
-        return changed
+                self._process_call(scope, call)
 
     def _assign_target(self, scope: Scope, target: ast.expr, value_expr: ast.expr,
-                       values: set[Value]) -> bool:
-        changed = False
+                       values: set[Value]) -> None:
         if isinstance(target, ast.Name):
             binding = scope.lookup(target.id) or ("slot", scope.slot(target.id))
             if binding[0] == "slot":
-                if isinstance(value_expr, ast.Name):
-                    self._note_flow(scope, value_expr.id, binding[1])
-                changed |= self._add(binding[1], values)
+                self._add(binding[1], values)
         elif isinstance(target, (ast.Tuple, ast.List)):
             elementwise = (
                 isinstance(value_expr, (ast.Tuple, ast.List))
@@ -259,22 +273,15 @@ class _Analyzer:
                     inner_vals = self.eval_expr(inner_expr, scope)
                 else:
                     inner_expr, inner_vals = elt, set()
-                changed |= self._assign_target(scope, elt, inner_expr, inner_vals)
-        return changed
+                self._assign_target(scope, elt, inner_expr, inner_vals)
 
-    def _note_flow(self, scope: Scope, src_name: str, dst_slot: str) -> None:
-        binding = scope.lookup(src_name)
-        if binding is not None and binding[0] == "slot":
-            self.flow_edges.add((binding[1], dst_slot))
-
-    def _process_call(self, scope: Scope, call: ast.Call) -> bool:
-        changed = False
+    def _process_call(self, scope: Scope, call: ast.Call) -> None:
         caller = scope.fqn
         func = call.func
 
         if isinstance(func, ast.Name) and func.id in _DYNAMIC_NAMES and scope.lookup(func.id) is None:
             self._diagnose(scope, call, f"dynamic feature {func.id!r} ignored")
-            return False
+            return
 
         receivers: set[Value] = set()
         if isinstance(func, ast.Attribute):
@@ -283,60 +290,44 @@ class _Analyzer:
 
         for kind, fqn in sorted(targets):
             if kind == "func":
-                changed |= self._edge(caller, fqn)
+                self.call_edges.add((caller, fqn))
                 self_offset = 0
                 if isinstance(func, ast.Attribute) and any(k == "class" for k, _ in receivers):
                     params = self._params(fqn)
                     if params:
                         for r_kind, r_fqn in receivers:
                             if r_kind == "class":
-                                changed |= self._add(f"{fqn}.{params[0]}", {("class", r_fqn)})
+                                self._add(f"{fqn}.{params[0]}", {("class", r_fqn)})
                         self_offset = 1
-                changed |= self._flow_arguments(scope, call, fqn, self_offset)
+                self._flow_arguments(scope, call, fqn, self_offset)
             elif kind == "class":
-                changed |= self._edge(caller, fqn)
+                self.call_edges.add((caller, fqn))
                 init = self._attr_values(("class", fqn), "__init__")
                 for i_kind, i_fqn in init:
                     if i_kind == "func":
-                        changed |= self._edge(caller, i_fqn)
+                        self.call_edges.add((caller, i_fqn))
                         params = self._params(i_fqn)
                         if params:
-                            changed |= self._add(f"{i_fqn}.{params[0]}", {("class", fqn)})
-                        changed |= self._flow_arguments(scope, call, i_fqn, 1)
+                            self._add(f"{i_fqn}.{params[0]}", {("class", fqn)})
+                        self._flow_arguments(scope, call, i_fqn, 1)
             elif kind == "ext":
-                changed |= self._edge(caller, fqn)
-        return changed
+                self.call_edges.add((caller, fqn))
 
-    def _flow_arguments(self, scope: Scope, call: ast.Call, fqn: str, offset: int) -> bool:
-        changed = False
+    def _flow_arguments(self, scope: Scope, call: ast.Call, fqn: str, offset: int) -> None:
         params = self._params(fqn)
         for i, arg in enumerate(call.args):
             if isinstance(arg, ast.Starred):
                 continue
             slot_index = i + offset
             if slot_index < len(params):
-                slot = f"{fqn}.{params[slot_index]}"
-                if isinstance(arg, ast.Name):
-                    self._note_flow(scope, arg.id, slot)
-                changed |= self._add(slot, self.eval_expr(arg, scope))
+                self._add(f"{fqn}.{params[slot_index]}", self.eval_expr(arg, scope))
         for kw in call.keywords:
             if kw.arg is not None and kw.arg in params:
-                slot = f"{fqn}.{kw.arg}"
-                if isinstance(kw.value, ast.Name):
-                    self._note_flow(scope, kw.value.id, slot)
-                changed |= self._add(slot, self.eval_expr(kw.value, scope))
-        return changed
+                self._add(f"{fqn}.{kw.arg}", self.eval_expr(kw.value, scope))
 
     def _params(self, fqn: str) -> list[str]:
         scope = self.table.functions.get(fqn)
         return scope.params if scope is not None else []
-
-    def _edge(self, caller: str, callee: str) -> bool:
-        edge = (caller, callee)
-        if edge in self.call_edges:
-            return False
-        self.call_edges.add(edge)
-        return True
 
     def _diagnose(self, scope: Scope, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -368,13 +359,9 @@ class _Analyzer:
 
         graph.assignment_graph = AssignmentGraph(
             nodes=set(self.values),
-            edges=set(self.flow_edges),
             value_sets={slot: set(vals) for slot, vals in self.values.items()},
         )
         return graph
-
-
-_MAX_ROUNDS = 1000
 
 
 def analyze(entry_points: list[str | Path], package_root: str | Path | None = None) -> CallGraph:
@@ -403,14 +390,7 @@ def analyze(entry_points: list[str | Path], package_root: str | Path | None = No
         for name, path in analyzer.files.items():
             analyzer.load(path, name)
 
-    for _ in range(_MAX_ROUNDS):
-        if not analyzer.sweep():
-            break
-    else:
-        analyzer.diagnostics.append(
-            f"call graph construction stopped after {_MAX_ROUNDS} rounds without converging; "
-            "some edges may be missing"
-        )
+    analyzer.solve()
     return analyzer.result()
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "stmt_head_text",
     "head_exprs",
     "iter_calls",
+    "contains_yield",
 ]
 
 
@@ -248,7 +249,7 @@ class _Assembler:
         else:
             block = self._here()
             block.statements.append(stmt)
-            if _contains_yield(stmt):
+            if contains_yield(stmt):
                 follow = self.new_block()
                 self.link(block, follow)
                 self.current = follow
@@ -342,7 +343,9 @@ def _negate(test: ast.expr) -> ast.expr:
     return node
 
 
-def _contains_yield(stmt: ast.stmt) -> bool:
+def contains_yield(stmt: ast.stmt) -> bool:
+    """Whether the statement's own expressions yield; a ``yield`` inside a
+    lambda body belongs to the lambda."""
     return any(isinstance(n, ast.Yield) for e in head_exprs(stmt) for n in _iter_eager(e))
 
 

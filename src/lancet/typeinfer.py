@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cfg import head_exprs
+from .cfg import contains_yield, head_exprs
 from .frontend import positional_params, walk
 from .modgraph import (
     NameContext, Scope, ScopeTable, Unresolved, build_name_context, discover, load_module,
@@ -357,6 +357,7 @@ class _Engine:
         self.scopes = ScopeTable()
         self.modules: dict[str, tuple[str, NameContext]] = {}  # name -> (file, context)
         self.generators: set[str] = set()
+        self.constraints: dict[str, dict[str, set[str]]] = {}  # fqn -> body constraints
         self.returns: dict[str, set[str]] = {}
         self.params: dict[str, dict[str, set[str]]] = {}
         self.diagnostics: list[str] = _DiagnosticLog()
@@ -481,8 +482,10 @@ class _Engine:
         functions = self.scopes.functions
         self.generators = {
             fqn for fqn, scope in functions.items()
-            if any(isinstance(node, ast.Yield) for stmt in scope.statements
-                   for expr in head_exprs(stmt) for node in ast.walk(expr))
+            if any(contains_yield(stmt) for stmt in scope.statements)
+        }
+        self.constraints = {
+            fqn: _backward_constraints(scope.node, self.table) for fqn, scope in functions.items()
         }
         for _ in range(_MAX_ROUNDS):
             changed = False
@@ -535,7 +538,7 @@ class _Engine:
     ) -> dict[str, set[str]]:
         params = scope.params
         skip_self = 1 if _class_of(scope) is not None and params and params[0] in ("self", "cls") else 0
-        return _param_evidence(params[skip_self:], _backward_constraints(scope.node, self.table), sites)
+        return _param_evidence(params[skip_self:], self.constraints[scope.fqn], sites)
 
     # -- records -------------------------------------------------------------------
 

@@ -4,12 +4,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from lancet import callgraph
 from lancet.callgraph import analyze, output_edges, output_mods, to_simple_json
 from lancet.cli import main
 
 from helpers import CORPUS, corpus_files, trace_call_edges
+from strategies import programs
 
 CG = CORPUS / "callgraph"
 EXAMPLE = CORPUS / "imports" / "example"
@@ -218,13 +220,85 @@ def test_traced_edges_are_a_subset_of_computed_edges(path: Path):
     assert not missing, f"{path.name}: traced edges not covered: {sorted(missing)}"
 
 
-def test_round_cap_is_diagnosed(capsys, monkeypatch):
-    """A fixpoint cut short by the round cap says so; ``--strict`` exits 1."""
-    monkeypatch.setattr(callgraph, "_MAX_ROUNDS", 1)
-    message = ("call graph construction stopped after 1 rounds without converging; "
-               "some edges may be missing")
-    assert analyze([CG / "higher_order.py"]).diagnostics == [message]
-    assert main(["callgraph", "--entry", str(CG / "higher_order.py"), "--strict"]) == 1
-    assert capsys.readouterr().err == message + "\n"
-    monkeypatch.setattr(callgraph, "_MAX_ROUNDS", 1000)
-    assert analyze([CG / "higher_order.py"]).diagnostics == []
+def _return_chain(n: int) -> str:
+    """``f0`` returns ``f1()``, ..., ``f<n>`` returns ``g``; ``h = f0()`` then
+    calls ``g``, a value that flows back through ``n`` returns."""
+    defs = [f"def f{i}():\n    return f{i + 1}()\n" for i in range(n)]
+    return "\n".join([*defs, f"def f{n}():\n    return g\n", "def g():\n    pass\n",
+                      "h = f0()\nh()\n"])
+
+
+def test_deep_return_chain_reaches_its_callee(tmp_path, capsys):
+    path = tmp_path / "chain.py"
+    path.write_text(_return_chain(1200))
+    assert main(["callgraph", "--entry", str(path), "--format", "edges"]) == 0
+    out, err = capsys.readouterr()
+    assert "chain -> chain.g" in out.splitlines()
+    assert err == ""
+
+
+def test_return_chain_evaluations_are_linear(tmp_path, monkeypatch):
+    """Each statement is evaluated once, plus once more per growth of a slot
+    it read: on a return chain that is linear in the chain's length."""
+    path = tmp_path / "chain.py"
+    path.write_text(_return_chain(800))
+    evaluate = callgraph._Analyzer._evaluate
+    calls = 0
+
+    def counted(self, scope, stmt):
+        nonlocal calls
+        calls += 1
+        evaluate(self, scope, stmt)
+
+    monkeypatch.setattr(callgraph._Analyzer, "_evaluate", counted)
+    analyzer = _loaded(path)
+    analyzer.solve()
+    statements = sum(len(scope.statements) for scope in analyzer.table.scopes)
+    grown = sum(1 for values in analyzer.values.values() if values)
+    assert calls <= statements + grown == 3210
+    assert ("chain", "chain.g") in analyzer.call_edges
+
+
+def _loaded(path: Path) -> callgraph._Analyzer:
+    analyzer = callgraph._Analyzer(None)
+    analyzer.load(path.resolve(), path.stem)
+    return analyzer
+
+
+def _round_robin(path: Path) -> callgraph._Analyzer:
+    """Reference solver: evaluate every statement with the analyzer's own
+    ``_evaluate``, over and over, until no value set and no edge changes."""
+    analyzer = _loaded(path)
+    statements = [(scope, stmt) for scope in analyzer.table.scopes for stmt in scope.statements]
+    analyzer._queued = bytearray(len(statements))  # readers get queued; nothing drains them
+    while True:
+        before = ({slot: set(values) for slot, values in analyzer.values.items()},
+                  set(analyzer.call_edges))
+        for scope, stmt in statements:
+            analyzer._evaluate(scope, stmt)
+        if (analyzer.values, analyzer.call_edges) == before:
+            return analyzer
+
+
+def _assert_worklist_matches_round_robin(path: Path) -> None:
+    expected = _round_robin(path)
+    actual = _loaded(path)
+    actual.solve()
+    assert actual.values == expected.values
+    assert actual.call_edges == expected.call_edges
+    assert actual.diagnostics == expected.diagnostics
+
+
+@pytest.mark.parametrize(
+    "path", corpus_files("callgraph", "programs"), ids=lambda p: p.name
+)
+def test_worklist_matches_round_robin_on_corpus(path: Path):
+    _assert_worklist_matches_round_robin(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_worklist_matches_round_robin_on_generated_programs(tmp_path_factory, source):
+    path = tmp_path_factory.mktemp("generated") / "generated.py"
+    path.write_text(source)
+    _assert_worklist_matches_round_robin(path)

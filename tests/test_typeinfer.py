@@ -66,6 +66,13 @@ def test_generator_functions_report_any(tmp_path):
     assert returns["g"].type == {"Any"}
 
 
+def test_a_yield_in_a_lambda_does_not_make_a_generator(tmp_path):
+    path = tmp_path / "lam.py"
+    path.write_text("def f():\n    g = lambda: (yield 1)\n    return 2\n")
+    returns, _, _ = _by_kind(infer_types(name="lam", entry=path, simplify=False))
+    assert returns["f"].type == {"int"}
+
+
 def test_parameter_types_from_call_sites_and_methods():
     records = infer_types(name="params", entry=TI / "param_calls.py")
     _, _, parameters = _by_kind(records)
