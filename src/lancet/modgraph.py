@@ -17,11 +17,12 @@ project-internal imports - the bottom of the dependency hierarchy,
 analyzable without project context.
 
 Names resolve by one of two rules.  :meth:`Scope.lookup` is Python's nested
-rule (the call graph's).  :func:`resolve_fqn` is the flat module-level view
-(``fqn`` and type inference): it maps a call name (a ``Name`` or dotted
-attribute chain) to its fully qualified dotted path by substituting import
-bindings at the leftmost position, optionally composing with SSA alias
-pairs (``g = getcwd; g()`` resolves through ``getcwd``).  Unknown roots come
+rule (the call graph's and type inference's).  :func:`resolve_fqn` is the
+flat module-level view (``lancet fqn``): it maps a call name (a ``Name`` or
+dotted attribute chain, see :func:`dotted_parts`) to its fully qualified
+dotted path by substituting import bindings or module-level definitions at
+the leftmost position, optionally composing with SSA alias pairs
+(``g = getcwd; g()`` resolves through ``getcwd``).  Unknown roots come
 back as :class:`Unresolved`, a ``str`` subclass carrying the syntactic
 dotted text unchanged, so resolution is idempotent.
 """
@@ -54,6 +55,7 @@ __all__ = [
     "leaf_nodes",
     "resolve_relative",
     "build_name_context",
+    "dotted_parts",
     "resolve_fqn",
     "call_sites",
 ]
@@ -455,20 +457,23 @@ class NameContext:
 
 
 def build_name_context(
-    module: ast.Module,
-    module_name: str,
-    *,
-    is_package: bool = False,
-    alias_pairs: list[AliasPair] | None = None,
+    module: ast.Module, module_name: str, *, alias_pairs: list[AliasPair] | None = None
 ) -> NameContext:
+    """Every import of the module, wherever it is, then every module-level
+    definition, including those in the bodies of module-level
+    ``if``/``while``/``for`` statements."""
     ctx = NameContext(module=module_name)
     for stmt in walk(module):
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for _, pairs in import_bindings(stmt, module_name, is_package) or ():
+            for _, pairs in import_bindings(stmt, module_name, False) or ():
                 ctx.bindings.update(pairs)
-    for stmt in module.body:
+    stack = module.body[::-1]
+    while stack:
+        stmt = stack.pop()
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             ctx.bindings[stmt.name] = f"{module_name}.{stmt.name}"
+        elif isinstance(stmt, (ast.If, ast.While, ast.For)):
+            stack += (stmt.body + stmt.orelse)[::-1]
 
     if alias_pairs:
         by_name: dict[str, set[str]] = {}
@@ -480,20 +485,22 @@ def build_name_context(
     return ctx
 
 
-def _dotted_parts(expr: ast.expr) -> list[str] | None:
-    if isinstance(expr, ast.Name):
-        return [expr.id]
-    if isinstance(expr, ast.Attribute):
-        base = _dotted_parts(expr.value)
-        if base is None:
-            return None
-        return base + [expr.attr]
-    return None
+def dotted_parts(expr: ast.expr) -> list[str] | None:
+    """``a.b.c`` as ``["a", "b", "c"]``; None unless ``expr`` is a name or an
+    attribute chain on one."""
+    parts = []
+    while isinstance(expr, ast.Attribute):
+        parts.append(expr.attr)
+        expr = expr.value
+    if not isinstance(expr, ast.Name):
+        return None
+    parts.append(expr.id)
+    return parts[::-1]
 
 
 def resolve_fqn(call_name: ast.expr, ctx: NameContext) -> str:
     """Fully qualified dotted name for a call target, or :class:`Unresolved`."""
-    parts = _dotted_parts(call_name)
+    parts = dotted_parts(call_name)
     if not parts:
         return Unresolved(ast.unparse(call_name))
     syntactic = ".".join(parts)

@@ -13,6 +13,12 @@ Evidence comes from three directions:
 * backward constraints - using a parameter with a known method
   (``s.upper()``) or concatenating it with a string pins its type.
 
+Call names resolve once, before the fixpoint, by Python's nested rule on
+the scope table the call graph also reads (:class:`~lancet.modgraph.ScopeTable`):
+an import binds in the scope where it appears, and a nested function is
+visible to its enclosing one.  Each round then walks every module and
+function body once; the records come from the last round's walks.
+
 Each function return, each distinct local variable, and each parameter
 yields one :class:`TypeRecord`; records sort by (file, line).  Rewriter
 temporaries are analysis artifacts and are not reported.
@@ -27,10 +33,7 @@ from pathlib import Path
 
 from .cfg import contains_yield, head_exprs
 from .frontend import positional_params, walk
-from .modgraph import (
-    NameContext, Scope, ScopeTable, Unresolved, build_name_context, discover, load_module,
-    resolve_fqn,
-)
+from .modgraph import Scope, ScopeTable, discover, dotted_parts, import_bindings, load_module
 from .rewriter import TEMP_PREFIX
 from .ssa import target_names
 
@@ -223,7 +226,7 @@ def type_of_expr(
     env: dict[str, set[str]],
     table: HeuristicTable,
     *,
-    resolver: "_Resolver | None" = None,
+    resolver: "_Engine | None" = None,
     diagnostics: list[str] | None = None,
 ) -> set[str]:
     """Type set of an expression under ``env`` (name -> type set).
@@ -273,7 +276,7 @@ def _type_of_call(
     call: ast.Call,
     env: dict[str, set[str]],
     table: HeuristicTable,
-    resolver: "_Resolver | None",
+    resolver: "_Engine | None",
     diagnostics: list[str] | None,
 ) -> set[str]:
     func = call.func
@@ -305,42 +308,12 @@ def _type_of_call(
 # Project model
 
 
-class _Resolver:
-    """Resolves call targets for one module against project-wide results."""
-
-    def __init__(self, engine: "_Engine", ctx: NameContext) -> None:
-        self.engine = engine
-        self.ctx = ctx
-
-    def call_target(self, func: ast.expr) -> set[str] | None:
-        fqn = resolve_fqn(func, self.ctx)
-        if isinstance(fqn, Unresolved):
-            return None
-        engine = self.engine
-        if fqn in engine.scopes.classes:
-            return {fqn}
-        if fqn in engine.scopes.functions:
-            if fqn in engine.generators:
-                return {ANY}
-            # Not-yet-computed returns are bottom, not Any; the fixpoint
-            # fills them in.
-            return set(engine.returns.get(fqn, set()))
-        sig = engine.table.signature(fqn)
-        if sig is not None:
-            return {sig}
-        return None
-
-    def method_return(self, receiver_type: str, attr: str) -> set[str] | None:
-        cls = self.engine.scopes.classes.get(receiver_type)
-        if cls is None or attr not in cls.methods:
-            return None
-        method_fqn = cls.methods[attr]
-        if method_fqn in self.engine.generators:
-            return {ANY}
-        return set(self.engine.returns.get(method_fqn, set()))
-
-
 _MAX_ROUNDS = 10
+
+_Bindings = dict[str, tuple[int, set[str]]]  # variable -> (first line, types)
+_Returns = list[tuple[int, set[str], bool]]  # (line, types, bare) per return
+_Site = tuple[list[set[str]], dict[str, set[str]]]  # positional, keyword argument types
+_CallSites = dict[str, list[_Site]]  # callee FQN -> the calls that reach it
 
 
 class _DiagnosticLog(list):
@@ -352,20 +325,80 @@ class _DiagnosticLog(list):
 
 
 class _Engine:
+    """The fixpoint over the project's returns and parameters; also what
+    :func:`type_of_expr` resolves calls through."""
+
     def __init__(self, table: HeuristicTable) -> None:
         self.table = table
         self.scopes = ScopeTable()
-        self.modules: dict[str, tuple[str, NameContext]] = {}  # name -> (file, context)
+        self.files: dict[str, str] = {}  # module name -> file
+        self.targets: dict[ast.expr, str] = {}  # callee node -> resolved FQN
+        self.sites: dict[ast.stmt, list[tuple[ast.Call, str]]] = {}  # project-function calls
         self.generators: set[str] = set()
         self.constraints: dict[str, dict[str, set[str]]] = {}  # fqn -> body constraints
         self.returns: dict[str, set[str]] = {}
         self.params: dict[str, dict[str, set[str]]] = {}
+        self.walks: list[tuple[Scope, _Bindings, _Returns]] = []  # the last round's
         self.diagnostics: list[str] = _DiagnosticLog()
 
     def add_module(self, module: ast.Module, file: str, name: str) -> None:
-        ctx = build_name_context(module, name, is_package=Path(file).name == "__init__.py")
-        self.modules[name] = (file, ctx)
-        self.scopes.add_module(module, name)
+        self.files[name] = file
+        is_package = Path(file).name == "__init__.py"
+
+        def bind_import(scope: Scope, stmt: ast.stmt) -> None:
+            # An import binds its names in the scope where it appears.
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for _, pairs in import_bindings(stmt, scope.module, is_package) or ():
+                    scope.bindings.update((local, ("import", target)) for local, target in pairs)
+
+        self.scopes.add_module(module, name, bind_import)
+
+    def index(self) -> None:
+        """Resolve every call's callee once, by Python's nested rule: the
+        root name's binding (:meth:`Scope.lookup`) plus the attribute tail.
+        Calls in a statement's own expressions count, lambda bodies included;
+        the statements nested in a branch have their own entries."""
+        functions = self.scopes.functions
+        for scope in self.scopes.scopes:
+            for stmt in scope.statements:
+                sites = []
+                for node in (node for expr in head_exprs(stmt) for node in walk(expr)):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    parts = dotted_parts(node.func)
+                    binding = scope.lookup(parts[0]) if parts else None
+                    if binding is None:
+                        continue
+                    fqn = ".".join([binding[1], *parts[1:]])
+                    self.targets[node.func] = fqn
+                    if fqn in functions:
+                        sites.append((node, fqn))
+                if sites:
+                    self.sites[stmt] = sites
+
+    def call_target(self, func: ast.expr) -> set[str] | None:
+        fqn = self.targets.get(func)
+        if fqn is None:
+            return None
+        if fqn in self.scopes.classes:
+            return {fqn}
+        if fqn in self.scopes.functions:
+            return self._returns_of(fqn)
+        sig = self.table.signature(fqn)
+        return {sig} if sig is not None else None
+
+    def method_return(self, receiver_type: str, attr: str) -> set[str] | None:
+        cls = self.scopes.classes.get(receiver_type)
+        if cls is None or attr not in cls.methods:
+            return None
+        return self._returns_of(cls.methods[attr])
+
+    def _returns_of(self, fqn: str) -> set[str]:
+        if fqn in self.generators:
+            return {ANY}
+        # Not-yet-computed returns are bottom, not Any; the fixpoint fills
+        # them in.
+        return set(self.returns.get(fqn, set()))
 
     # -- environment walks -----------------------------------------------------
 
@@ -380,62 +413,56 @@ class _Engine:
                 env[name] = set(inferred.get(name, set()))
         return env
 
-    def _walk_body(
-        self,
-        scope: Scope,
-        env: dict[str, set[str]],
-        bindings: dict[str, tuple[int, set[str]]] | None,
-        returns: list[tuple[int, set[str], bool]] | None,
-        call_sink: dict[str, list[tuple[list[set[str]], dict[str, set[str]]]]] | None,
-    ) -> None:
-        """Flow-insensitive walk: types accumulate as unions in ``env``."""
-        resolver = _Resolver(self, self.modules[scope.module][1])
+    def _walk_body(self, scope: Scope, call_sites: _CallSites) -> tuple[_Bindings, _Returns]:
+        """Flow-insensitive walk: types accumulate as unions in the scope's
+        environment.  Returns the variables (name -> first line, types) and
+        the return statements (line, types, bare); adds the argument types of
+        each project-function call to ``call_sites``."""
+        env = self._param_env(scope)
+        bindings: _Bindings = {}
+        returns: _Returns = []
         for stmt in scope.statements:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                kind = "callable" if isinstance(stmt, ast.FunctionDef) else ANY
-                env[stmt.name] = {kind}
+                env[stmt.name] = {"callable" if isinstance(stmt, ast.FunctionDef) else ANY}
                 continue
-            if call_sink is not None:
-                self._record_calls(stmt, env, resolver, call_sink)
+            for call, fqn in self.sites.get(stmt, ()):
+                pos = [type_of_expr(arg, env, self.table, resolver=self)
+                       for arg in call.args if not isinstance(arg, ast.Starred)]
+                kw = {k.arg: type_of_expr(k.value, env, self.table, resolver=self)
+                      for k in call.keywords if k.arg is not None}
+                call_sites.setdefault(fqn, []).append((pos, kw))
             if isinstance(stmt, ast.Assign):
                 value_types = type_of_expr(
-                    stmt.value, env, self.table, resolver=resolver, diagnostics=self.diagnostics
+                    stmt.value, env, self.table, resolver=self, diagnostics=self.diagnostics
                 )
                 for target in stmt.targets:
-                    self._bind_target(target, stmt, value_types, env, bindings, resolver)
+                    self._bind_target(target, stmt, value_types, env, bindings)
             elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
                 value_types = type_of_expr(
-                    stmt.value, env, self.table, resolver=resolver, diagnostics=self.diagnostics
+                    stmt.value, env, self.table, resolver=self, diagnostics=self.diagnostics
                 )
                 combined = _binop_types(
                     stmt.op, env.get(stmt.target.id, {ANY}), value_types, self.table, None
                 )
                 env[stmt.target.id] = env.get(stmt.target.id, set()) | combined
-                if bindings is not None and stmt.target.id in bindings:
+                if stmt.target.id in bindings:
                     bindings[stmt.target.id][1].update(combined)
             elif isinstance(stmt, ast.For):
                 for name in target_names(stmt.target):
                     env[name] = env.get(name, set()) | {ANY}
-            elif isinstance(stmt, ast.Return) and returns is not None:
+            elif isinstance(stmt, ast.Return):
                 bare = stmt.value is None
                 types = {"None"} if bare else type_of_expr(
-                    stmt.value, env, self.table, resolver=resolver, diagnostics=self.diagnostics
+                    stmt.value, env, self.table, resolver=self, diagnostics=self.diagnostics
                 )
                 returns.append((stmt.lineno, types, bare))
+        return bindings, returns
 
-    def _bind_target(
-        self,
-        target: ast.expr,
-        stmt: ast.stmt,
-        value_types: set[str],
-        env: dict[str, set[str]],
-        bindings: dict[str, tuple[int, set[str]]] | None,
-        resolver: "_Resolver | None" = None,
-    ) -> None:
+    def _bind_target(self, target: ast.expr, stmt: ast.stmt, value_types: set[str],
+                     env: dict[str, set[str]], bindings: _Bindings) -> None:
         if isinstance(target, ast.Name):
             env[target.id] = env.get(target.id, set()) | value_types
-            if bindings is not None:
-                bindings.setdefault(target.id, (stmt.lineno, set()))[1].update(value_types)
+            bindings.setdefault(target.id, (stmt.lineno, set()))[1].update(value_types)
         elif isinstance(target, (ast.Tuple, ast.List)):
             value = stmt.value if isinstance(stmt, ast.Assign) else None
             elementwise = (
@@ -444,41 +471,15 @@ class _Engine:
             )
             for i, elt in enumerate(target.elts):
                 if isinstance(elt, ast.Name):
-                    inner = (type_of_expr(value.elts[i], env, self.table, resolver=resolver)
+                    inner = (type_of_expr(value.elts[i], env, self.table, resolver=self)
                              if elementwise else {ANY})
                     self._bind_target(elt, stmt, inner, env, bindings)
-
-    def _record_calls(
-        self,
-        stmt: ast.stmt,
-        env: dict[str, set[str]],
-        resolver: _Resolver,
-        call_sink: dict[str, list[tuple[list[set[str]], dict[str, set[str]]]]],
-    ) -> None:
-        """Record the argument types of each project-function call in the
-        statement's own expressions (lambda bodies included); the statements
-        nested in a branch record theirs when the walk reaches them."""
-        for node in (node for expr in head_exprs(stmt) for node in walk(expr)):
-            if not isinstance(node, ast.Call):
-                continue
-            fqn = resolve_fqn(node.func, resolver.ctx)
-            if isinstance(fqn, Unresolved) or fqn not in self.scopes.functions:
-                continue
-            pos = [
-                type_of_expr(arg, env, self.table, resolver=resolver)
-                for arg in node.args
-                if not isinstance(arg, ast.Starred)
-            ]
-            kw = {
-                k.arg: type_of_expr(k.value, env, self.table, resolver=resolver)
-                for k in node.keywords
-                if k.arg is not None
-            }
-            call_sink.setdefault(fqn, []).append((pos, kw))
 
     # -- fixpoint ----------------------------------------------------------------
 
     def run(self) -> None:
+        """Walk every module and function body once per round until no
+        return or parameter set changes, keeping the last round's walks."""
         functions = self.scopes.functions
         self.generators = {
             fqn for fqn, scope in functions.items()
@@ -487,20 +488,20 @@ class _Engine:
         self.constraints = {
             fqn: _backward_constraints(scope.node, self.table) for fqn, scope in functions.items()
         }
+        self.index()
+        order = [*self.scopes.modules.values(), *(functions[fqn] for fqn in sorted(functions))]
         for _ in range(_MAX_ROUNDS):
             changed = False
-            call_sites: dict[str, list[tuple[list[set[str]], dict[str, set[str]]]]] = {}
-
-            for module in self.scopes.modules.values():
-                self._walk_body(module, {}, None, None, call_sites)
-            for fqn in sorted(functions):
-                scope = functions[fqn]
-                returns: list[tuple[int, set[str], bool]] = []
-                self._walk_body(scope, self._param_env(scope), None, returns, call_sites)
-                new_ret = self._return_set(scope, returns)
-                if new_ret != self.returns.get(fqn):
-                    self.returns[fqn] = new_ret
-                    changed = True
+            call_sites: _CallSites = {}
+            self.walks = []
+            for scope in order:
+                bindings, returns = self._walk_body(scope, call_sites)
+                self.walks.append((scope, bindings, returns))
+                if scope.kind == "function":
+                    new_ret = self._return_set(scope, returns)
+                    if new_ret != self.returns.get(scope.fqn):
+                        self.returns[scope.fqn] = new_ret
+                        changed = True
 
             for fqn in sorted(functions):
                 new_params = self._infer_params(functions[fqn], call_sites.get(fqn, []))
@@ -515,7 +516,7 @@ class _Engine:
                 "some types may be incomplete"
             )
 
-    def _return_set(self, scope: Scope, returns: list[tuple[int, set[str], bool]]) -> set[str]:
+    def _return_set(self, scope: Scope, returns: _Returns) -> set[str]:
         if scope.fqn in self.generators:
             return {ANY}
         if not returns:
@@ -531,11 +532,7 @@ class _Engine:
             out.add("None")
         return out
 
-    def _infer_params(
-        self,
-        scope: Scope,
-        sites: list[tuple[list[set[str]], dict[str, set[str]]]],
-    ) -> dict[str, set[str]]:
+    def _infer_params(self, scope: Scope, sites: list[_Site]) -> dict[str, set[str]]:
         params = scope.params
         skip_self = 1 if _class_of(scope) is not None and params and params[0] in ("self", "cls") else 0
         return _param_evidence(params[skip_self:], self.constraints[scope.fqn], sites)
@@ -543,14 +540,12 @@ class _Engine:
     # -- records -------------------------------------------------------------------
 
     def records(self) -> list[TypeRecord]:
+        """Records from the last round's walks: once the fixpoint holds, they
+        read the final returns and parameters."""
         records: list[TypeRecord] = []
-        functions = [self.scopes.functions[fqn] for fqn in sorted(self.scopes.functions)]
-        for scope in [*self.scopes.modules.values(), *functions]:
-            file = self.modules[scope.module][0]
+        for scope, bindings, returns in self.walks:
+            file = self.files[scope.module]
             function = scope.node.name if scope.kind == "function" else None
-            bindings: dict[str, tuple[int, set[str]]] = {}
-            returns: list[tuple[int, set[str], bool]] = []
-            self._walk_body(scope, self._param_env(scope), bindings, returns, None)
             if function is not None:
                 records.append(TypeRecord(
                     file=file, line_number=returns[0][0] if returns else scope.node.lineno,
@@ -602,7 +597,7 @@ def _backward_constraints(fn: ast.FunctionDef, table: HeuristicTable) -> dict[st
 
 def infer_parameters(
     function: ast.FunctionDef,
-    call_sites: list[tuple[list[set[str]], dict[str, set[str]]]],
+    call_sites: list[_Site],
     body_constraints: dict[str, set[str]] | None = None,
     *,
     file: str = "<string>",
@@ -625,11 +620,8 @@ def infer_parameters(
     ]
 
 
-def _param_evidence(
-    params: list[str],
-    constraints: dict[str, set[str]],
-    sites: list[tuple[list[set[str]], dict[str, set[str]]]],
-) -> dict[str, set[str]]:
+def _param_evidence(params: list[str], constraints: dict[str, set[str]],
+                    sites: list[_Site]) -> dict[str, set[str]]:
     """Each parameter's body constraints plus the argument types that call
     sites pass it, by position or by keyword."""
     out: dict[str, set[str]] = {}

@@ -94,6 +94,14 @@ def test_fqn_lines(capsys, tmp_path):
     ]
 
 
+def test_fqn_resolves_a_def_in_a_module_level_branch(capsys, tmp_path):
+    target = tmp_path / "found.py"
+    target.write_text('c = 1\nif c:\n    def h(a):\n        return a\nh("s")\n')
+    code, out, _ = _run(capsys, "fqn", str(target))
+    assert code == 0
+    assert out.splitlines() == ["5:0 h -> found.h"]
+
+
 def test_callgraph_simple_json(capsys):
     code, out, _ = _run(capsys, "callgraph", "--entry", str(DIRECT), "--format", "simple-json")
     assert code == 0
@@ -240,6 +248,24 @@ def test_typeinfer_strict_on_unparsable_file(capsys, tmp_path):
     assert json.loads(out)
     code_strict, _, _ = _run(capsys, "typeinfer", str(root), "--strict")
     assert code_strict == 1
+
+
+def test_typeinfer_round_cap_is_reported(capsys, tmp_path):
+    """A 40-function return chain walked callers first needs one round per
+    link; the cap cuts it after 10 rounds and says so."""
+    target = tmp_path / "chain.py"
+    target.write_text("\n".join(
+        f"def f{i:02d}():\n    return {f'f{i + 1:02d}()' if i < 39 else '1'}\n" for i in range(40)
+    ))
+    code, out, err = _run(capsys, "typeinfer", str(target))
+    assert code == 0
+    assert err == ("type inference stopped after 10 rounds without converging; "
+                   "some types may be incomplete\n")
+    assert [(r["function"], r["line_number"], r["type"]) for r in json.loads(out)] == [
+        (f"f{i:02d}", 3 * i + 2, ["int"] if i >= 30 else ["Any"]) for i in range(40)
+    ]
+    code_strict, out_strict, err_strict = _run(capsys, "typeinfer", str(target), "--strict")
+    assert (code_strict, out_strict, err_strict) == (1, out, err)
 
 
 def test_dynamic_feature_diagnostics_on_stderr(capsys, tmp_path):

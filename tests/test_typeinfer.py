@@ -297,3 +297,37 @@ def test_call_in_a_branch_sees_the_branch_bindings(tmp_path):
     params = {(r.function, r.parameter): r.type for r in records if r.parameter is not None}
     assert params[("f", "a")] == {"int"}
     assert params[("g", "b")] == {"str"}
+
+
+def _types(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    records, _ = infer_types_report(path)
+    return _by_kind(records)
+
+
+def test_a_nested_function_call_resolves_by_the_nested_rule(tmp_path):
+    returns, _, parameters = _types(
+        tmp_path, "nested.py",
+        "def outer():\n    def inner(k):\n        return k\n    return inner(3)\n",
+    )
+    assert parameters[("inner", "k")].type == {"int"}
+    assert returns["outer"].type == {"int"}
+
+
+def test_a_function_local_import_binds_only_in_its_function(tmp_path):
+    returns, _, _ = _types(
+        tmp_path, "local_import.py",
+        "def f():\n    from os import getcwd as cwd\n    return cwd()\n\n\n"
+        "def g():\n    return cwd()\n",
+    )
+    assert returns["f"].type == {"str"}
+    assert returns["g"].type == {"Any"}
+
+
+def test_a_def_in_a_module_level_branch_is_a_call_target(tmp_path):
+    returns, _, parameters = _types(
+        tmp_path, "found.py", 'c = 1\nif c:\n    def h(a):\n        return a\nh("s")\n'
+    )
+    assert parameters[("h", "a")].type == {"str"}
+    assert returns["h"].type == {"str"}
