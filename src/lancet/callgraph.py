@@ -39,8 +39,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cfg import head_exprs, iter_calls
-from .modgraph import Scope, ScopeTable, discover, import_bindings, load_module
+from .cfg import statement_calls
+from .modgraph import DiagnosticLog, Scope, ScopeTable, discover, import_bindings, load_module
+from .ssa import unpack
 
 __all__ = [
     "CgNode",
@@ -94,8 +95,7 @@ class _Analyzer:
         self.values: dict[str, set[Value]] = {}
         self.call_edges: set[tuple[str, str]] = set()
         self.external_mods: set[str] = set()
-        self.diagnostics: list[str] = []
-        self._diag_seen: set[str] = set()
+        self.diagnostics = DiagnosticLog()
         # Worklist state: the statements that read each slot, by index in
         # solve()'s work list, and the queue of those to evaluate again.
         self._readers: dict[str, list[int]] = {}
@@ -103,7 +103,8 @@ class _Analyzer:
         self._queue: deque[int] = deque()
         self._queued = bytearray()
         if package_root is not None and package_root.is_dir():
-            tree, self.diagnostics = discover(package_root)
+            tree, diagnostics = discover(package_root)
+            self.diagnostics.extend(diagnostics)
             self.files = {node.full_name: Path(node.path) for node in tree.iter_modules()}
 
     # -- module loading ------------------------------------------------------
@@ -248,32 +249,18 @@ class _Analyzer:
         elif isinstance(stmt, ast.Assign):
             values = self.eval_expr(stmt.value, scope)
             for target in stmt.targets:
-                self._assign_target(scope, target, stmt.value, values)
+                for name, expr in unpack(target, stmt.value):
+                    if expr is None:
+                        continue
+                    found = values if expr is stmt.value else self.eval_expr(expr, scope)
+                    binding = scope.lookup(name) or ("slot", scope.slot(name))
+                    if binding[0] == "slot":
+                        self._add(binding[1], found)
         elif isinstance(stmt, ast.Return) and stmt.value is not None and scope.kind == "function":
             self._add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
 
-        for expr in head_exprs(stmt):
-            for call in iter_calls(expr):
-                self._process_call(scope, call)
-
-    def _assign_target(self, scope: Scope, target: ast.expr, value_expr: ast.expr,
-                       values: set[Value]) -> None:
-        if isinstance(target, ast.Name):
-            binding = scope.lookup(target.id) or ("slot", scope.slot(target.id))
-            if binding[0] == "slot":
-                self._add(binding[1], values)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            elementwise = (
-                isinstance(value_expr, (ast.Tuple, ast.List))
-                and len(value_expr.elts) == len(target.elts)
-            )
-            for i, elt in enumerate(target.elts):
-                if elementwise:
-                    inner_expr = value_expr.elts[i]
-                    inner_vals = self.eval_expr(inner_expr, scope)
-                else:
-                    inner_expr, inner_vals = elt, set()
-                self._assign_target(scope, elt, inner_expr, inner_vals)
+        for call in statement_calls(stmt):
+            self._process_call(scope, call)
 
     def _process_call(self, scope: Scope, call: ast.Call) -> None:
         caller = scope.fqn
@@ -331,10 +318,7 @@ class _Analyzer:
 
     def _diagnose(self, scope: Scope, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
-        text = f"{scope.module}:{line}: {message}"
-        if text not in self._diag_seen:
-            self._diag_seen.add(text)
-            self.diagnostics.append(text)
+        self.diagnostics.append(f"{scope.module}:{line}: {message}")
 
     # -- result assembly -------------------------------------------------------
 

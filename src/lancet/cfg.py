@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .frontend import SourceFile, child_nodes, node_span, parse_module
+from .frontend import SourceFile, child_nodes, node_span, parse_module, source_text
 
 __all__ = [
     "Block",
@@ -47,6 +47,7 @@ __all__ = [
     "stmt_head_text",
     "head_exprs",
     "iter_calls",
+    "statement_calls",
     "contains_yield",
 ]
 
@@ -58,7 +59,7 @@ class Link:
     condition: ast.expr | None = None
 
     def __repr__(self) -> str:
-        cond = f" [{ast.unparse(self.condition)}]" if self.condition is not None else ""
+        cond = f" [{source_text(self.condition)}]" if self.condition is not None else ""
         return f"Link({self.source.id} -> {self.target.id}{cond})"
 
 
@@ -75,11 +76,7 @@ class Block:
         Nested calls are included; bodies of function/class definitions and
         of lambdas are not (they execute elsewhere).
         """
-        calls: list[ast.Call] = []
-        for stmt in self.statements:
-            for expr in head_exprs(stmt):
-                calls.extend(iter_calls(expr))
-        return calls
+        return [call for stmt in self.statements for call in statement_calls(stmt)]
 
     def __repr__(self) -> str:
         return f"Block(#{self.id}, {len(self.statements)} stmts)"
@@ -154,20 +151,27 @@ def iter_calls(expr: ast.expr) -> Iterator[ast.Call]:
             yield node
 
 
+def statement_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
+    """The calls ``stmt``'s head makes, in source order: :func:`iter_calls`
+    over :func:`head_exprs`, so no lambda or definition body is entered."""
+    for expr in head_exprs(stmt):
+        yield from iter_calls(expr)
+
+
 def stmt_head_text(stmt: ast.stmt) -> str:
     """Single-line source text for a statement's head."""
     if isinstance(stmt, ast.If):
-        return f"if {ast.unparse(stmt.test)}:"
+        return f"if {source_text(stmt.test)}:"
     if isinstance(stmt, ast.While):
-        return f"while {ast.unparse(stmt.test)}:"
+        return f"while {source_text(stmt.test)}:"
     if isinstance(stmt, ast.For):
-        return f"for {ast.unparse(stmt.target)} in {ast.unparse(stmt.iter)}:"
+        return f"for {source_text(stmt.target)} in {source_text(stmt.iter)}:"
     if isinstance(stmt, ast.FunctionDef):
-        return f"def {stmt.name}({ast.unparse(stmt.args)}):"
+        return f"def {stmt.name}({source_text(stmt.args)}):"
     if isinstance(stmt, ast.ClassDef):
-        bases = ", ".join(ast.unparse(b) for b in stmt.bases)
+        bases = ", ".join(source_text(b) for b in stmt.bases)
         return f"class {stmt.name}({bases}):" if bases else f"class {stmt.name}:"
-    return ast.unparse(stmt)
+    return source_text(stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,6 @@ class _LoopFrame:
 
 class _Assembler:
     def __init__(self, name: str) -> None:
-        self._counter = 0
         entry = Block(id=1)
         self._counter = 1
         self.cfg = Cfg(name=name, entry=entry, blocks={1: entry})
@@ -216,62 +219,47 @@ class _Assembler:
         for stmt in body:
             self.add_statement(stmt)
 
+    def _branch(self, source: Block, condition: ast.expr | None,
+                body: list[ast.stmt]) -> Block | None:
+        """Build ``body`` from a new block that ``source`` links to under
+        ``condition``; return the block it ends in (None after a jump)."""
+        self.current = self.new_block()
+        self.link(source, self.current, condition)
+        self.add_body(body)
+        return self.current
+
     def add_statement(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.FunctionDef):
-            block = self._here()
-            block.statements.append(stmt)
-            sub = _build_cfg(stmt.name, stmt.body)
-            self.cfg.function_cfgs[(block.id, stmt.name)] = sub
-        elif isinstance(stmt, ast.ClassDef):
-            block = self._here()
-            block.statements.append(stmt)
-            self.cfg.class_cfgs[stmt.name] = _build_cfg(stmt.name, stmt.body)
-        elif isinstance(stmt, ast.If):
+        if isinstance(stmt, ast.If):
             self._add_if(stmt)
-        elif isinstance(stmt, (ast.While, ast.For)):
+            return
+        if isinstance(stmt, (ast.While, ast.For)):
             self._add_loop(stmt)
-        elif isinstance(stmt, ast.Return):
-            block = self._here()
-            block.statements.append(stmt)
-            self.current = None
-        elif isinstance(stmt, ast.Break):
-            block = self._here()
-            block.statements.append(stmt)
-            if self.loops:
+            return
+        block = self._here()
+        block.statements.append(stmt)
+        if isinstance(stmt, ast.FunctionDef):
+            self.cfg.function_cfgs[(block.id, stmt.name)] = _build_cfg(stmt.name, stmt.body)
+        elif isinstance(stmt, ast.ClassDef):
+            self.cfg.class_cfgs[stmt.name] = _build_cfg(stmt.name, stmt.body)
+        elif isinstance(stmt, (ast.Return, ast.Break, ast.Continue)):
+            if self.loops and isinstance(stmt, ast.Break):
                 self.link(block, self.loops[-1].after())
-            self.current = None
-        elif isinstance(stmt, ast.Continue):
-            block = self._here()
-            block.statements.append(stmt)
-            if self.loops:
+            elif self.loops and isinstance(stmt, ast.Continue):
                 self.link(block, self.loops[-1].header)
             self.current = None
-        else:
-            block = self._here()
-            block.statements.append(stmt)
-            if contains_yield(stmt):
-                follow = self.new_block()
-                self.link(block, follow)
-                self.current = follow
+        elif contains_yield(stmt):
+            self.current = self.new_block()
+            self.link(block, self.current)
 
     def _add_if(self, stmt: ast.If) -> None:
         head = self._here()
         head.statements.append(stmt)
 
-        then_block = self.new_block()
-        self.link(head, then_block, condition=stmt.test)
-        self.current = then_block
-        self.add_body(stmt.body)
-        then_end = self.current
-
+        then_end = self._branch(head, stmt.test, stmt.body)
         join = self.new_block()
         negated = _negate(stmt.test)
         if stmt.orelse:
-            else_block = self.new_block()
-            self.link(head, else_block, condition=negated)
-            self.current = else_block
-            self.add_body(stmt.orelse)
-            else_end = self.current
+            else_end = self._branch(head, negated, stmt.orelse)
             if else_end is not None:
                 self.link(else_end, join)
         else:
@@ -289,28 +277,17 @@ class _Assembler:
             header = prev
         header.statements.append(stmt)
 
-        body_block = self.new_block()
-        if isinstance(stmt, ast.While):
-            self.link(header, body_block, condition=stmt.test)
-        else:
-            self.link(header, body_block, condition=stmt.target)
-
         frame = _LoopFrame(self, header)
         self.loops.append(frame)
-        self.current = body_block
-        self.add_body(stmt.body)
-        body_end = self.current
+        entry = stmt.test if isinstance(stmt, ast.While) else stmt.target
+        body_end = self._branch(header, entry, stmt.body)
         if body_end is not None:
             self.link(body_end, header)
         self.loops.pop()
 
         exit_cond = _negate(stmt.test) if isinstance(stmt, ast.While) else None
         if stmt.orelse:
-            else_block = self.new_block()
-            self.link(header, else_block, condition=exit_cond)
-            self.current = else_block
-            self.add_body(stmt.orelse)
-            else_end = self.current
+            else_end = self._branch(header, exit_cond, stmt.orelse)
             after = frame.after()
             if else_end is not None:
                 self.link(else_end, after)
@@ -393,24 +370,18 @@ def _dot_body(cfg: Cfg, prefix: str, lines: list[str], indent: str,
         lines.append(f'{indent}{prefix}b{block.id} [label="{_block_label(block)}"];')
     for block in cfg:
         for edge in block.exits:
-            label = ast.unparse(edge.condition) if edge.condition is not None else ""
+            label = source_text(edge.condition) if edge.condition is not None else ""
             attr = f' [label="{_dot_escape(label)}"]' if label else ""
             lines.append(f"{indent}{prefix}b{block.id} -> {prefix}b{edge.target.id}{attr};")
-    if include_functions:
-        cluster = 0
-        for (block_id, name), sub in visit_function_cfgs(cfg):
-            lines.append(f'{indent}subgraph cluster_{prefix}{cluster} {{')
-            lines.append(f'{indent}  label="{_dot_escape(f"{name} (block {block_id})")}";')
-            _dot_body(sub, f"{prefix}f{cluster}_", lines, indent + "  ", include_functions)
-            lines.append(f"{indent}}}")
-            cluster += 1
-        for name in sorted(cfg.class_cfgs):
-            sub = cfg.class_cfgs[name]
-            lines.append(f'{indent}subgraph cluster_{prefix}{cluster} {{')
-            lines.append(f'{indent}  label="{_dot_escape(f"class {name}")}";')
-            _dot_body(sub, f"{prefix}c{cluster}_", lines, indent + "  ", include_functions)
-            lines.append(f"{indent}}}")
-            cluster += 1
+    if not include_functions:
+        return
+    nested = [(f"{name} (block {bid})", "f", sub) for (bid, name), sub in visit_function_cfgs(cfg)]
+    nested += [(f"class {name}", "c", cfg.class_cfgs[name]) for name in sorted(cfg.class_cfgs)]
+    for cluster, (label, kind, sub) in enumerate(nested):
+        lines.append(f'{indent}subgraph cluster_{prefix}{cluster} {{')
+        lines.append(f'{indent}  label="{_dot_escape(label)}";')
+        _dot_body(sub, f"{prefix}{kind}{cluster}_", lines, indent + "  ", include_functions)
+        lines.append(f"{indent}}}")
 
 
 def to_dot(cfg: Cfg, include_functions: bool = False) -> str:
@@ -433,7 +404,7 @@ def to_json_dict(cfg: Cfg) -> dict:
                 {
                     "source": block.id,
                     "target": edge.target.id,
-                    "condition": ast.unparse(edge.condition) if edge.condition is not None else None,
+                    "condition": source_text(edge.condition) if edge.condition is not None else None,
                 }
             )
     return {

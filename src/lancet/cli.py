@@ -10,7 +10,6 @@ and inputs nested too deeply (or too large) to analyze.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 from . import callgraph as cg
 from . import cfg as cfg_mod
 from . import modgraph, ssa, typeinfer
-from .frontend import ParseError, SourceFile, parse_module, unparse
+from .frontend import ParseError, SourceFile, parse_module, source_text, unparse
 from .modgraph import Unresolved
 from .rewriter import FixpointError, simplify_module
 
@@ -102,13 +101,10 @@ def _cmd_imports(args: argparse.Namespace) -> int:
 
 def _cmd_fqn(args: argparse.Namespace) -> int:
     source, tree = _load(args.file)
-    graph = cfg_mod.build_from_ast(source.module_name, tree)
-    _, const = ssa.compute_ssa(graph)
-    pairs = ssa.alias_pairs(const)
-    ctx = modgraph.build_name_context(tree, source.module_name, alias_pairs=pairs)
+    ctx = modgraph.build_name_context(tree, source.module_name)
     lines = []
     for call in modgraph.call_sites(tree):
-        syntactic = ast.unparse(call.func)
+        syntactic = source_text(call.func)
         resolved = modgraph.resolve_fqn(call.func, ctx)
         shown = "UNRESOLVED" if isinstance(resolved, Unresolved) else resolved
         lines.append(f"{call.lineno}:{call.col_offset} {syntactic} -> {shown}")

@@ -29,6 +29,7 @@ tokenizer (tabs expand per the usual 8-column convention).
 from __future__ import annotations
 
 import ast
+import copy
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,7 @@ __all__ = [
     "SourceFile",
     "parse_module",
     "unparse",
+    "source_text",
     "positional_params",
     "walk",
     "child_nodes",
@@ -241,7 +243,7 @@ def _fold_and_validate(tree: ast.Module, path: str) -> None:
 
 def _fold_fstring(owner: ast.AST, node: ast.JoinedStr) -> ast.Constant:
     """Replace ``node`` in ``owner``'s fields by its source text as a constant."""
-    folded = ast.copy_location(ast.Constant(value=ast.unparse(node)), node)
+    folded = ast.copy_location(ast.Constant(value=source_text(node)), node)
     for name in owner._fields:
         value = getattr(owner, name, None)
         if value is node:
@@ -403,10 +405,32 @@ def unparse(node: ast.AST) -> str:
     expression/statement nodes render without one.  The result reparses to a
     structurally equal tree, spans aside.
     """
-    text = ast.unparse(node)
+    text = source_text(node)
     if isinstance(node, ast.Module):
         return text + "\n" if text else ""
     return text
+
+
+class _HexInts(ast.NodeTransformer):
+    """Replaces each int constant too long for ``repr`` by its hex text."""
+
+    def visit_Constant(self, node: ast.Constant) -> ast.AST:
+        if type(node.value) is int:
+            try:
+                repr(node.value)
+            except ValueError:
+                return ast.Name(id=hex(node.value), ctx=ast.Load())
+        return node
+
+
+def source_text(node: ast.AST) -> str:
+    """``ast.unparse(node)``, except that an int past the interpreter's
+    int-to-str digit limit prints in hex, which is exact and takes linear
+    time.  ``node`` is not modified."""
+    try:
+        return ast.unparse(node)
+    except ValueError:
+        return ast.unparse(_HexInts().visit(copy.deepcopy(node)))
 
 
 def positional_params(args: ast.arguments) -> list[ast.arg]:

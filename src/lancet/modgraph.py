@@ -21,7 +21,7 @@ rule (the call graph's and type inference's).  :func:`resolve_fqn` is the
 flat module-level view (``lancet fqn``): it maps a call name (a ``Name`` or
 dotted attribute chain, see :func:`dotted_parts`) to its fully qualified
 dotted path by substituting import bindings or module-level definitions at
-the leftmost position, optionally composing with SSA alias pairs
+the leftmost position, and through a module-level bare-name copy
 (``g = getcwd; g()`` resolves through ``getcwd``).  Unknown roots come
 back as :class:`Unresolved`, a ``str`` subclass carrying the syntactic
 dotted text unchanged, so resolution is idempotent.
@@ -34,11 +34,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .frontend import ParseError, SourceFile, parse_module, positional_params, walk
+from .frontend import ParseError, SourceFile, parse_module, positional_params, source_text, walk
 from .rewriter import FixpointError, simplify_module
-from .ssa import AliasPair, target_names
+from .ssa import target_names, unpack
 
 __all__ = [
+    "DiagnosticLog",
     "TreeNode",
     "Scope",
     "ScopeTable",
@@ -61,6 +62,24 @@ __all__ = [
 ]
 
 _SKIP_DIRS = {"__pycache__"}
+
+
+class DiagnosticLog(list):
+    """Diagnostic lines in first-seen order; appending a repeat does nothing."""
+
+    def __init__(self, lines=()) -> None:
+        super().__init__()
+        self._seen: set[str] = set()
+        self.extend(lines)
+
+    def append(self, line: str) -> None:
+        if line not in self._seen:
+            self._seen.add(line)
+            super().append(line)
+
+    def extend(self, lines) -> None:
+        for line in lines:
+            self.append(line)
 
 
 @dataclass
@@ -286,7 +305,7 @@ def parse_imports(tree: TreeNode) -> dict[str, list[ImportRelation]]:
 def build_import_graph(root: str | Path) -> ImportGraph:
     """Directory tree + import relations + project-internal edge set."""
     tree, diagnostics = _parsed_tree(root)
-    graph = ImportGraph(tree=tree, diagnostics=diagnostics)
+    graph = ImportGraph(tree=tree, diagnostics=DiagnosticLog(diagnostics))
     project = {node.full_name for node in tree.iter_modules() if node.module is not None}
     for node in tree.iter_modules():
         if node.module is None:
@@ -448,40 +467,43 @@ class Unresolved(str):
 
 @dataclass
 class NameContext:
-    """Bindings visible in one module: import aliases, local definitions,
-    and (optionally) SSA alias pairs used to chase name copies."""
+    """Bindings visible in one module: import aliases and local definitions,
+    and the module-level bare-name copies used to chase them."""
 
     module: str
     bindings: dict[str, str] = field(default_factory=dict)
     alias_map: dict[str, str] = field(default_factory=dict)
 
 
-def build_name_context(
-    module: ast.Module, module_name: str, *, alias_pairs: list[AliasPair] | None = None
-) -> NameContext:
-    """Every import of the module, wherever it is, then every module-level
-    definition, including those in the bodies of module-level
-    ``if``/``while``/``for`` statements."""
+def build_name_context(module: ast.Module, module_name: str) -> NameContext:
+    """One pass over the module's statements.  It binds every import, in
+    every scope, in statement pre-order; then every module-level definition,
+    including those in the bodies of module-level ``if``/``while``/``for``
+    statements.  A name that module-level assignments copy from exactly one
+    other name (``g = getcwd``, paired by :func:`~lancet.ssa.unpack`) maps
+    to that name in ``alias_map``."""
     ctx = NameContext(module=module_name)
-    for stmt in walk(module):
+    definitions: dict[str, str] = {}
+    copies: dict[str, set[str]] = {}
+    stack = [(stmt, True) for stmt in reversed(module.body)]
+    while stack:
+        stmt, top = stack.pop()
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             for _, pairs in import_bindings(stmt, module_name, False) or ():
                 ctx.bindings.update(pairs)
-    stack = module.body[::-1]
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            ctx.bindings[stmt.name] = f"{module_name}.{stmt.name}"
+        elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if top:
+                definitions[stmt.name] = f"{module_name}.{stmt.name}"
+            stack += [(inner, False) for inner in reversed(stmt.body)]
         elif isinstance(stmt, (ast.If, ast.While, ast.For)):
-            stack += (stmt.body + stmt.orelse)[::-1]
-
-    if alias_pairs:
-        by_name: dict[str, set[str]] = {}
-        for pair in alias_pairs:
-            by_name.setdefault(pair.alias[0], set()).add(pair.target)
-        for name, targets in by_name.items():
-            if len(targets) == 1:
-                ctx.alias_map[name] = next(iter(targets))
+            stack += [(inner, top) for inner in reversed(stmt.body + stmt.orelse)]
+        elif isinstance(stmt, ast.Assign) and top:
+            for target in stmt.targets:
+                for name, expr in unpack(target, stmt.value):
+                    if isinstance(expr, ast.Name):
+                        copies.setdefault(name, set()).add(expr.id)
+    ctx.bindings.update(definitions)
+    ctx.alias_map = {name: next(iter(t)) for name, t in copies.items() if len(t) == 1}
     return ctx
 
 
@@ -502,7 +524,7 @@ def resolve_fqn(call_name: ast.expr, ctx: NameContext) -> str:
     """Fully qualified dotted name for a call target, or :class:`Unresolved`."""
     parts = dotted_parts(call_name)
     if not parts:
-        return Unresolved(ast.unparse(call_name))
+        return Unresolved(source_text(call_name))
     syntactic = ".".join(parts)
 
     root = parts[0]

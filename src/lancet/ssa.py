@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .cfg import Block, Cfg, head_exprs
+from .frontend import source_text
 
 __all__ = [
     "DefValue",
@@ -55,6 +56,7 @@ __all__ = [
     "alias_pairs",
     "to_json_dict",
     "target_names",
+    "unpack",
 ]
 
 _UNFOLDED = object()
@@ -146,37 +148,48 @@ def _classify(expr: ast.expr | None) -> str:
     return KIND_OTHER
 
 
-def _unpack(target: ast.expr, value: ast.expr | None) -> list[tuple[str, ast.expr | None]]:
-    """(name, defining expr) pairs bound by one assignment target."""
+def unpack(target: ast.expr, value: ast.expr | None) -> list[tuple[str, ast.expr | None]]:
+    """(name, value expr or None) for each name ``target = value`` binds, in
+    target order.
+
+    A tuple or list target takes its elements' values from a tuple or list
+    literal: from the left up to the first starred element on either side,
+    and from the right after the last one.  With no star on either side the
+    lengths must be equal.  Every other name gets None; attribute and
+    subscript stores bind no name.
+    """
     if isinstance(target, ast.Name):
         return [(target.id, value)]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        elementwise = (
-            isinstance(value, (ast.Tuple, ast.List))
-            and len(value.elts) == len(target.elts)
-            and not any(isinstance(e, ast.Starred) for e in target.elts)
-            and not any(isinstance(e, ast.Starred) for e in value.elts)
-        )
-        out: list[tuple[str, ast.expr | None]] = []
-        for i, elt in enumerate(target.elts):
-            if isinstance(elt, ast.Starred):
-                elt = elt.value
-            out.extend(_unpack(elt, value.elts[i] if elementwise else None))
-        return out
-    # Attribute / subscript stores are not versioned.
-    return []
+    if not isinstance(target, (ast.Tuple, ast.List)):
+        return []
+    elts = target.elts
+    paired: list[ast.expr | None] = [None] * len(elts)
+    if isinstance(value, (ast.Tuple, ast.List)):
+        n, m = len(elts), len(value.elts)
+        stars = [i for i, e in enumerate(elts) if isinstance(e, ast.Starred)]
+        value_stars = [i for i, e in enumerate(value.elts) if isinstance(e, ast.Starred)]
+        if stars or value_stars or n == m:
+            left = min(stars[:1] + value_stars[:1] + [n, m])
+            right = min([n - 1 - i for i in stars[-1:]] + [m - 1 - i for i in value_stars[-1:]]
+                        + [min(n, m) - left])
+            paired[:left] = value.elts[:left]
+            paired[n - right:] = value.elts[m - right:]
+    out: list[tuple[str, ast.expr | None]] = []
+    for elt, inner in zip(elts, paired):
+        out.extend(unpack(elt.value, None) if isinstance(elt, ast.Starred) else unpack(elt, inner))
+    return out
 
 
 def target_names(target: ast.expr) -> list[str]:
     """Names an assignment target binds, in order (starred ones included)."""
-    return [name for name, _ in _unpack(target, None)]
+    return [name for name, _ in unpack(target, None)]
 
 
 def _definitions(stmt: ast.stmt) -> list[tuple[str, ast.expr | None, str]]:
     if isinstance(stmt, ast.Assign):
         pairs: list[tuple[str, ast.expr | None]] = []
         for target in stmt.targets:
-            pairs.extend(_unpack(target, stmt.value))
+            pairs.extend(unpack(target, stmt.value))
         return [(name, expr, _classify(expr)) for name, expr in pairs]
     if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
         combined = ast.BinOp(
@@ -188,7 +201,7 @@ def _definitions(stmt: ast.stmt) -> list[tuple[str, ast.expr | None, str]]:
         ast.fix_missing_locations(combined)
         return [(stmt.target.id, combined, KIND_ARITHMETIC)]
     if isinstance(stmt, ast.For):
-        return [(name, None, KIND_UNKNOWN) for name, _ in _unpack(stmt.target, None)]
+        return [(name, None, KIND_UNKNOWN) for name in target_names(stmt.target)]
     return []
 
 
@@ -220,7 +233,7 @@ def _collect_loads(roots: list[ast.expr]) -> set[str]:
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             bound = set(shadowed)
             for gen in node.generators:
-                bound.update(name for name, _ in _unpack(gen.target, None))
+                bound.update(target_names(gen.target))
             inner = frozenset(bound)
             # The first iterable is evaluated in the enclosing scope.
             for i, gen in enumerate(node.generators):
@@ -621,6 +634,6 @@ def to_json_dict(use_map: SsaUseMap, const_dict: ConstDict) -> dict:
         constants[f"{name}#{version}"] = {
             "kind": value.kind,
             "folded": value.folded if value.is_folded else None,
-            "source": ast.unparse(value.expr) if value.expr is not None else None,
+            "source": source_text(value.expr) if value.expr is not None else None,
         }
     return {"blocks": blocks, "constants": constants}

@@ -31,11 +31,12 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cfg import contains_yield, head_exprs
-from .frontend import positional_params, walk
-from .modgraph import Scope, ScopeTable, discover, dotted_parts, import_bindings, load_module
+from .cfg import contains_yield, statement_calls
+from .frontend import positional_params
+from .modgraph import (DiagnosticLog, Scope, ScopeTable, discover, dotted_parts, import_bindings,
+                       load_module)
 from .rewriter import TEMP_PREFIX
-from .ssa import target_names
+from .ssa import target_names, unpack
 
 __all__ = [
     "TypeRecord",
@@ -296,11 +297,10 @@ def _type_of_call(
         if resolved is not None:
             return set(resolved)
     # Fallback: a bare name that appears verbatim in the signature table.
-    if isinstance(func, (ast.Name, ast.Attribute)):
-        dotted = ast.unparse(func)
-        sig = table.signature(dotted)
-        if sig is not None:
-            return {sig}
+    parts = dotted_parts(func)
+    sig = table.signature(".".join(parts)) if parts else None
+    if sig is not None:
+        return {sig}
     return {ANY}
 
 
@@ -314,14 +314,6 @@ _Bindings = dict[str, tuple[int, set[str]]]  # variable -> (first line, types)
 _Returns = list[tuple[int, set[str], bool]]  # (line, types, bare) per return
 _Site = tuple[list[set[str]], dict[str, set[str]]]  # positional, keyword argument types
 _CallSites = dict[str, list[_Site]]  # callee FQN -> the calls that reach it
-
-
-class _DiagnosticLog(list):
-    """List of diagnostics that ignores repeats (fixpoint sweeps re-walk code)."""
-
-    def append(self, item: str) -> None:
-        if item not in self:
-            super().append(item)
 
 
 class _Engine:
@@ -339,7 +331,7 @@ class _Engine:
         self.returns: dict[str, set[str]] = {}
         self.params: dict[str, dict[str, set[str]]] = {}
         self.walks: list[tuple[Scope, _Bindings, _Returns]] = []  # the last round's
-        self.diagnostics: list[str] = _DiagnosticLog()
+        self.diagnostics = DiagnosticLog()
 
     def add_module(self, module: ast.Module, file: str, name: str) -> None:
         self.files[name] = file
@@ -356,15 +348,14 @@ class _Engine:
     def index(self) -> None:
         """Resolve every call's callee once, by Python's nested rule: the
         root name's binding (:meth:`Scope.lookup`) plus the attribute tail.
-        Calls in a statement's own expressions count, lambda bodies included;
-        the statements nested in a branch have their own entries."""
+        A statement's calls are :func:`~lancet.cfg.statement_calls`, so a
+        lambda body's are not; the statements nested in a branch have their
+        own entries."""
         functions = self.scopes.functions
         for scope in self.scopes.scopes:
             for stmt in scope.statements:
                 sites = []
-                for node in (node for expr in head_exprs(stmt) for node in walk(expr)):
-                    if not isinstance(node, ast.Call):
-                        continue
+                for node in statement_calls(stmt):
                     parts = dotted_parts(node.func)
                     binding = scope.lookup(parts[0]) if parts else None
                     if binding is None:
@@ -436,7 +427,12 @@ class _Engine:
                     stmt.value, env, self.table, resolver=self, diagnostics=self.diagnostics
                 )
                 for target in stmt.targets:
-                    self._bind_target(target, stmt, value_types, env, bindings)
+                    for name, expr in unpack(target, stmt.value):
+                        types = (value_types if expr is stmt.value
+                                 else {ANY} if expr is None
+                                 else type_of_expr(expr, env, self.table, resolver=self))
+                        env[name] = env.get(name, set()) | types
+                        bindings.setdefault(name, (stmt.lineno, set()))[1].update(types)
             elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
                 value_types = type_of_expr(
                     stmt.value, env, self.table, resolver=self, diagnostics=self.diagnostics
@@ -457,23 +453,6 @@ class _Engine:
                 )
                 returns.append((stmt.lineno, types, bare))
         return bindings, returns
-
-    def _bind_target(self, target: ast.expr, stmt: ast.stmt, value_types: set[str],
-                     env: dict[str, set[str]], bindings: _Bindings) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = env.get(target.id, set()) | value_types
-            bindings.setdefault(target.id, (stmt.lineno, set()))[1].update(value_types)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            value = stmt.value if isinstance(stmt, ast.Assign) else None
-            elementwise = (
-                isinstance(value, (ast.Tuple, ast.List))
-                and len(value.elts) == len(target.elts)
-            )
-            for i, elt in enumerate(target.elts):
-                if isinstance(elt, ast.Name):
-                    inner = (type_of_expr(value.elts[i], env, self.table, resolver=self)
-                             if elementwise else {ANY})
-                    self._bind_target(elt, stmt, inner, env, bindings)
 
     # -- fixpoint ----------------------------------------------------------------
 

@@ -302,3 +302,21 @@ def test_worklist_matches_round_robin_on_generated_programs(tmp_path_factory, so
     path = tmp_path_factory.mktemp("generated") / "generated.py"
     path.write_text(source)
     _assert_worklist_matches_round_robin(path)
+
+
+def test_a_starred_assignment_pairs_the_names_before_the_star(tmp_path):
+    path = tmp_path / "star.py"
+    path.write_text(
+        "def f():\n    pass\n\n\ndef g():\n    pass\n\n\ndef h():\n    pass\n\n\n"
+        "a, *b = f, g, h\na()\n*c, d = f, g, h\nd()\n"
+    )
+    graph = analyze([path])
+    assert output_edges(graph) == [("star", "star.f"), ("star", "star.h")]
+
+
+def test_a_repeated_unresolvable_import_line_is_diagnosed_once(tmp_path):
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "mod.py").write_text("from ...x import a; from ...y import b\n")
+    graph = analyze([], package_root=root)
+    assert graph.diagnostics == ["pkg.mod: unresolvable relative import at line 1"]

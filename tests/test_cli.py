@@ -381,3 +381,53 @@ def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
+
+
+_HUGE = "0x" + "f" * 4000  # past the 4,300-digit int-to-str limit
+
+
+@pytest.mark.parametrize("source", [
+    f"x = {_HUGE}\n",
+    f'x = f"{{{_HUGE}}}"\n',
+    f"y = ({_HUGE})()\n",
+    f"y = ({_HUGE}).bit_length()\n",
+], ids=["literal", "fstring", "called", "method"])
+def test_a_huge_int_literal_is_analyzed_by_every_subcommand(capsys, tmp_path, source):
+    target = tmp_path / "huge.py"
+    target.write_text(source)
+    outputs = {}
+    for argv in (
+        ["rewrite", str(target)],
+        ["cfg", str(target)],
+        ["ssa", str(target)],
+        ["alias", str(target)],
+        ["fqn", str(target)],
+        ["imports", str(tmp_path)],
+        ["callgraph", "--entry", str(target)],
+        ["callgraph", "--package", str(tmp_path)],
+        ["typeinfer", str(tmp_path)],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, (argv, err[-500:])
+        assert "Traceback" not in err, argv
+        outputs[argv[0]] = out
+    assert _HUGE in outputs["rewrite"]
+    assert _HUGE in outputs["cfg"]
+
+
+def test_a_repeated_diagnostic_line_prints_once(capsys, tmp_path):
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "mod.py").write_text("from ...x import a; from ...y import b\n")
+    _, _, err = _run(capsys, "imports", str(root))
+    assert err == f"{root / 'mod.py'}:1: relative import reaches above the project root\n"
+    _, _, err = _run(capsys, "callgraph", "--package", str(root))
+    assert err == "pkg.mod: unresolvable relative import at line 1\n"
+
+
+def test_fqn_follows_a_copy_made_by_a_starred_assignment(capsys, tmp_path):
+    target = tmp_path / "star.py"
+    target.write_text("from os import getcwd\ng, *rest = getcwd, 1\ng()\n")
+    code, out, _ = _run(capsys, "fqn", str(target))
+    assert code == 0
+    assert out == "3:0 g -> os.getcwd\n"

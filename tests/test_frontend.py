@@ -15,6 +15,7 @@ from lancet.frontend import (
     dump_structure,
     node_span,
     parse_module,
+    source_text,
     trees_equal,
     unparse,
     walk,
@@ -364,3 +365,13 @@ def test_generated_programs_round_trip(source: str):
     _assert_fully_located(tree)
     assert trees_equal(tree, parse_module(unparse(tree)))
     assert dump_structure(parse_module(source)) == dump_structure(tree)
+
+
+def test_source_text_prints_an_int_past_the_digit_limit_in_hex():
+    huge = "0x" + "f" * 4000
+    tree = parse_module(f"y = ({huge}).bit_length() + 1\nz = f'{{{huge}}}'\n")
+    constant = tree.body[0].value.left.func.value
+    assert source_text(tree.body[0]) == f"y = {huge}.bit_length() + 1"
+    assert tree.body[1].value.value == f"f'{{{huge}}}'"  # folded through source_text
+    assert type(constant) is ast.Constant and constant.value == 16 ** 4000 - 1  # not modified
+    assert source_text(ast.parse("x = 10 ** 2").body[0]) == "x = 10 ** 2"

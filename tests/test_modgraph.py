@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from lancet.cfg import build_from_ast
-from lancet.frontend import parse_module
+from lancet.frontend import ParseError, parse_module
 from lancet.modgraph import (
     ImportRelation,
     Unresolved,
@@ -21,6 +25,7 @@ from lancet.modgraph import (
 from lancet.ssa import alias_pairs, compute_ssa
 
 from helpers import CORPUS
+from strategies import programs
 
 EXAMPLE = CORPUS / "imports" / "example"
 
@@ -175,13 +180,9 @@ def test_resolve_relative_anchoring():
 # FQN resolution
 
 
-def _ctx_for(source: str, module_name: str = "m", with_aliases: bool = False):
+def _ctx_for(source: str, module_name: str = "m"):
     tree = parse_module(source)
-    pairs = None
-    if with_aliases:
-        _, const = compute_ssa(build_from_ast(module_name, tree))
-        pairs = alias_pairs(const)
-    return tree, build_name_context(tree, module_name, alias_pairs=pairs)
+    return tree, build_name_context(tree, module_name)
 
 
 def test_from_import_binding():
@@ -197,7 +198,7 @@ def test_import_alias_substitution():
 
 
 def test_alias_pair_composition():
-    tree, ctx = _ctx_for("from os import getcwd\ng = getcwd\ng()\n", with_aliases=True)
+    tree, ctx = _ctx_for("from os import getcwd\ng = getcwd\ng()\n")
     (call,) = call_sites(tree)
     assert resolve_fqn(call.func, ctx) == "os.getcwd"
 
@@ -235,3 +236,65 @@ def test_non_dotted_callees_are_unresolved():
     tree, ctx = _ctx_for("(lambda: 1)()\n")
     (call,) = call_sites(tree)
     assert isinstance(resolve_fqn(call.func, ctx), Unresolved)
+
+
+# ---------------------------------------------------------------------------
+# The fqn alias map against SSA alias pairs (the way ``lancet fqn`` built it
+# before it stopped building a CFG and SSA)
+
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def _ssa_alias_map(tree: ast.Module) -> dict[str, str]:
+    _, const = compute_ssa(build_from_ast("m", tree))
+    targets: dict[str, set[str]] = {}
+    for pair in alias_pairs(const):
+        targets.setdefault(pair.alias[0], set()).add(pair.target)
+    return {name: next(iter(found)) for name, found in targets.items() if len(found) == 1}
+
+
+def _assert_alias_map_matches_ssa(source: str) -> None:
+    tree = parse_module(source)
+    assert build_name_context(tree, "m").alias_map == _ssa_alias_map(tree)
+
+
+def _parsable_corpus_files() -> list[Path]:
+    out = []
+    for path in sorted(CORPUS.rglob("*.py")):
+        try:
+            parse_module(path.read_text(encoding="utf-8"))
+        except (ParseError, UnicodeDecodeError):
+            continue
+        out.append(path)
+    return out
+
+
+@pytest.mark.parametrize("path", _parsable_corpus_files(), ids=lambda p: p.name)
+def test_alias_map_matches_ssa_alias_pairs_on_corpus(path):
+    _assert_alias_map_matches_ssa(path.read_text(encoding="utf-8"))
+
+
+def test_alias_map_matches_ssa_alias_pairs_on_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while it executes.
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    checked = 0
+    for seed in (1, 2, 3, 7):
+        for generate in gen.GENERATORS.values():
+            for text in generate(seed).files.values():
+                _assert_alias_map_matches_ssa(text)
+                checked += 1
+    assert checked > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_alias_map_matches_ssa_alias_pairs_on_generated_programs(source):
+    _assert_alias_map_matches_ssa(source)
+
+
+def test_alias_map_takes_starred_and_nested_copies():
+    _, ctx = _ctx_for("from os import getcwd, sep\na, *b = getcwd, sep, sep\n(c, (d, e)) = (1, (a, b))\n")
+    assert ctx.alias_map == {"a": "getcwd", "d": "a", "e": "b"}

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lancet.cfg import build_from_file, build_from_source
 from lancet.rewriter import simplify_module
@@ -19,6 +20,7 @@ from lancet.ssa import (
     compute_ssa,
     fold_constants,
     to_json_dict,
+    unpack,
 )
 
 from helpers import all_cfgs, corpus_files, oracle_reaching_sites
@@ -367,3 +369,114 @@ def test_json_payload_shape():
     assert constants["a#1"]["folded"] == 0
     assert constants["total#0"]["folded"] is None
     assert constants["total#0"]["source"] == "c + a"
+
+
+# ---------------------------------------------------------------------------
+# The unpacking rule
+
+
+@st.composite
+def _unpack_cases(draw) -> tuple[str, str]:
+    """``target = value`` source text.  The target holds distinct names,
+    nested tuples and lists, and at most one starred name; the value follows
+    the target's shape with int and tuple literals, filling a star with
+    0-2 ints, and may fold a run of its elements into a starred list
+    literal or drop or add one element."""
+    names = iter(f"n{i}" for i in range(1000))
+    star_left = [draw(st.booleans())]
+
+    def target(depth: int):
+        if depth == 0 or draw(st.booleans()):
+            return next(names)
+        elts = []
+        for _ in range(draw(st.integers(1, 3))):
+            if star_left[0] and draw(st.integers(0, 2)) == 0:
+                star_left[0] = False
+                elts.append(("*", next(names)))
+            else:
+                elts.append(target(depth - 1))
+        return elts
+
+    def text(parts: list[str]) -> str:
+        if draw(st.booleans()):
+            return "[" + ", ".join(parts) + "]"
+        return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+
+    def target_text(node) -> str:
+        if isinstance(node, str):
+            return node
+        if isinstance(node, tuple):
+            return "*" + node[1]
+        return text([target_text(e) for e in node])
+
+    def value_text(node) -> str:
+        if not isinstance(node, list):
+            return str(draw(st.integers(0, 9))) if draw(st.booleans()) else text(
+                [str(draw(st.integers(0, 9))) for _ in range(draw(st.integers(1, 2)))])
+        parts: list[str] = []
+        for elt in node:
+            if isinstance(elt, tuple):
+                parts += [str(draw(st.integers(0, 9))) for _ in range(draw(st.integers(0, 2)))]
+            else:
+                parts.append(value_text(elt))
+        if parts and draw(st.booleans()):
+            i = draw(st.integers(0, len(parts) - 1))
+            j = draw(st.integers(i, len(parts)))
+            parts[i:j] = ["*[" + ", ".join(parts[i:j]) + "]"]
+        change = draw(st.integers(0, 5))
+        if change == 0 and parts:
+            parts.pop()
+        elif change == 1:
+            parts.append("9")
+        return text(parts)
+
+    shape = target(3)
+    if isinstance(shape, str):
+        shape = [shape]
+    return target_text(shape), value_text(shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_unpack_cases())
+def test_unpack_pairs_agree_with_the_interpreter(case):
+    target_src, value_src = case
+    source = f"{target_src} = {value_src}"
+    namespace: dict = {}
+    try:
+        exec(source, namespace)
+    except (TypeError, ValueError):  # the shapes do not fit at runtime
+        return
+    stmt = ast.parse(source).body[0]
+    pairs = unpack(stmt.targets[0], stmt.value)
+    assert sorted(name for name, _ in pairs) == sorted(
+        node.id for node in ast.walk(stmt.targets[0]) if isinstance(node, ast.Name))
+    for name, expr in pairs:
+        if expr is not None:
+            assert namespace[name] == eval(ast.unparse(expr)), (source, name)
+    if "*" not in source:
+        assert all(expr is not None for _, expr in pairs), source
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("a, *b = 1, 2, 3", {"a": "1", "b": None}),
+    ("*a, b = 1, 2, 3", {"a": None, "b": "3"}),
+    ("a, *b, c = 1, 2", {"a": "1", "b": None, "c": "2"}),
+    ("a, b, c = 1, *x, 2", {"a": "1", "b": None, "c": "2"}),
+    ("a, *b = *x, 1", {"a": None, "b": None}),
+    ("(a, (b, c)) = (1, (2, 3))", {"a": "1", "b": "2", "c": "3"}),
+    ("a, b = 1, 2, 3", {"a": None, "b": None}),
+    ("a, b = f()", {"a": None, "b": None}),
+    ("x.y, z[0] = 1, 2", {}),
+])
+def test_unpack_pairs_from_both_ends_of_a_star(source, expected):
+    stmt = ast.parse(source).body[0]
+    pairs = unpack(stmt.targets[0], stmt.value)
+    assert {name: expr and ast.unparse(expr) for name, expr in pairs} == expected
+
+
+def test_a_starred_assignment_folds_the_names_before_the_star():
+    _, use_map, const = _ssa_for("a, *b = 1, 2, 3\nc = a + 1\n")
+    folded = fold_constants(const, use_map)
+    assert folded[("a", 0)].folded_value() == 1
+    assert folded[("c", 0)].folded_value() == 2
+    assert folded[("b", 0)].kind == "unknown"

@@ -331,3 +331,27 @@ def test_a_def_in_a_module_level_branch_is_a_call_target(tmp_path):
     )
     assert parameters[("h", "a")].type == {"str"}
     assert returns["h"].type == {"str"}
+
+
+def test_a_nested_tuple_assignment_types_every_name(tmp_path):
+    _, variables, _ = _types(tmp_path, "nested_tuple.py", "(a, (b, c)) = (1, (2, 's'))\n")
+    assert variables[(None, "a")].type == {"int"}
+    assert variables[(None, "b")].type == {"int"}
+    assert variables[(None, "c")].type == {"str"}
+
+
+def test_a_starred_assignment_types_the_names_around_the_star(tmp_path):
+    _, variables, _ = _types(tmp_path, "star.py", "a, *b, c = 1, 2, 3, 's'\n")
+    assert variables[(None, "a")].type == {"int"}
+    assert variables[(None, "b")].type == {"Any"}
+    assert variables[(None, "c")].type == {"str"}
+
+
+def test_a_call_in_a_lambda_body_is_no_argument_evidence(tmp_path):
+    # The lambda body runs later, in its own scope; only calls the
+    # statement itself makes count (cfg.statement_calls).
+    _, _, parameters = _types(
+        tmp_path, "lam_call.py",
+        "def f(a):\n    return a\n\n\nhandlers = [lambda: f(1)]\nf('s')\n",
+    )
+    assert parameters[("f", "a")].type == {"str"}

@@ -11,7 +11,9 @@ once against this checkout's ``src/``.  Each side is one child process that
 calls ``lancet.cli.main`` in process for every invocation, capturing stdout,
 stderr and the exit code.  Every invocation whose three results differ is
 printed with a short diff of what changed; the exit code is 1 if any differ,
-else 0.
+else 0.  An exception that escapes ``main`` is recorded as that invocation's
+result (its type and message, with whatever was written before it), so a
+side that crashes is compared like any other.
 
 The matrix:
 
@@ -19,16 +21,22 @@ The matrix:
   with functions, and JSON; ``ssa`` and ``alias`` with and without
   ``--no-simplify``; ``fqn``; ``callgraph --entry`` in both formats;
   ``typeinfer`` with and without ``--no-simplify``) on every ``.py`` file
-  under ``tests/corpus``, on the chain and branchy workloads of perfbench
-  seeds 1, 2, 3 and 7, and on each package workload's main file;
+  under ``tests/corpus`` and of the edge-case set below, on the chain and
+  branchy workloads of perfbench seeds 1, 2, 3 and 7, and on each package
+  workload's main file;
 * the directory subcommands (``imports``; ``callgraph --package`` in both
   formats; ``typeinfer`` with and without ``--no-simplify``) on every
-  directory under ``tests/corpus`` and on each seed's package root, plus
-  ``callgraph --entry MAIN --package ROOT`` on the package workloads.
+  directory under ``tests/corpus`` and of the edge-case set, and on each
+  seed's package root, plus ``callgraph --entry MAIN --package ROOT`` on the
+  package workloads.
 
-The workloads are generated by importing ``perfbench/gen.py`` and written to
-a temporary directory that both sides read; nothing under ``perfbench/`` is
-written.
+The edge-case set (``EDGE_CASES``) holds inputs the corpus does not:
+starred and nested assignment targets, calls inside lambda bodies, int
+literals past the int-to-str digit limit (which ``ast.dump`` cannot print,
+so they stay out of ``tests/corpus``), and two relative imports on one line
+that reach above the project root.  The edge cases and the workloads (made by
+importing ``perfbench/gen.py``) are written to a temporary directory that
+both sides read; nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -47,6 +55,31 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 7)
 DIFF_LINES = 12
+DIFF_WIDTH = 160
+_HUGE = "0x" + "f" * 4000  # 16,000 bits: far past the 4,300-digit limit
+
+# Relative path under the edge-case directory -> source text.
+EDGE_CASES = {
+    "starred.py": (
+        "def f():\n    return 1\n\n\ndef g():\n    return 'g'\n\n\n"
+        "def h(p):\n    return p\n\n\n"
+        "a, *b = 1, 2, 3\nfirst, *rest = f, g, h\nfirst()\n*init, last = g, g, h\nlast(a)\n"
+        "u, v = *[1], g\nv()\nn = a\np, *q = n, 5\n"
+    ),
+    "nested.py": (
+        "(a, (b, c)) = (1, (2, 3))\n[x, [y, z]] = ['s', [2.0, a]]\n\n\n"
+        "def pair():\n    (u, (v, w)) = (1, ('s', 2.0))\n    return v\n"
+    ),
+    "lambda_body.py": (
+        "def f(a):\n    return a\n\n\ndef apply(fn):\n    return fn()\n\n\n"
+        "handlers = [lambda: f(1)]\nr = apply(lambda: f('s'))\n"
+    ),
+    "huge_int.py": f"x = {_HUGE}\ny = x + 1\n",
+    "huge_fstring.py": f'x = f"{{{_HUGE}}}"\n',
+    "huge_call.py": f"y = ({_HUGE})()\n",
+    "huge_method.py": f"y = ({_HUGE}).bit_length()\n",
+    "dups/mod.py": "from ...x import a; from ...y import b\n",
+}
 
 
 def _file_argvs(path: str) -> list[list[str]]:
@@ -77,6 +110,13 @@ def _dir_argvs(path: str) -> list[list[str]]:
     ]
 
 
+def _write_files(base: Path, files: dict[str, str]) -> None:
+    for rel, text in files.items():
+        path = base / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
 def _write_workloads(workdir: Path) -> tuple[list[str], list[tuple[str, str]]]:
     """Generate the seeded workloads under ``workdir``; return the single
     files and the (package root, main file) pairs."""
@@ -89,10 +129,7 @@ def _write_workloads(workdir: Path) -> tuple[list[str], list[tuple[str, str]]]:
         for name, generate in sorted(GENERATORS.items()):
             workload = generate(seed)
             base = workdir / f"{name}-{seed}"
-            for rel, text in workload.files.items():
-                path = base / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text, encoding="utf-8")
+            _write_files(base, workload.files)
             if name == "package":
                 main = str(base / workload.facts["main_file"])
                 packages.append((str(base / workload.facts["root"]), main))
@@ -106,6 +143,10 @@ def build_matrix(workdir: Path) -> list[list[str]]:
     corpus = REPO / "tests" / "corpus"
     files = [str(p.relative_to(REPO)) for p in sorted(corpus.rglob("*.py"))]
     dirs = [str(p.relative_to(REPO)) for p in sorted(corpus.rglob("*")) if p.is_dir()]
+    edge = workdir / "edge"
+    _write_files(edge, EDGE_CASES)
+    files += [str(p) for p in sorted(edge.rglob("*.py"))]
+    dirs += [str(p) for p in [edge, *sorted(edge.rglob("*"))] if p.is_dir()]
     seed_files, packages = _write_workloads(workdir)
     matrix = [argv for path in files + seed_files for argv in _file_argvs(path)]
     matrix += [argv for path in dirs for argv in _dir_argvs(path)]
@@ -127,7 +168,10 @@ def run_child(src: str, matrix_path: str, out_path: str) -> int:
     for argv in json.loads(Path(matrix_path).read_text(encoding="utf-8")):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = lancet.cli.main(argv)
+            try:
+                code = lancet.cli.main(argv)
+            except Exception as exc:  # a crash is a result to compare, not an abort
+                code = f"uncaught {type(exc).__name__}: {exc}"
         results.append({"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code})
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
     return 0
@@ -150,8 +194,8 @@ def _extract(rev: str, dest: Path) -> Path:
 
 
 def _diff(name: str, old: str, new: str) -> list[str]:
-    lines = list(difflib.unified_diff(old.splitlines(), new.splitlines(), f"parent {name}",
-                                      f"change {name}", n=0, lineterm=""))
+    lines = [line[:DIFF_WIDTH] for line in difflib.unified_diff(
+        old.splitlines(), new.splitlines(), f"parent {name}", f"change {name}", n=0, lineterm="")]
     return lines[:DIFF_LINES] + ([f"... {len(lines) - DIFF_LINES} more diff lines"]
                                  if len(lines) > DIFF_LINES else [])
 
