@@ -314,10 +314,7 @@ class _Assembler:
 
 
 def _negate(test: ast.expr) -> ast.expr:
-    node = ast.UnaryOp(op=ast.Not(), operand=test)
-    ast.copy_location(node, test)
-    ast.fix_missing_locations(node)
-    return node
+    return ast.copy_location(ast.UnaryOp(op=ast.Not(), operand=test), test)
 
 
 def contains_yield(stmt: ast.stmt) -> bool:

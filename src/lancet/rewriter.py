@@ -14,8 +14,8 @@ Five rewrite rules remove syntax that complicates flow analysis:
 5. CallChainSplitting - ``f1().f2().f3()`` is split into one statement per
    chain link, each receiver bound to a fresh temporary.
 
-Rules are applied to a fixpoint by :func:`simplify_module`; each rule's
-output never re-matches the rule itself, so the process terminates.
+:func:`simplify_module` applies the rules in one pass, which is their
+fixpoint; a statement fires at most once per node it has, so it ends.
 Temporaries come from :class:`TempNamer`, which avoids every identifier
 already present in the module.
 
@@ -34,7 +34,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .frontend import parse_module, unparse, walk
+from .frontend import child_nodes, parse_module, unparse, walk
 
 __all__ = [
     "RewriteRule",
@@ -52,14 +52,9 @@ __all__ = [
 
 TEMP_PREFIX = "_ret"
 
-# Per-pass rewrite budget; a rule that keeps matching its own output would
-# otherwise spin inside one pass.
-_MAX_PASSES = 100
-_MAX_REWRITES_PER_PASS = 10_000
-
 
 class FixpointError(Exception):
-    """Simplification failed to reach a fixpoint (a rule bug, not user error)."""
+    """A rule kept matching its own output (a rule bug, not user error)."""
 
 
 class TransformHookError(Exception):
@@ -214,20 +209,15 @@ def _hoistable_call_arg(call: ast.Call) -> int | None:
     return None
 
 
-def _nested_call_site(stmt: ast.stmt) -> ast.Call | None:
-    value = _stmt_value(stmt)
-    if isinstance(value, ast.Call) and _hoistable_call_arg(value) is not None:
-        return value
-    return None
-
-
 def _match_nested_call(stmt: ast.stmt) -> bool:
-    return _is_simple_carrier(stmt) and _nested_call_site(stmt) is not None
+    value = _stmt_value(stmt)
+    return (_is_simple_carrier(stmt) and isinstance(value, ast.Call)
+            and _hoistable_call_arg(value) is not None)
 
 
 def _build_nested_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    call = _nested_call_site(stmt)
-    assert call is not None
+    call = _stmt_value(stmt)
+    assert isinstance(call, ast.Call)
     index = _hoistable_call_arg(call)
     assert index is not None
     temp = namer.fresh()
@@ -371,9 +361,7 @@ def _is_simple_carrier(stmt: ast.stmt) -> bool:
 
 
 def _stmt_value(stmt: ast.stmt) -> ast.expr | None:
-    if isinstance(stmt, ast.Assign):
-        return stmt.value
-    if isinstance(stmt, (ast.Expr, ast.Return)):
+    if isinstance(stmt, (ast.Assign, ast.Expr, ast.Return)):
         return stmt.value
     return None
 
@@ -386,9 +374,16 @@ def _with_value(node: ast.AST, value: ast.expr) -> ast.AST:
 
 
 def _locate(stmts: list[ast.stmt], origin: ast.stmt) -> list[ast.stmt]:
-    for s in stmts:
-        ast.copy_location(s, origin)
-        ast.fix_missing_locations(s)
+    """Copy onto every unlocated node of ``stmts`` the location of its nearest
+    located ancestor, ``origin`` above them all (explicit stack: no depth limit)."""
+    stack: list[tuple[ast.AST, ast.AST]] = [(s, origin) for s in stmts]
+    while stack:
+        node, located = stack.pop()
+        if "lineno" in node._attributes:
+            if not hasattr(node, "lineno"):
+                ast.copy_location(node, located)
+            located = node
+        stack += [(child, located) for child in child_nodes(node)]
     return stmts
 
 
@@ -411,46 +406,56 @@ def apply_rule(rule: RewriteRule, stmt: ast.stmt, namer: TempNamer) -> list[ast.
 _BODY_FIELDS = ("body", "orelse")
 
 
-def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer, rules: Sequence[RewriteRule],
-                   budget: list[int]) -> tuple[list[ast.stmt], int]:
-    """One scan of a statement list; produced statements are re-examined.
+def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer,
+                   rules: Sequence[RewriteRule]) -> tuple[list[ast.stmt], bool]:
+    """Rewrite a statement list in one pass into a new list; say if it changed.
 
-    Returns a new list; ``stmts`` and the statements in it are not modified.
+    A rule's products wait on a stack and go to the output once no rule
+    matches them.  ``stmts`` and the statements in it are not modified.
     """
-    out = list(stmts)
-    changed = 0
-    i = 0
-    while i < len(out):
-        stmt = out[i]
-        for fname in _BODY_FIELDS:
-            inner = getattr(stmt, fname, None)
-            if isinstance(inner, list) and inner and isinstance(inner[0], ast.stmt):
-                new_inner, n = _rewrite_block(inner, namer, rules, budget)
-                if n:
-                    stmt = copy.copy(stmt)
-                    setattr(stmt, fname, new_inner)
-                    out[i] = stmt
-                    changed += n
-        fired = False
-        for rule in rules:
-            if rule.matcher(stmt):
-                replacement = rule.builder(stmt, namer)
-                out[i : i + 1] = replacement
-                changed += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    raise FixpointError(
-                        "rewrite did not settle; a rule keeps matching its own output"
-                    )
-                fired = True
-                break
-        if not fired:
-            i += 1
+    out: list[ast.stmt] = []
+    changed = False
+    for origin in stmts:
+        pending = [origin]
+        budget = None  # firings left for origin: its node count, once one fires
+        while pending:
+            stmt = pending.pop()
+            for fname in _BODY_FIELDS:
+                inner = getattr(stmt, fname, None)
+                if isinstance(inner, list) and inner and isinstance(inner[0], ast.stmt):
+                    new_inner, inner_changed = _rewrite_block(inner, namer, rules)
+                    if inner_changed:
+                        stmt = copy.copy(stmt)
+                        setattr(stmt, fname, new_inner)
+                        changed = True
+            for rule in rules:
+                if rule.matcher(stmt):
+                    if budget is None:
+                        budget = sum(1 for _ in walk(origin))
+                    if budget == 0:
+                        raise FixpointError(
+                            "rewrite did not settle; a rule keeps matching its own output"
+                        )
+                    budget -= 1
+                    pending += reversed(rule.builder(stmt, namer))
+                    changed = True
+                    break
+            else:
+                out.append(stmt)
     return out, changed
 
 
 def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = None) -> ast.Module:
-    """Rewrite a module until no rule matches anywhere.
+    """Rewrite a module until no rule matches anywhere, in one pass.
+
+    One pass is the fixpoint: the built-in rules match only simple
+    statements, never a compound one, and a rewrite replaces only the
+    statement it matched, so a statement that is final stays final.  Each firing of a built-in rule
+    uses up a distinct node of the input statement it started from (a
+    comprehension, a lambda, a subscripted call, a chain's top call or the
+    call argument it hoists), so a statement fires at most once per node;
+    :class:`FixpointError` is raised when a rule exceeds that bound, which
+    only a rule that keeps matching its own output can do.
 
     The input tree is not modified.  The result is a shallow copy of the
     module with a new ``body`` list; it shares every statement and
@@ -458,21 +463,12 @@ def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = No
     yields the input's statements themselves), so no caller may mutate
     either tree.  Every statement a rule builds carries the location of the
     statement it replaces; the input is expected to be fully located, as
-    :func:`~lancet.frontend.parse_module` leaves it.  Raises
-    :class:`FixpointError` if the rules fail to settle within the pass
-    limit.
+    :func:`~lancet.frontend.parse_module` leaves it.
     """
-    active = RULES if rules is None else rules
     namer = TempNamer.for_module(module)
-    body = module.body
-    for _ in range(_MAX_PASSES):
-        budget = [_MAX_REWRITES_PER_PASS]
-        body, changed = _rewrite_block(body, namer, active, budget)
-        if not changed:
-            result = copy.copy(module)
-            result.body = body
-            return result
-    raise FixpointError(f"no fixpoint after {_MAX_PASSES} passes")
+    result = copy.copy(module)
+    result.body, _ = _rewrite_block(module.body, namer, RULES if rules is None else rules)
+    return result
 
 
 def simplify_source(text: str, path: str = "<string>") -> str:

@@ -192,13 +192,8 @@ def _definitions(stmt: ast.stmt) -> list[tuple[str, ast.expr | None, str]]:
             pairs.extend(unpack(target, stmt.value))
         return [(name, expr, _classify(expr)) for name, expr in pairs]
     if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-        combined = ast.BinOp(
-            left=ast.Name(id=stmt.target.id, ctx=ast.Load()),
-            op=stmt.op,
-            right=stmt.value,
-        )
-        ast.copy_location(combined, stmt)
-        ast.fix_missing_locations(combined)
+        left = ast.copy_location(ast.Name(id=stmt.target.id, ctx=ast.Load()), stmt)
+        combined = ast.copy_location(ast.BinOp(left=left, op=stmt.op, right=stmt.value), stmt)
         return [(stmt.target.id, combined, KIND_ARITHMETIC)]
     if isinstance(stmt, ast.For):
         return [(name, None, KIND_UNKNOWN) for name in target_names(stmt.target)]

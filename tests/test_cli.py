@@ -24,6 +24,15 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    ``lancet``.  ``ast.parse``'s depth bound depends on the caller's stack,
+    so deep inputs are run outside pytest's."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_cfg_dot_to_stdout(capsys):
     code, out, err = _run(capsys, "cfg", str(MERGE), "--format", "dot")
     assert code == 0
@@ -322,8 +331,6 @@ def test_big_folded_power_still_serializes(capsys, tmp_path):
 def test_deeply_nested_input_never_crashes(tmp_path, terms):
     target = tmp_path / "deep.py"
     target.write_text("x = " + "+".join(["1"] * terms) + "\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for argv in (
         ["rewrite", str(target)],
         ["cfg", str(target)],
@@ -334,10 +341,7 @@ def test_deeply_nested_input_never_crashes(tmp_path, terms):
         ["callgraph", "--entry", str(target)],
         ["typeinfer", str(target)],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lancet.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _fresh("-m", "lancet.cli", *argv)
         assert proc.returncode in (0, 2), (argv, proc.stderr[-500:])
         assert "Traceback" not in proc.stderr, (argv, proc.stderr[-500:])
 
@@ -345,8 +349,6 @@ def test_deeply_nested_input_never_crashes(tmp_path, terms):
 def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
     target = tmp_path / "deep.py"
     target.write_text("x = " + "+".join(["1"] * 300) + "\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = {}
     for argv in (
         ["rewrite", str(target)],
@@ -358,10 +360,7 @@ def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
         ["callgraph", "--entry", str(target)],
         ["typeinfer", str(target)],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lancet.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _fresh("-m", "lancet.cli", *argv)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         outputs[argv[0]] = proc.stdout
     assert json.loads(outputs["ssa"])["constants"]["x#0"]["folded"] == 300
@@ -373,14 +372,51 @@ def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
     # still recurse on it after parsing (ROADMAP aim 3).
     target = tmp_path / "deep.py"
     target.write_text("x = " + "+".join(["1"] * 1000) + "\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for argv in (["imports", str(tmp_path)], ["fqn", str(target)], ["callgraph", "--entry", str(target)]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lancet.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _fresh("-m", "lancet.cli", *argv)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
+
+
+_SUM_2900 = "+".join(["1"] * 2900)
+_F_AND_G = "def f(*a):\n    return a\n\n\ndef g():\n    return 1\n\n\n"
+
+
+def test_a_call_hoisted_beside_a_deep_sum_is_analyzed(tmp_path):
+    target = tmp_path / "hoist.py"
+    target.write_text(f"{_F_AND_G}x = f(g(), {_SUM_2900})\n")
+    proc = _fresh("-m", "lancet.cli", "callgraph", "--entry", str(target), "--format", "edges")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == "hoist -> hoist.f\nhoist -> hoist.g\n"
+
+
+def test_a_call_hoisted_beside_a_deep_subscript_chain_is_analyzed(tmp_path):
+    target = tmp_path / "sub.py"
+    target.write_text(f"{_F_AND_G}a = [0]\nx = f(g(), a{'[0]' * 1000})\n")
+    outputs = {}
+    for argv in (
+        ["alias", str(target)],
+        ["callgraph", "--entry", str(target), "--format", "edges"],
+        ["typeinfer", str(target)],
+    ):
+        proc = _fresh("-m", "lancet.cli", *argv)
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])
+        outputs[argv[0]] = proc.stdout
+    assert json.loads(outputs["alias"]) == []
+    assert outputs["callgraph"] == "sub -> sub.f\nsub -> sub.g\n"
+    assert {r.get("variable") for r in json.loads(outputs["typeinfer"])} >= {"a", "x"}
+
+
+@pytest.mark.parametrize("source,call", [
+    (f"x = 0\nif {_SUM_2900} > 0:\n    x = 1\n", "build_from_ast('m', tree)"),
+    (f"x = 0\nx += {_SUM_2900}\n", "compute_ssa(build_from_ast('m', tree))"),
+], ids=["cfg-negated-test", "ssa-augmented-assignment"])
+def test_a_deep_operand_is_built_into_cfg_and_ssa(tmp_path, source, call):
+    target = tmp_path / "deep.py"
+    target.write_text(source)
+    proc = _fresh("-c", "import sys\nfrom lancet.cfg import build_from_ast\n"
+                  "from lancet.frontend import parse_module\nfrom lancet.ssa import compute_ssa\n"
+                  f"tree = parse_module(open(sys.argv[1]).read())\n{call}\n", str(target))
+    assert proc.returncode == 0, proc.stderr[-500:]
 
 
 _HUGE = "0x" + "f" * 4000  # past the 4,300-digit int-to-str limit

@@ -145,6 +145,21 @@ def test_simplify_raises_on_non_terminating_rule():
         simplify_module(parse_module("pass"), rules=[bad])
 
 
+def test_a_large_module_simplifies_without_a_rewrite_cap():
+    count = 10_001
+    tree = parse_module("".join(f"x_{i} = f(g({i}))\n" for i in range(count)))
+    body = simplify_module(tree).body
+    assert len(body) == 2 * count
+    temps = set()
+    for i in range(count):
+        hoisted, rewritten = body[2 * i], body[2 * i + 1]
+        temp = hoisted.targets[0].id
+        assert temp.startswith("_ret") and temp not in temps
+        temps.add(temp)
+        assert unparse(hoisted) == f"{temp} = g({i})"
+        assert unparse(rewritten) == f"x_{i} = f({temp})"
+
+
 def test_run_transforms_identity_and_order():
     tree = parse_module("a = 1")
     assert run_transforms(tree, []) is tree

@@ -33,10 +33,11 @@ The matrix:
 The edge-case set (``EDGE_CASES``) holds inputs the corpus does not:
 starred and nested assignment targets, calls inside lambda bodies, int
 literals past the int-to-str digit limit (which ``ast.dump`` cannot print,
-so they stay out of ``tests/corpus``), and two relative imports on one line
-that reach above the project root.  The edge cases and the workloads (made by
-importing ``perfbench/gen.py``) are written to a temporary directory that
-both sides read; nothing under ``perfbench/`` is written.
+so they stay out of ``tests/corpus``), two relative imports on one line
+that reach above the project root, and a call hoisted out of a statement
+whose next argument is a 1,000-deep subscript chain.  The edge cases and the
+workloads (made by importing ``perfbench/gen.py``) are written to a temporary
+directory that both sides read; nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ EDGE_CASES = {
     "huge_call.py": f"y = ({_HUGE})()\n",
     "huge_method.py": f"y = ({_HUGE}).bit_length()\n",
     "dups/mod.py": "from ...x import a; from ...y import b\n",
+    "deep_hoist.py": "a = [0]\nx = f(g(), a" + "[0]" * 1000 + ")\n",
 }
 
 
