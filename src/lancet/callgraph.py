@@ -7,11 +7,12 @@ sets until nothing grows, then each syntactic call contributes edges from
 its enclosing definition (module-body calls attach to the module node) to
 every callable in its callee's value set.
 
-The fixpoint is solved with a worklist.  Every statement is evaluated once,
-in scope pre-order, and each slot notes the statements that read it; when a
-slot grows, its readers are queued to be evaluated again.  Value sets only
-grow, over a finite set of callables, so the queue runs dry, and what it
-leaves is the least fixpoint, whatever the order of evaluation.
+The fixpoint is solved on the :class:`~lancet.modgraph.Worklist` that type
+inference also uses, with statements as its units.  Every statement is
+evaluated once, in scope pre-order, and each slot notes the statements that
+read it; when a slot grows, its readers are queued to be evaluated again.
+Value sets only grow, over a finite set of callables, so the queue runs dry,
+and what it leaves is the least fixpoint, whatever the order of evaluation.
 
 Design points:
 
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import ast
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import statement_calls
-from .modgraph import DiagnosticLog, Scope, ScopeTable, discover, import_bindings, load_module
+from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, discover, import_bindings,
+                       load_module)
 from .ssa import unpack
 
 __all__ = [
@@ -92,16 +93,11 @@ class _Analyzer:
         self.files: dict[str, Path] = {}  # package modules, loaded once reached
         self.failed: set[str] = set()  # modules that did not load; not retried
         self.table = ScopeTable()
-        self.values: dict[str, set[Value]] = {}
+        self.solver = Worklist()
+        self.values: dict[str, set[Value]] = self.solver.values
         self.call_edges: set[tuple[str, str]] = set()
         self.external_mods: set[str] = set()
         self.diagnostics = DiagnosticLog()
-        # Worklist state: the statements that read each slot, by index in
-        # solve()'s work list, and the queue of those to evaluate again.
-        self._readers: dict[str, list[int]] = {}
-        self._reading = 0
-        self._queue: deque[int] = deque()
-        self._queued = bytearray()
         if package_root is not None and package_root.is_dir():
             tree, diagnostics = discover(package_root)
             self.diagnostics.extend(diagnostics)
@@ -152,26 +148,6 @@ class _Analyzer:
 
     # -- value propagation -----------------------------------------------------
 
-    def _get(self, slot: str) -> set[Value]:
-        readers = self._readers.get(slot)
-        if readers is None:
-            self._readers[slot] = [self._reading]
-        elif readers[-1] != self._reading:
-            readers.append(self._reading)
-        return self.values.setdefault(slot, set())
-
-    def _add(self, slot: str, values: set[Value]) -> None:
-        if not values:
-            return
-        current = self.values.setdefault(slot, set())
-        before = len(current)
-        current |= values
-        if len(current) != before:
-            for reader in self._readers.get(slot, ()):
-                if not self._queued[reader]:
-                    self._queued[reader] = 1
-                    self._queue.append(reader)
-
     def eval_expr(self, expr: ast.expr, scope: Scope) -> set[Value]:
         if isinstance(expr, ast.Name):
             binding = scope.lookup(expr.id)
@@ -188,7 +164,7 @@ class _Analyzer:
             for target in self.eval_expr(expr.func, scope):
                 kind, fqn = target
                 if kind == "func":
-                    out |= self._get(f"{fqn}.{RETURN_SLOT}")
+                    out |= self.solver.get(f"{fqn}.{RETURN_SLOT}")
                 elif kind == "class":
                     out.add(("class", fqn))
             return out
@@ -197,7 +173,7 @@ class _Analyzer:
     def _binding_values(self, binding: tuple[str, str]) -> set[Value]:
         kind, ref = binding
         if kind == "slot":
-            return set(self._get(ref))
+            return set(self.solver.get(ref))
         if kind == "mod":
             return {("mod", ref)}
         return {("ext", ref)}
@@ -229,23 +205,18 @@ class _Analyzer:
         """Evaluate every statement once in scope order, then again whenever
         a slot it read has grown, until no slot grows."""
         work = [(scope, stmt) for scope in self.table.scopes for stmt in scope.statements]
-        self._queue = deque(range(len(work)))
-        self._queued = bytearray([1]) * len(work)
-        while self._queue:
-            self._reading = self._queue.popleft()
-            self._queued[self._reading] = 0
-            self._evaluate(*work[self._reading])
+        self.solver.solve(work, lambda item: self._evaluate(*item))
 
     def _evaluate(self, scope: Scope, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.FunctionDef):
             fqn = scope.slot(stmt.name)
-            self._add(fqn, {("func", fqn)})
+            self.solver.add(fqn, {("func", fqn)})
             params = self._params(fqn)
             for name, default in zip(reversed(params), reversed(stmt.args.defaults)):
-                self._add(f"{fqn}.{name}", self.eval_expr(default, scope))
+                self.solver.add(f"{fqn}.{name}", self.eval_expr(default, scope))
         elif isinstance(stmt, ast.ClassDef):
             fqn = scope.slot(stmt.name)
-            self._add(fqn, {("class", fqn)})
+            self.solver.add(fqn, {("class", fqn)})
         elif isinstance(stmt, ast.Assign):
             values = self.eval_expr(stmt.value, scope)
             for target in stmt.targets:
@@ -255,9 +226,9 @@ class _Analyzer:
                     found = values if expr is stmt.value else self.eval_expr(expr, scope)
                     binding = scope.lookup(name) or ("slot", scope.slot(name))
                     if binding[0] == "slot":
-                        self._add(binding[1], found)
+                        self.solver.add(binding[1], found)
         elif isinstance(stmt, ast.Return) and stmt.value is not None and scope.kind == "function":
-            self._add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
+            self.solver.add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
 
         for call in statement_calls(stmt):
             self._process_call(scope, call)
@@ -284,7 +255,7 @@ class _Analyzer:
                     if params:
                         for r_kind, r_fqn in receivers:
                             if r_kind == "class":
-                                self._add(f"{fqn}.{params[0]}", {("class", r_fqn)})
+                                self.solver.add(f"{fqn}.{params[0]}", {("class", r_fqn)})
                         self_offset = 1
                 self._flow_arguments(scope, call, fqn, self_offset)
             elif kind == "class":
@@ -295,7 +266,7 @@ class _Analyzer:
                         self.call_edges.add((caller, i_fqn))
                         params = self._params(i_fqn)
                         if params:
-                            self._add(f"{i_fqn}.{params[0]}", {("class", fqn)})
+                            self.solver.add(f"{i_fqn}.{params[0]}", {("class", fqn)})
                         self._flow_arguments(scope, call, i_fqn, 1)
             elif kind == "ext":
                 self.call_edges.add((caller, fqn))
@@ -307,10 +278,10 @@ class _Analyzer:
                 continue
             slot_index = i + offset
             if slot_index < len(params):
-                self._add(f"{fqn}.{params[slot_index]}", self.eval_expr(arg, scope))
+                self.solver.add(f"{fqn}.{params[slot_index]}", self.eval_expr(arg, scope))
         for kw in call.keywords:
             if kw.arg is not None and kw.arg in params:
-                self._add(f"{fqn}.{kw.arg}", self.eval_expr(kw.value, scope))
+                self.solver.add(f"{fqn}.{kw.arg}", self.eval_expr(kw.value, scope))
 
     def _params(self, fqn: str) -> list[str]:
         scope = self.table.functions.get(fqn)

@@ -46,6 +46,7 @@ __all__ = [
     "to_json",
     "stmt_head_text",
     "head_exprs",
+    "iter_eager",
     "iter_calls",
     "statement_calls",
     "contains_yield",
@@ -131,7 +132,7 @@ def head_exprs(stmt: ast.stmt) -> list[ast.expr]:
     return []
 
 
-def _iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
+def iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
     """Pre-order walk of an expression, skipping deferred lambda bodies."""
     stack = [expr]
     while stack:
@@ -146,7 +147,7 @@ def _iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
 
 
 def iter_calls(expr: ast.expr) -> Iterator[ast.Call]:
-    for node in _iter_eager(expr):
+    for node in iter_eager(expr):
         if isinstance(node, ast.Call):
             yield node
 
@@ -320,7 +321,7 @@ def _negate(test: ast.expr) -> ast.expr:
 def contains_yield(stmt: ast.stmt) -> bool:
     """Whether the statement's own expressions yield; a ``yield`` inside a
     lambda body belongs to the lambda."""
-    return any(isinstance(n, ast.Yield) for e in head_exprs(stmt) for n in _iter_eager(e))
+    return any(isinstance(n, ast.Yield) for e in head_exprs(stmt) for n in iter_eager(e))
 
 
 def _build_cfg(name: str, body: list[ast.stmt]) -> Cfg:

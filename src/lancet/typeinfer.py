@@ -16,8 +16,10 @@ Evidence comes from three directions:
 Call names resolve once, before the fixpoint, by Python's nested rule on
 the scope table the call graph also reads (:class:`~lancet.modgraph.ScopeTable`):
 an import binds in the scope where it appears, and a nested function is
-visible to its enclosing one.  Each round then walks every module and
-function body once; the records come from the last round's walks.
+visible to its enclosing one.  The fixpoint runs on the call graph's solver
+(:class:`~lancet.modgraph.Worklist`): each module, function and class body
+is walked once, then again only when a return or parameter it read has
+grown.  The records come from each body's final walk.
 
 Each function return, each distinct local variable, and each parameter
 yields one :class:`TypeRecord`; records sort by (file, line).  Rewriter
@@ -31,10 +33,10 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cfg import contains_yield, statement_calls
+from .cfg import head_exprs, iter_eager
 from .frontend import positional_params
-from .modgraph import (DiagnosticLog, Scope, ScopeTable, discover, dotted_parts, import_bindings,
-                       load_module)
+from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, discover, dotted_parts,
+                       import_bindings, load_module)
 from .rewriter import TEMP_PREFIX
 from .ssa import target_names, unpack
 
@@ -281,17 +283,23 @@ def _type_of_call(
     diagnostics: list[str] | None,
 ) -> set[str]:
     func = call.func
-    # Method call on a value whose type we know.
+    # A method call unions the receiver's types that have the method, so it
+    # grows with the receiver; a receiver with no type yet gives none yet.
     if isinstance(func, ast.Attribute):
         receiver = type_of_expr(func.value, env, table, resolver=resolver, diagnostics=diagnostics)
         method = table.method_signatures.get(func.attr)
-        if method is not None and method[0] in receiver:
-            return {method[1]}
-        if resolver is not None:
-            for recv_type in sorted(receiver):
-                ret = resolver.method_return(recv_type, func.attr)
-                if ret is not None:
-                    return set(ret)
+        out: set[str] = set()
+        matched = not receiver
+        for recv_type in receiver:
+            if method is not None and recv_type == method[0]:
+                ret = {method[1]}
+            else:
+                ret = resolver.method_return(recv_type, func.attr) if resolver is not None else None
+            if ret is not None:
+                out |= ret
+                matched = True
+        if matched:
+            return out
     if resolver is not None:
         resolved = resolver.call_target(func)
         if resolved is not None:
@@ -308,7 +316,7 @@ def _type_of_call(
 # Project model
 
 
-_MAX_ROUNDS = 10
+_RETURN = "<ret>"  # a function's return slot: f"{fqn}.{_RETURN}"
 
 _Bindings = dict[str, tuple[int, set[str]]]  # variable -> (first line, types)
 _Returns = list[tuple[int, set[str], bool]]  # (line, types, bare) per return
@@ -327,10 +335,8 @@ class _Engine:
         self.targets: dict[ast.expr, str] = {}  # callee node -> resolved FQN
         self.sites: dict[ast.stmt, list[tuple[ast.Call, str]]] = {}  # project-function calls
         self.generators: set[str] = set()
-        self.constraints: dict[str, dict[str, set[str]]] = {}  # fqn -> body constraints
-        self.returns: dict[str, set[str]] = {}
-        self.params: dict[str, dict[str, set[str]]] = {}
-        self.walks: list[tuple[Scope, _Bindings, _Returns]] = []  # the last round's
+        self.solver = Worklist()  # slots: each function's return and parameters
+        self.walks: dict[Scope, tuple[_Bindings, _Returns]] = {}  # each scope's final walk
         self.diagnostics = DiagnosticLog()
 
     def add_module(self, module: ast.Module, file: str, name: str) -> None:
@@ -345,17 +351,29 @@ class _Engine:
 
         self.scopes.add_module(module, name, bind_import)
 
-    def index(self) -> None:
-        """Resolve every call's callee once, by Python's nested rule: the
-        root name's binding (:meth:`Scope.lookup`) plus the attribute tail.
-        A statement's calls are :func:`~lancet.cfg.statement_calls`, so a
-        lambda body's are not; the statements nested in a branch have their
-        own entries."""
+    def index(self, units: list[Scope]) -> None:
+        """Resolve the callee of every call in ``units`` once, by Python's
+        nested rule: the root name's binding (:meth:`Scope.lookup`) plus the
+        attribute tail.  A statement's calls are
+        :func:`~lancet.cfg.statement_calls`, so a lambda body's are not; the
+        statements nested in a branch have their own entries.  The same pass
+        finds the generators and seeds the parameters with their body
+        constraints: a use (:func:`_pin`) pins the parameter its name
+        resolves to."""
         functions = self.scopes.functions
-        for scope in self.scopes.scopes:
+        slots = {scope.slot(name) for scope in functions.values() for name in _typed_params(scope)}
+        for scope in units:
             for stmt in scope.statements:
                 sites = []
-                for node in statement_calls(stmt):
+                for node in (n for expr in head_exprs(stmt) for n in iter_eager(expr)):
+                    if isinstance(node, ast.Yield):
+                        self.generators.add(scope.fqn)
+                    pinned = _pin(node, self.table)
+                    binding = scope.lookup(pinned[0]) if pinned is not None else None
+                    if binding is not None and binding[1] in slots:
+                        self.solver.add(binding[1], {pinned[1]})
+                    if not isinstance(node, ast.Call):
+                        continue
                     parts = dotted_parts(node.func)
                     binding = scope.lookup(parts[0]) if parts else None
                     if binding is None:
@@ -387,29 +405,20 @@ class _Engine:
     def _returns_of(self, fqn: str) -> set[str]:
         if fqn in self.generators:
             return {ANY}
-        # Not-yet-computed returns are bottom, not Any; the fixpoint fills
-        # them in.
-        return set(self.returns.get(fqn, set()))
+        # A return not walked yet is bottom, not Any.
+        return set(self.solver.get(f"{fqn}.{_RETURN}"))
 
     # -- environment walks -----------------------------------------------------
-
-    def _param_env(self, scope: Scope) -> dict[str, set[str]]:
-        env: dict[str, set[str]] = {}
-        inferred = self.params.get(scope.fqn, {})
-        owner = _class_of(scope)
-        for i, name in enumerate(scope.params):
-            if i == 0 and owner is not None and name in ("self", "cls"):
-                env[name] = {owner}
-            else:
-                env[name] = set(inferred.get(name, set()))
-        return env
 
     def _walk_body(self, scope: Scope, call_sites: _CallSites) -> tuple[_Bindings, _Returns]:
         """Flow-insensitive walk: types accumulate as unions in the scope's
         environment.  Returns the variables (name -> first line, types) and
         the return statements (line, types, bare); adds the argument types of
         each project-function call to ``call_sites``."""
-        env = self._param_env(scope)
+        typed = _typed_params(scope)
+        env = {name: set(self.solver.get(scope.slot(name))) for name in typed}
+        if len(typed) < len(scope.params):
+            env[scope.params[0]] = {scope.parent.fqn}  # a method's self or cls
         bindings: _Bindings = {}
         returns: _Returns = []
         for stmt in scope.statements:
@@ -457,79 +466,50 @@ class _Engine:
     # -- fixpoint ----------------------------------------------------------------
 
     def run(self) -> None:
-        """Walk every module and function body once per round until no
-        return or parameter set changes, keeping the last round's walks."""
-        functions = self.scopes.functions
-        self.generators = {
-            fqn for fqn, scope in functions.items()
-            if any(contains_yield(stmt) for stmt in scope.statements)
-        }
-        self.constraints = {
-            fqn: _backward_constraints(scope.node, self.table) for fqn, scope in functions.items()
-        }
-        self.index()
-        order = [*self.scopes.modules.values(), *(functions[fqn] for fqn in sorted(functions))]
-        for _ in range(_MAX_ROUNDS):
-            changed = False
-            call_sites: _CallSites = {}
-            self.walks = []
-            for scope in order:
-                bindings, returns = self._walk_body(scope, call_sites)
-                self.walks.append((scope, bindings, returns))
-                if scope.kind == "function":
-                    new_ret = self._return_set(scope, returns)
-                    if new_ret != self.returns.get(scope.fqn):
-                        self.returns[scope.fqn] = new_ret
-                        changed = True
+        """Walk every module body, then every function and class body by FQN
+        (not a def that a later one replaced), and walk a body again whenever
+        a return or parameter it read has grown."""
+        units = [*self.scopes.modules.values(), *sorted(
+            [*self.scopes.functions.values(), *self.scopes.classes.values()],
+            key=lambda scope: scope.fqn,
+        )]
+        self.index(units)
+        self.solver.solve(units, self._walk)
 
-            for fqn in sorted(functions):
-                new_params = self._infer_params(functions[fqn], call_sites.get(fqn, []))
-                if new_params != self.params.get(fqn):
-                    self.params[fqn] = new_params
-                    changed = True
-            if not changed:
-                break
-        else:
-            self.diagnostics.append(
-                f"type inference stopped after {_MAX_ROUNDS} rounds without converging; "
-                "some types may be incomplete"
-            )
+    def _walk(self, scope: Scope) -> None:
+        """Walk one body, then grow its return and the parameters of the
+        functions it calls."""
+        call_sites: _CallSites = {}
+        bindings, returns = self._walk_body(scope, call_sites)
+        self.walks[scope] = (bindings, returns)
+        if scope.kind == "function":
+            self.solver.add(f"{scope.fqn}.{_RETURN}", self._return_set(scope, returns))
+        for fqn, sites in call_sites.items():
+            callee = self.scopes.functions[fqn]
+            for name, types in _param_evidence(_typed_params(callee), {}, sites).items():
+                self.solver.add(callee.slot(name), types)
 
     def _return_set(self, scope: Scope, returns: _Returns) -> set[str]:
         if scope.fqn in self.generators:
             return {ANY}
-        if not returns:
-            return {"None"}
-        out: set[str] = set()
-        bare = False
-        for _, types, is_bare in returns:
-            out |= types
-            bare = bare or is_bare
-        body = scope.node.body
-        falls_through = not isinstance(body[-1], ast.Return)
-        if falls_through and not bare:
+        out: set[str] = set().union(*(types for _, types, _ in returns))
+        falls_through = not isinstance(scope.node.body[-1], ast.Return)
+        if not returns or falls_through and not any(bare for _, _, bare in returns):
             out.add("None")
         return out
-
-    def _infer_params(self, scope: Scope, sites: list[_Site]) -> dict[str, set[str]]:
-        params = scope.params
-        skip_self = 1 if _class_of(scope) is not None and params and params[0] in ("self", "cls") else 0
-        return _param_evidence(params[skip_self:], self.constraints[scope.fqn], sites)
 
     # -- records -------------------------------------------------------------------
 
     def records(self) -> list[TypeRecord]:
-        """Records from the last round's walks: once the fixpoint holds, they
-        read the final returns and parameters."""
+        """Records from each module's and function's final walk, which read
+        the final returns and parameters.  Class bodies give none."""
+        values = self.solver.values
         records: list[TypeRecord] = []
-        for scope, bindings, returns in self.walks:
+        for scope, (bindings, returns) in self.walks.items():
+            if scope.kind == "class":
+                continue
             file = self.files[scope.module]
             function = scope.node.name if scope.kind == "function" else None
-            if function is not None:
-                records.append(TypeRecord(
-                    file=file, line_number=returns[0][0] if returns else scope.node.lineno,
-                    function=function, type=set(self.returns.get(scope.fqn, {"None"})) or {ANY},
-                ))
             records += [
                 TypeRecord(file=file, line_number=line, function=function, variable=name,
                            type=set(types) or {ANY})
@@ -537,10 +517,14 @@ class _Engine:
                 if not name.startswith(TEMP_PREFIX)
             ]
             if function is not None:
+                records.append(TypeRecord(
+                    file=file, line_number=returns[0][0] if returns else scope.node.lineno,
+                    function=function, type=set(values.get(f"{scope.fqn}.{_RETURN}", ())) or {ANY},
+                ))
                 records += [
                     TypeRecord(file=file, line_number=scope.node.lineno, function=function,
-                               parameter=name, type=set(types) or {ANY})
-                    for name, types in self.params.get(scope.fqn, {}).items()
+                               parameter=name, type=set(values.get(scope.slot(name), ())) or {ANY})
+                    for name in _typed_params(scope)
                 ]
 
         records.sort(
@@ -555,23 +539,19 @@ class _Engine:
         return records
 
 
-def _backward_constraints(fn: ast.FunctionDef, table: HeuristicTable) -> dict[str, set[str]]:
-    """Types forced on parameters by how the body uses them."""
-    params = {a.arg for a in positional_params(fn.args)}
-    out: dict[str, set[str]] = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            base = node.func.value
-            if isinstance(base, ast.Name) and base.id in params:
-                method = table.method_signatures.get(node.func.attr)
-                if method is not None:
-                    out.setdefault(base.id, set()).add(method[0])
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            for param_side, other in ((node.left, node.right), (node.right, node.left)):
-                if isinstance(param_side, ast.Name) and param_side.id in params:
-                    if isinstance(other, ast.Constant) and isinstance(other.value, str):
-                        out.setdefault(param_side.id, set()).add("str")
-    return out
+def _pin(node: ast.AST, table: HeuristicTable) -> tuple[str, str] | None:
+    """The type a use forces on a bare name, as (name, type): a known method
+    called on it (``s.upper()``), or ``+`` with a string literal."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        method = table.method_signatures.get(node.func.attr)
+        if isinstance(node.func.value, ast.Name) and method is not None:
+            return node.func.value.id, method[0]
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        for side, other in ((node.left, node.right), (node.right, node.left)):
+            if (isinstance(side, ast.Name) and isinstance(other, ast.Constant)
+                    and isinstance(other.value, str)):
+                return side.id, "str"
+    return None
 
 
 def infer_parameters(
@@ -588,10 +568,12 @@ def infer_parameters(
     observed call; with no evidence at all a parameter is ``Any``.
     """
     table = table or default_table()
-    constraints = dict(body_constraints or {})
-    for name, types in _backward_constraints(function, table).items():
-        constraints.setdefault(name, set()).update(types)
     params = [a.arg for a in positional_params(function.args)]
+    constraints = {name: set(types) for name, types in (body_constraints or {}).items()}
+    for node in ast.walk(function):
+        pinned = _pin(node, table)
+        if pinned is not None and pinned[0] in params:
+            constraints.setdefault(pinned[0], set()).add(pinned[1])
     return [
         TypeRecord(file=file, line_number=function.lineno, function=function.name,
                    parameter=name, type=evidence or {ANY})
@@ -615,10 +597,11 @@ def _param_evidence(params: list[str], constraints: dict[str, set[str]],
     return out
 
 
-def _class_of(scope: Scope) -> str | None:
-    """The class a method is defined in, else None."""
-    parent = scope.parent
-    return parent.fqn if parent is not None and parent.kind == "class" else None
+def _typed_params(scope: Scope) -> list[str]:
+    """The parameters that call sites give evidence for: all but a method's
+    ``self`` or ``cls``."""
+    method = scope.params[:1] in (["self"], ["cls"]) and scope.parent.kind == "class"
+    return scope.params[1:] if method else scope.params
 
 
 def infer_types(

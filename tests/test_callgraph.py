@@ -270,7 +270,7 @@ def _round_robin(path: Path) -> callgraph._Analyzer:
     ``_evaluate``, over and over, until no value set and no edge changes."""
     analyzer = _loaded(path)
     statements = [(scope, stmt) for scope in analyzer.table.scopes for stmt in scope.statements]
-    analyzer._queued = bytearray(len(statements))  # readers get queued; nothing drains them
+    analyzer.solver.queued = bytearray(len(statements))  # readers get queued; nothing drains them
     while True:
         before = ({slot: set(values) for slot, values in analyzer.values.items()},
                   set(analyzer.call_edges))

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from lancet.cfg import (
-    _iter_eager,
     build_from_file,
     build_from_source,
+    iter_eager,
     stmt_head_text,
     to_dot,
     to_json,
@@ -349,4 +349,4 @@ def test_iter_eager_matches_recursive_reference(source: str):
     tree = parse_module(source + "f = lambda a=g(1), *, b=h(2): k(a)\n")
     for node in ast.walk(tree):
         if isinstance(node, ast.expr):
-            assert [id(n) for n in _iter_eager(node)] == [id(n) for n in _recursive_eager(node)]
+            assert [id(n) for n in iter_eager(node)] == [id(n) for n in _recursive_eager(node)]

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from lancet import typeinfer
 from lancet.frontend import parse_module
+from lancet.modgraph import Scope
 from lancet.typeinfer import (
     HeuristicTable,
     default_table,
@@ -18,8 +22,10 @@ from lancet.typeinfer import (
 )
 
 from helpers import CORPUS, corpus_files, observe_types, type_agrees
+from strategies import programs
 
 TI = CORPUS / "typeinfer"
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 def _by_kind(records):
@@ -259,9 +265,9 @@ def test_dynamic_agreement(path: Path):
             assert type_agrees(seen, record.type), (path.name, function, parameter, seen, record.type)
 
 
-def test_each_call_is_recorded_once_per_round(tmp_path, monkeypatch):
-    """A call three branches deep is one call site per fixpoint round, not
-    one per enclosing statement."""
+def test_each_call_is_recorded_once_per_walk(tmp_path, monkeypatch):
+    """A call three branches deep is one call site per walk of its scope,
+    not one per enclosing statement."""
     path = tmp_path / "deep_call.py"
     path.write_text(
         "def f(a):\n    return a\n\n"
@@ -269,14 +275,15 @@ def test_each_call_is_recorded_once_per_round(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     seen: list[int] = []
-    infer = typeinfer._Engine._infer_params
+    walk = typeinfer._Engine._walk_body
 
-    def counting(engine, scope, sites):
-        if scope.fqn == "deep_call.f":
-            seen.append(len(sites))
-        return infer(engine, scope, sites)
+    def counting(engine, scope, call_sites):
+        out = walk(engine, scope, call_sites)
+        if "deep_call.f" in call_sites:
+            seen.append(len(call_sites["deep_call.f"]))
+        return out
 
-    monkeypatch.setattr(typeinfer._Engine, "_infer_params", counting)
+    monkeypatch.setattr(typeinfer._Engine, "_walk_body", counting)
     records, _ = infer_types_report(path)
     assert seen and seen == [1] * len(seen)
     (param,) = [r for r in records if r.parameter == "a"]
@@ -355,3 +362,184 @@ def test_a_call_in_a_lambda_body_is_no_argument_evidence(tmp_path):
         "def f(a):\n    return a\n\n\nhandlers = [lambda: f(1)]\nf('s')\n",
     )
     assert parameters[("f", "a")].type == {"str"}
+
+
+def test_a_call_in_a_class_body_is_argument_evidence():
+    returns, variables, parameters = _by_kind(infer_types_report(TI / "class_body_call.py")[0])
+    assert parameters[("double", "a")].type == {"int"}
+    assert returns["double"].type == {"int"}
+    assert variables == {}  # class-body variables get no records
+
+
+# ---------------------------------------------------------------------------
+# The worklist against the rounds it replaced
+
+
+def _return_chain(n: int) -> str:
+    """``h = f0()``, where each ``f<i>`` returns ``f<i + 1>()`` and the last
+    one returns 1: the type reaches ``h`` through ``n`` returns."""
+    defs = [f"def f{i}():\n    return f{i + 1}()\n" for i in range(n)]
+    return "\n".join([*defs, f"def f{n}():\n    return 1\n", "h = f0()\n"])
+
+
+def _round_robin(engine: typeinfer._Engine) -> None:
+    """Reference for ``_Engine.run``: rounds of walks over every unit, each
+    return set from its function's latest walk and, after the round, each
+    parameter from its body constraints and that round's call sites, until
+    a round changes nothing."""
+    functions = engine.scopes.functions
+    units = [*engine.scopes.modules.values(),
+             *sorted([*functions.values(), *engine.scopes.classes.values()],
+                     key=lambda scope: scope.fqn)]
+    engine.index(units)
+    values = engine.solver.values
+    pins = {slot: set(types) for slot, types in values.items()}  # the body constraints
+    for _ in range(10_000):
+        before = {slot: set(types) for slot, types in values.items()}
+        call_sites: dict = {}
+        for scope in units:
+            bindings, returns = engine._walk_body(scope, call_sites)
+            engine.walks[scope] = (bindings, returns)
+            if scope.kind == "function":
+                values[f"{scope.fqn}.<ret>"] = engine._return_set(scope, returns)
+        for fqn, scope in functions.items():
+            params = typeinfer._typed_params(scope)
+            constraints = {name: pins.get(scope.slot(name), set()) for name in params}
+            evidence = typeinfer._param_evidence(params, constraints, call_sites.get(fqn, []))
+            values.update((scope.slot(name), types) for name, types in evidence.items())
+        if values == before:
+            return
+    raise AssertionError("no fixpoint after 10,000 rounds")
+
+
+def _report(path: Path) -> tuple[list[dict], list[str]]:
+    records, diagnostics = infer_types_report(path)
+    return [r.to_json_dict() for r in records], diagnostics
+
+
+def _assert_worklist_matches_round_robin(path: Path, monkeypatch) -> None:
+    actual = _report(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(typeinfer._Engine, "run", _round_robin)
+        expected = _report(path)
+    assert actual == expected
+
+
+def _corpus_targets() -> list[Path]:
+    dirs = [d for d in sorted(CORPUS.rglob("*")) if d.is_dir() and d.name != "__pycache__"]
+    return [*corpus_files(), CORPUS, *dirs]
+
+
+@pytest.mark.parametrize("path", _corpus_targets(), ids=lambda p: str(p.relative_to(CORPUS.parent)))
+def test_worklist_matches_round_robin_on_corpus(path: Path, monkeypatch):
+    _assert_worklist_matches_round_robin(path, monkeypatch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_worklist_matches_round_robin_on_generated_programs(tmp_path_factory, source):
+    path = tmp_path_factory.mktemp("generated") / "generated.py"
+    path.write_text(source)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_worklist_matches_round_robin(path, monkeypatch)
+
+
+def test_worklist_matches_round_robin_on_a_return_chain(tmp_path, monkeypatch):
+    path = tmp_path / "chain.py"
+    path.write_text(_return_chain(200))
+    _assert_worklist_matches_round_robin(path, monkeypatch)
+
+
+# ``g``'s receiver is a B, then an A or a B; ``a`` is walked before ``z``
+# gives its receiver any type.
+_METHOD_CALLS = {
+    "two_receivers.py": (
+        "class A:\n    def m(self):\n        return 1\n\n\n"
+        "class B:\n    def m(self):\n        return 's'\n\n\n"
+        "def g(o):\n    return o.m()\n\n\ndef h():\n    return A()\n\n\n"
+        "x = g(B())\ny = g(h())\n"
+    ),
+    "late_receiver.py": (
+        "class B:\n    def m(self):\n        return 's'\n\n\n"
+        "def a(o):\n    return o.m()\n\n\ndef z():\n    return a(B())\n\n\nr = z()\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_METHOD_CALLS))
+def test_worklist_matches_round_robin_on_method_calls(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    path.write_text(_METHOD_CALLS[name])
+    _assert_worklist_matches_round_robin(path, monkeypatch)
+
+
+def test_a_method_call_unions_the_returns_of_its_receivers(tmp_path):
+    returns, variables, _ = _types(tmp_path, "two_receivers.py", _METHOD_CALLS["two_receivers.py"])
+    assert returns["g"].type == {"int", "str"}
+    assert variables[(None, "x")].type == {"int", "str"}
+
+
+def test_a_method_call_on_a_receiver_with_no_type_yet_adds_no_any(tmp_path):
+    returns, _, _ = _types(tmp_path, "late_receiver.py", _METHOD_CALLS["late_receiver.py"])
+    assert returns["a"].type == {"str"}
+    assert returns["z"].type == {"str"}
+
+
+def _counted_walks(monkeypatch) -> list[Scope]:
+    walked: list[Scope] = []
+    walk = typeinfer._Engine._walk_body
+
+    def counted(engine, scope, call_sites):
+        walked.append(scope)
+        return walk(engine, scope, call_sites)
+
+    monkeypatch.setattr(typeinfer._Engine, "_walk_body", counted)
+    return walked
+
+
+def test_a_return_chain_converges_in_linear_walks(tmp_path, monkeypatch):
+    """A body is walked again only when a return or parameter it read has
+    grown: on a return chain, about twice per function."""
+    path = tmp_path / "chain.py"
+    path.write_text(_return_chain(200))
+    walked = _counted_walks(monkeypatch)
+    records, diagnostics = infer_types_report(path)
+    assert len(walked) <= 606
+    assert diagnostics == []
+    (h,) = [r for r in records if r.variable == "h"]
+    assert h.type == {"int"}
+
+
+def test_package_walks_are_at_most_two_per_unit(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while it executes.
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    for rel, text in gen.gen_package(1).files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    walked = _counted_walks(monkeypatch)
+    infer_types_report(tmp_path / "pkg")
+    units = len(set(map(id, walked)))
+    assert len(walked) <= 2 * units
+    assert len(walked) <= 2_730
+
+
+def test_a_shadowed_name_pins_no_outer_parameter(tmp_path):
+    """A use pins the parameter its name resolves to: a nested def's or a
+    lambda's own parameter of the same name is not the outer one."""
+    source = (
+        "def outer(s):\n    def inner(s):\n        return s.upper()\n    return inner('a')\n\n\n"
+        "def first(k):\n    return list(map(lambda k: k.upper(), ['a']))\n\n\n"
+        "def f(s):\n    return s.upper()\n\n\ndef f(s):\n    return s\n\n\n"
+        "outer(1)\nfirst(1)\nf(1)\n"
+    )
+    path = tmp_path / "shadow.py"
+    path.write_text(source, encoding="utf-8")
+    for simplify in (True, False):
+        _, _, parameters = _by_kind(infer_types_report(path, simplify=simplify)[0])
+        assert parameters[("outer", "s")].type == {"int"}
+        assert parameters[("inner", "s")].type == {"str"}
+        assert parameters[("first", "k")].type == {"int"}
+        assert parameters[("f", "s")].type == {"int"}  # only the def that replaced the first
