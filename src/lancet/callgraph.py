@@ -114,7 +114,8 @@ class _Analyzer:
             self.failed.add(fqn)
             return
         is_package = path.name == "__init__.py"
-        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package))
+        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package),
+                              is_package=is_package)
 
     def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool) -> None:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):

@@ -8,8 +8,8 @@ and optionally simplifies one module, or returns the one diagnostic that
 skips it; :func:`build_dir_tree` loads the modules the walk finds into a
 :class:`TreeNode` tree.  :class:`ScopeTable` walks a loaded module once into
 its module, function and class :class:`Scope` records, each with its own
-statements as one flat list; the call graph and type inference both read
-it, and both solve their fixpoints on one :class:`Worklist`.
+statements as one flat list; the call graph, type inference and ``lancet
+fqn`` read it, and the first two solve their fixpoints on one :class:`Worklist`.
 :func:`import_bindings` maps one import statement to the names it
 binds, and :func:`parse_imports` turns each import statement into an
 :class:`ImportRelation` with relative imports resolved against the
@@ -17,15 +17,14 @@ importer's package.  A module is a *leaf* when it has no outgoing
 project-internal imports - the bottom of the dependency hierarchy,
 analyzable without project context.
 
-Names resolve by one of two rules.  :meth:`Scope.lookup` is Python's nested
-rule (the call graph's and type inference's).  :func:`resolve_fqn` is the
-flat module-level view (``lancet fqn``): it maps a call name (a ``Name`` or
-dotted attribute chain, see :func:`dotted_parts`) to its fully qualified
-dotted path by substituting import bindings or module-level definitions at
-the leftmost position, and through a module-level bare-name copy
-(``g = getcwd; g()`` resolves through ``getcwd``).  Unknown roots come
-back as :class:`Unresolved`, a ``str`` subclass carrying the syntactic
-dotted text unchanged, so resolution is idempotent.
+Names resolve by Python's nested rule, :meth:`Scope.lookup`, and an import
+binds its names in the scope where it appears.  :func:`resolve_fqn` maps a
+call name (a ``Name`` or dotted attribute chain, see :func:`dotted_parts`)
+to its fully qualified dotted path through the import or module-level
+definition its root is bound to, or a module-level bare-name copy
+(``g = getcwd; g()`` resolves through ``getcwd``).  Other roots come back
+as :class:`Unresolved`, a ``str`` subclass carrying the syntactic dotted
+text unchanged, so resolution is idempotent.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from .cfg import head_exprs
 from .frontend import ParseError, SourceFile, parse_module, positional_params, source_text, walk
 from .rewriter import FixpointError, simplify_module
 from .ssa import target_names, unpack
@@ -410,12 +410,16 @@ class ScopeTable:
         module: ast.Module,
         name: str,
         on_statement: Callable[[Scope, ast.stmt], None] | None = None,
+        *,
+        is_package: bool = False,
     ) -> None:
         """Walk ``module`` once, adding each scope as the walk enters it.
 
         ``on_statement(scope, stmt)`` is called for every statement as the
-        walk reaches it, before its body; scopes it adds (an import that
-        loads another module) take that place in the pre-order.
+        walk reaches it, after an import has bound each name to
+        ``("import", target)`` in that scope and before the body; scopes it
+        adds (an import that loads another module) take that place in the
+        pre-order.  ``is_package`` marks a package's ``__init__``.
         """
         root = Scope(name, "module", module, name)
         self.modules[name] = root
@@ -424,6 +428,9 @@ class ScopeTable:
         while stack:
             stmt, scope = stack.pop()
             scope.statements.append(stmt)
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for _, pairs in import_bindings(stmt, name, is_package) or ():
+                    scope.bindings.update((local, ("import", target)) for local, target in pairs)
             if on_statement is not None:
                 on_statement(scope, stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -512,44 +519,37 @@ class Unresolved(str):
 
 @dataclass
 class NameContext:
-    """Bindings visible in one module: import aliases and local definitions,
-    and the module-level bare-name copies used to chase them."""
+    """``lancet fqn``'s view of one module's scope table: the module
+    ``scope``, the scope of each callee in a function or class body, and
+    the module-level bare-name copies that chase a root."""
 
-    module: str
-    bindings: dict[str, str] = field(default_factory=dict)
-    alias_map: dict[str, str] = field(default_factory=dict)
+    table: ScopeTable
+    scope: Scope
+    scope_of: dict[ast.expr, Scope]
+    alias_map: dict[str, str]
 
 
 def build_name_context(module: ast.Module, module_name: str) -> NameContext:
-    """One pass over the module's statements.  It binds every import, in
-    every scope, in statement pre-order; then every module-level definition,
-    including those in the bodies of module-level ``if``/``while``/``for``
-    statements.  A name that module-level assignments copy from exactly one
-    other name (``g = getcwd``, paired by :func:`~lancet.ssa.unpack`) maps
-    to that name in ``alias_map``."""
-    ctx = NameContext(module=module_name)
-    definitions: dict[str, str] = {}
+    """The module's :class:`ScopeTable` and the scope of each callee in a
+    function or class body, from the statements' heads (:func:`head_exprs`)
+    with lambda bodies included.  A name that module-level assignments,
+    including those in module-level ``if``/``while``/``for`` bodies, copy
+    from exactly one other name (``g = getcwd``, paired by
+    :func:`~lancet.ssa.unpack`) maps to that name in ``alias_map``."""
+    table = ScopeTable()
+    table.add_module(module, module_name)
+    top, *bodies = table.scopes
+    scope_of = {node.func: scope for scope in bodies for stmt in scope.statements
+                for expr in head_exprs(stmt) for node in walk(expr) if isinstance(node, ast.Call)}
     copies: dict[str, set[str]] = {}
-    stack = [(stmt, True) for stmt in reversed(module.body)]
-    while stack:
-        stmt, top = stack.pop()
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for _, pairs in import_bindings(stmt, module_name, False) or ():
-                ctx.bindings.update(pairs)
-        elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            if top:
-                definitions[stmt.name] = f"{module_name}.{stmt.name}"
-            stack += [(inner, False) for inner in reversed(stmt.body)]
-        elif isinstance(stmt, (ast.If, ast.While, ast.For)):
-            stack += [(inner, top) for inner in reversed(stmt.body + stmt.orelse)]
-        elif isinstance(stmt, ast.Assign) and top:
+    for stmt in top.statements:
+        if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 for name, expr in unpack(target, stmt.value):
                     if isinstance(expr, ast.Name):
                         copies.setdefault(name, set()).add(expr.id)
-    ctx.bindings.update(definitions)
-    ctx.alias_map = {name: next(iter(t)) for name, t in copies.items() if len(t) == 1}
-    return ctx
+    alias_map = {name: next(iter(t)) for name, t in copies.items() if len(t) == 1}
+    return NameContext(table, top, scope_of, alias_map)
 
 
 def dotted_parts(expr: ast.expr) -> list[str] | None:
@@ -566,20 +566,25 @@ def dotted_parts(expr: ast.expr) -> list[str] | None:
 
 
 def resolve_fqn(call_name: ast.expr, ctx: NameContext) -> str:
-    """Fully qualified dotted name for a call target, or :class:`Unresolved`."""
+    """Fully qualified dotted name for a call target, or :class:`Unresolved`:
+    the import, or module-level def or class, that the root names in the
+    callee's scope, chased through ``alias_map`` from another module-level
+    name.  A parameter, a local, a class attribute or a nested def is not."""
     parts = dotted_parts(call_name)
     if not parts:
         return Unresolved(source_text(call_name))
-    syntactic = ".".join(parts)
-
     root = parts[0]
+    binding = ctx.scope_of.get(call_name, ctx.scope).lookup(root)
     seen: set[str] = set()
-    while root not in ctx.bindings and root in ctx.alias_map and root not in seen:
+    while binding == ("slot", ctx.scope.slot(root)) and root not in seen:
+        if binding[1] in ctx.table.functions or binding[1] in ctx.table.classes:
+            return ".".join([binding[1]] + parts[1:])
         seen.add(root)
-        root = ctx.alias_map[root]
-    if root in ctx.bindings:
-        return ".".join([ctx.bindings[root]] + parts[1:])
-    return Unresolved(syntactic)
+        root = ctx.alias_map.get(root)
+        binding = ctx.scope.bindings.get(root)
+    if binding is not None and binding[0] == "import":
+        return ".".join([binding[1]] + parts[1:])
+    return Unresolved(".".join(parts))
 
 
 def call_sites(module: ast.Module) -> list[ast.Call]:

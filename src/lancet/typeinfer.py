@@ -36,7 +36,7 @@ from pathlib import Path
 from .cfg import head_exprs, iter_eager
 from .frontend import positional_params
 from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, discover, dotted_parts,
-                       import_bindings, load_module)
+                       load_module)
 from .rewriter import TEMP_PREFIX
 from .ssa import target_names, unpack
 
@@ -341,15 +341,7 @@ class _Engine:
 
     def add_module(self, module: ast.Module, file: str, name: str) -> None:
         self.files[name] = file
-        is_package = Path(file).name == "__init__.py"
-
-        def bind_import(scope: Scope, stmt: ast.stmt) -> None:
-            # An import binds its names in the scope where it appears.
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for _, pairs in import_bindings(stmt, scope.module, is_package) or ():
-                    scope.bindings.update((local, ("import", target)) for local, target in pairs)
-
-        self.scopes.add_module(module, name, bind_import)
+        self.scopes.add_module(module, name, is_package=Path(file).name == "__init__.py")
 
     def index(self, units: list[Scope]) -> None:
         """Resolve the callee of every call in ``units`` once, by Python's

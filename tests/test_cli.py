@@ -111,6 +111,48 @@ def test_fqn_resolves_a_def_in_a_module_level_branch(capsys, tmp_path):
     assert out.splitlines() == ["5:0 h -> found.h"]
 
 
+def test_fqn_sees_a_function_local_import_only_in_that_function(capsys, tmp_path):
+    target = tmp_path / "local.py"
+    target.write_text("def f():\n    from os import getcwd as cwd\n    return cwd()\n\n\n"
+                      "def g():\n    return cwd()\n")
+    code, out, _ = _run(capsys, "fqn", str(target))
+    assert code == 0
+    assert out.splitlines() == ["3:11 cwd -> os.getcwd", "7:11 cwd -> UNRESOLVED"]
+
+
+def test_fqn_leaves_a_parameter_or_local_that_shadows_an_import_unresolved(capsys, tmp_path):
+    target = tmp_path / "shadow.py"
+    target.write_text("from os import getcwd, sep\n\n\ndef f(getcwd):\n    return getcwd()\n\n\n"
+                      "def g():\n    sep = str\n    return sep(1)\n\n\n"
+                      "def h():\n    return getcwd(), [lambda: sep()]\n")
+    code, out, _ = _run(capsys, "fqn", str(target))
+    assert code == 0
+    assert out.splitlines() == [
+        "5:11 getcwd -> UNRESOLVED",
+        "10:11 sep -> UNRESOLVED",
+        "14:11 getcwd -> os.getcwd",
+        "14:30 sep -> os.sep",
+    ]
+
+
+def test_fqn_leaves_a_nested_def_that_shadows_a_module_def_unresolved(capsys, tmp_path):
+    target = tmp_path / "nested.py"
+    target.write_text("def inner():\n    return 0\n\n\n"
+                      "def outer():\n    def inner():\n        return 1\n    return inner()\n\n\n"
+                      "inner()\n")
+    code, out, _ = _run(capsys, "fqn", str(target))
+    assert code == 0
+    assert out.splitlines() == ["8:11 inner -> UNRESOLVED", "11:0 inner -> nested.inner"]
+
+
+def test_fqn_takes_an_import_that_rebinds_a_module_def(capsys, tmp_path):
+    target = tmp_path / "rebind.py"
+    target.write_text("def getcwd():\n    return 1\n\n\nfrom os import getcwd\ngetcwd()\n")
+    code, out, _ = _run(capsys, "fqn", str(target))
+    assert code == 0
+    assert out == "6:0 getcwd -> os.getcwd\n"
+
+
 def test_callgraph_simple_json(capsys):
     code, out, _ = _run(capsys, "callgraph", "--entry", str(DIRECT), "--format", "simple-json")
     assert code == 0

@@ -12,6 +12,7 @@ from lancet.cfg import build_from_ast
 from lancet.frontend import ParseError, parse_module
 from lancet.modgraph import (
     ImportRelation,
+    ScopeTable,
     Unresolved,
     build_dir_tree,
     build_import_graph,
@@ -174,6 +175,25 @@ def test_resolve_relative_anchoring():
     assert resolve_relative("pkg.sub.mod", False, 2, "other") == "pkg.other"
     assert resolve_relative("pkg.mod", False, 0, "os.path") == "os.path"
     assert resolve_relative("pkg.mod", False, 3, "x") is None
+
+
+def test_an_import_in_a_function_binds_only_in_that_function():
+    table = ScopeTable()
+    table.add_module(parse_module("def f():\n    import os.path\n\n\ndef g():\n    pass\n"), "m")
+    assert table.functions["m.f"].bindings == {"os": ("import", "os")}
+    assert "os" not in table.functions["m.g"].bindings
+    assert table.functions["m.g"].lookup("os") is None
+    assert table.modules["m"].bindings == {"f": ("slot", "m.f"), "g": ("slot", "m.g")}
+
+
+def test_a_package_init_binds_its_relative_imports_under_the_package():
+    module = parse_module("from . import x\nfrom .y import z as w\n")
+    table = ScopeTable()
+    table.add_module(module, "pkg", is_package=True)
+    assert table.modules["pkg"].bindings == {"x": ("import", "pkg.x"), "w": ("import", "pkg.y.z")}
+    # In a plain module named "pkg", ``from . import x`` reaches above the root.
+    table.add_module(module, "pkg")
+    assert table.modules["pkg"].bindings == {"w": ("import", "y.z")}
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,14 @@ The edge-case set (``EDGE_CASES``) holds inputs the corpus does not:
 starred and nested assignment targets, calls inside lambda bodies, int
 literals past the int-to-str digit limit (which ``ast.dump`` cannot print,
 so they stay out of ``tests/corpus``), two relative imports on one line
-that reach above the project root, and a call hoisted out of a statement
-whose next argument is a 1,000-deep subscript chain.  The edge cases and the
-workloads (made by importing ``perfbench/gen.py``) are written to a temporary
-directory that both sides read; nothing under ``perfbench/`` is written.
+that reach above the project root, a call hoisted out of a statement
+whose next argument is a 1,000-deep subscript chain, and, for ``fqn``,
+names that a function binds over the module's (a function-local import
+read from another function, a parameter and a local that shadow
+module-level imports, a nested def that shadows a module-level one).  The
+edge cases and the workloads (made by importing ``perfbench/gen.py``) are
+written to a temporary directory that both sides read; nothing under
+``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -81,6 +85,16 @@ EDGE_CASES = {
     "huge_method.py": f"y = ({_HUGE}).bit_length()\n",
     "dups/mod.py": "from ...x import a; from ...y import b\n",
     "deep_hoist.py": "a = [0]\nx = f(g(), a" + "[0]" * 1000 + ")\n",
+    "scoped_names.py": (
+        "from os import getcwd, sep\n\n\n"
+        "def f():\n    from os import getcwd as cwd\n    return cwd()\n\n\n"
+        "def g():\n    return cwd()\n\n\n"
+        "def h(getcwd):\n    return getcwd()\n\n\n"
+        "def k():\n    sep = str\n    return sep(1)\n\n\n"
+        "def inner():\n    return 0\n\n\n"
+        "def outer():\n    def inner():\n        return 1\n    return inner()\n\n\n"
+        "handlers = [lambda: getcwd()]\nhere = getcwd\nhere()\n"
+    ),
 }
 
 
