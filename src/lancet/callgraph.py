@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import statement_calls
-from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, discover, import_bindings,
-                       load_module)
+from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments, discover,
+                       import_bindings, load_module)
 from .ssa import unpack
 
 __all__ = [
@@ -242,47 +242,30 @@ class _Analyzer:
             self._diagnose(scope, call, f"dynamic feature {func.id!r} ignored")
             return
 
-        receivers: set[Value] = set()
+        classes: set[Value] = set()  # the receiver's classes, for a bound call
         if isinstance(func, ast.Attribute):
-            receivers = self.eval_expr(func.value, scope)
+            classes = {value for value in self.eval_expr(func.value, scope) if value[0] == "class"}
         targets = self.eval_expr(func, scope)
 
         for kind, fqn in sorted(targets):
+            if kind != "mod":
+                self.call_edges.add((caller, fqn))
             if kind == "func":
-                self.call_edges.add((caller, fqn))
-                self_offset = 0
-                if isinstance(func, ast.Attribute) and any(k == "class" for k, _ in receivers):
-                    params = self._params(fqn)
-                    if params:
-                        for r_kind, r_fqn in receivers:
-                            if r_kind == "class":
-                                self.solver.add(f"{fqn}.{params[0]}", {("class", r_fqn)})
-                        self_offset = 1
-                self._flow_arguments(scope, call, fqn, self_offset)
+                self._bind(scope, call, fqn, classes)
             elif kind == "class":
-                self.call_edges.add((caller, fqn))
-                init = self._attr_values(("class", fqn), "__init__")
-                for i_kind, i_fqn in init:
+                for i_kind, i_fqn in self._attr_values(("class", fqn), "__init__"):
                     if i_kind == "func":
                         self.call_edges.add((caller, i_fqn))
-                        params = self._params(i_fqn)
-                        if params:
-                            self.solver.add(f"{i_fqn}.{params[0]}", {("class", fqn)})
-                        self._flow_arguments(scope, call, i_fqn, 1)
-            elif kind == "ext":
-                self.call_edges.add((caller, fqn))
+                        self._bind(scope, call, i_fqn, {("class", fqn)})
 
-    def _flow_arguments(self, scope: Scope, call: ast.Call, fqn: str, offset: int) -> None:
+    def _bind(self, scope: Scope, call: ast.Call, fqn: str, receivers: set[Value]) -> None:
+        """Flow ``call``'s arguments, and any receiver classes, into ``fqn``'s parameters."""
         params = self._params(fqn)
-        for i, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                continue
-            slot_index = i + offset
-            if slot_index < len(params):
-                self.solver.add(f"{fqn}.{params[slot_index]}", self.eval_expr(arg, scope))
-        for kw in call.keywords:
-            if kw.arg is not None and kw.arg in params:
-                self.solver.add(f"{fqn}.{kw.arg}", self.eval_expr(kw.value, scope))
+        if params:
+            self.solver.add(f"{fqn}.{params[0]}", receivers)
+        for name, arg in bind_arguments(call, params, bool(receivers)):
+            if arg is not None:
+                self.solver.add(f"{fqn}.{name}", self.eval_expr(arg, scope))
 
     def _params(self, fqn: str) -> list[str]:
         scope = self.table.functions.get(fqn)

@@ -2,7 +2,7 @@
 
 This module owns the project model every project-level analysis shares:
 which files form a project, what each one is named, how it is loaded, which
-scopes it holds and what an import statement binds.  :func:`discover` walks
+scopes it holds and what an import or a call binds.  :func:`discover` walks
 a project directory once, without parsing; :func:`load_module` reads, parses
 and optionally simplifies one module, or returns the one diagnostic that
 skips it; :func:`build_dir_tree` loads the modules the walk finds into a
@@ -44,6 +44,7 @@ __all__ = [
     "DiagnosticLog",
     "TreeNode",
     "Scope",
+    "bind_arguments",
     "ScopeTable",
     "Worklist",
     "ImportRelation",
@@ -393,6 +394,31 @@ class Scope:
         return None
 
 
+def bind_arguments(call: ast.Call, params: list[str],
+                   bound: bool = False) -> list[tuple[str, ast.expr | None]]:
+    """The (parameter, argument) pairs by which ``call`` may bind ``params``;
+    with ``bound``, the first parameter is the receiver and takes none.
+    Positional arguments pair in order up to the first starred one; from
+    there, each may bind any parameter from the count of plain ones before
+    it, and a starred one binds those to None, as a ``**`` one binds every
+    parameter no plain one took.  Keywords pair by name.  None means what it
+    means in :func:`~lancet.ssa.unpack`: bound, value unknown."""
+    params = params[1:] if bound else params
+    pairs: list[tuple[str, ast.expr | None]] = []
+    plain = 0  # plain positional arguments so far; fewer than ``i`` after a star
+    for i, arg in enumerate(call.args):
+        star = isinstance(arg, ast.Starred)
+        reach = params[plain:] if star or plain < i else params[plain:plain + 1]
+        pairs += [(name, None if star else arg) for name in reach]
+        plain += not star
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            pairs += [(name, None) for name in params[plain:]]
+        elif keyword.arg in params:
+            pairs.append((keyword.arg, keyword.value))
+    return pairs
+
+
 class ScopeTable:
     """The scopes of the modules added so far, in pre-order, indexed by FQN.
 
@@ -431,6 +457,9 @@ class ScopeTable:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 for _, pairs in import_bindings(stmt, name, is_package) or ():
                     scope.bindings.update((local, ("import", target)) for local, target in pairs)
+            if isinstance(stmt, ast.Global):
+                for local in stmt.names:
+                    scope.bindings[local] = root.bindings.setdefault(local, ("slot", root.slot(local)))
             if on_statement is not None:
                 on_statement(scope, stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):

@@ -9,7 +9,7 @@ Evidence comes from three directions:
   calls via a seeded signature table (``data/signatures.txt``, overridable
   through the ``LANCET_SIGNATURES`` environment variable) and the return
   types of project functions, iterated to a fixpoint;
-* call sites - a parameter's type includes every argument type observed;
+* call sites - every argument or default bound to a parameter adds its type;
 * backward constraints - using a parameter with a known method
   (``s.upper()``) or concatenating it with a string pins its type.
 
@@ -35,8 +35,8 @@ from pathlib import Path
 
 from .cfg import head_exprs, iter_eager
 from .frontend import positional_params
-from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, discover, dotted_parts,
-                       load_module)
+from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments, discover,
+                       dotted_parts, load_module)
 from .rewriter import TEMP_PREFIX
 from .ssa import target_names, unpack
 
@@ -320,8 +320,6 @@ _RETURN = "<ret>"  # a function's return slot: f"{fqn}.{_RETURN}"
 
 _Bindings = dict[str, tuple[int, set[str]]]  # variable -> (first line, types)
 _Returns = list[tuple[int, set[str], bool]]  # (line, types, bare) per return
-_Site = tuple[list[set[str]], dict[str, set[str]]]  # positional, keyword argument types
-_CallSites = dict[str, list[_Site]]  # callee FQN -> the calls that reach it
 
 
 class _Engine:
@@ -333,7 +331,7 @@ class _Engine:
         self.scopes = ScopeTable()
         self.files: dict[str, str] = {}  # module name -> file
         self.targets: dict[ast.expr, str] = {}  # callee node -> resolved FQN
-        self.sites: dict[ast.stmt, list[tuple[ast.Call, str]]] = {}  # project-function calls
+        self.sites: dict[ast.stmt, list[tuple[ast.Call, Scope, bool]]] = {}  # callee, bound
         self.generators: set[str] = set()
         self.solver = Worklist()  # slots: each function's return and parameters
         self.walks: dict[Scope, tuple[_Bindings, _Returns]] = {}  # each scope's final walk
@@ -351,7 +349,8 @@ class _Engine:
         statements nested in a branch have their own entries.  The same pass
         finds the generators and seeds the parameters with their body
         constraints: a use (:func:`_pin`) pins the parameter its name
-        resolves to."""
+        resolves to.  A call binds a function unbound, also through its
+        class (``C.m(o, x)``), and a class's ``__init__`` bound."""
         functions = self.scopes.functions
         slots = {scope.slot(name) for scope in functions.values() for name in _typed_params(scope)}
         for scope in units:
@@ -372,8 +371,10 @@ class _Engine:
                         continue
                     fqn = ".".join([binding[1], *parts[1:]])
                     self.targets[node.func] = fqn
+                    bound = fqn in self.scopes.classes
+                    fqn = self.scopes.classes[fqn].methods.get("__init__") if bound else fqn
                     if fqn in functions:
-                        sites.append((node, fqn))
+                        sites.append((node, functions[fqn], bound))
                 if sites:
                     self.sites[stmt] = sites
 
@@ -402,11 +403,11 @@ class _Engine:
 
     # -- environment walks -----------------------------------------------------
 
-    def _walk_body(self, scope: Scope, call_sites: _CallSites) -> tuple[_Bindings, _Returns]:
+    def _walk_body(self, scope: Scope, evidence: dict[str, set[str]]) -> tuple[_Bindings, _Returns]:
         """Flow-insensitive walk: types accumulate as unions in the scope's
         environment.  Returns the variables (name -> first line, types) and
-        the return statements (line, types, bare); adds the argument types of
-        each project-function call to ``call_sites``."""
+        the return statements (line, types, bare); adds to ``evidence`` the
+        types that defaults and calls bind to parameters (``Any`` past a star)."""
         typed = _typed_params(scope)
         env = {name: set(self.solver.get(scope.slot(name))) for name in typed}
         if len(typed) < len(scope.params):
@@ -414,15 +415,19 @@ class _Engine:
         bindings: _Bindings = {}
         returns: _Returns = []
         for stmt in scope.statements:
+            if isinstance(stmt, ast.FunctionDef):
+                params = positional_params(stmt.args)
+                for param, default in zip(reversed(params), reversed(stmt.args.defaults)):
+                    types = type_of_expr(default, env, self.table, resolver=self)
+                    evidence.setdefault(f"{scope.slot(stmt.name)}.{param.arg}", set()).update(types)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 env[stmt.name] = {"callable" if isinstance(stmt, ast.FunctionDef) else ANY}
                 continue
-            for call, fqn in self.sites.get(stmt, ()):
-                pos = [type_of_expr(arg, env, self.table, resolver=self)
-                       for arg in call.args if not isinstance(arg, ast.Starred)]
-                kw = {k.arg: type_of_expr(k.value, env, self.table, resolver=self)
-                      for k in call.keywords if k.arg is not None}
-                call_sites.setdefault(fqn, []).append((pos, kw))
+            for call, callee, bound in self.sites.get(stmt, ()):
+                for name, arg in bind_arguments(call, callee.params, bound):
+                    if name in _typed_params(callee):
+                        types = {ANY} if arg is None else type_of_expr(arg, env, self.table, resolver=self)
+                        evidence.setdefault(callee.slot(name), set()).update(types)
             if isinstance(stmt, ast.Assign):
                 value_types = type_of_expr(
                     stmt.value, env, self.table, resolver=self, diagnostics=self.diagnostics
@@ -470,16 +475,14 @@ class _Engine:
 
     def _walk(self, scope: Scope) -> None:
         """Walk one body, then grow its return and the parameters of the
-        functions it calls."""
-        call_sites: _CallSites = {}
-        bindings, returns = self._walk_body(scope, call_sites)
+        functions it calls or defines."""
+        evidence: dict[str, set[str]] = {}  # parameter slot -> types
+        bindings, returns = self._walk_body(scope, evidence)
         self.walks[scope] = (bindings, returns)
         if scope.kind == "function":
             self.solver.add(f"{scope.fqn}.{_RETURN}", self._return_set(scope, returns))
-        for fqn, sites in call_sites.items():
-            callee = self.scopes.functions[fqn]
-            for name, types in _param_evidence(_typed_params(callee), {}, sites).items():
-                self.solver.add(callee.slot(name), types)
+        for slot, types in evidence.items():
+            self.solver.add(slot, types)
 
     def _return_set(self, scope: Scope, returns: _Returns) -> set[str]:
         if scope.fqn in self.generators:
@@ -548,7 +551,7 @@ def _pin(node: ast.AST, table: HeuristicTable) -> tuple[str, str] | None:
 
 def infer_parameters(
     function: ast.FunctionDef,
-    call_sites: list[_Site],
+    call_sites: list[tuple[list[set[str]], dict[str, set[str]]]],
     body_constraints: dict[str, set[str]] | None = None,
     *,
     file: str = "<string>",
@@ -557,36 +560,21 @@ def infer_parameters(
     """Parameter records from call-site argument types plus body constraints.
 
     ``call_sites`` holds (positional type sets, keyword type sets) per
-    observed call; with no evidence at all a parameter is ``Any``.
+    observed call; with no evidence at all a parameter is ``Any``.  Uses pin
+    as in :func:`infer_types`: not in nested def, class or lambda bodies.
     """
-    table = table or default_table()
-    params = [a.arg for a in positional_params(function.args)]
-    constraints = {name: set(types) for name, types in (body_constraints or {}).items()}
-    for node in ast.walk(function):
-        pinned = _pin(node, table)
-        if pinned is not None and pinned[0] in params:
-            constraints.setdefault(pinned[0], set()).add(pinned[1])
+    engine = _Engine(table or default_table())
+    engine.scopes.add_module(ast.Module(body=[function], type_ignores=[]), "")
+    scope = engine.scopes.scopes[1]
+    engine.index([scope])
+    for positional, keywords in [([], body_constraints or {}), *call_sites]:  # constraints by name
+        for name, types in [*zip(scope.params, positional), *keywords.items()]:
+            engine.solver.add(scope.slot(name), types)
     return [
         TypeRecord(file=file, line_number=function.lineno, function=function.name,
-                   parameter=name, type=evidence or {ANY})
-        for name, evidence in _param_evidence(params, constraints, call_sites).items()
+                   parameter=name, type=set(engine.solver.get(scope.slot(name))) or {ANY})
+        for name in scope.params
     ]
-
-
-def _param_evidence(params: list[str], constraints: dict[str, set[str]],
-                    sites: list[_Site]) -> dict[str, set[str]]:
-    """Each parameter's body constraints plus the argument types that call
-    sites pass it, by position or by keyword."""
-    out: dict[str, set[str]] = {}
-    for i, name in enumerate(params):
-        evidence: set[str] = set(constraints.get(name, set()))
-        for pos, kw in sites:
-            if i < len(pos):
-                evidence |= pos[i]
-            if name in kw:
-                evidence |= kw[name]
-        out[name] = evidence
-    return out
 
 
 def _typed_params(scope: Scope) -> list[str]:

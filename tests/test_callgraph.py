@@ -314,6 +314,22 @@ def test_a_starred_assignment_pairs_the_names_before_the_star(tmp_path):
     assert output_edges(graph) == [("star", "star.f"), ("star", "star.h")]
 
 
+def test_an_argument_past_a_star_may_bind_an_earlier_parameter(tmp_path):
+    path = tmp_path / "star_call.py"
+    path.write_text("def g():\n    pass\n\n\ndef f(a, b):\n    return a()\n\n\nf(*[], g, 1)\n")
+    edges = output_edges(analyze([path]))
+    assert ("star_call.f", "star_call.g") in edges
+    assert trace_call_edges(path) <= set(edges)
+
+
+def test_a_global_assignment_in_a_function_binds_the_module_name(tmp_path):
+    path = tmp_path / "glob.py"
+    path.write_text("def g():\n    pass\n\n\ndef f():\n    global h\n    h = g\n\n\nf()\nh()\n")
+    edges = output_edges(analyze([path]))
+    assert ("glob", "glob.g") in edges
+    assert trace_call_edges(path) <= set(edges)
+
+
 def test_a_repeated_unresolvable_import_line_is_diagnosed_once(tmp_path):
     root = tmp_path / "pkg"
     root.mkdir()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lancet.cfg import build_from_ast
 from lancet.frontend import ParseError, parse_module
@@ -16,6 +17,7 @@ from lancet.modgraph import (
     Unresolved,
     build_dir_tree,
     build_import_graph,
+    bind_arguments,
     build_name_context,
     call_sites,
     leaf_nodes,
@@ -318,3 +320,74 @@ def test_alias_map_matches_ssa_alias_pairs_on_generated_programs(source):
 def test_alias_map_takes_starred_and_nested_copies():
     _, ctx = _ctx_for("from os import getcwd, sep\na, *b = getcwd, sep, sep\n(c, (d, e)) = (1, (a, b))\n")
     assert ctx.alias_map == {"a": "getcwd", "d": "a", "e": "b"}
+
+
+# ---------------------------------------------------------------------------
+# Argument binding: one rule for every analysis
+
+
+def _pairs(call_source: str, params: list[str]) -> dict[str, list[str | None]]:
+    call = ast.parse(call_source, mode="eval").body
+    out: dict[str, list[str | None]] = {}
+    for name, arg in bind_arguments(call, params):
+        out.setdefault(name, []).append(None if arg is None else ast.unparse(arg))
+    return out
+
+
+@pytest.mark.parametrize("call_source, expected", [
+    ("f(1, 2)", {"a": ["1"], "b": ["2"]}),
+    ("f(1, c=2)", {"a": ["1"], "c": ["2"]}),
+    ("f(1, 2, 3, 4)", {"a": ["1"], "b": ["2"], "c": ["3"]}),
+    ("f(*xs, 's')", {"a": [None, "'s'"], "b": [None, "'s'"], "c": [None, "'s'"]}),
+    ("f(1, *xs, 2)", {"a": ["1"], "b": [None, "2"], "c": [None, "2"]}),
+    ("f(1, **kw)", {"a": ["1"], "b": [None], "c": [None]}),
+    ("f(1, x=2)", {"a": ["1"]}),
+])
+def test_bind_arguments_pairs_in_order_up_to_a_star(call_source, expected):
+    assert _pairs(call_source, ["a", "b", "c"]) == expected
+
+
+@st.composite
+def _binding_cases(draw):
+    """A def of up to four positional parameters, the last ones defaulted
+    to strings, and a call of it that mixes distinct int literals as plain,
+    ``*[...]``, keyword and ``**{...}`` arguments."""
+    params = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
+    defaulted = draw(st.integers(0, len(params)))
+    signature = [p if i < len(params) - defaulted else f"{p}='d'" for i, p in enumerate(params)]
+    literals = iter(range(10, 100))
+    args = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            args.append(str(next(literals)))
+        else:
+            args.append("*[" + ", ".join(str(next(literals)) for _ in range(draw(st.integers(0, 2)))) + "]")
+    names = st.sampled_from(params)
+    for _ in range(draw(st.integers(0, 3 if params else 0))):
+        if draw(st.booleans()):
+            args.append(f"{draw(names)}={next(literals)}")
+        else:
+            keys = draw(st.lists(names, max_size=2, unique=True))
+            args.append("**{" + ", ".join(f"'{key}': {next(literals)}" for key in keys) + "}")
+    return params, f"def f({', '.join(signature)}):\n    return locals()\n", f"f({', '.join(args)})"
+
+
+@settings(max_examples=600, deadline=None)
+@given(_binding_cases())
+def test_bind_arguments_agree_with_the_interpreter(case):
+    params, def_source, call_source = case
+    namespace: dict = {}
+    try:
+        exec(f"{def_source}result = {call_source}\n", namespace)
+    except (SyntaxError, TypeError):  # a repeated keyword, or the call does not fit the def
+        return
+    call = ast.parse(call_source, mode="eval").body
+    pairs = bind_arguments(call, params)
+    passed = {name: value for name, value in namespace["result"].items() if value != "d"}
+    for name, value in passed.items():
+        assert any(param == name and (arg is None or ast.literal_eval(arg) == value)
+                   for param, arg in pairs), (def_source, call_source, name)
+    if "*" not in call_source:
+        assert sorted(name for name, _ in pairs) == sorted(passed), call_source
+        assert all(ast.literal_eval(arg) == passed[name] for name, arg in pairs), call_source
+    assert bind_arguments(call, ["self", *params], bound=True) == pairs

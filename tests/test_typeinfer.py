@@ -204,6 +204,15 @@ def test_infer_parameters_keyword_sites_and_explicit_constraints():
     assert by_name == {"a": {"str"}, "b": {"float"}}
 
 
+@pytest.mark.parametrize("source", [
+    "def outer(s):\n    def inner(s):\n        return s.upper()\n    return inner\n",
+    "def first(k):\n    return list(map(lambda k: k.upper(), ['a']))\n",
+])
+def test_infer_parameters_pins_only_the_parameter_a_use_resolves_to(source):
+    records = infer_parameters(_fn(source), call_sites=[([{"int"}], {})])
+    assert records[0].type == {"int"}
+
+
 # ---------------------------------------------------------------------------
 # Signature table plumbing
 
@@ -275,14 +284,22 @@ def test_each_call_is_recorded_once_per_walk(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     seen: list[int] = []
+    calls: list[ast.Call] = []
     walk = typeinfer._Engine._walk_body
+    bind = typeinfer.bind_arguments
 
-    def counting(engine, scope, call_sites):
-        out = walk(engine, scope, call_sites)
-        if "deep_call.f" in call_sites:
-            seen.append(len(call_sites["deep_call.f"]))
+    def binding(call, params, bound=False):
+        calls.append(call)
+        return bind(call, params, bound)
+
+    def counting(engine, scope, evidence):
+        calls.clear()
+        out = walk(engine, scope, evidence)
+        if "deep_call.f.a" in evidence:
+            seen.append(len(calls))
         return out
 
+    monkeypatch.setattr(typeinfer, "bind_arguments", binding)
     monkeypatch.setattr(typeinfer._Engine, "_walk_body", counting)
     records, _ = infer_types_report(path)
     assert seen and seen == [1] * len(seen)
@@ -372,6 +389,58 @@ def test_a_call_in_a_class_body_is_argument_evidence():
 
 
 # ---------------------------------------------------------------------------
+# Arguments bind parameters by one rule (modgraph.bind_arguments)
+
+_CALL_BINDING = (
+    "class Point:\n    def __init__(self, x, y):\n        self.x = x\n        self.y = y\n\n\n"
+    "class C:\n    def m(self, b):\n        return b\n\n\n"
+    "def f(p, q=1):\n    return q\n\n\n"
+    "def g(a, b, c):\n    return c\n\n\n"
+    "pt = Point(1, y=2.0)\nr = C.m(C(), 's')\nxs = [1]\ns = f(*xs, 's')\n"
+    "d = {'b': 's', 'c': 2.0}\nt = g(1, **d)\n"
+)
+
+
+def test_a_constructor_binds_the_parameters_of_init(tmp_path):
+    _, _, parameters = _types(tmp_path, "call_binding.py", _CALL_BINDING)
+    assert parameters[("__init__", "x")].type == {"int"}
+    assert parameters[("__init__", "y")].type == {"float"}
+
+
+def test_a_method_called_through_its_class_binds_self_to_the_first_argument(tmp_path):
+    returns, variables, parameters = _types(tmp_path, "call_binding.py", _CALL_BINDING)
+    assert parameters[("m", "b")].type == {"str"}
+    assert returns["m"].type == {"str"}
+    assert variables[(None, "r")].type == {"str"}
+
+
+def test_starred_and_double_starred_arguments_bind_any(tmp_path):
+    _, _, parameters = _types(tmp_path, "call_binding.py", _CALL_BINDING)
+    assert parameters[("f", "p")].type == {"Any", "str"}
+    assert parameters[("g", "a")].type == {"int"}
+    assert parameters[("g", "b")].type == {"Any"}
+
+
+def test_a_default_is_parameter_evidence(tmp_path):
+    returns, variables, parameters = _types(
+        tmp_path, "default.py", "def f(a, b=1):\n    return b\n\n\nx = f(2)\n"
+    )
+    assert parameters[("f", "b")].type == {"int"}
+    assert returns["f"].type == {"int"}
+    assert variables[(None, "x")].type == {"int"}
+
+
+def test_bound_arguments_agree_with_the_runtime(tmp_path):
+    path = tmp_path / "call_binding.py"
+    path.write_text(_CALL_BINDING, encoding="utf-8")
+    _, _, parameters = _by_kind(infer_types_report(path)[0])
+    observed = observe_types(path)
+    assert observed.params
+    for key, seen in observed.params.items():
+        assert type_agrees(seen, parameters[key].type), (key, seen, parameters[key].type)
+
+
+# ---------------------------------------------------------------------------
 # The worklist against the rounds it replaced
 
 
@@ -385,8 +454,8 @@ def _return_chain(n: int) -> str:
 def _round_robin(engine: typeinfer._Engine) -> None:
     """Reference for ``_Engine.run``: rounds of walks over every unit, each
     return set from its function's latest walk and, after the round, each
-    parameter from its body constraints and that round's call sites, until
-    a round changes nothing."""
+    parameter from its body constraints and the evidence of that round's
+    walks, until a round changes nothing."""
     functions = engine.scopes.functions
     units = [*engine.scopes.modules.values(),
              *sorted([*functions.values(), *engine.scopes.classes.values()],
@@ -396,17 +465,15 @@ def _round_robin(engine: typeinfer._Engine) -> None:
     pins = {slot: set(types) for slot, types in values.items()}  # the body constraints
     for _ in range(10_000):
         before = {slot: set(types) for slot, types in values.items()}
-        call_sites: dict = {}
+        evidence: dict = {}
         for scope in units:
-            bindings, returns = engine._walk_body(scope, call_sites)
+            bindings, returns = engine._walk_body(scope, evidence)
             engine.walks[scope] = (bindings, returns)
             if scope.kind == "function":
                 values[f"{scope.fqn}.<ret>"] = engine._return_set(scope, returns)
-        for fqn, scope in functions.items():
-            params = typeinfer._typed_params(scope)
-            constraints = {name: pins.get(scope.slot(name), set()) for name in params}
-            evidence = typeinfer._param_evidence(params, constraints, call_sites.get(fqn, []))
-            values.update((scope.slot(name), types) for name, types in evidence.items())
+        for scope in functions.values():
+            for slot in map(scope.slot, typeinfer._typed_params(scope)):
+                values[slot] = pins.get(slot, set()) | evidence.get(slot, set())
         if values == before:
             return
     raise AssertionError("no fixpoint after 10,000 rounds")
