@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import statement_calls
-from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments, discover,
-                       import_bindings, load_module)
+from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist,
+                       bind_arguments, bind_defaults, discover, import_bindings, load_module)
 from .ssa import unpack
 
 __all__ = [
@@ -212,8 +212,7 @@ class _Analyzer:
         if isinstance(stmt, ast.FunctionDef):
             fqn = scope.slot(stmt.name)
             self.solver.add(fqn, {("func", fqn)})
-            params = self._params(fqn)
-            for name, default in zip(reversed(params), reversed(stmt.args.defaults)):
+            for name, default in bind_defaults(stmt):
                 self.solver.add(f"{fqn}.{name}", self.eval_expr(default, scope))
         elif isinstance(stmt, ast.ClassDef):
             fqn = scope.slot(stmt.name)
@@ -260,16 +259,12 @@ class _Analyzer:
 
     def _bind(self, scope: Scope, call: ast.Call, fqn: str, receivers: set[Value]) -> None:
         """Flow ``call``'s arguments, and any receiver classes, into ``fqn``'s parameters."""
-        params = self._params(fqn)
+        params = self.table.functions[fqn].params if fqn in self.table.functions else []
         if params:
             self.solver.add(f"{fqn}.{params[0]}", receivers)
         for name, arg in bind_arguments(call, params, bool(receivers)):
             if arg is not None:
                 self.solver.add(f"{fqn}.{name}", self.eval_expr(arg, scope))
-
-    def _params(self, fqn: str) -> list[str]:
-        scope = self.table.functions.get(fqn)
-        return scope.params if scope is not None else []
 
     def _diagnose(self, scope: Scope, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)

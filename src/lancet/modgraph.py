@@ -45,6 +45,7 @@ __all__ = [
     "TreeNode",
     "Scope",
     "bind_arguments",
+    "bind_defaults",
     "ScopeTable",
     "Worklist",
     "ImportRelation",
@@ -397,12 +398,12 @@ class Scope:
 def bind_arguments(call: ast.Call, params: list[str],
                    bound: bool = False) -> list[tuple[str, ast.expr | None]]:
     """The (parameter, argument) pairs by which ``call`` may bind ``params``;
-    with ``bound``, the first parameter is the receiver and takes none.
-    Positional arguments pair in order up to the first starred one; from
-    there, each may bind any parameter from the count of plain ones before
-    it, and a starred one binds those to None, as a ``**`` one binds every
-    parameter no plain one took.  Keywords pair by name.  None means what it
-    means in :func:`~lancet.ssa.unpack`: bound, value unknown."""
+    with ``bound`` (each caller decides it), the first parameter is the
+    receiver and takes none.  Positional arguments pair in order up to the
+    first starred one; from there, each may bind any parameter from the
+    count of plain ones before it, and a starred one binds those to None, as
+    a ``**`` one binds every parameter no plain one took.  Keywords pair by
+    name; None means bound, value unknown, as in :func:`~lancet.ssa.unpack`."""
     params = params[1:] if bound else params
     pairs: list[tuple[str, ast.expr | None]] = []
     plain = 0  # plain positional arguments so far; fewer than ``i`` after a star
@@ -417,6 +418,12 @@ def bind_arguments(call: ast.Call, params: list[str],
         elif keyword.arg in params:
             pairs.append((keyword.arg, keyword.value))
     return pairs
+
+
+def bind_defaults(node: ast.FunctionDef) -> list[tuple[str, ast.expr]]:
+    """The (parameter, default) pairs of ``node``'s positional parameters."""
+    params = positional_params(node.args)
+    return [(p.arg, d) for p, d in zip(reversed(params), reversed(node.args.defaults))]
 
 
 class ScopeTable:

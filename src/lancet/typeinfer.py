@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import head_exprs, iter_eager
-from .frontend import positional_params
-from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments, discover,
-                       dotted_parts, load_module)
+from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist,
+                       bind_arguments, bind_defaults, discover, dotted_parts, load_module)
 from .rewriter import TEMP_PREFIX
 from .ssa import target_names, unpack
 
@@ -331,7 +330,7 @@ class _Engine:
         self.scopes = ScopeTable()
         self.files: dict[str, str] = {}  # module name -> file
         self.targets: dict[ast.expr, str] = {}  # callee node -> resolved FQN
-        self.sites: dict[ast.stmt, list[tuple[ast.Call, Scope, bool]]] = {}  # callee, bound
+        self.sites: dict[ast.stmt, list[tuple[ast.Call, Scope, bool, set[str]]]] = {}  # callee, bound, typed
         self.generators: set[str] = set()
         self.solver = Worklist()  # slots: each function's return and parameters
         self.walks: dict[Scope, tuple[_Bindings, _Returns]] = {}  # each scope's final walk
@@ -344,13 +343,12 @@ class _Engine:
     def index(self, units: list[Scope]) -> None:
         """Resolve the callee of every call in ``units`` once, by Python's
         nested rule: the root name's binding (:meth:`Scope.lookup`) plus the
-        attribute tail.  A statement's calls are
-        :func:`~lancet.cfg.statement_calls`, so a lambda body's are not; the
-        statements nested in a branch have their own entries.  The same pass
-        finds the generators and seeds the parameters with their body
-        constraints: a use (:func:`_pin`) pins the parameter its name
-        resolves to.  A call binds a function unbound, also through its
-        class (``C.m(o, x)``), and a class's ``__init__`` bound."""
+        attribute tail.  A statement's calls are :func:`~lancet.cfg.statement_calls`,
+        so a lambda body's are not; the statements nested in a branch have
+        their own entries.  The same pass finds the generators and seeds the
+        parameters with their body constraints: a use (:func:`_pin`) pins the
+        parameter its name resolves to.  A call binds a function unbound, also
+        through its class (``C.m(o, x)``), and a classmethod or ``__init__`` bound."""
         functions = self.scopes.functions
         slots = {scope.slot(name) for scope in functions.values() for name in _typed_params(scope)}
         for scope in units:
@@ -372,9 +370,10 @@ class _Engine:
                     fqn = ".".join([binding[1], *parts[1:]])
                     self.targets[node.func] = fqn
                     bound = fqn in self.scopes.classes
-                    fqn = self.scopes.classes[fqn].methods.get("__init__") if bound else fqn
-                    if fqn in functions:
-                        sites.append((node, functions[fqn], bound))
+                    callee = functions.get(self.scopes.classes[fqn].methods.get("__init__") if bound else fqn)
+                    if callee is not None:
+                        bound = bound or "classmethod" in [d.id for d in callee.node.decorator_list]
+                        sites.append((node, callee, bound, set(_typed_params(callee))))
                 if sites:
                     self.sites[stmt] = sites
 
@@ -416,16 +415,15 @@ class _Engine:
         returns: _Returns = []
         for stmt in scope.statements:
             if isinstance(stmt, ast.FunctionDef):
-                params = positional_params(stmt.args)
-                for param, default in zip(reversed(params), reversed(stmt.args.defaults)):
+                for param, default in bind_defaults(stmt):
                     types = type_of_expr(default, env, self.table, resolver=self)
-                    evidence.setdefault(f"{scope.slot(stmt.name)}.{param.arg}", set()).update(types)
+                    evidence.setdefault(f"{scope.slot(stmt.name)}.{param}", set()).update(types)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 env[stmt.name] = {"callable" if isinstance(stmt, ast.FunctionDef) else ANY}
                 continue
-            for call, callee, bound in self.sites.get(stmt, ()):
+            for call, callee, bound, typed in self.sites.get(stmt, ()):
                 for name, arg in bind_arguments(call, callee.params, bound):
-                    if name in _typed_params(callee):
+                    if name in typed:
                         types = {ANY} if arg is None else type_of_expr(arg, env, self.table, resolver=self)
                         evidence.setdefault(callee.slot(name), set()).update(types)
             if isinstance(stmt, ast.Assign):

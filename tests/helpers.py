@@ -215,7 +215,9 @@ def all_cfgs(cfg):
 
 
 def qualified_function_names(source: str, module_fqn: str) -> dict[tuple[str, int], str]:
-    """(name, def line) -> fully qualified name, from an independent AST walk."""
+    """(name, first line) -> fully qualified name, from an independent AST
+    walk.  A decorated def's first line is its first decorator's, as in the
+    code object's ``co_firstlineno``."""
     tree = ast.parse(source)
     out: dict[tuple[str, int], str] = {}
 
@@ -223,7 +225,7 @@ def qualified_function_names(source: str, module_fqn: str) -> dict[tuple[str, in
         for stmt in body:
             if isinstance(stmt, ast.FunctionDef):
                 fqn = f"{prefix}.{stmt.name}"
-                out[(stmt.name, stmt.lineno)] = fqn
+                out[(stmt.name, (stmt.decorator_list or [stmt])[0].lineno)] = fqn
                 visit(stmt.body, fqn)
             elif isinstance(stmt, ast.ClassDef):
                 visit(stmt.body, f"{prefix}.{stmt.name}")

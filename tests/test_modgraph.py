@@ -18,6 +18,7 @@ from lancet.modgraph import (
     build_dir_tree,
     build_import_graph,
     bind_arguments,
+    bind_defaults,
     build_name_context,
     call_sites,
     leaf_nodes,
@@ -347,6 +348,11 @@ def test_bind_arguments_pairs_in_order_up_to_a_star(call_source, expected):
     assert _pairs(call_source, ["a", "b", "c"]) == expected
 
 
+def test_bind_defaults_pairs_the_last_positional_parameters():
+    node = ast.parse("def f(a, b=1, /, c=2, *, d=3):\n    pass\n").body[0]
+    assert [(name, ast.literal_eval(d)) for name, d in bind_defaults(node)] == [("c", 2), ("b", 1)]
+
+
 @st.composite
 def _binding_cases(draw):
     """A def of up to four positional parameters, the last ones defaulted
@@ -384,6 +390,8 @@ def test_bind_arguments_agree_with_the_interpreter(case):
     call = ast.parse(call_source, mode="eval").body
     pairs = bind_arguments(call, params)
     passed = {name: value for name, value in namespace["result"].items() if value != "d"}
+    defaults = {name: ast.literal_eval(d) for name, d in bind_defaults(ast.parse(def_source).body[0])}
+    assert all(defaults.get(name) == "d" for name in namespace["result"].keys() - passed.keys())
     for name, value in passed.items():
         assert any(param == name and (arg is None or ast.literal_eval(arg) == value)
                    for param, arg in pairs), (def_source, call_source, name)

@@ -393,10 +393,11 @@ def test_a_call_in_a_class_body_is_argument_evidence():
 
 _CALL_BINDING = (
     "class Point:\n    def __init__(self, x, y):\n        self.x = x\n        self.y = y\n\n\n"
-    "class C:\n    def m(self, b):\n        return b\n\n\n"
+    "class C:\n    def m(self, b):\n        return b\n\n"
+    "    @classmethod\n    def cm(cls, a, b):\n        return a\n\n\n"
     "def f(p, q=1):\n    return q\n\n\n"
     "def g(a, b, c):\n    return c\n\n\n"
-    "pt = Point(1, y=2.0)\nr = C.m(C(), 's')\nxs = [1]\ns = f(*xs, 's')\n"
+    "pt = Point(1, y=2.0)\nr = C.m(C(), 's')\nk = C.cm(1, 's')\nxs = [1]\ns = f(*xs, 's')\n"
     "d = {'b': 's', 'c': 2.0}\nt = g(1, **d)\n"
 )
 
@@ -412,6 +413,14 @@ def test_a_method_called_through_its_class_binds_self_to_the_first_argument(tmp_
     assert parameters[("m", "b")].type == {"str"}
     assert returns["m"].type == {"str"}
     assert variables[(None, "r")].type == {"str"}
+
+
+def test_a_classmethod_called_through_its_class_binds_cls_to_the_class(tmp_path):
+    returns, variables, parameters = _types(tmp_path, "call_binding.py", _CALL_BINDING)
+    assert parameters[("cm", "a")].type == {"int"}
+    assert parameters[("cm", "b")].type == {"str"}
+    assert returns["cm"].type == {"int"}
+    assert variables[(None, "k")].type == {"int"}
 
 
 def test_starred_and_double_starred_arguments_bind_any(tmp_path):

@@ -39,11 +39,12 @@ whose next argument is a 1,000-deep subscript chain, and, for ``fqn``,
 names that a function binds over the module's (a function-local import
 read from another function, a parameter and a local that shadow
 module-level imports, a nested def that shadows a module-level one), calls
-that bind parameters in every way (a constructor, a method called through
-its class, starred, ``**`` and keyword arguments, a default), and a
-module name that a function assigns under ``global``.  The edge cases and the workloads (made by importing ``perfbench/gen.py``) are
-written to a temporary directory that both sides read; nothing under
-``perfbench/`` is written.
+that bind parameters in every way (a constructor, a method and a
+classmethod called through their class, starred, ``**`` and keyword
+arguments, a default), and a module name that a function assigns under
+``global``.  The edge cases and the workloads (made by importing
+``perfbench/gen.py``) are written to a temporary directory that both sides
+read; nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ EDGE_CASES = {
     ),
     "call_binding.py": (
         "class Point:\n    def __init__(self, x, y):\n        self.x = x\n        self.y = y\n\n\n"
-        "class C:\n    def m(self, b):\n        return b\n\n\n"
+        "class C:\n    def m(self, b):\n        return b\n\n"
+        "    @classmethod\n    def cm(cls, a, b):\n        return a\n\n\n"
         "def f(p, q=1):\n    return q\n\n\n"
         "def g(a, b, c):\n    return c\n\n\n"
-        "pt = Point(1, y=2.0)\nr = C.m(C(), 's')\nxs = [1]\ns = f(*xs, 's')\n"
+        "pt = Point(1, y=2.0)\nr = C.m(C(), 's')\nk = C.cm(1, 's')\nxs = [1]\ns = f(*xs, 's')\n"
         "d = {'b': 's', 'c': 2.0}\nt = g(1, **d)\nu = f(2)\nv = g(c=f, b=1, a=2)\nv(3)\n"
     ),
     "global_binding.py": (
