@@ -35,11 +35,11 @@ lambda assignments and call chains resolve like ordinary definitions.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import statement_calls
+from .frontend import dump_json
 from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist,
                        bind_arguments, bind_defaults, discover, import_bindings, load_module)
 from .ssa import unpack
@@ -340,4 +340,4 @@ def output_mods(cg: CallGraph) -> tuple[list[str], list[str]]:
 def to_simple_json(cg: CallGraph) -> str:
     """Every node mapped to its sorted callee list; deterministic bytes."""
     payload = {fqn: sorted(callees) for fqn, callees in cg.edges.items()}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return dump_json(payload)

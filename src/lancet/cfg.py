@@ -27,12 +27,11 @@ are folded into the current block linearly.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .frontend import SourceFile, child_nodes, node_span, parse_module, source_text
+from .frontend import SourceFile, child_nodes, dump_json, node_span, parse_module, source_text
 
 __all__ = [
     "Block",
@@ -421,4 +420,4 @@ def to_json_dict(cfg: Cfg) -> dict:
 
 
 def to_json(cfg: Cfg) -> str:
-    return json.dumps(to_json_dict(cfg), sort_keys=True, indent=2) + "\n"
+    return dump_json(to_json_dict(cfg))

@@ -10,14 +10,15 @@ and inputs nested too deeply (or too large) to analyze.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
+import json  # noqa: F401  (perfbench/spans.py swaps ``lancet.cli.json`` for a traced copy)
 import sys
 from pathlib import Path
 
 from . import callgraph as cg
 from . import cfg as cfg_mod
 from . import modgraph, ssa, typeinfer
-from .frontend import ParseError, SourceFile, parse_module, source_text, unparse
+from .frontend import ParseError, SourceFile, dump_json, parse_module, source_text, unparse
 from .modgraph import Unresolved
 from .rewriter import FixpointError, simplify_module
 
@@ -71,7 +72,7 @@ def _ssa_pipeline(args: argparse.Namespace):
 def _cmd_ssa(args: argparse.Namespace) -> int:
     use_map, const = _ssa_pipeline(args)
     payload = ssa.to_json_dict(use_map, const)
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(dump_json(payload), args.output)
     return 0
 
 
@@ -81,7 +82,7 @@ def _cmd_alias(args: argparse.Namespace) -> int:
         {"alias": f"{pair.alias[0]}#{pair.alias[1]}", "target": pair.target}
         for pair in ssa.alias_pairs(const)
     ]
-    _emit(json.dumps(pairs, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(dump_json(pairs), args.output)
     return 0
 
 
@@ -95,7 +96,7 @@ def _cmd_imports(args: argparse.Namespace) -> int:
         "edges": [list(edge) for edge in sorted(graph.internal_edges)],
         "leaves": [node.full_name for node in modgraph.leaf_nodes(graph)],
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(dump_json(payload), args.output)
     return _report(graph.diagnostics, args.strict)
 
 
@@ -131,7 +132,7 @@ def _cmd_typeinfer(args: argparse.Namespace) -> int:
         args.entry, simplify=not args.no_simplify
     )
     payload = [record.to_json_dict() for record in records]
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(dump_json(payload), args.output)
     return _report(diagnostics, args.strict)
 
 
@@ -221,6 +222,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else USAGE_ERROR
+    # The trees an analysis builds are acyclic and reference counting frees
+    # them; a cyclic-GC pass over them finds nothing, so none runs.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -236,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {_input_name(args)}: too deeply nested or too large to analyze "
               f"({type(exc).__name__})", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

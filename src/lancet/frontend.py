@@ -32,6 +32,7 @@ import ast
 import copy
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterator
 
@@ -41,6 +42,7 @@ __all__ = [
     "parse_module",
     "unparse",
     "source_text",
+    "dump_json",
     "positional_params",
     "walk",
     "child_nodes",
@@ -431,6 +433,66 @@ def source_text(node: ast.AST) -> str:
         return ast.unparse(node)
     except ValueError:
         return ast.unparse(_HexInts().visit(copy.deepcopy(node)))
+
+
+def dump_json(obj: object) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``json.dumps`` drops to its pure-Python generator encoder whenever
+    ``indent`` is set; this writer builds one list of pieces and joins it
+    once, quoting strings with the C encoder.  Values are what ``json.dumps``
+    takes, except that dict keys must be strings; anything else raises
+    ``TypeError``, as there.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(obj: object, newline: str, out: list[str]) -> None:
+    """Append ``obj``'s JSON text to ``out``; ``newline`` is a newline and
+    the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_JSON_FLOAT_WORDS.get(text, text))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def positional_params(args: ast.arguments) -> list[ast.arg]:

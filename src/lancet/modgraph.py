@@ -33,7 +33,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cfg import head_exprs
 from .frontend import ParseError, SourceFile, parse_module, positional_params, source_text, walk
@@ -267,12 +267,25 @@ def import_bindings(
                       for alias in stmt.names if alias.name != "*"])]
 
 
+def _statements(module: ast.Module) -> Iterator[ast.stmt]:
+    """Every statement of ``module``, in :func:`~lancet.frontend.walk`'s
+    order.  Only the statement lists are searched: in the accepted subset no
+    expression holds a statement, and ``body`` and ``orelse`` are the only
+    statement lists (``parse_module`` rejects ``try``, ``with`` and ``match``).
+    """
+    stack = module.body[::-1]
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        stack += (getattr(stmt, "body", []) + getattr(stmt, "orelse", []))[::-1]
+
+
 def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str]]:
     relations: list[ImportRelation] = []
     diagnostics: list[str] = []
     assert node.module is not None
     is_package = node.name == "__init__"
-    for stmt in walk(node.module):
+    for stmt in _statements(node.module):
         if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
             continue
         bindings = import_bindings(stmt, node.full_name, is_package)

@@ -31,7 +31,8 @@ folds.  Evaluation is deterministic and only ever sees more folded values,
 so the result is the same in any order.  Folding is bounded (see
 ``MAX_FOLD_INT_BITS`` and ``MAX_FOLD_STR_LEN``): a step certain to exceed a
 bound is refused before it is computed, and a definition whose value
-exceeds one is marked ``fold_failed``.
+exceeds one, or is not an int, float, bool, str or None (a complex), is
+marked ``fold_failed``.
 """
 
 from __future__ import annotations
@@ -481,10 +482,14 @@ def _exceeds_bound(op: ast.operator, left: object, right: object) -> bool:
     )
 
 
-def _too_large(value: object) -> bool:
+def _unfoldable(value: object) -> bool:
+    """Whether a result is past a fold bound or not a JSON scalar (say, the
+    complex ``(-8) ** 0.5``)."""
     if isinstance(value, int):
         return value.bit_length() > MAX_FOLD_INT_BITS
-    return isinstance(value, str) and len(value) > MAX_FOLD_STR_LEN
+    if isinstance(value, str):
+        return len(value) > MAX_FOLD_STR_LEN
+    return not isinstance(value, float) and value is not None
 
 
 def _eval_expr(
@@ -563,9 +568,9 @@ def fold_constants(const_dict: ConstDict, use_map: SsaUseMap) -> ConstDict:
 
     A definition folds when each free variable has a single reaching version
     at the defining statement and that version is itself folded.  Arithmetic
-    faults (division by zero and friends) and results past the fold bounds
-    leave the entry unfolded with ``fold_failed`` set.  The input is not
-    modified.
+    faults (division by zero and friends), results past the fold bounds and
+    results other than an int, float, bool, str or None leave the entry
+    unfolded with ``fold_failed`` set.  The input is not modified.
     """
     result = ConstDict(
         entries={key: replace(value) for key, value in const_dict.entries.items()}
@@ -595,7 +600,7 @@ def fold_constants(const_dict: ConstDict, use_map: SsaUseMap) -> ConstDict:
         except _FoldFault:
             value.fold_failed = True
             continue
-        if _too_large(constant):
+        if _unfoldable(constant):
             value.fold_failed = True
             continue
         value.folded = constant

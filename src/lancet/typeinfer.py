@@ -414,6 +414,13 @@ class _Engine:
         bindings: _Bindings = {}
         returns: _Returns = []
         for stmt in scope.statements:
+            # A def's or class's own calls sit in its head (defaults,
+            # bases), so they bind before its name does.
+            for call, callee, bound, typed in self.sites.get(stmt, ()):
+                for name, arg in bind_arguments(call, callee.params, bound):
+                    if name in typed:
+                        types = {ANY} if arg is None else type_of_expr(arg, env, self.table, resolver=self)
+                        evidence.setdefault(callee.slot(name), set()).update(types)
             if isinstance(stmt, ast.FunctionDef):
                 for param, default in bind_defaults(stmt):
                     types = type_of_expr(default, env, self.table, resolver=self)
@@ -421,11 +428,6 @@ class _Engine:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 env[stmt.name] = {"callable" if isinstance(stmt, ast.FunctionDef) else ANY}
                 continue
-            for call, callee, bound, typed in self.sites.get(stmt, ()):
-                for name, arg in bind_arguments(call, callee.params, bound):
-                    if name in typed:
-                        types = {ANY} if arg is None else type_of_expr(arg, env, self.table, resolver=self)
-                        evidence.setdefault(callee.slot(name), set()).update(types)
             if isinstance(stmt, ast.Assign):
                 value_types = type_of_expr(
                     stmt.value, env, self.table, resolver=self, diagnostics=self.diagnostics

@@ -9,6 +9,7 @@ executions.  They validate the analyses without sharing their code paths.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import io
 import re
 import subprocess
@@ -18,6 +19,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 CORPUS = Path(__file__).parent / "corpus"
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 TEMP_NAME = re.compile(r"^_ret(_\d+)?$")
 
@@ -30,6 +32,25 @@ def corpus_files(*groups: str) -> list[Path]:
     for group in groups:
         out.extend(sorted((CORPUS / group).rglob("*.py")))
     return out
+
+
+def perfbench_gen(monkeypatch) -> types.ModuleType:
+    """``perfbench/gen.py``, the benchmark's workload generators, imported
+    by path (``perfbench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while it executes.
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def write_files(base: Path, files: dict[str, str]) -> None:
+    """Write each relative path of ``files`` under ``base``."""
+    for rel, text in files.items():
+        path = base / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 def run_program(path: Path, timeout: float = 20.0) -> str:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import subprocess
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from lancet import cli
 from lancet.cli import main
 
-from helpers import CORPUS
+from helpers import CORPUS, perfbench_gen, write_files
 
 EXAMPLE = CORPUS / "imports" / "example"
 MERGE = CORPUS / "programs" / "merge_branches.py"
@@ -358,14 +361,21 @@ def test_callgraph_package_ignores_a_directory_named_like_a_module(capsys, tmp_p
     assert json.loads(out)["pkg.m"] == ["pkg.m.f"]
 
 
-def test_big_folded_power_still_serializes(capsys, tmp_path):
-    target = tmp_path / "big.py"
-    target.write_text("x = 7 ** 20000\ny = x % 10\n")
+@pytest.mark.parametrize("source,alias", [
+    ("x = 7 ** 20000\ny = x % 10\n", []),
+    ("x = (-8) ** 0.5\ny = x\n", [{"alias": "y#0", "target": "x"}]),  # a complex
+], ids=["big-power", "complex"])
+def test_an_unfoldable_result_still_serializes(capsys, tmp_path, source, alias):
+    target = tmp_path / "unfoldable.py"
+    target.write_text(source)
     code, out, err = _run(capsys, "ssa", str(target))
     assert code == 0, err
     constants = json.loads(out)["constants"]
     assert constants["x#0"]["folded"] is None
     assert constants["y#0"]["folded"] is None
+    code, out, err = _run(capsys, "alias", str(target))
+    assert code == 0, err
+    assert json.loads(out) == alias
 
 
 @pytest.mark.parametrize("terms", [300, 3100])
@@ -508,3 +518,73 @@ def test_fqn_follows_a_copy_made_by_a_starred_assignment(capsys, tmp_path):
     code, out, _ = _run(capsys, "fqn", str(target))
     assert code == 0
     assert out == "3:0 g -> os.getcwd\n"
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector is off while a subcommand runs
+
+
+@contextlib.contextmanager
+def _gc(enabled: bool):
+    """Run the block with the collector on or off, then restore its state."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _raise(args):
+    raise RuntimeError("escapes main")
+
+
+def test_a_subcommand_runs_with_gc_off(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_cfg", lambda args: seen.append(gc.isenabled()) or 0)
+    with _gc(True):
+        assert main(["cfg", str(MERGE)]) == 0
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv,code", [
+    (["ssa", str(MERGE)], 0),
+    (["ssa"], 2),  # argparse: missing file
+    (["cfg", "BAD"], 2),  # lancet: parse error
+    (["cfg", str(MERGE)], None),  # an exception escapes main
+], ids=["ok", "usage", "parse-error", "uncaught"])
+def test_main_leaves_gc_as_it_found_it(capsys, monkeypatch, tmp_path, enabled, argv, code):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def broken(:\n")
+    argv = [str(bad) if a == "BAD" else a for a in argv]
+    if code is None:
+        monkeypatch.setattr(cli, "_cmd_cfg", _raise)
+    with _gc(enabled):
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(capsys, monkeypatch, tmp_path):
+    """With the collector off during a run, what the run leaves in cycles is
+    the CLI's fixed set (argparse's parser), the same for one line as for
+    the 45-module package."""
+    workload = perfbench_gen(monkeypatch).gen_package(1)
+    write_files(tmp_path, workload.files)
+    root = str(tmp_path / workload.facts["root"])
+    write_files(tmp_path, {"one/one.py": "x = 1\n"})
+    with _gc(False):
+        for argv in (["typeinfer"], ["callgraph", "--package"], ["imports"]):
+            garbage = []
+            for target in (str(tmp_path / "one"), root):
+                main([*argv, target])  # warm-up: first-call caches
+                gc.collect()
+                assert main([*argv, target]) == 0
+                garbage.append(gc.collect())
+                capsys.readouterr()
+            assert garbage[0] == garbage[1], argv

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lancet.frontend import (
     ParseError,
     SourceFile,
+    dump_json,
     dump_structure,
     node_span,
     parse_module,
@@ -375,3 +378,46 @@ def test_source_text_prints_an_int_past_the_digit_limit_in_hex():
     assert tree.body[1].value.value == f"f'{{{huge}}}'"  # folded through source_text
     assert type(constant) is ast.Constant and constant.value == 16 ** 4000 - 1  # not modified
     assert source_text(ast.parse("x = 10 ** 2").body[0]) == "x = 10 ** 2"
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps
+
+# Characters the encoder escapes or spells out: quotes, backslashes, control
+# characters, line separators, non-ASCII, an astral character and lone
+# surrogates.
+_TRICKY = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "\U0001f600", "\ud800", "\udfff"]
+_texts = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_TRICKY)))
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(2 ** 200), max_value=2 ** 200),  # wider than 64 bits
+        st.floats(),  # with nan, +-inf and -0.0
+        _texts,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_texts, inner)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+@example(float("nan"))
+@example([float("inf"), float("-inf"), -0.0, 2 ** 64, -(2 ** 100)])
+@example({"": [], "a": {}, "b": ((),), "c": [{"d": [[], {}]}]})
+@example({"\ud800": "\udfff", '"\\': "\x00\u2028é"})
+def test_dump_json_is_json_dumps_byte_for_byte(value):
+    assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1j, {1, 2}, [{"a": 1j}], {"k": frozenset()}],
+                         ids=["complex", "set", "nested-complex", "frozenset"])
+def test_dump_json_raises_type_error_where_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dump_json(value)

@@ -1,19 +1,19 @@
 from __future__ import annotations
 
 import ast
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lancet import modgraph
 from lancet.cfg import build_from_ast
-from lancet.frontend import ParseError, parse_module
+from lancet.frontend import ParseError, parse_module, walk
 from lancet.modgraph import (
     ImportRelation,
     ScopeTable,
+    TreeNode,
     Unresolved,
     build_dir_tree,
     build_import_graph,
@@ -26,9 +26,10 @@ from lancet.modgraph import (
     resolve_fqn,
     resolve_relative,
 )
+from lancet.rewriter import simplify_module
 from lancet.ssa import alias_pairs, compute_ssa
 
-from helpers import CORPUS
+from helpers import CORPUS, perfbench_gen, write_files
 from strategies import programs
 
 EXAMPLE = CORPUS / "imports" / "example"
@@ -265,9 +266,6 @@ def test_non_dotted_callees_are_unresolved():
 # The fqn alias map against SSA alias pairs (the way ``lancet fqn`` built it
 # before it stopped building a CFG and SSA)
 
-GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-
-
 def _ssa_alias_map(tree: ast.Module) -> dict[str, str]:
     _, const = compute_ssa(build_from_ast("m", tree))
     targets: dict[str, set[str]] = {}
@@ -298,11 +296,7 @@ def test_alias_map_matches_ssa_alias_pairs_on_corpus(path):
 
 
 def test_alias_map_matches_ssa_alias_pairs_on_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    # Dataclasses look their module up in sys.modules while it executes.
-    monkeypatch.setitem(sys.modules, spec.name, gen)
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen(monkeypatch)
     checked = 0
     for seed in (1, 2, 3, 7):
         for generate in gen.GENERATORS.values():
@@ -316,6 +310,47 @@ def test_alias_map_matches_ssa_alias_pairs_on_workloads(monkeypatch):
 @given(programs())
 def test_alias_map_matches_ssa_alias_pairs_on_generated_programs(source):
     _assert_alias_map_matches_ssa(source)
+
+
+# ---------------------------------------------------------------------------
+# Import relations from the statement lists against a walk of every node
+
+
+def _assert_relations_match_full_walk(tree: ast.Module, monkeypatch) -> None:
+    every_stmt = [node for node in walk(tree) if isinstance(node, ast.stmt)]
+    assert list(modgraph._statements(tree)) == every_stmt
+    node = TreeNode("m", "pkg.sub.m", "pkg/sub/m.py", module=tree, is_module=True)
+    relations = modgraph._relations_for(node)
+    with monkeypatch.context() as patched:
+        patched.setattr(modgraph, "_statements", lambda module: every_stmt)
+        assert modgraph._relations_for(node) == relations
+
+
+@pytest.mark.parametrize("path", _parsable_corpus_files(), ids=lambda p: p.name)
+def test_import_relations_match_a_full_walk_on_corpus(path, monkeypatch):
+    tree = parse_module(path.read_text(encoding="utf-8"))
+    _assert_relations_match_full_walk(tree, monkeypatch)
+    _assert_relations_match_full_walk(simplify_module(tree), monkeypatch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs())
+def test_import_relations_match_a_full_walk_on_generated_programs(source):
+    tree = parse_module(source)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_relations_match_full_walk(tree, monkeypatch)
+        _assert_relations_match_full_walk(simplify_module(tree), monkeypatch)
+
+
+def test_import_relations_match_a_full_walk_on_the_package(tmp_path, monkeypatch):
+    workload = perfbench_gen(monkeypatch).gen_package(1)
+    write_files(tmp_path, workload.files)
+    graph = build_import_graph(tmp_path / workload.facts["root"])
+    relations = 0
+    for node in graph.tree.iter_modules():
+        _assert_relations_match_full_walk(node.module, monkeypatch)
+        relations += len(graph.module_dict[node.full_name])
+    assert relations > 100
 
 
 def test_alias_map_takes_starred_and_nested_copies():

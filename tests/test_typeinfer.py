@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import ast
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,11 +19,10 @@ from lancet.typeinfer import (
     type_of_expr,
 )
 
-from helpers import CORPUS, corpus_files, observe_types, type_agrees
+from helpers import CORPUS, corpus_files, observe_types, perfbench_gen, type_agrees, write_files
 from strategies import programs
 
 TI = CORPUS / "typeinfer"
-GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 def _by_kind(records):
@@ -439,6 +436,28 @@ def test_a_default_is_parameter_evidence(tmp_path):
     assert variables[(None, "x")].type == {"int"}
 
 
+def test_a_call_in_a_def_head_is_parameter_evidence(tmp_path):
+    """A call in a default or a base binds its arguments like any other."""
+    path = tmp_path / "def_head_call.py"
+    path.write_text(
+        "def g(k):\n    return k\n\n\ndef f(a=g(1)):\n    return a\n\n\n"
+        "def base(b):\n    return object\n\n\nclass C(base('s')):\n    pass\n\n\nx = f()\n",
+        encoding="utf-8",
+    )
+    returns, variables, parameters = _by_kind(infer_types_report(path)[0])
+    assert parameters[("g", "k")].type == {"int"}
+    assert returns["g"].type == {"int"}
+    assert parameters[("f", "a")].type == {"int"}
+    assert variables[(None, "x")].type == {"int"}
+    assert parameters[("base", "b")].type == {"str"}
+    observed = observe_types(path)
+    assert set(observed.params) == {("g", "k"), ("f", "a"), ("base", "b")}
+    for key, seen in observed.params.items():
+        assert type_agrees(seen, parameters[key].type), (key, seen, parameters[key].type)
+    for name, seen in observed.returns.items():
+        assert type_agrees(seen, returns[name].type), (name, seen, returns[name].type)
+
+
 def test_bound_arguments_agree_with_the_runtime(tmp_path):
     path = tmp_path / "call_binding.py"
     path.write_text(_CALL_BINDING, encoding="utf-8")
@@ -587,14 +606,7 @@ def test_a_return_chain_converges_in_linear_walks(tmp_path, monkeypatch):
 
 
 def test_package_walks_are_at_most_two_per_unit(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    # Dataclasses look their module up in sys.modules while it executes.
-    monkeypatch.setitem(sys.modules, spec.name, gen)
-    spec.loader.exec_module(gen)
-    for rel, text in gen.gen_package(1).files.items():
-        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / rel).write_text(text, encoding="utf-8")
+    write_files(tmp_path, perfbench_gen(monkeypatch).gen_package(1).files)
     walked = _counted_walks(monkeypatch)
     infer_types_report(tmp_path / "pkg")
     units = len(set(map(id, walked)))

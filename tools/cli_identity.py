@@ -41,8 +41,10 @@ read from another function, a parameter and a local that shadow
 module-level imports, a nested def that shadows a module-level one), calls
 that bind parameters in every way (a constructor, a method and a
 classmethod called through their class, starred, ``**`` and keyword
-arguments, a default), and a module name that a function assigns under
-``global``.  The edge cases and the workloads (made by importing
+arguments, a default), a module name that a function assigns under
+``global``, folds to a complex number, infinity, NaN and ``-0.0`` (which
+pin how the JSON writer spells floats), and calls in a default and in a
+class base.  The edge cases and the workloads (made by importing
 ``perfbench/gen.py``) are written to a temporary directory that both sides
 read; nothing under ``perfbench/`` is written.
 """
@@ -109,6 +111,11 @@ EDGE_CASES = {
     ),
     "global_binding.py": (
         "def g():\n    return 1\n\n\ndef f():\n    global h\n    h = g\n\n\nf()\nh()\n"
+    ),
+    "fold_edges.py": "x = (-8) ** 0.5\ny = x\nw = 1e308 * 10\nn = w - w\nz = -0.0\n",
+    "def_head_call.py": (
+        "def g(k):\n    return k\n\n\ndef f(a=g(1)):\n    return a\n\n\n"
+        "def base(b):\n    return object\n\n\nclass C(base('s')):\n    pass\n\n\nx = f()\n"
     ),
 }
 
