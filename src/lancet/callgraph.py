@@ -17,10 +17,11 @@ and what it leaves is the least fixpoint, whatever the order of evaluation.
 Design points:
 
 * one value set per qualified name - no context, flow, or field
-  sensitivity; instantiation flows the class FQN itself, so a later
+  sensitivity; calling a class yields an instance of it, so a later
   ``obj.method()`` resolves through the class;
 * calling a class yields edges to both the class node and its ``__init__``
-  when one is defined;
+  when one is defined, calling an instance an edge to its ``__call__``, and
+  :func:`~lancet.modgraph.binds_receiver` says whether a call passes a receiver;
 * nested definitions keep parent-qualified names (``m.outer.inner``);
 * names that never resolve to a project value produce an edge only when
   their root was bound by an import (recorded as an external callee);
@@ -40,8 +41,8 @@ from pathlib import Path
 
 from .cfg import statement_calls
 from .frontend import dump_json
-from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist,
-                       bind_arguments, bind_defaults, discover, import_bindings, load_module)
+from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments,
+                       bind_defaults, binds_receiver, discover, import_bindings, load_module)
 from .ssa import unpack
 
 __all__ = [
@@ -54,11 +55,9 @@ __all__ = [
     "to_simple_json",
 ]
 
-RETURN_SLOT = "<ret>"
-
 _DYNAMIC_NAMES = {"eval", "exec", "getattr", "globals", "locals", "vars", "__import__"}
 
-Value = tuple[str, str]  # ("func" | "class" | "mod" | "ext", fqn)
+Value = tuple[str, str]  # ("func" | "class" | "inst" | "mod" | "ext", fqn)
 
 
 @dataclass(frozen=True)
@@ -162,14 +161,22 @@ class _Analyzer:
             return out
         if isinstance(expr, ast.Call):
             out = set()
-            for target in self.eval_expr(expr.func, scope):
-                kind, fqn = target
-                if kind == "func":
-                    out |= self.solver.get(f"{fqn}.{RETURN_SLOT}")
-                elif kind == "class":
-                    out.add(("class", fqn))
+            for kind, fqn in self.eval_expr(expr.func, scope):
+                if kind == "class":
+                    out.add(("inst", fqn))
+                for function, _ in self._runs((kind, fqn), None):
+                    out |= self.solver.get(f"{function}.{RETURN_SLOT}")
             return out
         return set()
+
+    def _runs(self, value: Value, receiver: Value | None) -> list[tuple[str, Value | None]]:
+        """The functions a call of ``value`` through ``receiver`` runs, each with the
+        receiver it passes: a class's ``__init__`` and an instance's ``__call__`` take an instance."""
+        kind, fqn = value
+        if kind in ("class", "inst"):
+            methods = self._attr_values(value, "__init__" if kind == "class" else "__call__")
+            return [(function, ("inst", fqn)) for k, function in methods if k == "func"]
+        return [(fqn, receiver)] if kind == "func" else []
 
     def _binding_values(self, binding: tuple[str, str]) -> set[Value]:
         kind, ref = binding
@@ -191,7 +198,7 @@ class _Analyzer:
             if mod_scope is not None and attr in mod_scope.bindings:
                 return self._binding_values(mod_scope.bindings[attr])
             return set()
-        if kind == "class":
+        if kind in ("class", "inst"):
             class_scope = self.table.classes.get(fqn)
             if class_scope is None:
                 return set()
@@ -241,30 +248,29 @@ class _Analyzer:
             self._diagnose(scope, call, f"dynamic feature {func.id!r} ignored")
             return
 
-        classes: set[Value] = set()  # the receiver's classes, for a bound call
         if isinstance(func, ast.Attribute):
-            classes = {value for value in self.eval_expr(func.value, scope) if value[0] == "class"}
-        targets = self.eval_expr(func, scope)
+            targets = [(target, receiver) for receiver in self.eval_expr(func.value, scope)
+                       for target in self._attr_values(receiver, func.attr)]
+        else:
+            targets = [(target, None) for target in self.eval_expr(func, scope)]
 
-        for kind, fqn in sorted(targets):
-            if kind != "mod":
-                self.call_edges.add((caller, fqn))
-            if kind == "func":
-                self._bind(scope, call, fqn, classes)
-            elif kind == "class":
-                for i_kind, i_fqn in self._attr_values(("class", fqn), "__init__"):
-                    if i_kind == "func":
-                        self.call_edges.add((caller, i_fqn))
-                        self._bind(scope, call, i_fqn, {("class", fqn)})
+        for target, receiver in targets:
+            if target[0] in ("class", "ext"):
+                self.call_edges.add((caller, target[1]))
+            for function, passed in self._runs(target, receiver):
+                self.call_edges.add((caller, function))
+                self._bind(scope, call, function, passed)
 
-    def _bind(self, scope: Scope, call: ast.Call, fqn: str, receivers: set[Value]) -> None:
-        """Flow ``call``'s arguments, and any receiver classes, into ``fqn``'s parameters."""
-        params = self.table.functions[fqn].params if fqn in self.table.functions else []
-        if params:
-            self.solver.add(f"{fqn}.{params[0]}", receivers)
-        for name, arg in bind_arguments(call, params, bool(receivers)):
+    def _bind(self, scope: Scope, call: ast.Call, fqn: str, receiver: Value | None) -> None:
+        """Flow ``call``'s arguments, and the receiver it reaches ``fqn``
+        through when it passes one, into ``fqn``'s parameters."""
+        callee = self.table.functions[fqn]
+        bound = binds_receiver(callee, receiver and receiver[0])
+        if bound:
+            self.solver.add(callee.slot(callee.params[0]), {(callee.receiver, receiver[1])})
+        for name, arg in bind_arguments(call, callee.params, bound):
             if arg is not None:
-                self.solver.add(f"{fqn}.{name}", self.eval_expr(arg, scope))
+                self.solver.add(callee.slot(name), self.eval_expr(arg, scope))
 
     def _diagnose(self, scope: Scope, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)

@@ -45,6 +45,7 @@ __all__ = [
     "TreeNode",
     "Scope",
     "bind_arguments",
+    "binds_receiver",
     "bind_defaults",
     "ScopeTable",
     "Worklist",
@@ -67,6 +68,7 @@ __all__ = [
 ]
 
 _SKIP_DIRS = {"__pycache__"}
+RETURN_SLOT = "<ret>"  # a function's return slot in both fixpoints: f"{fqn}.{RETURN_SLOT}"
 
 
 class DiagnosticLog(list):
@@ -382,6 +384,8 @@ class Scope:
     ``("slot", fqn)`` for a definition, parameter or assignment target, or to
     what an import bound it to.  ``params`` are a function's positional
     parameters; ``methods`` map a class's method names to their FQNs.
+    ``receiver`` is what a method's first parameter takes (:func:`binds_receiver`):
+    ``"inst"``, ``"class"`` for a classmethod, or None for any other function.
     """
 
     fqn: str
@@ -390,12 +394,18 @@ class Scope:
     module: str
     parent: "Scope | None" = None
     params: list[str] = field(default_factory=list)
+    receiver: str | None = None
     methods: dict[str, str] = field(default_factory=dict)
     bindings: dict[str, tuple[str, str]] = field(default_factory=dict)
     statements: list[ast.stmt] = field(default_factory=list)
 
     def slot(self, name: str) -> str:
         return f"{self.fqn}.{name}"
+
+    @property
+    def arguments(self) -> list[str]:
+        """The parameters that only a call's arguments bind: all but the receiver's."""
+        return self.params[1:] if self.receiver else self.params
 
     def lookup(self, name: str) -> tuple[str, str] | None:
         """``name``'s binding by Python's nested rule: this scope, then the
@@ -411,26 +421,44 @@ class Scope:
 def bind_arguments(call: ast.Call, params: list[str],
                    bound: bool = False) -> list[tuple[str, ast.expr | None]]:
     """The (parameter, argument) pairs by which ``call`` may bind ``params``;
-    with ``bound`` (each caller decides it), the first parameter is the
-    receiver and takes none.  Positional arguments pair in order up to the
-    first starred one; from there, each may bind any parameter from the
-    count of plain ones before it, and a starred one binds those to None, as
-    a ``**`` one binds every parameter no plain one took.  Keywords pair by
-    name; None means bound, value unknown, as in :func:`~lancet.ssa.unpack`."""
+    with ``bound`` (:func:`binds_receiver`), the first parameter is the
+    receiver and takes none.  A ``*[...]`` or ``*(...)`` with no star inside
+    counts as its elements, a ``**{...}`` with constant keys as keywords.
+    Positional arguments pair in order up to the first other starred one;
+    from there, each may bind any parameter from the count of plain ones
+    before it, and a starred one binds those to None, as another ``**`` one
+    binds every parameter no plain one took.  Keywords pair by name; None
+    means bound, value unknown, as in :func:`~lancet.ssa.unpack`."""
     params = params[1:] if bound else params
+    args: list[ast.expr] = []
+    for arg in call.args:
+        literal = isinstance(arg, ast.Starred) and isinstance(arg.value, (ast.List, ast.Tuple))
+        spread = literal and not any(isinstance(elt, ast.Starred) for elt in arg.value.elts)
+        args += arg.value.elts if spread else [arg]
     pairs: list[tuple[str, ast.expr | None]] = []
     plain = 0  # plain positional arguments so far; fewer than ``i`` after a star
-    for i, arg in enumerate(call.args):
+    for i, arg in enumerate(args):
         star = isinstance(arg, ast.Starred)
         reach = params[plain:] if star or plain < i else params[plain:plain + 1]
         pairs += [(name, None if star else arg) for name in reach]
         plain += not star
     for keyword in call.keywords:
-        if keyword.arg is None:
+        value = keyword.value
+        if keyword.arg is None and isinstance(value, ast.Dict) and all(
+                isinstance(key, ast.Constant) for key in value.keys):
+            pairs += [(key.value, item) for key, item in zip(value.keys, value.values) if key.value in params]
+        elif keyword.arg is None:
             pairs += [(name, None) for name in params[plain:]]
         elif keyword.arg in params:
-            pairs.append((keyword.arg, keyword.value))
+            pairs.append((keyword.arg, value))
     return pairs
+
+
+def binds_receiver(callee: Scope, via: str | None) -> bool:
+    """Whether a call passes ``callee`` a receiver: through an instance
+    (``via`` is ``"inst"``) to a method or classmethod (:attr:`Scope.receiver`),
+    through the class (``"class"``) to a classmethod, plainly (None) never."""
+    return via == "inst" and callee.receiver is not None or via == "class" == callee.receiver
 
 
 def bind_defaults(node: ast.FunctionDef) -> list[tuple[str, ast.expr]]:
@@ -504,7 +532,11 @@ class ScopeTable:
             if parent.kind == "class":
                 parent.methods[stmt.name] = fqn
             params = [a.arg for a in positional_params(stmt.args)]
+            decorators = {d.id for d in stmt.decorator_list}  # bare names only (see frontend)
+            receiver = "class" if "classmethod" in decorators else "inst"
+            method = parent.kind == "class" and params and "staticmethod" not in decorators
             child = Scope(fqn, "function", stmt, parent.module, parent, params,
+                          receiver if method else None,
                           bindings={p: ("slot", f"{fqn}.{p}") for p in params})
             self.functions[fqn] = child
         self.scopes.append(child)

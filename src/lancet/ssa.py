@@ -31,13 +31,14 @@ folds.  Evaluation is deterministic and only ever sees more folded values,
 so the result is the same in any order.  Folding is bounded (see
 ``MAX_FOLD_INT_BITS`` and ``MAX_FOLD_STR_LEN``): a step certain to exceed a
 bound is refused before it is computed, and a definition whose value
-exceeds one, or is not an int, float, bool, str or None (a complex), is
-marked ``fold_failed``.
+exceeds one, or is not an int, finite float, bool, str or None (a complex,
+an infinity or a NaN, which JSON cannot spell), is marked ``fold_failed``.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import re
 from collections import deque
@@ -483,13 +484,15 @@ def _exceeds_bound(op: ast.operator, left: object, right: object) -> bool:
 
 
 def _unfoldable(value: object) -> bool:
-    """Whether a result is past a fold bound or not a JSON scalar (say, the
-    complex ``(-8) ** 0.5``)."""
+    """Whether a result is past a fold bound or not an RFC 8259 JSON scalar
+    (say, the complex ``(-8) ** 0.5``, or ``1e308 * 10``, which is infinite)."""
     if isinstance(value, int):
         return value.bit_length() > MAX_FOLD_INT_BITS
     if isinstance(value, str):
         return len(value) > MAX_FOLD_STR_LEN
-    return not isinstance(value, float) and value is not None
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return value is not None
 
 
 def _eval_expr(
@@ -569,8 +572,8 @@ def fold_constants(const_dict: ConstDict, use_map: SsaUseMap) -> ConstDict:
     A definition folds when each free variable has a single reaching version
     at the defining statement and that version is itself folded.  Arithmetic
     faults (division by zero and friends), results past the fold bounds and
-    results other than an int, float, bool, str or None leave the entry
-    unfolded with ``fold_failed`` set.  The input is not modified.
+    results other than an int, finite float, bool, str or None leave the
+    entry unfolded with ``fold_failed`` set.  The input is not modified.
     """
     result = ConstDict(
         entries={key: replace(value) for key, value in const_dict.entries.items()}

@@ -16,7 +16,9 @@ Evidence comes from three directions:
 Call names resolve once, before the fixpoint, by Python's nested rule on
 the scope table the call graph also reads (:class:`~lancet.modgraph.ScopeTable`):
 an import binds in the scope where it appears, and a nested function is
-visible to its enclosing one.  The fixpoint runs on the call graph's solver
+visible to its enclosing one.  A call's callees, for its type and for its
+argument evidence alike, are those of its receiver's types for ``o.m(x)``,
+else its name's (``_Engine.callees``).  The fixpoint runs on the call graph's solver
 (:class:`~lancet.modgraph.Worklist`): each module, function and class body
 is walked once, then again only when a return or parameter it read has
 grown.  The records come from each body's final walk.
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import head_exprs, iter_eager
-from .modgraph import (DiagnosticLog, Scope, ScopeTable, Worklist,
-                       bind_arguments, bind_defaults, discover, dotted_parts, load_module)
+from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments,
+                       bind_defaults, binds_receiver, discover, dotted_parts, load_module)
 from .rewriter import TEMP_PREFIX
 from .ssa import target_names, unpack
 
@@ -282,40 +284,35 @@ def _type_of_call(
     diagnostics: list[str] | None,
 ) -> set[str]:
     func = call.func
+    receiver = None
+    out: set[str] = set()
     # A method call unions the receiver's types that have the method, so it
     # grows with the receiver; a receiver with no type yet gives none yet.
     if isinstance(func, ast.Attribute):
         receiver = type_of_expr(func.value, env, table, resolver=resolver, diagnostics=diagnostics)
         method = table.method_signatures.get(func.attr)
-        out: set[str] = set()
-        matched = not receiver
-        for recv_type in receiver:
-            if method is not None and recv_type == method[0]:
-                ret = {method[1]}
-            else:
-                ret = resolver.method_return(recv_type, func.attr) if resolver is not None else None
-            if ret is not None:
-                out |= ret
-                matched = True
-        if matched:
-            return out
-    if resolver is not None:
-        resolved = resolver.call_target(func)
-        if resolved is not None:
-            return set(resolved)
-    # Fallback: a bare name that appears verbatim in the signature table.
+        if method is not None and method[0] in receiver:
+            out.add(method[1])
+    callees = resolver.callees(call, receiver) if resolver is not None else None
+    if callees is not None:
+        for fqn, _ in callees:
+            out |= resolver.result_of(fqn)
+        return out
+    if out or receiver == set():
+        return out
+    # No project definition: the signature table, by the FQN the name's
+    # root binds it to, then by the name's own dotted text.
     parts = dotted_parts(func)
-    sig = table.signature(".".join(parts)) if parts else None
-    if sig is not None:
-        return {sig}
+    for name in (resolver and resolver.targets.get(func), parts and ".".join(parts)):
+        sig = table.signature(name) if name else None
+        if sig is not None:
+            return {sig}
     return {ANY}
 
 
 # ---------------------------------------------------------------------------
 # Project model
 
-
-_RETURN = "<ret>"  # a function's return slot: f"{fqn}.{_RETURN}"
 
 _Bindings = dict[str, tuple[int, set[str]]]  # variable -> (first line, types)
 _Returns = list[tuple[int, set[str], bool]]  # (line, types, bare) per return
@@ -330,7 +327,7 @@ class _Engine:
         self.scopes = ScopeTable()
         self.files: dict[str, str] = {}  # module name -> file
         self.targets: dict[ast.expr, str] = {}  # callee node -> resolved FQN
-        self.sites: dict[ast.stmt, list[tuple[ast.Call, Scope, bool, set[str]]]] = {}  # callee, bound, typed
+        self.sites: dict[ast.stmt, list[ast.Call]] = {}
         self.generators: set[str] = set()
         self.solver = Worklist()  # slots: each function's return and parameters
         self.walks: dict[Scope, tuple[_Bindings, _Returns]] = {}  # each scope's final walk
@@ -341,16 +338,14 @@ class _Engine:
         self.scopes.add_module(module, name, is_package=Path(file).name == "__init__.py")
 
     def index(self, units: list[Scope]) -> None:
-        """Resolve the callee of every call in ``units`` once, by Python's
-        nested rule: the root name's binding (:meth:`Scope.lookup`) plus the
-        attribute tail.  A statement's calls are :func:`~lancet.cfg.statement_calls`,
+        """Resolve the callee name of every call in ``units`` once, by
+        Python's nested rule: the root name's binding (:meth:`Scope.lookup`)
+        plus the attribute tail.  A statement's calls are :func:`~lancet.cfg.statement_calls`,
         so a lambda body's are not; the statements nested in a branch have
         their own entries.  The same pass finds the generators and seeds the
         parameters with their body constraints: a use (:func:`_pin`) pins the
-        parameter its name resolves to.  A call binds a function unbound, also
-        through its class (``C.m(o, x)``), and a classmethod or ``__init__`` bound."""
-        functions = self.scopes.functions
-        slots = {scope.slot(name) for scope in functions.values() for name in _typed_params(scope)}
+        parameter its name resolves to."""
+        slots = {scope.slot(name) for scope in self.scopes.functions.values() for name in scope.arguments}
         for scope in units:
             for stmt in scope.statements:
                 sites = []
@@ -365,40 +360,42 @@ class _Engine:
                         continue
                     parts = dotted_parts(node.func)
                     binding = scope.lookup(parts[0]) if parts else None
-                    if binding is None:
-                        continue
-                    fqn = ".".join([binding[1], *parts[1:]])
-                    self.targets[node.func] = fqn
-                    bound = fqn in self.scopes.classes
-                    callee = functions.get(self.scopes.classes[fqn].methods.get("__init__") if bound else fqn)
-                    if callee is not None:
-                        bound = bound or "classmethod" in [d.id for d in callee.node.decorator_list]
-                        sites.append((node, callee, bound, set(_typed_params(callee))))
+                    if binding is not None:
+                        self.targets[node.func] = ".".join([binding[1], *parts[1:]])
+                    if isinstance(node.func, ast.Attribute) or self.callees(node, None) is not None:
+                        sites.append(node)  # a call that may reach the project
                 if sites:
                     self.sites[stmt] = sites
 
-    def call_target(self, func: ast.expr) -> set[str] | None:
+    def callees(self, call: ast.Call, receiver: set[str] | None) -> list[tuple[str, str | None]] | None:
+        """The project functions and classes ``call`` calls, each with how it
+        reaches them (:func:`~lancet.modgraph.binds_receiver`): given the types of
+        ``o`` in ``o.m(x)``, each one's ``m``, through an instance (none while ``o``
+        has no type); if none has one, what the name resolves to, through its class
+        for ``C.m(o, x)``, or None if that is no project definition."""
+        func = call.func
+        if receiver is not None:
+            classes = [self.scopes.classes.get(t) for t in sorted(receiver)]
+            found = [(cls.methods[func.attr], "inst") for cls in classes
+                     if cls is not None and func.attr in cls.methods]
+            if found or not receiver:
+                return found
         fqn = self.targets.get(func)
-        if fqn is None:
-            return None
+        if fqn in self.scopes.classes:
+            return [(fqn, None)]
+        if fqn in self.scopes.functions:
+            through = isinstance(func, ast.Attribute) and fqn.rpartition(".")[0] in self.scopes.classes
+            return [(fqn, "class" if through else None)]
+        return None
+
+    def result_of(self, fqn: str) -> set[str]:
+        """What calling the project function or class ``fqn`` gives."""
         if fqn in self.scopes.classes:
             return {fqn}
-        if fqn in self.scopes.functions:
-            return self._returns_of(fqn)
-        sig = self.table.signature(fqn)
-        return {sig} if sig is not None else None
-
-    def method_return(self, receiver_type: str, attr: str) -> set[str] | None:
-        cls = self.scopes.classes.get(receiver_type)
-        if cls is None or attr not in cls.methods:
-            return None
-        return self._returns_of(cls.methods[attr])
-
-    def _returns_of(self, fqn: str) -> set[str]:
         if fqn in self.generators:
             return {ANY}
         # A return not walked yet is bottom, not Any.
-        return set(self.solver.get(f"{fqn}.{_RETURN}"))
+        return set(self.solver.get(f"{fqn}.{RETURN_SLOT}"))
 
     # -- environment walks -----------------------------------------------------
 
@@ -407,20 +404,16 @@ class _Engine:
         environment.  Returns the variables (name -> first line, types) and
         the return statements (line, types, bare); adds to ``evidence`` the
         types that defaults and calls bind to parameters (``Any`` past a star)."""
-        typed = _typed_params(scope)
-        env = {name: set(self.solver.get(scope.slot(name))) for name in typed}
-        if len(typed) < len(scope.params):
+        env = {name: set(self.solver.get(scope.slot(name))) for name in scope.arguments}
+        if scope.receiver:
             env[scope.params[0]] = {scope.parent.fqn}  # a method's self or cls
         bindings: _Bindings = {}
         returns: _Returns = []
         for stmt in scope.statements:
             # A def's or class's own calls sit in its head (defaults,
             # bases), so they bind before its name does.
-            for call, callee, bound, typed in self.sites.get(stmt, ()):
-                for name, arg in bind_arguments(call, callee.params, bound):
-                    if name in typed:
-                        types = {ANY} if arg is None else type_of_expr(arg, env, self.table, resolver=self)
-                        evidence.setdefault(callee.slot(name), set()).update(types)
+            for call in self.sites.get(stmt, ()):
+                self._bind(call, env, evidence)
             if isinstance(stmt, ast.FunctionDef):
                 for param, default in bind_defaults(stmt):
                     types = type_of_expr(default, env, self.table, resolver=self)
@@ -460,6 +453,22 @@ class _Engine:
                 returns.append((stmt.lineno, types, bare))
         return bindings, returns
 
+    def _bind(self, call: ast.Call, env: dict[str, set[str]], evidence: dict[str, set[str]]) -> None:
+        """Add to ``evidence`` the types ``call`` binds to its :meth:`callees`' parameters."""
+        receiver = None
+        if isinstance(call.func, ast.Attribute):
+            receiver = type_of_expr(call.func.value, env, self.table, resolver=self)
+        for fqn, via in self.callees(call, receiver) or ():
+            if fqn in self.scopes.classes:
+                fqn, via = self.scopes.classes[fqn].methods.get("__init__"), "inst"
+            callee = self.scopes.functions.get(fqn)
+            if callee is None:
+                continue
+            for name, arg in bind_arguments(call, callee.params, binds_receiver(callee, via)):
+                if name in callee.arguments:
+                    types = {ANY} if arg is None else type_of_expr(arg, env, self.table, resolver=self)
+                    evidence.setdefault(callee.slot(name), set()).update(types)
+
     # -- fixpoint ----------------------------------------------------------------
 
     def run(self) -> None:
@@ -480,7 +489,7 @@ class _Engine:
         bindings, returns = self._walk_body(scope, evidence)
         self.walks[scope] = (bindings, returns)
         if scope.kind == "function":
-            self.solver.add(f"{scope.fqn}.{_RETURN}", self._return_set(scope, returns))
+            self.solver.add(f"{scope.fqn}.{RETURN_SLOT}", self._return_set(scope, returns))
         for slot, types in evidence.items():
             self.solver.add(slot, types)
 
@@ -514,12 +523,12 @@ class _Engine:
             if function is not None:
                 records.append(TypeRecord(
                     file=file, line_number=returns[0][0] if returns else scope.node.lineno,
-                    function=function, type=set(values.get(f"{scope.fqn}.{_RETURN}", ())) or {ANY},
+                    function=function, type=set(values.get(f"{scope.fqn}.{RETURN_SLOT}", ())) or {ANY},
                 ))
                 records += [
                     TypeRecord(file=file, line_number=scope.node.lineno, function=function,
                                parameter=name, type=set(values.get(scope.slot(name), ())) or {ANY})
-                    for name in _typed_params(scope)
+                    for name in scope.arguments
                 ]
 
         records.sort(
@@ -575,13 +584,6 @@ def infer_parameters(
                    parameter=name, type=set(engine.solver.get(scope.slot(name))) or {ANY})
         for name in scope.params
     ]
-
-
-def _typed_params(scope: Scope) -> list[str]:
-    """The parameters that call sites give evidence for: all but a method's
-    ``self`` or ``cls``."""
-    method = scope.params[:1] in (["self"], ["cls"]) and scope.parent.kind == "class"
-    return scope.params[1:] if method else scope.params
 
 
 def infer_types(

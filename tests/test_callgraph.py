@@ -336,3 +336,60 @@ def test_a_repeated_unresolvable_import_line_is_diagnosed_once(tmp_path):
     (root / "mod.py").write_text("from ...x import a; from ...y import b\n")
     graph = analyze([], package_root=root)
     assert graph.diagnostics == ["pkg.mod: unresolvable relative import at line 1"]
+
+
+# ---------------------------------------------------------------------------
+# Receivers: one rule (modgraph.binds_receiver) for every call
+
+
+def test_a_method_called_through_its_class_takes_its_first_argument_as_self():
+    edges = set(output_edges(analyze([CG / "receivers.py"])))
+    assert ("receivers.C.m", "receivers.g") in edges
+    assert ("receivers.C.m", "receivers.C") not in edges
+
+
+def test_a_staticmethod_takes_no_receiver_and_a_classmethod_its_class(tmp_path):
+    """Decorated, so not in the corpus, whose spans must nest."""
+    path = tmp_path / "decorated.py"
+    path.write_text(
+        "def g():\n    pass\n\n\nclass C:\n    @staticmethod\n    def s(f):\n        return f()\n\n"
+        "    @classmethod\n    def make(cls, f):\n        f()\n        return cls()\n\n\n"
+        "C.s(g)\nc = C.make(g)\nc.s(g)\nc.make(g)\n"
+    )
+    edges = set(output_edges(analyze([path])))
+    assert {("decorated.C.s", "decorated.g"), ("decorated.C.make", "decorated.g"),
+            ("decorated.C.make", "decorated.C")} <= edges
+    assert ("decorated.C.s", "decorated.C") not in edges
+    assert trace_call_edges(path) <= edges
+
+
+def test_calling_an_instance_calls_its_dunder_call():
+    edges = set(output_edges(analyze([CG / "receivers.py"])))
+    assert ("receivers", "receivers.C.__call__") in edges
+    assert ("receivers.C.__call__", "receivers.h") in edges
+    assert ("receivers.C.__call__", "receivers.C") not in edges
+
+
+def test_an_instance_call_reaches_no_class_or_init(tmp_path):
+    path = tmp_path / "inst.py"
+    path.write_text(
+        "def g():\n    pass\n\n\nclass C:\n    def __init__(self):\n        pass\n\n"
+        "    def __call__(self, f):\n        return f()\n\n\nc = C()\n\n\ndef run():\n    c(g)\n\n\nrun()\n"
+    )
+    edges = set(output_edges(analyze([path])))
+    assert ("inst.run", "inst.C.__call__") in edges
+    assert ("inst.run", "inst.C") not in edges
+    assert ("inst.run", "inst.C.__init__") not in edges
+    assert trace_call_edges(path) <= edges
+
+
+def test_a_method_called_on_self_binds_its_arguments():
+    edges = set(output_edges(analyze([CG / "receivers.py"])))
+    assert ("receivers.C.run", "receivers.C.helper") in edges
+    assert ("receivers.C.helper", "receivers.g") in edges
+
+
+def test_literal_star_and_double_star_arguments_bind_their_elements():
+    edges = set(output_edges(analyze([CG / "receivers.py"])))
+    assert ("receivers.star", "receivers.g") in edges
+    assert ("receivers.double_star", "receivers.h") in edges

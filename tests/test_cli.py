@@ -364,13 +364,16 @@ def test_callgraph_package_ignores_a_directory_named_like_a_module(capsys, tmp_p
 @pytest.mark.parametrize("source,alias", [
     ("x = 7 ** 20000\ny = x % 10\n", []),
     ("x = (-8) ** 0.5\ny = x\n", [{"alias": "y#0", "target": "x"}]),  # a complex
-], ids=["big-power", "complex"])
+    ("x = 1e308 * 10\ny = x\n", [{"alias": "y#0", "target": "x"}]),  # infinite
+    ("x = 1e308 * 10 * 0\ny = x\n", [{"alias": "y#0", "target": "x"}]),  # NaN
+], ids=["big-power", "complex", "infinity", "nan"])
 def test_an_unfoldable_result_still_serializes(capsys, tmp_path, source, alias):
+    """Also as RFC 8259 JSON: no ``Infinity`` or ``NaN`` token."""
     target = tmp_path / "unfoldable.py"
     target.write_text(source)
     code, out, err = _run(capsys, "ssa", str(target))
     assert code == 0, err
-    constants = json.loads(out)["constants"]
+    constants = json.loads(out, parse_constant=pytest.fail)["constants"]
     assert constants["x#0"]["folded"] is None
     assert constants["y#0"]["folded"] is None
     code, out, err = _run(capsys, "alias", str(target))

@@ -18,6 +18,7 @@ from lancet.modgraph import (
     build_dir_tree,
     build_import_graph,
     bind_arguments,
+    binds_receiver,
     bind_defaults,
     build_name_context,
     call_sites,
@@ -427,10 +428,46 @@ def test_bind_arguments_agree_with_the_interpreter(case):
     passed = {name: value for name, value in namespace["result"].items() if value != "d"}
     defaults = {name: ast.literal_eval(d) for name, d in bind_defaults(ast.parse(def_source).body[0])}
     assert all(defaults.get(name) == "d" for name in namespace["result"].keys() - passed.keys())
-    for name, value in passed.items():
-        assert any(param == name and (arg is None or ast.literal_eval(arg) == value)
-                   for param, arg in pairs), (def_source, call_source, name)
-    if "*" not in call_source:
-        assert sorted(name for name, _ in pairs) == sorted(passed), call_source
-        assert all(ast.literal_eval(arg) == passed[name] for name, arg in pairs), call_source
+    # Every star here is a literal, so the pairs are exactly the interpreter's.
+    assert sorted(name for name, _ in pairs) == sorted(passed), call_source
+    assert all(ast.literal_eval(arg) == passed[name] for name, arg in pairs), call_source
     assert bind_arguments(call, ["self", *params], bound=True) == pairs
+
+
+@pytest.mark.parametrize("call_source, expected", [
+    ("f(*[1, 2], 3)", {"a": ["1"], "b": ["2"], "c": ["3"]}),
+    ("f(*(1,), *[], c=3)", {"a": ["1"], "c": ["3"]}),
+    ("f(**{'b': 2, 'c': 3})", {"b": ["2"], "c": ["3"]}),
+    ("f(*[*xs], 2)", {"a": [None, "2"], "b": [None, "2"], "c": [None, "2"]}),
+    ("f(1, **{**kw})", {"a": ["1"], "b": [None], "c": [None]}),
+])
+def test_bind_arguments_expands_literal_stars(call_source, expected):
+    assert _pairs(call_source, ["a", "b", "c"]) == expected
+
+
+_RECEIVERS = (
+    "class C:\n    def m(self, x):\n        pass\n\n"
+    "    @classmethod\n    def cm(cls, x):\n        pass\n\n"
+    "    @staticmethod\n    def sm(x):\n        pass\n\n"
+    "    def bare():\n        pass\n\n\n"
+    "def f(x):\n    pass\n"
+)
+
+
+@pytest.mark.parametrize("name, receiver, through_instance, through_class", [
+    ("r.C.m", "inst", True, False),
+    ("r.C.cm", "class", True, True),
+    ("r.C.sm", None, False, False),
+    ("r.C.bare", None, False, False),
+    ("r.f", None, False, False),
+])
+def test_a_call_passes_a_receiver_by_the_callee_and_how_the_call_reaches_it(
+        name, receiver, through_instance, through_class):
+    table = ScopeTable()
+    table.add_module(parse_module(_RECEIVERS), "r")
+    callee = table.functions[name]
+    assert callee.receiver == receiver
+    assert binds_receiver(callee, "inst") is through_instance
+    assert binds_receiver(callee, "class") is through_class
+    assert binds_receiver(callee, None) is False
+    assert callee.arguments == callee.params[through_instance:]

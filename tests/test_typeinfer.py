@@ -500,7 +500,7 @@ def _round_robin(engine: typeinfer._Engine) -> None:
             if scope.kind == "function":
                 values[f"{scope.fqn}.<ret>"] = engine._return_set(scope, returns)
         for scope in functions.values():
-            for slot in map(scope.slot, typeinfer._typed_params(scope)):
+            for slot in map(scope.slot, scope.arguments):
                 values[slot] = pins.get(slot, set()) | evidence.get(slot, set())
         if values == before:
             return
@@ -631,3 +631,46 @@ def test_a_shadowed_name_pins_no_outer_parameter(tmp_path):
         assert parameters[("inner", "s")].type == {"str"}
         assert parameters[("first", "k")].type == {"int"}
         assert parameters[("f", "s")].type == {"int"}  # only the def that replaced the first
+
+
+# ---------------------------------------------------------------------------
+# Receivers: one rule (modgraph.binds_receiver) for result types and evidence
+
+
+def test_a_method_called_on_an_instance_binds_its_arguments():
+    returns, variables, parameters = _by_kind(infer_types_report(TI / "receivers.py")[0])
+    assert parameters[("scale", "k")].type == {"int"}
+    assert returns["scale"].type == {"int"}
+    assert variables[(None, "r")].type == {"int"}
+
+
+def test_a_method_called_on_self_binds_its_arguments():
+    returns, variables, parameters = _by_kind(infer_types_report(TI / "receivers.py")[0])
+    assert parameters[("twice", "x")].type == {"int"}
+    assert returns["twice"].type == {"int"}
+    assert variables[(None, "t")].type == {"int"}
+
+
+def test_a_staticmethod_called_on_an_instance_takes_no_receiver(tmp_path):
+    """Decorated, so not in the corpus, whose spans must nest."""
+    path = tmp_path / "static.py"
+    path.write_text(
+        "class P:\n    @staticmethod\n    def half(n):\n        return n / 2\n\n"
+        "    @classmethod\n    def of(cls, v):\n        return v\n\n\n"
+        "p = P()\nw = p.half(5)\nz = p.of('s')\n"
+    )
+    returns, variables, parameters = _by_kind(infer_types_report(path)[0])
+    assert parameters[("half", "n")].type == {"int"}
+    assert variables[(None, "w")].type == {"float"}
+    assert parameters[("of", "v")].type == {"str"}
+    assert variables[(None, "z")].type == {"str"}
+    observed = observe_types(path)
+    for key, seen in observed.params.items():
+        assert type_agrees(seen, parameters[key].type), (key, seen, parameters[key].type)
+
+
+def test_the_receiver_is_the_first_parameter_whatever_its_name():
+    returns, variables, parameters = _by_kind(infer_types_report(TI / "receivers.py")[0])
+    assert ("m", "this") not in parameters
+    assert "str" in parameters[("m", "x")].type
+    assert "str" in variables[(None, "y")].type

@@ -43,8 +43,12 @@ that bind parameters in every way (a constructor, a method and a
 classmethod called through their class, starred, ``**`` and keyword
 arguments, a default), a module name that a function assigns under
 ``global``, folds to a complex number, infinity, NaN and ``-0.0`` (which
-pin how the JSON writer spells floats), and calls in a default and in a
-class base.  The edge cases and the workloads (made by importing
+pin how the JSON writer spells floats), calls in a default and in a
+class base, and calls that do or do not pass a receiver (a method called
+through its class with an instance, a staticmethod, a classmethod, an
+instance's ``__call__`` with a first parameter not named ``self``, a
+method called on ``self``) and literal ``*[...]``, ``*(...)`` and
+``**{...}`` arguments.  The edge cases and the workloads (made by importing
 ``perfbench/gen.py``) are written to a temporary directory that both sides
 read; nothing under ``perfbench/`` is written.
 """
@@ -113,6 +117,17 @@ EDGE_CASES = {
         "def g():\n    return 1\n\n\ndef f():\n    global h\n    h = g\n\n\nf()\nh()\n"
     ),
     "fold_edges.py": "x = (-8) ** 0.5\ny = x\nw = 1e308 * 10\nn = w - w\nz = -0.0\n",
+    "receivers.py": (
+        "def g():\n    return 1\n\n\n"
+        "class C:\n    def m(self, b):\n        return b()\n\n"
+        "    @staticmethod\n    def s(f):\n        return f()\n\n"
+        "    @classmethod\n    def make(cls, f):\n        f()\n        return cls()\n\n"
+        "    def __call__(this, f, n):\n        return n\n\n"
+        "    def run(self, f):\n        return self.m(f)\n\n\n"
+        "def star(a, b):\n    return a()\n\n\n"
+        "C.m(C(), g)\nC.s(g)\nC.make(g)\nc = C()\nk = c(g, 1)\nr = c.run(g)\ny = c.s(g)\n"
+        "star(*[g, 2])\nstar(**{'a': g, 'b': 's'})\nstar(*(g,), *[1])\n"
+    ),
     "def_head_call.py": (
         "def g(k):\n    return k\n\n\ndef f(a=g(1)):\n    return a\n\n\n"
         "def base(b):\n    return object\n\n\nclass C(base('s')):\n    pass\n\n\nx = f()\n"
