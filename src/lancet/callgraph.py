@@ -36,8 +36,8 @@ lambda assignments and call chains resolve like ordinary definitions.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .cfg import statement_calls
 from .frontend import dump_json
@@ -60,28 +60,31 @@ _DYNAMIC_NAMES = {"eval", "exec", "getattr", "globals", "locals", "vars", "__imp
 Value = tuple[str, str]  # ("func" | "class" | "inst" | "mod" | "ext", fqn)
 
 
-@dataclass(frozen=True)
-class CgNode:
+class CgNode(NamedTuple):
     fqn: str
     kind: str  # "module" | "function" | "class" | "external"
 
 
-@dataclass
 class AssignmentGraph:
     """The slots (qualified names) read or written, with the value sets they carry."""
 
-    nodes: set[str] = field(default_factory=set)
-    value_sets: dict[str, set[Value]] = field(default_factory=dict)
+    def __init__(self, nodes: set[str] | None = None,
+                 value_sets: dict[str, set[Value]] | None = None) -> None:
+        self.nodes = set() if nodes is None else nodes
+        self.value_sets = {} if value_sets is None else value_sets
 
 
-@dataclass
 class CallGraph:
-    edges: dict[str, set[str]] = field(default_factory=dict)
-    nodes: dict[str, str] = field(default_factory=dict)
-    internal_mods: set[str] = field(default_factory=set)
-    external_mods: set[str] = field(default_factory=set)
-    diagnostics: list[str] = field(default_factory=list)
-    assignment_graph: AssignmentGraph = field(default_factory=AssignmentGraph)
+    def __init__(self, edges: dict[str, set[str]] | None = None,
+                 nodes: dict[str, str] | None = None, internal_mods: set[str] | None = None,
+                 external_mods: set[str] | None = None, diagnostics: list[str] | None = None,
+                 assignment_graph: AssignmentGraph | None = None) -> None:
+        self.edges = {} if edges is None else edges
+        self.nodes = {} if nodes is None else nodes
+        self.internal_mods = set() if internal_mods is None else internal_mods
+        self.external_mods = set() if external_mods is None else external_mods
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.assignment_graph = AssignmentGraph() if assignment_graph is None else assignment_graph
 
     def node_list(self) -> list[CgNode]:
         return [CgNode(fqn=fqn, kind=self.nodes[fqn]) for fqn in sorted(self.nodes)]
@@ -120,7 +123,10 @@ class _Analyzer:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._bind_import(scope, stmt, is_package)
         elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.decorator_list:
-            self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
+            names = [d.id for d in stmt.decorator_list]  # bare names only (see frontend)
+            if not (scope.kind == "class" and isinstance(stmt, ast.FunctionDef)
+                    and names in (["staticmethod"], ["classmethod"])):  # what Scope.receiver models
+                self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
 
     def _bind_import(self, scope: Scope, stmt: ast.Import | ast.ImportFrom,
                      is_package: bool) -> None:

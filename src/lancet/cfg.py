@@ -27,7 +27,6 @@ are folded into the current block linearly.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -52,23 +51,22 @@ __all__ = [
 ]
 
 
-@dataclass
 class Link:
-    source: "Block"
-    target: "Block"
-    condition: ast.expr | None = None
+    def __init__(self, source: Block, target: Block, condition: ast.expr | None = None) -> None:
+        self.source, self.target, self.condition = source, target, condition
 
     def __repr__(self) -> str:
         cond = f" [{source_text(self.condition)}]" if self.condition is not None else ""
         return f"Link({self.source.id} -> {self.target.id}{cond})"
 
 
-@dataclass
 class Block:
-    id: int
-    statements: list[ast.stmt] = field(default_factory=list)
-    exits: list[Link] = field(default_factory=list)
-    predecessors: list[Link] = field(default_factory=list)
+    def __init__(self, id: int, statements: list[ast.stmt] | None = None,
+                 exits: list[Link] | None = None, predecessors: list[Link] | None = None) -> None:
+        self.id = id
+        self.statements = [] if statements is None else statements
+        self.exits = [] if exits is None else exits
+        self.predecessors = [] if predecessors is None else predecessors
 
     def get_calls(self) -> list[ast.Call]:
         """Call expressions that run when this block executes, in source order.
@@ -82,15 +80,17 @@ class Block:
         return f"Block(#{self.id}, {len(self.statements)} stmts)"
 
 
-@dataclass
 class Cfg:
-    name: str
-    entry: Block
-    blocks: dict[int, Block] = field(default_factory=dict)
-    final_blocks: set[int] = field(default_factory=set)
-    unreachable_blocks: set[int] = field(default_factory=set)
-    function_cfgs: dict[tuple[int, str], "Cfg"] = field(default_factory=dict)
-    class_cfgs: dict[str, "Cfg"] = field(default_factory=dict)
+    def __init__(self, name: str, entry: Block, blocks: dict[int, Block] | None = None,
+                 final_blocks: set[int] | None = None, unreachable_blocks: set[int] | None = None,
+                 function_cfgs: dict[tuple[int, str], Cfg] | None = None,
+                 class_cfgs: dict[str, Cfg] | None = None) -> None:
+        self.name, self.entry = name, entry
+        self.blocks = {} if blocks is None else blocks
+        self.final_blocks = set() if final_blocks is None else final_blocks
+        self.unreachable_blocks = set() if unreachable_blocks is None else unreachable_blocks
+        self.function_cfgs = {} if function_cfgs is None else function_cfgs
+        self.class_cfgs = {} if class_cfgs is None else class_cfgs
 
     def __iter__(self) -> Iterator[Block]:
         return iter(sorted(self.blocks.values(), key=lambda b: b.id))

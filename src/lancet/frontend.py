@@ -31,10 +31,9 @@ from __future__ import annotations
 import ast
 import copy
 from collections import deque
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "ParseError",
@@ -63,8 +62,7 @@ class ParseError(Exception):
         super().__init__(f"{self.path}:{self.line}:{self.col}: {message}")
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     """A source file queued for analysis.
 
     ``module_name`` is the file stem; a module of a project is named by
@@ -531,14 +529,16 @@ def walk(node: ast.AST, order: str = "pre") -> Iterator[ast.AST]:
 
 
 def node_span(node: ast.AST) -> tuple[int, int, int, int] | None:
-    """(start_line, start_col, end_line, end_col) for located nodes, else None."""
+    """(start_line, start_col, end_line, end_col) for located nodes, else None.
+    A decorated definition starts at its first decorator's ``@``, in the ``def``'s column."""
     if not hasattr(node, "lineno"):
         return None
     end_line = getattr(node, "end_lineno", None)
     end_col = getattr(node, "end_col_offset", None)
     if end_line is None or end_col is None:
         return None
-    return (node.lineno, node.col_offset, end_line, end_col)
+    decorators = getattr(node, "decorator_list", None)
+    return (decorators[0].lineno if decorators else node.lineno, node.col_offset, end_line, end_col)
 
 
 def dump_structure(node: ast.AST) -> str:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .cfg import head_exprs
 from .frontend import ParseError, SourceFile, parse_module, positional_params, source_text, walk
@@ -89,7 +88,6 @@ class DiagnosticLog(list):
             self.append(line)
 
 
-@dataclass
 class TreeNode:
     """One directory or module file of a project.
 
@@ -98,13 +96,12 @@ class TreeNode:
     (see :func:`load_module`) in ``parse_error``.
     """
 
-    name: str
-    full_name: str
-    path: str
-    children: list["TreeNode"] = field(default_factory=list)
-    module: ast.Module | None = None
-    parse_error: str | None = None
-    is_module: bool = False
+    def __init__(self, name: str, full_name: str, path: str, children: list[TreeNode] | None = None,
+                 module: ast.Module | None = None, parse_error: str | None = None,
+                 is_module: bool = False) -> None:
+        self.name, self.full_name, self.path = name, full_name, path
+        self.children = [] if children is None else children
+        self.module, self.parse_error, self.is_module = module, parse_error, is_module
 
     def iter_modules(self):
         if self.is_module:
@@ -113,8 +110,7 @@ class TreeNode:
             yield from child.iter_modules()
 
 
-@dataclass(frozen=True)
-class ImportRelation:
+class ImportRelation(NamedTuple):
     """One import statement seen in ``importer``.
 
     ``symbols`` holds (name, alias) pairs for ``from``-imports and the plain
@@ -131,12 +127,14 @@ class ImportRelation:
     resolved: bool = True
 
 
-@dataclass
 class ImportGraph:
-    tree: TreeNode
-    module_dict: dict[str, list[ImportRelation]] = field(default_factory=dict)
-    internal_edges: set[tuple[str, str]] = field(default_factory=set)
-    diagnostics: list[str] = field(default_factory=list)
+    def __init__(self, tree: TreeNode, module_dict: dict[str, list[ImportRelation]] | None = None,
+                 internal_edges: set[tuple[str, str]] | None = None,
+                 diagnostics: list[str] | None = None) -> None:
+        self.tree = tree
+        self.module_dict = {} if module_dict is None else module_dict
+        self.internal_edges = set() if internal_edges is None else internal_edges
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def discover(root: str | Path) -> tuple[TreeNode, list[str]]:
@@ -374,9 +372,8 @@ def external_modules(graph: ImportGraph) -> set[str]:
 # Scopes
 
 
-@dataclass(eq=False)
 class Scope:
-    """One module, function or class body of a loaded module.
+    """One ``kind`` of body, ``"module"``, ``"function"`` or ``"class"``, of a loaded module.
 
     ``statements`` are the scope's own statements in pre-order: the bodies
     and ``else`` clauses of ``if``/``while``/``for`` are included, the bodies
@@ -388,16 +385,17 @@ class Scope:
     ``"inst"``, ``"class"`` for a classmethod, or None for any other function.
     """
 
-    fqn: str
-    kind: str  # "module" | "function" | "class"
-    node: ast.Module | ast.FunctionDef | ast.ClassDef
-    module: str
-    parent: "Scope | None" = None
-    params: list[str] = field(default_factory=list)
-    receiver: str | None = None
-    methods: dict[str, str] = field(default_factory=dict)
-    bindings: dict[str, tuple[str, str]] = field(default_factory=dict)
-    statements: list[ast.stmt] = field(default_factory=list)
+    def __init__(self, fqn: str, kind: str, node: ast.Module | ast.FunctionDef | ast.ClassDef,
+                 module: str, parent: Scope | None = None, params: list[str] | None = None,
+                 receiver: str | None = None, methods: dict[str, str] | None = None,
+                 bindings: dict[str, tuple[str, str]] | None = None,
+                 statements: list[ast.stmt] | None = None) -> None:
+        self.fqn, self.kind, self.node, self.module, self.parent = fqn, kind, node, module, parent
+        self.params = [] if params is None else params
+        self.receiver = receiver
+        self.methods = {} if methods is None else methods
+        self.bindings = {} if bindings is None else bindings
+        self.statements = [] if statements is None else statements
 
     def slot(self, name: str) -> str:
         return f"{self.fqn}.{name}"
@@ -598,8 +596,7 @@ class Unresolved(str):
         return f"Unresolved({str.__repr__(self)})"
 
 
-@dataclass
-class NameContext:
+class NameContext(NamedTuple):
     """``lancet fqn``'s view of one module's scope table: the module
     ``scope``, the scope of each callee in a function or class body, and
     the module-level bare-name copies that chase a root."""

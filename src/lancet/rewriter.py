@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import ast
 import copy
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .frontend import child_nodes, parse_module, unparse, walk
 
@@ -65,7 +64,6 @@ class TransformHookError(Exception):
         super().__init__(f"transform hook {hook_name!r} failed: {cause}")
 
 
-@dataclass
 class TempNamer:
     """Generates `_ret`, `_ret_1`, ... temporaries that collide with nothing.
 
@@ -76,9 +74,11 @@ class TempNamer:
     must not change before then.
     """
 
-    forbidden: set[str] = field(default_factory=set)
-    counter: int = 0
-    pending: ast.AST | None = None
+    def __init__(self, forbidden: set[str] | None = None, counter: int = 0,
+                 pending: ast.AST | None = None) -> None:
+        self.forbidden = set() if forbidden is None else forbidden
+        self.counter = counter
+        self.pending = pending
 
     @classmethod
     def for_module(cls, module: ast.Module) -> "TempNamer":
@@ -113,16 +113,14 @@ def collect_identifiers(module: ast.AST) -> set[str]:
     return names
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     id: int
     name: str
     matcher: Callable[[ast.stmt], bool]
     builder: Callable[[ast.stmt, TempNamer], list[ast.stmt]]
 
 
-@dataclass(frozen=True)
-class TransformHook:
+class TransformHook(NamedTuple):
     """A named module-to-module callback run by :func:`run_transforms`."""
 
     name: str

@@ -42,8 +42,7 @@ import math
 import operator
 import re
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cfg import Block, Cfg, head_exprs
 from .frontend import source_text
@@ -71,7 +70,6 @@ KIND_OTHER = "other"
 KIND_UNKNOWN = "unknown"
 
 
-@dataclass
 class DefValue:
     """The right-hand side of one (name, version) definition.
 
@@ -79,11 +77,11 @@ class DefValue:
     which is where the expression's free variables are resolved when folding.
     """
 
-    expr: ast.expr | None
-    kind: str
-    site: tuple[int, int]
-    folded: object = _UNFOLDED
-    fold_failed: bool = False
+    def __init__(self, expr: ast.expr | None, kind: str, site: tuple[int, int],
+                 folded: object = _UNFOLDED, fold_failed: bool = False) -> None:
+        self.expr, self.kind, self.site = expr, kind, site
+        self.folded = folded
+        self.fold_failed = fold_failed
 
     @property
     def is_folded(self) -> bool:
@@ -95,11 +93,11 @@ class DefValue:
         return self.folded
 
 
-@dataclass
 class ConstDict:
     """(variable name, version) -> defining value, one entry per version."""
 
-    entries: dict[tuple[str, int], DefValue] = field(default_factory=dict)
+    def __init__(self, entries: dict[tuple[str, int], DefValue] | None = None) -> None:
+        self.entries = {} if entries is None else entries
 
     def __getitem__(self, key: tuple[str, int]) -> DefValue:
         return self.entries[key]
@@ -114,18 +112,17 @@ class ConstDict:
         return iter(sorted(self.entries.items()))
 
 
-@dataclass
 class SsaUseMap:
     """Per block, one dict per statement: variable -> reaching version set."""
 
-    per_block: dict[int, list[dict[str, set[int]]]] = field(default_factory=dict)
+    def __init__(self, per_block: dict[int, list[dict[str, set[int]]]] | None = None) -> None:
+        self.per_block = {} if per_block is None else per_block
 
     def __getitem__(self, block_id: int) -> list[dict[str, set[int]]]:
         return self.per_block[block_id]
 
 
-@dataclass(frozen=True)
-class AliasPair:
+class AliasPair(NamedTuple):
     """``alias`` was defined as a bare copy of ``target``."""
 
     alias: tuple[str, int]
@@ -575,9 +572,10 @@ def fold_constants(const_dict: ConstDict, use_map: SsaUseMap) -> ConstDict:
     results other than an int, finite float, bool, str or None leave the
     entry unfolded with ``fold_failed`` set.  The input is not modified.
     """
-    result = ConstDict(
-        entries={key: replace(value) for key, value in const_dict.entries.items()}
-    )
+    result = ConstDict({
+        key: DefValue(value.expr, value.kind, value.site, value.folded, value.fold_failed)
+        for key, value in const_dict.entries.items()
+    })
     folded: dict[tuple[str, int], object] = {}
     # A blocked definition waits on the version that stopped its evaluation
     # and is evaluated again only once that version folds.

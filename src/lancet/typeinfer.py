@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cfg import head_exprs, iter_eager
@@ -57,7 +56,6 @@ ANY = "Any"
 _NUMERIC_TOWER = {"bool": 0, "int": 1, "float": 2}
 
 
-@dataclass
 class TypeRecord:
     """One inferred fact: a return value, a variable, or a parameter.
 
@@ -65,12 +63,10 @@ class TypeRecord:
     both are absent for a return record.
     """
 
-    file: str
-    line_number: int
-    type: set[str]
-    function: str | None = None
-    variable: str | None = None
-    parameter: str | None = None
+    def __init__(self, file: str, line_number: int, type: set[str], function: str | None = None,
+                 variable: str | None = None, parameter: str | None = None) -> None:
+        self.file, self.line_number, self.type = file, line_number, type
+        self.function, self.variable, self.parameter = function, variable, parameter
 
     def to_json_dict(self) -> dict:
         out: dict = {"file": self.file, "line_number": self.line_number}
@@ -153,13 +149,15 @@ _DEFAULT_METHODS: dict[str, tuple[str, str]] = {
 }
 
 
-@dataclass
 class HeuristicTable:
     """Lookup tables behind the inference rules; misses resolve to ``Any``."""
 
-    known_signatures: dict[str, str] = field(default_factory=dict)
-    operator_rules: dict[tuple[str, str, str], str] = field(default_factory=_default_operator_rules)
-    method_signatures: dict[str, tuple[str, str]] = field(default_factory=lambda: dict(_DEFAULT_METHODS))
+    def __init__(self, known_signatures: dict[str, str] | None = None,
+                 operator_rules: dict[tuple[str, str, str], str] | None = None,
+                 method_signatures: dict[str, tuple[str, str]] | None = None) -> None:
+        self.known_signatures = {} if known_signatures is None else known_signatures
+        self.operator_rules = _default_operator_rules() if operator_rules is None else operator_rules
+        self.method_signatures = dict(_DEFAULT_METHODS) if method_signatures is None else method_signatures
 
     def signature(self, fqn: str) -> str | None:
         return self.known_signatures.get(fqn)

@@ -348,19 +348,28 @@ def test_a_method_called_through_its_class_takes_its_first_argument_as_self():
     assert ("receivers.C.m", "receivers.C") not in edges
 
 
-def test_a_staticmethod_takes_no_receiver_and_a_classmethod_its_class(tmp_path):
-    """Decorated, so not in the corpus, whose spans must nest."""
-    path = tmp_path / "decorated.py"
-    path.write_text(
-        "def g():\n    pass\n\n\nclass C:\n    @staticmethod\n    def s(f):\n        return f()\n\n"
-        "    @classmethod\n    def make(cls, f):\n        f()\n        return cls()\n\n\n"
-        "C.s(g)\nc = C.make(g)\nc.s(g)\nc.make(g)\n"
-    )
-    edges = set(output_edges(analyze([path])))
+def test_a_staticmethod_takes_no_receiver_and_a_classmethod_its_class():
+    graph = analyze([CG / "decorated.py"])
+    edges = set(output_edges(graph))
     assert {("decorated.C.s", "decorated.g"), ("decorated.C.make", "decorated.g"),
             ("decorated.C.make", "decorated.C")} <= edges
     assert ("decorated.C.s", "decorated.C") not in edges
-    assert trace_call_edges(path) <= edges
+    assert graph.diagnostics == []  # both decorators are modelled, so neither is reported
+
+
+def test_only_a_lone_staticmethod_or_classmethod_on_a_method_goes_unreported(tmp_path):
+    path = tmp_path / "wrapped.py"
+    path.write_text(
+        "def deco(f):\n    return f\n\n\n@staticmethod\ndef top(x):\n    return x\n\n\n"
+        "class C:\n    @deco\n    def m(self):\n        pass\n\n"
+        "    @deco\n    @classmethod\n    def k(cls):\n        pass\n\n"
+        "    @classmethod\n    @staticmethod\n    def both():\n        pass\n\n"
+        "    @staticmethod\n    def s():\n        pass\n\n\n"
+        "@deco\nclass D:\n    pass\n"
+    )
+    lines = [int(d.split(":")[1]) for d in analyze([path]).diagnostics
+             if d.endswith("decorated definition; wrapper effects ignored")]
+    assert lines == [6, 12, 17, 22, 31]  # top, m, k, both (a stacked pair) and D; not s
 
 
 def test_calling_an_instance_calls_its_dunder_call():

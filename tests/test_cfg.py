@@ -220,6 +220,15 @@ def test_json_schema_fields():
     assert "c > 0" in conditions and "not c > 0" in conditions and None in conditions
 
 
+def test_json_span_of_a_decorated_def_covers_its_decorators():
+    source = ("x = 1\n\n@deco\ndef g():\n    return x\n\n\n"
+              "class C:\n    @staticmethod\n    def s():\n        pass\n")
+    payload = json.loads(to_json(build_from_source("demo", source)))
+    assert payload["blocks"][0]["statements"] == [[1, 0, 1, 5], [3, 0, 5, 12], [8, 0, 11, 12]]
+    (method,) = payload["classes"][0]["cfg"]["blocks"][0]["statements"]
+    assert method == [9, 4, 11, 12]
+
+
 # ---------------------------------------------------------------------------
 # Invariants over the corpus
 

@@ -36,6 +36,18 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every subcommand is a fresh process, so what ``import lancet.cli``
+    pulls in is paid on each run; ``dataclasses`` also imports ``inspect``.
+    Compared against the modules loaded before, whatever ``site`` preloads."""
+    proc = _fresh("-c", "import sys\nbefore = set(sys.modules)\nimport lancet.cli\n"
+                        "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "lancet.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_cfg_dot_to_stdout(capsys):
     code, out, err = _run(capsys, "cfg", str(MERGE), "--format", "dot")
     assert code == 0

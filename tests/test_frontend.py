@@ -361,6 +361,15 @@ def test_corpus_round_trip_and_spans(path: Path):
     assert _spans_nested(tree)
 
 
+def test_a_decorated_definition_spans_from_its_first_decorator():
+    tree = parse_module("if x:\n    @a\n    @b\n    class C:\n        @staticmethod\n"
+                        "        def s():\n            pass\n")
+    cls = tree.body[0].body[0]
+    assert node_span(cls) == (2, 4, 7, 16)
+    assert node_span(cls.body[0]) == (5, 8, 7, 16)
+    assert _spans_nested(tree)
+
+
 @settings(max_examples=60, deadline=None)
 @given(programs())
 def test_generated_programs_round_trip(source: str):
