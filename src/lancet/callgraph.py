@@ -1,18 +1,29 @@
-"""Project call graphs via a flow-insensitive value-set fixpoint.
+"""Project value sets: the one abstract interpreter, and the call graph read off it.
 
 Every module, function, and class gets a fully qualified name; every
-variable, parameter, and return slot gets a value set of callables that may
-flow into it.  Assignments, argument passing, and returns propagate those
-sets until nothing grows, then each syntactic call contributes edges from
-its enclosing definition (module-body calls attach to the module node) to
-every callable in its callee's value set.
+variable, parameter, and return slot gets a set of the values that may flow
+into it.  A value is a project callable (a function, a class, an instance of
+a class), a module, an external name, or a type tag from the vocabulary
+``str``, ``int``, ``float``, ``bool``, ``List``, ``Dict``, ``Tuple``,
+``Set``, ``None``, ``callable`` and ``Any``.  Assignments, argument passing,
+and returns propagate those sets until nothing grows, then each syntactic
+call contributes edges from its enclosing definition (module-body calls
+attach to the module node) to every callable in its callee's value set.
+Type inference (:mod:`lancet.typeinfer`) reads its records off the same
+solved slots.
 
-The fixpoint is solved on the :class:`~lancet.modgraph.Worklist` that type
-inference also uses, with statements as its units.  Every statement is
-evaluated once, in scope pre-order, and each slot notes the statements that
-read it; when a slot grows, its readers are queued to be evaluated again.
-Value sets only grow, over a finite set of callables, so the queue runs dry,
-and what it leaves is the least fixpoint, whatever the order of evaluation.
+Tags come from the rules of a :class:`HeuristicTable`: literals, an operator
+table, a method table for calls on a tagged receiver, and a signature table
+for calls of external names, keyed by the FQN an ``ext`` value carries, or
+for an unbound name by its dotted text.  An ``Any`` receiver keeps ``Any``
+in a method call's result, so every rule is monotone.  Tags make no edges.
+
+The fixpoint is solved on a :class:`~lancet.modgraph.Worklist`, with
+statements as its units.  Every statement is evaluated once, in scope
+pre-order, and each slot notes the statements that read it; when a slot
+grows, its readers are queued to be evaluated again.  Value sets only grow,
+over finitely many callables and tags, so the queue runs dry, and what it
+leaves is the least fixpoint, whatever the order of evaluation.
 
 Design points:
 
@@ -36,19 +47,25 @@ lambda assignments and call chains resolve like ordinary definitions.
 from __future__ import annotations
 
 import ast
+import os
 from pathlib import Path
 from typing import NamedTuple
 
-from .cfg import statement_calls
+from .cfg import head_exprs, iter_eager
 from .frontend import dump_json
 from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments,
-                       bind_defaults, binds_receiver, discover, import_bindings, load_module)
-from .ssa import unpack
+                       bind_defaults, binds_receiver, discover, dotted_parts, import_bindings,
+                       load_module)
+from .ssa import target_names, unpack
 
 __all__ = [
     "CgNode",
     "AssignmentGraph",
     "CallGraph",
+    "HeuristicTable",
+    "load_signature_table",
+    "default_table",
+    "type_name",
     "analyze",
     "output_edges",
     "output_mods",
@@ -57,7 +74,128 @@ __all__ = [
 
 _DYNAMIC_NAMES = {"eval", "exec", "getattr", "globals", "locals", "vars", "__import__"}
 
-Value = tuple[str, str]  # ("func" | "class" | "inst" | "mod" | "ext", fqn)
+Value = tuple[str, str]  # ("func" | "class" | "inst" | "mod" | "ext", fqn) or ("type", type name)
+
+ANY = "Any"
+_ANY: Value = ("type", ANY)
+_NUMERIC_TOWER = {"bool": 0, "int": 1, "float": 2}
+_LITERALS: dict[type, Value] = {t: ("type", name) for t, name in (
+    (bool, "bool"), (int, "int"), (float, "float"), (str, "str"), (type(None), "None"))}
+_EXPR_TYPES = {ast.List: "List", ast.ListComp: "List", ast.Dict: "Dict", ast.DictComp: "Dict",
+           ast.SetComp: "Set", ast.Tuple: "Tuple", ast.Lambda: "callable", ast.Compare: "bool"}
+
+
+def _default_operator_rules() -> dict[tuple[str, str, str], str]:
+    rules: dict[tuple[str, str, str], str] = {}
+    numeric = ("bool", "int", "float")
+    for op in ("Add", "Sub", "Mult", "FloorDiv", "Mod", "Pow"):
+        for left in numeric:
+            for right in numeric:
+                level = max(_NUMERIC_TOWER[left], _NUMERIC_TOWER[right], 1)
+                rules[(op, left, right)] = "float" if level == 2 else "int"
+    for left in numeric:
+        for right in numeric:
+            rules[("Div", left, right)] = "float"
+    rules[("Add", "str", "str")] = "str"
+    rules[("Mult", "str", "int")] = "str"
+    rules[("Mult", "int", "str")] = "str"
+    rules[("Mod", "str", "str")] = "str"
+    rules[("Add", "List", "List")] = "List"
+    rules[("Mult", "List", "int")] = "List"
+    rules[("Mult", "int", "List")] = "List"
+    rules[("Add", "Tuple", "Tuple")] = "Tuple"
+    return rules
+
+
+# Method name -> (receiver type, result type).  Only entries whose runtime
+# result type matches the vocabulary exactly belong here.
+_DEFAULT_METHODS: dict[str, tuple[str, str]] = {
+    "upper": ("str", "str"),
+    "lower": ("str", "str"),
+    "strip": ("str", "str"),
+    "lstrip": ("str", "str"),
+    "rstrip": ("str", "str"),
+    "title": ("str", "str"),
+    "capitalize": ("str", "str"),
+    "casefold": ("str", "str"),
+    "swapcase": ("str", "str"),
+    "replace": ("str", "str"),
+    "format": ("str", "str"),
+    "join": ("str", "str"),
+    "zfill": ("str", "str"),
+    "split": ("str", "List"),
+    "rsplit": ("str", "List"),
+    "splitlines": ("str", "List"),
+    "startswith": ("str", "bool"),
+    "endswith": ("str", "bool"),
+    "isdigit": ("str", "bool"),
+    "isalpha": ("str", "bool"),
+    "isalnum": ("str", "bool"),
+    "isupper": ("str", "bool"),
+    "islower": ("str", "bool"),
+    "find": ("str", "int"),
+    "rfind": ("str", "int"),
+    "count": ("str", "int"),
+    "append": ("List", "None"),
+    "extend": ("List", "None"),
+    "insert": ("List", "None"),
+    "remove": ("List", "None"),
+    "sort": ("List", "None"),
+    "reverse": ("List", "None"),
+    "copy": ("List", "List"),
+    "index": ("List", "int"),
+    "update": ("Dict", "None"),
+    "clear": ("Dict", "None"),
+    "add": ("Set", "None"),
+    "discard": ("Set", "None"),
+    "union": ("Set", "Set"),
+    "intersection": ("Set", "Set"),
+    "issubset": ("Set", "bool"),
+}
+
+
+class HeuristicTable:
+    """Lookup tables behind the tag rules; misses resolve to ``Any``."""
+
+    def __init__(self, known_signatures: dict[str, str] | None = None,
+                 operator_rules: dict[tuple[str, str, str], str] | None = None,
+                 method_signatures: dict[str, tuple[str, str]] | None = None) -> None:
+        self.known_signatures = {} if known_signatures is None else known_signatures
+        self.operator_rules = _default_operator_rules() if operator_rules is None else operator_rules
+        self.method_signatures = dict(_DEFAULT_METHODS) if method_signatures is None else method_signatures
+
+    def signature(self, fqn: str) -> str | None:
+        return self.known_signatures.get(fqn)
+
+
+def load_signature_table(path: str | Path) -> dict[str, str]:
+    """Parse a ``<fqn> <type>`` signature file; ``#`` starts a comment."""
+    table: dict[str, str] = {}
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}: malformed signature line: {raw!r}")
+        table[parts[0]] = parts[1]
+    return table
+
+
+def default_table() -> HeuristicTable:
+    """Table seeded from the bundled signature file (or LANCET_SIGNATURES)."""
+    override = os.environ.get("LANCET_SIGNATURES")
+    path = Path(override) if override else Path(__file__).parent / "data" / "signatures.txt"
+    return HeuristicTable(known_signatures=load_signature_table(path))
+
+
+def type_name(value: Value) -> str:
+    """``value`` in the type vocabulary: a tag is its name, an instance its
+    class, a function ``callable``, and a class, module or external name ``Any``."""
+    kind, name = value
+    if kind in ("type", "inst"):
+        return name
+    return "callable" if kind == "func" else ANY
 
 
 class CgNode(NamedTuple):
@@ -93,13 +231,18 @@ class CallGraph:
 class _Analyzer:
     def __init__(self, package_root: Path | None) -> None:
         self.files: dict[str, Path] = {}  # package modules, loaded once reached
-        self.failed: set[str] = set()  # modules that did not load; not retried
+        self.failed: dict[str, str] = {}  # modules that did not load, with why; not retried
         self.table = ScopeTable()
+        self.rules = HeuristicTable()  # type inference sets the signature table
         self.solver = Worklist()
         self.values: dict[str, set[Value]] = self.solver.values
         self.call_edges: set[tuple[str, str]] = set()
+        self.heads: dict[ast.stmt, list[ast.AST]] = {}  # see head_nodes
+        self.operations: dict[tuple[str, Value, Value], Value] = {}  # each operator rule, applied once
+        self.reached: dict[ast.Call, list[tuple[Value, Value | None]]] = {}  # see _targets
         self.external_mods: set[str] = set()
         self.diagnostics = DiagnosticLog()
+        self.type_diagnostics = DiagnosticLog()  # what only type inference reports
         if package_root is not None and package_root.is_dir():
             tree, diagnostics = discover(package_root)
             self.diagnostics.extend(diagnostics)
@@ -107,21 +250,21 @@ class _Analyzer:
 
     # -- module loading ------------------------------------------------------
 
-    def load(self, path: Path, fqn: str) -> None:
+    def load(self, path: str | Path, fqn: str, simplify: bool = True) -> None:
         if fqn in self.table.modules or fqn in self.failed:
             return
-        module, diagnostic = load_module(path, simplify=True)
+        module, diagnostic = load_module(path, simplify=simplify)
         if module is None:
             self.diagnostics.append(diagnostic)
-            self.failed.add(fqn)
+            self.failed[fqn] = diagnostic
             return
-        is_package = path.name == "__init__.py"
-        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package),
+        is_package = Path(path).name == "__init__.py"
+        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package, simplify),
                               is_package=is_package)
 
-    def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool) -> None:
+    def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool, simplify: bool) -> None:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            self._bind_import(scope, stmt, is_package)
+            self._bind_import(scope, stmt, is_package, simplify)
         elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.decorator_list:
             names = [d.id for d in stmt.decorator_list]  # bare names only (see frontend)
             if not (scope.kind == "class" and isinstance(stmt, ast.FunctionDef)
@@ -129,7 +272,7 @@ class _Analyzer:
                 self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
 
     def _bind_import(self, scope: Scope, stmt: ast.Import | ast.ImportFrom,
-                     is_package: bool) -> None:
+                     is_package: bool, simplify: bool) -> None:
         bindings = import_bindings(stmt, scope.module, is_package)
         if bindings is None:
             self.diagnostics.append(
@@ -137,17 +280,20 @@ class _Analyzer:
             )
             return
         for module, pairs in bindings:
-            if module not in self.files:
+            # ``from .. import util`` binds a module even where ``..`` is a
+            # directory with no ``__init__.py``.
+            if module not in self.files and all(target not in self.files for _, target in pairs):
                 self.external_mods.add(module)
                 for local, target in pairs:
                     scope.bindings[local] = ("ext", target)
                 continue
-            self.load(self.files[module], module)
+            if module in self.files:
+                self.load(self.files[module], module, simplify)
             if isinstance(stmt, ast.ImportFrom) and stmt.names[0].name == "*":
                 self._diagnose(scope, stmt, "star import; names not tracked")
             for local, target in pairs:
                 if target != module and target in self.files:
-                    self.load(self.files[target], target)
+                    self.load(self.files[target], target, simplify)
                 # ``import a.b`` binds package ``a`` even if ``a`` has no file.
                 is_module = isinstance(stmt, ast.Import) or target in self.files
                 scope.bindings[local] = ("mod" if is_module else "slot", target)
@@ -155,25 +301,99 @@ class _Analyzer:
     # -- value propagation -----------------------------------------------------
 
     def eval_expr(self, expr: ast.expr, scope: Scope) -> set[Value]:
-        if isinstance(expr, ast.Name):
+        node = type(expr)  # compared by identity: the commonest kinds first
+        if node is ast.Name:
             binding = scope.lookup(expr.id)
             if binding is None:
-                return set()
-            return self._binding_values(binding)
-        if isinstance(expr, ast.Attribute):
+                return {_ANY}
+            return set(self.solver.get(binding[1])) if binding[0] == "slot" else self._binding_values(binding)
+        if node is ast.Constant:
+            return {_LITERALS.get(type(expr.value), _ANY)}
+        if node is ast.Call:
+            return self._call_values(expr, scope)
+        if node is ast.Attribute:
             out: set[Value] = set()
             for value in self.eval_expr(expr.value, scope):
                 out |= self._attr_values(value, expr.attr)
             return out
-        if isinstance(expr, ast.Call):
-            out = set()
-            for kind, fqn in self.eval_expr(expr.func, scope):
-                if kind == "class":
-                    out.add(("inst", fqn))
-                for function, _ in self._runs((kind, fqn), None):
+        if node is ast.BinOp:  # a left-leaning chain, folded without recursion
+            spine = []
+            while type(expr) is ast.BinOp:
+                spine.append(expr)
+                expr = expr.left
+            values = self.eval_expr(expr, scope)
+            for binop in reversed(spine):
+                values = self._binop(type(binop.op).__name__, values, self.eval_expr(binop.right, scope))
+            return values
+        if node is ast.BoolOp:
+            return set().union(*(self.eval_expr(value, scope) for value in expr.values))
+        if node is ast.UnaryOp and type(expr.op) in (ast.USub, ast.UAdd):
+            names = map(type_name, self.eval_expr(expr.operand, scope))
+            return {("type", "int" if t == "bool" else t if t in _NUMERIC_TOWER else ANY) for t in names}
+        if node is ast.UnaryOp and type(expr.op) is ast.Not:
+            return {("type", "bool")}
+        return {("type", _EXPR_TYPES.get(node, ANY))}
+
+    def _binop(self, op: str, left: set[Value], right: set[Value]) -> set[Value]:
+        # An empty operand is no evidence yet, and gives none.
+        out: set[Value] = set()
+        for l in left:
+            for r in right:
+                value = self.operations.get((op, l, r))
+                if value is None:
+                    value = self.operations[(op, l, r)] = self._operation(op, type_name(l), type_name(r))
+                out.add(value)
+        return out
+
+    def _operation(self, op: str, l: str, r: str) -> Value:
+        rule = None if ANY in (l, r) else self.rules.operator_rules.get((op, l, r))
+        if rule is None and op == "Add" and {l, r} == {"str", "int"}:
+            self.type_diagnostics.append(f"suspicious str/int concatenation ({l} + {r})")
+        return ("type", rule or ANY)
+
+    def _call_values(self, call: ast.Call, scope: Scope) -> set[Value]:
+        """What ``call`` returns: an instance of a class it calls, the return
+        set of a function, the signature of an external name (of an unbound
+        one by its dotted text), a method-table result on a tag, else ``Any``."""
+        root = call.func
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and scope.lookup(root.id) is None:
+            return {("type", self.rules.signature(".".join(dotted_parts(call.func))) or ANY)}
+        out: set[Value] = set()
+        for (kind, fqn), receiver in self._targets(call, scope):
+            if receiver is not None and receiver[0] == "type":
+                method = self.rules.method_signatures.get(call.func.attr)
+                if method is None or receiver[1] == ANY:
+                    out.add(_ANY)
+                elif method[0] == receiver[1]:
+                    out.add(("type", method[1]))
+            elif kind == "class":
+                out.add(("inst", fqn))
+            elif kind == "ext":
+                out.add(("type", self.rules.signature(fqn) or ANY))
+            else:
+                runs = self._runs((kind, fqn), receiver)
+                for function, _ in runs:
                     out |= self.solver.get(f"{function}.{RETURN_SLOT}")
-            return out
-        return set()
+                if not runs:
+                    out.add(_ANY)
+        return out
+
+    def _targets(self, call: ast.Call, scope: Scope) -> list[tuple[Value, Value | None]]:
+        """What ``call`` calls, each with the receiver it is reached through;
+        found once per evaluation of its statement, which a slot it read
+        queues again when it grows."""
+        targets = self.reached.get(call)
+        if targets is None:
+            func = call.func
+            if isinstance(func, ast.Attribute):
+                targets = [(target, receiver) for receiver in self.eval_expr(func.value, scope)
+                           for target in self._attr_values(receiver, func.attr)]
+            else:
+                targets = [(target, None) for target in self.eval_expr(func, scope)]
+            self.reached[call] = targets
+        return targets
 
     def _runs(self, value: Value, receiver: Value | None) -> list[tuple[str, Value | None]]:
         """The functions a call of ``value`` through ``receiver`` runs, each with the
@@ -203,17 +423,13 @@ class _Analyzer:
             mod_scope = self.table.modules.get(fqn)
             if mod_scope is not None and attr in mod_scope.bindings:
                 return self._binding_values(mod_scope.bindings[attr])
-            return set()
         if kind in ("class", "inst"):
             class_scope = self.table.classes.get(fqn)
-            if class_scope is None:
-                return set()
-            if attr in class_scope.methods:
+            if class_scope is not None and attr in class_scope.methods:
                 return {("func", class_scope.methods[attr])}
-            if attr in class_scope.bindings:
+            if class_scope is not None and attr in class_scope.bindings:
                 return self._binding_values(class_scope.bindings[attr])
-            return set()
-        return set()
+        return {_ANY}  # a field, or an attribute of a tag
 
     def solve(self) -> None:
         """Evaluate every statement once in scope order, then again whenever
@@ -222,6 +438,7 @@ class _Analyzer:
         self.solver.solve(work, lambda item: self._evaluate(*item))
 
     def _evaluate(self, scope: Scope, stmt: ast.stmt) -> None:
+        self.reached = {}
         if isinstance(stmt, ast.FunctionDef):
             fqn = scope.slot(stmt.name)
             self.solver.add(fqn, {("func", fqn)})
@@ -234,17 +451,35 @@ class _Analyzer:
             values = self.eval_expr(stmt.value, scope)
             for target in stmt.targets:
                 for name, expr in unpack(target, stmt.value):
-                    if expr is None:
-                        continue
-                    found = values if expr is stmt.value else self.eval_expr(expr, scope)
-                    binding = scope.lookup(name) or ("slot", scope.slot(name))
-                    if binding[0] == "slot":
-                        self.solver.add(binding[1], found)
+                    found = (values if expr is stmt.value else {_ANY} if expr is None
+                             else self.eval_expr(expr, scope))
+                    self._assign(scope, name, found)
+        elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
+            left, right = self.eval_expr(stmt.target, scope), self.eval_expr(stmt.value, scope)
+            self._assign(scope, stmt.target.id, self._binop(type(stmt.op).__name__, left, right))
+        elif isinstance(stmt, ast.For):
+            for name in target_names(stmt.target):
+                self._assign(scope, name, {_ANY})
         elif isinstance(stmt, ast.Return) and stmt.value is not None and scope.kind == "function":
             self.solver.add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
 
-        for call in statement_calls(stmt):
-            self._process_call(scope, call)
+        for node in self.head_nodes(stmt):
+            if type(node) is ast.Call:
+                self._process_call(scope, node)
+
+    def head_nodes(self, stmt: ast.stmt) -> list[ast.AST]:
+        """The nodes of ``stmt``'s own expressions in source order, walked
+        once: :func:`~lancet.cfg.iter_eager` over :func:`~lancet.cfg.head_exprs`,
+        so its calls are :func:`~lancet.cfg.statement_calls`."""
+        nodes = self.heads.get(stmt)
+        if nodes is None:
+            nodes = self.heads[stmt] = [node for expr in head_exprs(stmt) for node in iter_eager(expr)]
+        return nodes
+
+    def _assign(self, scope: Scope, name: str, values: set[Value]) -> None:
+        binding = scope.lookup(name) or ("slot", scope.slot(name))
+        if binding[0] == "slot":
+            self.solver.add(binding[1], values)
 
     def _process_call(self, scope: Scope, call: ast.Call) -> None:
         caller = scope.fqn
@@ -254,13 +489,7 @@ class _Analyzer:
             self._diagnose(scope, call, f"dynamic feature {func.id!r} ignored")
             return
 
-        if isinstance(func, ast.Attribute):
-            targets = [(target, receiver) for receiver in self.eval_expr(func.value, scope)
-                       for target in self._attr_values(receiver, func.attr)]
-        else:
-            targets = [(target, None) for target in self.eval_expr(func, scope)]
-
-        for target, receiver in targets:
+        for target, receiver in self._targets(call, scope):
             if target[0] in ("class", "ext"):
                 self.call_edges.add((caller, target[1]))
             for function, passed in self._runs(target, receiver):
@@ -269,14 +498,14 @@ class _Analyzer:
 
     def _bind(self, scope: Scope, call: ast.Call, fqn: str, receiver: Value | None) -> None:
         """Flow ``call``'s arguments, and the receiver it reaches ``fqn``
-        through when it passes one, into ``fqn``'s parameters."""
+        through when it passes one, into ``fqn``'s parameters; an argument
+        whose value is unknown (past a star) flows ``Any``."""
         callee = self.table.functions[fqn]
         bound = binds_receiver(callee, receiver and receiver[0])
         if bound:
             self.solver.add(callee.slot(callee.params[0]), {(callee.receiver, receiver[1])})
         for name, arg in bind_arguments(call, callee.params, bound):
-            if arg is not None:
-                self.solver.add(callee.slot(name), self.eval_expr(arg, scope))
+            self.solver.add(callee.slot(name), {_ANY} if arg is None else self.eval_expr(arg, scope))
 
     def _diagnose(self, scope: Scope, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -303,10 +532,7 @@ class _Analyzer:
         for caller, callee in self.call_edges:
             graph.edges[caller].add(callee)
 
-        graph.assignment_graph = AssignmentGraph(
-            nodes=set(self.values),
-            value_sets={slot: set(vals) for slot, vals in self.values.items()},
-        )
+        graph.assignment_graph = AssignmentGraph(nodes=set(self.values), value_sets=self.values)
         return graph
 
 

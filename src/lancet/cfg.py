@@ -131,12 +131,22 @@ def head_exprs(stmt: ast.stmt) -> list[ast.expr]:
     return []
 
 
+# Node types with no child nodes: constants, contexts and operators.
+_LEAVES = frozenset({ast.Constant, *(cls for base in (ast.expr_context, ast.operator, ast.unaryop,
+                                                     ast.boolop, ast.cmpop) for cls in base.__subclasses__())})
+
+
 def iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
     """Pre-order walk of an expression, skipping deferred lambda bodies."""
     stack = [expr]
     while stack:
         node = stack.pop()
         yield node
+        if type(node) is ast.Name:  # the commonest node; its one child is its context
+            stack.append(node.ctx)
+            continue
+        if type(node) in _LEAVES:
+            continue
         if isinstance(node, ast.Lambda):
             children = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
         else:

@@ -9,7 +9,8 @@ skips it; :func:`build_dir_tree` loads the modules the walk finds into a
 :class:`TreeNode` tree.  :class:`ScopeTable` walks a loaded module once into
 its module, function and class :class:`Scope` records, each with its own
 statements as one flat list; the call graph, type inference and ``lancet
-fqn`` read it, and the first two solve their fixpoints on one :class:`Worklist`.
+fqn`` read it, and the call graph's analyzer, which type inference runs
+too, solves its fixpoint on a :class:`Worklist`.
 :func:`import_bindings` maps one import statement to the names it
 binds, and :func:`parse_imports` turns each import statement into an
 :class:`ImportRelation` with relative imports resolved against the
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 _SKIP_DIRS = {"__pycache__"}
-RETURN_SLOT = "<ret>"  # a function's return slot in both fixpoints: f"{fqn}.{RETURN_SLOT}"
+RETURN_SLOT = "<ret>"  # a function's return slot: f"{fqn}.{RETURN_SLOT}"
 
 
 class DiagnosticLog(list):
@@ -461,6 +462,8 @@ def binds_receiver(callee: Scope, via: str | None) -> bool:
 
 def bind_defaults(node: ast.FunctionDef) -> list[tuple[str, ast.expr]]:
     """The (parameter, default) pairs of ``node``'s positional parameters."""
+    if not node.args.defaults:
+        return []
     params = positional_params(node.args)
     return [(p.arg, d) for p, d in zip(reversed(params), reversed(node.args.defaults))]
 

@@ -391,3 +391,18 @@ def type_agrees(observed: set[str], inferred: set[str]) -> bool:
         if seen == "<unknown>" or seen not in inferred:
             return False
     return True
+
+
+def round_robin(analyzer) -> None:
+    """Reference solver for ``callgraph._Analyzer.solve``: evaluate every
+    statement with the analyzer's own ``_evaluate``, over and over, until no
+    value set and no edge changes."""
+    statements = [(scope, stmt) for scope in analyzer.table.scopes for stmt in scope.statements]
+    analyzer.solver.queued = bytearray(len(statements))  # readers get queued; nothing drains them
+    while True:
+        before = ({slot: set(values) for slot, values in analyzer.values.items()},
+                  set(analyzer.call_edges))
+        for scope, stmt in statements:
+            analyzer._evaluate(scope, stmt)
+        if (analyzer.values, analyzer.call_edges) == before:
+            return

@@ -10,7 +10,7 @@ from lancet import callgraph
 from lancet.callgraph import analyze, output_edges, output_mods, to_simple_json
 from lancet.cli import main
 
-from helpers import CORPUS, corpus_files, trace_call_edges
+from helpers import CORPUS, corpus_files, round_robin, trace_call_edges
 from strategies import programs
 
 CG = CORPUS / "callgraph"
@@ -210,8 +210,13 @@ def test_node_list_kinds():
     assert fqns == sorted(fqns)
 
 
+# The tracer charges a class body's calls to its module, the call graph to the class.
+_CLASS_BODY_CALLS = {"class_body_call.py"}
+
+
 @pytest.mark.parametrize(
-    "path", corpus_files("callgraph", "programs"), ids=lambda p: p.name
+    "path", [path for path in corpus_files("callgraph", "typeinfer", "programs")
+             if path.name not in _CLASS_BODY_CALLS], ids=lambda p: p.name
 )
 def test_traced_edges_are_a_subset_of_computed_edges(path: Path):
     traced = trace_call_edges(path)
@@ -266,18 +271,9 @@ def _loaded(path: Path) -> callgraph._Analyzer:
 
 
 def _round_robin(path: Path) -> callgraph._Analyzer:
-    """Reference solver: evaluate every statement with the analyzer's own
-    ``_evaluate``, over and over, until no value set and no edge changes."""
     analyzer = _loaded(path)
-    statements = [(scope, stmt) for scope in analyzer.table.scopes for stmt in scope.statements]
-    analyzer.solver.queued = bytearray(len(statements))  # readers get queued; nothing drains them
-    while True:
-        before = ({slot: set(values) for slot, values in analyzer.values.items()},
-                  set(analyzer.call_edges))
-        for scope, stmt in statements:
-            analyzer._evaluate(scope, stmt)
-        if (analyzer.values, analyzer.call_edges) == before:
-            return analyzer
+    round_robin(analyzer)
+    return analyzer
 
 
 def _assert_worklist_matches_round_robin(path: Path) -> None:
@@ -402,3 +398,17 @@ def test_literal_star_and_double_star_arguments_bind_their_elements():
     edges = set(output_edges(analyze([CG / "receivers.py"])))
     assert ("receivers.star", "receivers.g") in edges
     assert ("receivers.double_star", "receivers.h") in edges
+
+
+def test_a_from_import_out_of_a_directory_without_init_binds_the_module(tmp_path):
+    """``from . import b`` where ``.`` has no ``__init__.py``: ``b`` is the
+    project module, loaded and called into like any other."""
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "b.py").write_text("def g(x):\n    return x\n")
+    (root / "a.py").write_text("from . import b\n\n\ndef f():\n    return b.g(1)\n")
+    graph = analyze([root / "a.py"], package_root=root)
+    assert graph.internal_mods == {"proj.a", "proj.b"}
+    assert graph.external_mods == set()
+    assert ("proj.a.f", "proj.b.g") in set(output_edges(graph))
+    assert graph.assignment_graph.value_sets["proj.b.g.x"] == {("type", "int")}

@@ -433,9 +433,9 @@ def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
 
 
 def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
-    # Parsing never recurses, so the subcommands that neither print, fold nor
-    # type the expression get exit 0; rewrite, cfg, ssa, alias and typeinfer
-    # still recurse on it after parsing (ROADMAP aim 3).
+    # Parsing never recurses, so the subcommands that neither print nor fold
+    # the expression get exit 0; rewrite, cfg, ssa and alias still recurse on
+    # it after parsing (ROADMAP aim 3).
     target = tmp_path / "deep.py"
     target.write_text("x = " + "+".join(["1"] * 1000) + "\n")
     for argv in (["imports", str(tmp_path)], ["fqn", str(target)], ["callgraph", "--entry", str(target)]):
@@ -445,6 +445,15 @@ def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
 
 _SUM_2900 = "+".join(["1"] * 2900)
 _F_AND_G = "def f(*a):\n    return a\n\n\ndef g():\n    return 1\n\n\n"
+
+
+def test_typeinfer_types_a_2900_term_sum(tmp_path):
+    """The analyzer folds a left-leaning operator chain without recursion."""
+    target = tmp_path / "deep.py"
+    target.write_text(f"x = {_SUM_2900}\n")
+    proc = _fresh("-m", "lancet.cli", "typeinfer", str(target))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert [(r["variable"], r["type"]) for r in json.loads(proc.stdout)] == [("x", ["int"])]
 
 
 def test_a_call_hoisted_beside_a_deep_sum_is_analyzed(tmp_path):

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from lancet import typeinfer
+from lancet import callgraph
 from lancet.frontend import parse_module
-from lancet.modgraph import Scope
 from lancet.typeinfer import (
     HeuristicTable,
     default_table,
@@ -19,7 +18,8 @@ from lancet.typeinfer import (
     type_of_expr,
 )
 
-from helpers import CORPUS, corpus_files, observe_types, perfbench_gen, type_agrees, write_files
+from helpers import (CORPUS, corpus_files, observe_types, perfbench_gen, round_robin, type_agrees,
+                     write_files)
 from strategies import programs
 
 TI = CORPUS / "typeinfer"
@@ -156,6 +156,13 @@ def test_mixed_str_int_concat_is_any_with_diagnostic():
     assert diags
 
 
+def test_a_suspicious_concatenation_is_reported_by_typeinfer_only(tmp_path):
+    path = tmp_path / "concat.py"
+    path.write_text("x = 'a' + 1\n")
+    assert callgraph.analyze([path]).diagnostics == []
+    assert infer_types_report(path)[1] == ["suspicious str/int concatenation (str + int)"]
+
+
 def test_method_table_lookup():
     table = default_table()
     env = {"s": {"str"}}
@@ -244,62 +251,80 @@ def test_environment_override(tmp_path, monkeypatch):
 # Dynamic agreement: observed runtime types are contained in inferred sets
 
 
-@pytest.mark.parametrize(
-    "path", corpus_files("typeinfer", "programs"), ids=lambda p: p.name
-)
-def test_dynamic_agreement(path: Path):
-    records = infer_types(name=str(path), entry=path)
+def _observed(path: Path):
+    """(what, observed types, inferred types) for each record that the
+    runtime oracle observes on ``path``."""
+    returns, variables, parameters = _by_kind(infer_types(name=str(path), entry=path))
     observed = observe_types(path)
-    returns, variables, parameters = _by_kind(records)
-
     for (function, variable), record in variables.items():
         if function is None:
             seen = observed.module_vars.get(variable)
         else:
             seen = observed.locals.get((function, variable))
         if seen:
-            assert type_agrees(seen, record.type), (path.name, function, variable, seen, record.type)
-
+            yield (path.name, function, variable), seen, record.type
     for function, record in returns.items():
-        seen = observed.returns.get(function)
-        if seen:
-            assert type_agrees(seen, record.type), (path.name, function, seen, record.type)
-
+        if observed.returns.get(function):
+            yield (path.name, function), observed.returns[function], record.type
     for (function, parameter), record in parameters.items():
-        seen = observed.params.get((function, parameter))
-        if seen:
-            assert type_agrees(seen, record.type), (path.name, function, parameter, seen, record.type)
+        if observed.params.get((function, parameter)):
+            yield (path.name, function, parameter), observed.params[(function, parameter)], record.type
 
 
-def test_each_call_is_recorded_once_per_walk(tmp_path, monkeypatch):
-    """A call three branches deep is one call site per walk of its scope,
-    not one per enclosing statement."""
+@pytest.mark.parametrize(
+    "path", corpus_files("typeinfer", "programs"), ids=lambda p: p.name
+)
+def test_dynamic_agreement(path: Path):
+    for what, seen, inferred in _observed(path):
+        assert type_agrees(seen, inferred), (what, seen, inferred)
+
+
+def test_only_a_generator_and_a_field_read_type_as_any_alone(tmp_path, monkeypatch):
+    """Of the records the runtime oracle observes on the corpus and the
+    benchmark's branchy program with types of the vocabulary, only two are
+    inferred as ``Any`` alone: a generator's return, ``Any`` by design, and
+    a return of a field read, since no field is tracked."""
+    write_files(tmp_path, perfbench_gen(monkeypatch).gen_branchy(1).files)
+    paths = [*corpus_files("typeinfer", "programs"), tmp_path / "branchy" / "branchy.py"]
+    only_any = [what for path in paths for what, seen, inferred in _observed(path)
+                if inferred == {"Any"} and "<unknown>" not in seen]
+    assert only_any == [("generator_fib.py", "fib"), ("branchy.py", "total")]
+
+
+def _counted_evaluations(monkeypatch) -> list[tuple]:
+    """Every ``(scope, statement)`` the shared analyzer evaluates from now on."""
+    evaluated: list[tuple] = []
+    evaluate = callgraph._Analyzer._evaluate
+
+    def counted(analyzer, scope, stmt):
+        evaluated.append((scope, stmt))
+        evaluate(analyzer, scope, stmt)
+
+    monkeypatch.setattr(callgraph._Analyzer, "_evaluate", counted)
+    return evaluated
+
+
+def test_each_call_is_bound_once_per_evaluation(tmp_path, monkeypatch):
+    """A call three branches deep binds its arguments once per evaluation of
+    its own statement, and never when an enclosing statement is evaluated."""
     path = tmp_path / "deep_call.py"
     path.write_text(
         "def f(a):\n    return a\n\n"
         "c = 1\nif c:\n    while c:\n        if c:\n            f(1)\n        c = 0\n",
         encoding="utf-8",
     )
-    seen: list[int] = []
-    calls: list[ast.Call] = []
-    walk = typeinfer._Engine._walk_body
-    bind = typeinfer.bind_arguments
+    bindings: list[ast.stmt] = []
+    evaluated = _counted_evaluations(monkeypatch)
+    bind = callgraph.bind_arguments
 
     def binding(call, params, bound=False):
-        calls.append(call)
+        bindings.append(evaluated[-1][1])
         return bind(call, params, bound)
 
-    def counting(engine, scope, evidence):
-        calls.clear()
-        out = walk(engine, scope, evidence)
-        if "deep_call.f.a" in evidence:
-            seen.append(len(calls))
-        return out
-
-    monkeypatch.setattr(typeinfer, "bind_arguments", binding)
-    monkeypatch.setattr(typeinfer._Engine, "_walk_body", counting)
+    monkeypatch.setattr(callgraph, "bind_arguments", binding)
     records, _ = infer_types_report(path)
-    assert seen and seen == [1] * len(seen)
+    call = [stmt for _, stmt in evaluated if isinstance(stmt, ast.Expr)]
+    assert call and bindings == call
     (param,) = [r for r in records if r.parameter == "a"]
     assert param.type == {"int"}
 
@@ -479,43 +504,17 @@ def _return_chain(n: int) -> str:
     return "\n".join([*defs, f"def f{n}():\n    return 1\n", "h = f0()\n"])
 
 
-def _round_robin(engine: typeinfer._Engine) -> None:
-    """Reference for ``_Engine.run``: rounds of walks over every unit, each
-    return set from its function's latest walk and, after the round, each
-    parameter from its body constraints and the evidence of that round's
-    walks, until a round changes nothing."""
-    functions = engine.scopes.functions
-    units = [*engine.scopes.modules.values(),
-             *sorted([*functions.values(), *engine.scopes.classes.values()],
-                     key=lambda scope: scope.fqn)]
-    engine.index(units)
-    values = engine.solver.values
-    pins = {slot: set(types) for slot, types in values.items()}  # the body constraints
-    for _ in range(10_000):
-        before = {slot: set(types) for slot, types in values.items()}
-        evidence: dict = {}
-        for scope in units:
-            bindings, returns = engine._walk_body(scope, evidence)
-            engine.walks[scope] = (bindings, returns)
-            if scope.kind == "function":
-                values[f"{scope.fqn}.<ret>"] = engine._return_set(scope, returns)
-        for scope in functions.values():
-            for slot in map(scope.slot, scope.arguments):
-                values[slot] = pins.get(slot, set()) | evidence.get(slot, set())
-        if values == before:
-            return
-    raise AssertionError("no fixpoint after 10,000 rounds")
-
-
 def _report(path: Path) -> tuple[list[dict], list[str]]:
     records, diagnostics = infer_types_report(path)
     return [r.to_json_dict() for r in records], diagnostics
 
 
 def _assert_worklist_matches_round_robin(path: Path, monkeypatch) -> None:
+    """The records of the worklist's fixpoint are those read off the shared
+    analyzer solved by rounds (``helpers.round_robin``)."""
     actual = _report(path)
     with monkeypatch.context() as patch:
-        patch.setattr(typeinfer._Engine, "run", _round_robin)
+        patch.setattr(callgraph._Analyzer, "solve", round_robin)
         expected = _report(path)
     assert actual == expected
 
@@ -580,38 +579,25 @@ def test_a_method_call_on_a_receiver_with_no_type_yet_adds_no_any(tmp_path):
     assert returns["z"].type == {"str"}
 
 
-def _counted_walks(monkeypatch) -> list[Scope]:
-    walked: list[Scope] = []
-    walk = typeinfer._Engine._walk_body
-
-    def counted(engine, scope, call_sites):
-        walked.append(scope)
-        return walk(engine, scope, call_sites)
-
-    monkeypatch.setattr(typeinfer._Engine, "_walk_body", counted)
-    return walked
-
-
-def test_a_return_chain_converges_in_linear_walks(tmp_path, monkeypatch):
-    """A body is walked again only when a return or parameter it read has
-    grown: on a return chain, about twice per function."""
+def test_a_return_chain_converges_in_linear_evaluations(tmp_path, monkeypatch):
+    """A statement is evaluated again only when a slot it read has grown: on
+    a return chain, about twice per statement."""
     path = tmp_path / "chain.py"
     path.write_text(_return_chain(200))
-    walked = _counted_walks(monkeypatch)
+    evaluated = _counted_evaluations(monkeypatch)
     records, diagnostics = infer_types_report(path)
-    assert len(walked) <= 606
+    assert len(evaluated) <= 2 * len(set(evaluated)) == 2 * 403
     assert diagnostics == []
     (h,) = [r for r in records if r.variable == "h"]
     assert h.type == {"int"}
 
 
-def test_package_walks_are_at_most_two_per_unit(tmp_path, monkeypatch):
+def test_package_evaluations_are_at_most_two_per_statement(tmp_path, monkeypatch):
     write_files(tmp_path, perfbench_gen(monkeypatch).gen_package(1).files)
-    walked = _counted_walks(monkeypatch)
+    evaluated = _counted_evaluations(monkeypatch)
     infer_types_report(tmp_path / "pkg")
-    units = len(set(map(id, walked)))
-    assert len(walked) <= 2 * units
-    assert len(walked) <= 2_730
+    assert len(evaluated) <= 2 * len(set(evaluated))
+    assert len(evaluated) <= 6_000
 
 
 def test_a_shadowed_name_pins_no_outer_parameter(tmp_path):
@@ -674,3 +660,82 @@ def test_the_receiver_is_the_first_parameter_whatever_its_name():
     assert ("m", "this") not in parameters
     assert "str" in parameters[("m", "x")].type
     assert "str" in variables[(None, "y")].type
+
+
+# ---------------------------------------------------------------------------
+# One interpreter: records read off the call graph's value sets
+
+
+def _records_of(name: str):
+    return _by_kind(infer_types_report(TI / name)[0])
+
+
+def test_a_call_through_a_copied_name_reaches_the_callee():
+    returns, variables, parameters = _records_of("copied_callee.py")
+    assert parameters[("h", "p")].type == {"int"}
+    assert returns["h"].type == {"int"}
+    assert variables[(None, "k")].type == {"callable"}
+    assert variables[(None, "r")].type == {"int"}
+
+
+def test_calling_an_instance_binds_and_returns_through_its_dunder_call():
+    returns, variables, parameters = _records_of("instance_call.py")
+    assert parameters[("__call__", "g")].type == {"callable"}
+    assert parameters[("__call__", "n")].type == {"int"}
+    assert returns["__call__"].type == {"int"}
+    assert variables[(None, "j")].type == {"int"}
+    assert parameters[("h", "x")].type == {"int"}
+
+
+def test_a_classmethod_that_calls_cls_returns_an_instance():
+    returns, variables, _ = _records_of("classmethod_factory.py")
+    assert returns["make"].type == {"classmethod_factory.C"}
+    assert variables[(None, "m")].type == {"classmethod_factory.C"}
+
+
+def test_a_module_level_name_read_in_a_function_is_typed():
+    returns, variables, _ = _records_of("module_constant.py")
+    assert returns["f"].type == {"int"}
+    assert variables[(None, "x")].type == {"int"}
+
+
+def test_a_nested_function_reads_the_enclosing_parameter():
+    returns, variables, parameters = _records_of("enclosing_parameter.py")
+    assert parameters[("inner", "k")].type == {"int"}
+    assert returns["inner"].type == {"int"}
+    assert returns["scaled"].type == {"int"}
+    assert variables[(None, "y")].type == {"int"}
+
+
+_ANY_RECEIVER = (
+    "import os\n\n\nclass C:\n    def m(self):\n        return 1\n\n\n"
+    "def a():\n    return b(os.sep)\n\n\ndef b(o):\n    return o.m()\n\n\n"
+    "def c():\n    return b(C())\n"
+)
+
+
+def _reversed_solve(analyzer) -> None:
+    """``_Analyzer.solve`` with its statements queued in reverse order."""
+    work = [(scope, stmt) for scope in reversed(analyzer.table.scopes)
+            for stmt in reversed(scope.statements)]
+    analyzer.solver.solve(work, lambda item: analyzer._evaluate(*item))
+
+
+@pytest.mark.parametrize("solve", [None, _reversed_solve, round_robin],
+                         ids=["worklist", "reversed", "round_robin"])
+def test_an_any_receiver_keeps_any_in_a_method_result_whatever_the_order(tmp_path, monkeypatch, solve):
+    """``b``'s receiver is an external value (``os.sep``) and a ``C``: the
+    first gives ``Any`` and the second ``C.m``'s ``int``, in any order."""
+    if solve is not None:
+        monkeypatch.setattr(callgraph._Analyzer, "solve", solve)
+    returns, _, parameters = _types(tmp_path, "any_receiver.py", _ANY_RECEIVER)
+    assert parameters[("b", "o")].type == {"Any", "any_receiver.C"}
+    assert returns["b"].type == {"Any", "int"}
+    assert returns["a"].type == returns["c"].type == {"Any", "int"}
+
+
+def test_a_method_call_on_an_any_receiver_keeps_any():
+    table = default_table()
+    assert type_of_expr(_expr("s.upper()"), {"s": {"str", "int"}}, table) == {"str"}
+    assert type_of_expr(_expr("s.upper()"), {"s": {"str", "Any"}}, table) == {"str", "Any"}
+    assert type_of_expr(_expr("s.bit_length()"), {"s": {"int"}}, table) == {"Any"}
