@@ -3,7 +3,7 @@
 Submodules:
 
 * :mod:`lancet.frontend` - parsing, unparsing, traversal
-* :mod:`lancet.rewriter` - source simplification rules and transform hooks
+* :mod:`lancet.rewriter` - source simplification rules
 * :mod:`lancet.cfg` - control-flow graphs with DOT/JSON export
 * :mod:`lancet.ssa` - SSA use sets, constant folding, alias pairs
 * :mod:`lancet.modgraph` - project discovery and naming, module loading, scopes,
@@ -15,11 +15,11 @@ Submodules:
 
 from .cfg import Block, Cfg, Link, build_from_file, build_from_source, to_dot
 from .frontend import ParseError, SourceFile, parse_module, unparse, walk
-from .rewriter import RewriteRule, TempNamer, TransformHook, run_transforms, simplify_module
+from .rewriter import RewriteRule, TempNamer, simplify_module
 from .ssa import AliasPair, ConstDict, SsaUseMap, alias_pairs, compute_ssa, fold_constants
 from .modgraph import ImportGraph, TreeNode, build_import_graph, leaf_nodes, resolve_fqn
 from .callgraph import CallGraph, analyze, output_edges, output_mods, to_simple_json
-from .typeinfer import HeuristicTable, TypeRecord, infer_types, type_of_expr
+from .typeinfer import HeuristicTable, TypeRecord, infer_types
 
 __version__ = "0.1.0"
 
@@ -37,8 +37,6 @@ __all__ = [
     "walk",
     "RewriteRule",
     "TempNamer",
-    "TransformHook",
-    "run_transforms",
     "simplify_module",
     "AliasPair",
     "ConstDict",
@@ -59,6 +57,5 @@ __all__ = [
     "HeuristicTable",
     "TypeRecord",
     "infer_types",
-    "type_of_expr",
     "__version__",
 ]

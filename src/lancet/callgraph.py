@@ -12,11 +12,11 @@ attach to the module node) to every callable in its callee's value set.
 Type inference (:mod:`lancet.typeinfer`) reads its records off the same
 solved slots.
 
-Tags come from the rules of a :class:`HeuristicTable`: literals, an operator
-table, a method table for calls on a tagged receiver, and a signature table
-for calls of external names, keyed by the FQN an ``ext`` value carries, or
-for an unbound name by its dotted text.  An ``Any`` receiver keeps ``Any``
-in a method call's result, so every rule is monotone.  Tags make no edges.
+Tags come from literals, an operator table, a method table for calls on a
+tagged receiver, and the signature table of a :class:`HeuristicTable` for
+calls of external names, keyed by the FQN an ``ext`` value carries, or for
+an unbound name by its dotted text.  An ``Any`` receiver keeps ``Any`` in a
+method call's result, so every rule is monotone.  Tags make no edges.
 
 The fixpoint is solved on a :class:`~lancet.modgraph.Worklist`, with
 statements as its units.  Every statement is evaluated once, in scope
@@ -49,7 +49,6 @@ from __future__ import annotations
 import ast
 import os
 from pathlib import Path
-from typing import NamedTuple
 
 from .cfg import head_exprs, iter_eager
 from .frontend import dump_json
@@ -59,7 +58,6 @@ from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, Worklist, 
 from .ssa import target_names, unpack
 
 __all__ = [
-    "CgNode",
     "AssignmentGraph",
     "CallGraph",
     "HeuristicTable",
@@ -78,38 +76,32 @@ Value = tuple[str, str]  # ("func" | "class" | "inst" | "mod" | "ext", fqn) or (
 
 ANY = "Any"
 _ANY: Value = ("type", ANY)
-_NUMERIC_TOWER = {"bool": 0, "int": 1, "float": 2}
+_NUMERIC = ("bool", "int", "float")
 _LITERALS: dict[type, Value] = {t: ("type", name) for t, name in (
     (bool, "bool"), (int, "int"), (float, "float"), (str, "str"), (type(None), "None"))}
 _EXPR_TYPES = {ast.List: "List", ast.ListComp: "List", ast.Dict: "Dict", ast.DictComp: "Dict",
            ast.SetComp: "Set", ast.Tuple: "Tuple", ast.Lambda: "callable", ast.Compare: "bool"}
 
 
-def _default_operator_rules() -> dict[tuple[str, str, str], str]:
-    rules: dict[tuple[str, str, str], str] = {}
-    numeric = ("bool", "int", "float")
-    for op in ("Add", "Sub", "Mult", "FloorDiv", "Mod", "Pow"):
-        for left in numeric:
-            for right in numeric:
-                level = max(_NUMERIC_TOWER[left], _NUMERIC_TOWER[right], 1)
-                rules[(op, left, right)] = "float" if level == 2 else "int"
-    for left in numeric:
-        for right in numeric:
-            rules[("Div", left, right)] = "float"
-    rules[("Add", "str", "str")] = "str"
-    rules[("Mult", "str", "int")] = "str"
-    rules[("Mult", "int", "str")] = "str"
-    rules[("Mod", "str", "str")] = "str"
-    rules[("Add", "List", "List")] = "List"
-    rules[("Mult", "List", "int")] = "List"
-    rules[("Mult", "int", "List")] = "List"
-    rules[("Add", "Tuple", "Tuple")] = "Tuple"
-    return rules
-
+# (operator, left type, right type) -> result type; a triple not listed is ``Any``.
+_OPERATORS: dict[tuple[str, str, str], str] = {
+    **{(op, left, right): "float" if "float" in (left, right) else "int"
+       for op in ("Add", "Sub", "Mult", "FloorDiv", "Mod", "Pow")
+       for left in _NUMERIC for right in _NUMERIC},
+    **{("Div", left, right): "float" for left in _NUMERIC for right in _NUMERIC},
+    ("Add", "str", "str"): "str",
+    ("Mult", "str", "int"): "str",
+    ("Mult", "int", "str"): "str",
+    ("Mod", "str", "str"): "str",
+    ("Add", "List", "List"): "List",
+    ("Mult", "List", "int"): "List",
+    ("Mult", "int", "List"): "List",
+    ("Add", "Tuple", "Tuple"): "Tuple",
+}
 
 # Method name -> (receiver type, result type).  Only entries whose runtime
 # result type matches the vocabulary exactly belong here.
-_DEFAULT_METHODS: dict[str, tuple[str, str]] = {
+_METHODS: dict[str, tuple[str, str]] = {
     "upper": ("str", "str"),
     "lower": ("str", "str"),
     "strip": ("str", "str"),
@@ -155,14 +147,12 @@ _DEFAULT_METHODS: dict[str, tuple[str, str]] = {
 
 
 class HeuristicTable:
-    """Lookup tables behind the tag rules; misses resolve to ``Any``."""
+    """The signature table behind the tag rule for calls of external names:
+    FQN (or an unbound name's dotted text) -> result type; a miss is ``Any``.
+    The literal, operator and method rules are fixed."""
 
-    def __init__(self, known_signatures: dict[str, str] | None = None,
-                 operator_rules: dict[tuple[str, str, str], str] | None = None,
-                 method_signatures: dict[str, tuple[str, str]] | None = None) -> None:
+    def __init__(self, known_signatures: dict[str, str] | None = None) -> None:
         self.known_signatures = {} if known_signatures is None else known_signatures
-        self.operator_rules = _default_operator_rules() if operator_rules is None else operator_rules
-        self.method_signatures = dict(_DEFAULT_METHODS) if method_signatures is None else method_signatures
 
     def signature(self, fqn: str) -> str | None:
         return self.known_signatures.get(fqn)
@@ -183,7 +173,8 @@ def load_signature_table(path: str | Path) -> dict[str, str]:
 
 
 def default_table() -> HeuristicTable:
-    """Table seeded from the bundled signature file (or LANCET_SIGNATURES)."""
+    """The table of the bundled signature file, or of the file that
+    ``LANCET_SIGNATURES`` names, which replaces it."""
     override = os.environ.get("LANCET_SIGNATURES")
     path = Path(override) if override else Path(__file__).parent / "data" / "signatures.txt"
     return HeuristicTable(known_signatures=load_signature_table(path))
@@ -196,11 +187,6 @@ def type_name(value: Value) -> str:
     if kind in ("type", "inst"):
         return name
     return "callable" if kind == "func" else ANY
-
-
-class CgNode(NamedTuple):
-    fqn: str
-    kind: str  # "module" | "function" | "class" | "external"
 
 
 class AssignmentGraph:
@@ -224,16 +210,13 @@ class CallGraph:
         self.diagnostics = [] if diagnostics is None else diagnostics
         self.assignment_graph = AssignmentGraph() if assignment_graph is None else assignment_graph
 
-    def node_list(self) -> list[CgNode]:
-        return [CgNode(fqn=fqn, kind=self.nodes[fqn]) for fqn in sorted(self.nodes)]
-
 
 class _Analyzer:
     def __init__(self, package_root: Path | None) -> None:
         self.files: dict[str, Path] = {}  # package modules, loaded once reached
         self.failed: dict[str, str] = {}  # modules that did not load, with why; not retried
         self.table = ScopeTable()
-        self.rules = HeuristicTable()  # type inference sets the signature table
+        self.signatures = HeuristicTable()  # type inference sets the bundled table
         self.solver = Worklist()
         self.values: dict[str, set[Value]] = self.solver.values
         self.call_edges: set[tuple[str, str]] = set()
@@ -329,7 +312,7 @@ class _Analyzer:
             return set().union(*(self.eval_expr(value, scope) for value in expr.values))
         if node is ast.UnaryOp and type(expr.op) in (ast.USub, ast.UAdd):
             names = map(type_name, self.eval_expr(expr.operand, scope))
-            return {("type", "int" if t == "bool" else t if t in _NUMERIC_TOWER else ANY) for t in names}
+            return {("type", "int" if t == "bool" else t if t in _NUMERIC else ANY) for t in names}
         if node is ast.UnaryOp and type(expr.op) is ast.Not:
             return {("type", "bool")}
         return {("type", _EXPR_TYPES.get(node, ANY))}
@@ -346,7 +329,7 @@ class _Analyzer:
         return out
 
     def _operation(self, op: str, l: str, r: str) -> Value:
-        rule = None if ANY in (l, r) else self.rules.operator_rules.get((op, l, r))
+        rule = None if ANY in (l, r) else _OPERATORS.get((op, l, r))
         if rule is None and op == "Add" and {l, r} == {"str", "int"}:
             self.type_diagnostics.append(f"suspicious str/int concatenation ({l} + {r})")
         return ("type", rule or ANY)
@@ -359,11 +342,11 @@ class _Analyzer:
         while isinstance(root, ast.Attribute):
             root = root.value
         if isinstance(root, ast.Name) and scope.lookup(root.id) is None:
-            return {("type", self.rules.signature(".".join(dotted_parts(call.func))) or ANY)}
+            return {("type", self.signatures.signature(".".join(dotted_parts(call.func))) or ANY)}
         out: set[Value] = set()
         for (kind, fqn), receiver in self._targets(call, scope):
             if receiver is not None and receiver[0] == "type":
-                method = self.rules.method_signatures.get(call.func.attr)
+                method = _METHODS.get(call.func.attr)
                 if method is None or receiver[1] == ANY:
                     out.add(_ANY)
                 elif method[0] == receiver[1]:
@@ -371,7 +354,7 @@ class _Analyzer:
             elif kind == "class":
                 out.add(("inst", fqn))
             elif kind == "ext":
-                out.add(("type", self.rules.signature(fqn) or ANY))
+                out.add(("type", self.signatures.signature(fqn) or ANY))
             else:
                 runs = self._runs((kind, fqn), receiver)
                 for function, _ in runs:

@@ -47,7 +47,6 @@ __all__ = [
     "child_nodes",
     "node_span",
     "trees_equal",
-    "dump_structure",
 ]
 
 
@@ -75,7 +74,8 @@ class SourceFile(NamedTuple):
 
     @classmethod
     def load(cls, path: str | Path) -> "SourceFile":
-        """Read ``path`` as UTF-8 and take its stem as the module name.
+        """Read ``path`` as UTF-8, without a leading byte order mark, and
+        take its stem as the module name.
 
         Raises :class:`ParseError` when the bytes do not decode as UTF-8 and
         ``OSError`` for filesystem problems.
@@ -83,7 +83,7 @@ class SourceFile(NamedTuple):
         p = Path(path)
         raw = p.read_bytes()
         try:
-            text = raw.decode("utf-8")
+            text = raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(str(p), 1, 0, f"not valid UTF-8: {exc.reason}") from None
         name = p.stem if p.suffix == ".py" else p.name
@@ -498,34 +498,19 @@ def positional_params(args: ast.arguments) -> list[ast.arg]:
     return list(args.posonlyargs) + list(args.args)
 
 
-def walk(node: ast.AST, order: str = "pre") -> Iterator[ast.AST]:
-    """Yield every node of the tree exactly once, in deterministic order.
-
-    ``order`` is ``"pre"`` (node before children) or ``"post"``.  Children
-    come in field order, as from ``ast.iter_child_nodes``.  The walk keeps an
-    explicit stack, so tree depth is not limited by the recursion limit.
+def walk(node: ast.AST) -> Iterator[ast.AST]:
+    """Yield every node of the tree exactly once, in pre-order (node before
+    children, children in field order, as from ``ast.iter_child_nodes``).
+    The walk keeps an explicit stack, so tree depth is not limited by the
+    recursion limit.
     """
-    if order not in ("pre", "post"):
-        raise ValueError(f"order must be 'pre' or 'post', got {order!r}")
-    if order == "pre":
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            yield node
-            children = child_nodes(node)
-            children.reverse()
-            stack += children
-        return
-    # Post order: a node is yielded when popped the second time, after its
-    # children.
-    pending: list[tuple[ast.AST, bool]] = [(node, False)]
-    while pending:
-        node, expanded = pending.pop()
-        if expanded:
-            yield node
-        else:
-            pending.append((node, True))
-            pending.extend([(child, False) for child in reversed(child_nodes(node))])
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = child_nodes(node)
+        children.reverse()
+        stack += children
 
 
 def node_span(node: ast.AST) -> tuple[int, int, int, int] | None:
@@ -541,11 +526,6 @@ def node_span(node: ast.AST) -> tuple[int, int, int, int] | None:
     return (decorators[0].lineno if decorators else node.lineno, node.col_offset, end_line, end_col)
 
 
-def dump_structure(node: ast.AST) -> str:
-    """Canonical structural dump, ignoring source locations."""
-    return ast.dump(node, include_attributes=False)
-
-
 def trees_equal(a: ast.AST, b: ast.AST) -> bool:
     """Structural equality modulo spans."""
-    return dump_structure(a) == dump_structure(b)
+    return ast.dump(a, include_attributes=False) == ast.dump(b, include_attributes=False)

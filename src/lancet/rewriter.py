@@ -38,15 +38,11 @@ from .frontend import child_nodes, parse_module, unparse, walk
 __all__ = [
     "RewriteRule",
     "TempNamer",
-    "TransformHook",
-    "TransformHookError",
     "FixpointError",
     "RULES",
     "apply_rule",
     "simplify_module",
     "simplify_source",
-    "run_transforms",
-    "refine_call_chains",
 ]
 
 TEMP_PREFIX = "_ret"
@@ -54,14 +50,6 @@ TEMP_PREFIX = "_ret"
 
 class FixpointError(Exception):
     """A rule kept matching its own output (a rule bug, not user error)."""
-
-
-class TransformHookError(Exception):
-    """A user transform hook raised; carries the hook's name."""
-
-    def __init__(self, hook_name: str, cause: BaseException) -> None:
-        self.hook_name = hook_name
-        super().__init__(f"transform hook {hook_name!r} failed: {cause}")
 
 
 class TempNamer:
@@ -118,13 +106,6 @@ class RewriteRule(NamedTuple):
     name: str
     matcher: Callable[[ast.stmt], bool]
     builder: Callable[[ast.stmt, TempNamer], list[ast.stmt]]
-
-
-class TransformHook(NamedTuple):
-    """A named module-to-module callback run by :func:`run_transforms`."""
-
-    name: str
-    callback: Callable[[ast.Module], ast.Module]
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +427,16 @@ def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer,
 def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = None) -> ast.Module:
     """Rewrite a module until no rule matches anywhere, in one pass.
 
-    One pass is the fixpoint: the built-in rules match only simple
-    statements, never a compound one, and a rewrite replaces only the
-    statement it matched, so a statement that is final stays final.  Each firing of a built-in rule
-    uses up a distinct node of the input statement it started from (a
-    comprehension, a lambda, a subscripted call, a chain's top call or the
-    call argument it hoists), so a statement fires at most once per node;
-    :class:`FixpointError` is raised when a rule exceeds that bound, which
-    only a rule that keeps matching its own output can do.
+    ``rules`` defaults to :data:`RULES`; a subset such as ``(RULES[4],)``
+    splits call chains alone.  One pass is the fixpoint: the built-in rules
+    match only simple statements, never a compound one, and a rewrite
+    replaces only the statement it matched, so a statement that is final
+    stays final.  Each firing of a built-in rule uses up a distinct node of
+    the input statement it started from (a comprehension, a lambda, a
+    subscripted call, a chain's top call or the call argument it hoists), so
+    a statement fires at most once per node; :class:`FixpointError` is
+    raised when a rule exceeds that bound, which only a rule that keeps
+    matching its own output can do.
 
     The input tree is not modified.  The result is a shallow copy of the
     module with a new ``body`` list; it shares every statement and
@@ -472,34 +455,3 @@ def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = No
 def simplify_source(text: str, path: str = "<string>") -> str:
     """Convenience wrapper: parse, simplify, unparse."""
     return unparse(simplify_module(parse_module(text, path)))
-
-
-def run_transforms(module: ast.Module, hooks: list[TransformHook]) -> ast.Module:
-    """Run user hooks in registration order, each seeing the previous output."""
-    current = module
-    for hook in hooks:
-        try:
-            current = hook.callback(current)
-        except Exception as exc:
-            raise TransformHookError(hook.name, exc) from exc
-        if not isinstance(current, ast.Module):
-            raise TransformHookError(
-                hook.name, TypeError(f"hook returned {type(current).__name__}, expected Module")
-            )
-    return current
-
-
-def refine_call_chains(
-    module: ast.Module, return_types: dict[str, str] | None = None
-) -> ast.Module:
-    """Split chained attribute calls into one statement per link.
-
-    The split is purely syntactic and always safe, so it is applied to every
-    chain whether or not the receiver's return type is known; ``return_types``
-    (callable FQN -> type name) is accepted so callers can re-run this step as
-    analysis results accumulate, and richer maps keep the output stable:
-    already-split code is a fixpoint.
-    """
-    del return_types  # reserved for callers' iterative refinement loops
-    chain_rule = [r for r in RULES if r.id == 5]
-    return simplify_module(module, rules=chain_rule)

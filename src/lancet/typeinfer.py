@@ -6,9 +6,9 @@ The vocabulary is flat: "str", "int", "float", "bool", "List", "Dict",
 cases, with no generics.  There is one interpreter,
 :class:`lancet.callgraph._Analyzer`, whose slots hold project callables and
 type tags alike: literals, operators, methods on tags and the signature
-table (``data/signatures.txt``, overridable through the
-``LANCET_SIGNATURES`` environment variable) give tags, and calls, arguments,
-defaults and returns flow them between slots as they flow callables.
+table (``data/signatures.txt``, or in its place the file that the
+``LANCET_SIGNATURES`` environment variable names) give tags, and calls,
+arguments, defaults and returns flow them between slots as they flow callables.
 
 Before the fixpoint, type inference adds the facts a call-graph run does
 not need (:func:`_seed`): a use that pins a parameter's type (``s.upper()``
@@ -30,9 +30,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from .callgraph import (ANY, HeuristicTable, Value, _Analyzer, default_table, load_signature_table,
-                        type_name)
-from .modgraph import RETURN_SLOT, DiagnosticLog, Scope
+from .callgraph import (ANY, _METHODS, HeuristicTable, _Analyzer, default_table,
+                        load_signature_table, type_name)
+from .modgraph import RETURN_SLOT, DiagnosticLog
 from .rewriter import TEMP_PREFIX
 from .ssa import target_names
 
@@ -43,8 +43,6 @@ __all__ = [
     "default_table",
     "infer_types",
     "infer_types_report",
-    "type_of_expr",
-    "infer_parameters",
 ]
 
 
@@ -72,38 +70,11 @@ class TypeRecord:
         return out
 
 
-def _tags(types: set[str]) -> set[Value]:
-    return {("type", t) for t in types}
-
-
-def type_of_expr(
-    expr: ast.expr,
-    env: dict[str, set[str]],
-    table: HeuristicTable,
-    *,
-    diagnostics: list[str] | None = None,
-) -> set[str]:
-    """Type set of an expression under ``env`` (name -> type set), by the
-    call graph's rules in a module of its own: literals map directly,
-    operators consult the rule table, and calls of unbound names the
-    signature table.  A name outside ``env`` is ``Any``."""
-    analyzer = _Analyzer(None)
-    analyzer.rules = table
-    scope = Scope("", "module", ast.Module(body=[], type_ignores=[]), "",
-                  bindings={name: ("slot", name) for name in env})
-    for name, types in env.items():
-        analyzer.solver.add(name, _tags(types))
-    types = {type_name(value) for value in analyzer.eval_expr(expr, scope)}
-    if diagnostics is not None:
-        diagnostics.extend(analyzer.type_diagnostics)
-    return types
-
-
-def _pin(node: ast.AST, table: HeuristicTable) -> tuple[str, str] | None:
+def _pin(node: ast.AST) -> tuple[str, str] | None:
     """The type a use forces on a bare name, as (name, type): a known method
     called on it (``s.upper()``), or ``+`` with a string literal."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        method = table.method_signatures.get(node.func.attr)
+        method = _METHODS.get(node.func.attr)
         if isinstance(node.func.value, ast.Name) and method is not None:
             return node.func.value.id, method[0]
     elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
@@ -127,7 +98,7 @@ def _seed(analyzer: _Analyzer) -> None:
         generator = False
         for node in (node for stmt in scope.statements for node in analyzer.head_nodes(stmt)):
             generator = generator or isinstance(node, ast.Yield)
-            pinned = _pin(node, analyzer.rules)
+            pinned = _pin(node)
             binding = scope.lookup(pinned[0]) if pinned is not None else None
             if binding is not None and binding[1] in arguments:
                 analyzer.solver.add(binding[1], {("type", pinned[1])})
@@ -187,41 +158,11 @@ def _records(analyzer: _Analyzer, files: dict[str, str]) -> list[TypeRecord]:
     return records
 
 
-def infer_parameters(
-    function: ast.FunctionDef,
-    call_sites: list[tuple[list[set[str]], dict[str, set[str]]]],
-    body_constraints: dict[str, set[str]] | None = None,
-    *,
-    file: str = "<string>",
-    table: HeuristicTable | None = None,
-) -> list[TypeRecord]:
-    """Parameter records from call-site argument types plus body constraints.
-
-    ``call_sites`` holds (positional type sets, keyword type sets) per
-    observed call; with no evidence at all a parameter is ``Any``.  Uses pin
-    as in :func:`infer_types`: not in nested def, class or lambda bodies.
-    """
-    analyzer = _Analyzer(None)
-    analyzer.rules = table or default_table()
-    analyzer.table.add_module(ast.Module(body=[function], type_ignores=[]), "")
-    scope = analyzer.table.scopes[1]
-    _seed(analyzer)
-    for positional, keywords in [([], body_constraints or {}), *call_sites]:  # constraints by name
-        for name, types in [*zip(scope.params, positional), *keywords.items()]:
-            analyzer.solver.add(scope.slot(name), _tags(types))
-    return [
-        TypeRecord(file=file, line_number=function.lineno, function=function.name,
-                   parameter=name, type=_types(analyzer, scope.slot(name)))
-        for name in scope.params
-    ]
-
-
 def infer_types(
     name: str,
     entry: str | Path,
     *,
     simplify: bool = True,
-    table: HeuristicTable | None = None,
 ) -> list[TypeRecord]:
     """Infer type records for a file or for every module under a directory.
 
@@ -229,7 +170,7 @@ def infer_types(
     Unparsable files are skipped, the rest are analyzed.
     """
     del name
-    records, _ = infer_types_report(entry, simplify=simplify, table=table)
+    records, _ = infer_types_report(entry, simplify=simplify)
     return records
 
 
@@ -237,7 +178,6 @@ def infer_types_report(
     entry: str | Path,
     *,
     simplify: bool = True,
-    table: HeuristicTable | None = None,
 ) -> tuple[list[TypeRecord], list[str]]:
     """Like :func:`infer_types`, but also returns the diagnostics collected:
     the directory walk's, one per skipped file in the walk's order, then the
@@ -252,7 +192,7 @@ def infer_types_report(
     else:
         raise FileNotFoundError(f"entry point not found: {entry}")
     diagnostics = DiagnosticLog(analyzer.diagnostics)  # so far, the directory walk's
-    analyzer.rules = table or default_table()
+    analyzer.signatures = default_table()
     for name, file in files.items():
         analyzer.load(file, name, simplify)
     _seed(analyzer)

@@ -200,14 +200,12 @@ def test_value_sets_are_stable_at_fixpoint():
     assert graph.assignment_graph.value_sets[slot] == {("func", "higher_order.g")}
 
 
-def test_node_list_kinds():
+def test_node_kinds():
     graph = analyze([CG / "methods.py"])
-    kinds = {node.fqn: node.kind for node in graph.node_list()}
-    assert kinds["methods"] == "module"
-    assert kinds["methods.Greeter"] == "class"
-    assert kinds["methods.Greeter.hello"] == "function"
-    fqns = [node.fqn for node in graph.node_list()]
-    assert fqns == sorted(fqns)
+    assert graph.nodes["methods"] == "module"
+    assert graph.nodes["methods.Greeter"] == "class"
+    assert graph.nodes["methods.Greeter.hello"] == "function"
+    assert set(graph.nodes) == set(graph.edges)
 
 
 # The tracer charges a class body's calls to its module, the call graph to the class.

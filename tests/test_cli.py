@@ -526,6 +526,29 @@ def test_a_huge_int_literal_is_analyzed_by_every_subcommand(capsys, tmp_path, so
     assert _HUGE in outputs["cfg"]
 
 
+def test_a_byte_order_mark_changes_no_output(capsys, tmp_path):
+    """CPython runs a UTF-8 file that starts with a BOM; so does every subcommand."""
+    target = tmp_path / "bom.py"
+    source = "import os\n\n\ndef f(a):\n    return a + 1\n\n\nx = f(2)\ny = os.getcwd()\n"
+    argvs = [
+        ["rewrite", str(target)],
+        ["cfg", str(target)],
+        ["ssa", str(target)],
+        ["alias", str(target)],
+        ["fqn", str(target)],
+        ["imports", str(tmp_path)],
+        ["callgraph", "--package", str(tmp_path)],
+        ["typeinfer", str(tmp_path)],
+    ]
+    results = []
+    for text in (source, "\ufeff" + source):
+        target.write_text(text, encoding="utf-8")
+        results.append([_run(capsys, *argv) for argv in argvs])
+    for argv, plain, bom in zip(argvs, *results):
+        assert plain[0] == 0, (argv, plain[2])
+        assert bom == plain, argv
+
+
 def test_a_repeated_diagnostic_line_prints_once(capsys, tmp_path):
     root = tmp_path / "pkg"
     root.mkdir()

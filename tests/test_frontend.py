@@ -15,7 +15,6 @@ from lancet.frontend import (
     ParseError,
     SourceFile,
     dump_json,
-    dump_structure,
     node_span,
     parse_module,
     source_text,
@@ -227,8 +226,7 @@ DEEP_CHAIN_SCRIPT = """
 import ast
 from lancet.frontend import parse_module, walk
 tree = parse_module("x = " + "+".join(["1"] * 2900) + "\\n")
-print(sum(isinstance(n, ast.BinOp) for n in walk(tree)),
-      sum(isinstance(n, ast.BinOp) for n in walk(tree, "post")))
+print(sum(isinstance(n, ast.BinOp) for n in walk(tree)))
 """
 
 
@@ -240,7 +238,7 @@ def test_deep_chain_parses_without_recursion():
     proc = subprocess.run([sys.executable, "-c", DEEP_CHAIN_SCRIPT], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-500:]
-    assert proc.stdout.split() == ["2899", "2899"]
+    assert proc.stdout.split() == ["2899"]
 
 
 def test_fstrings_become_opaque_string_constants():
@@ -270,7 +268,7 @@ def test_round_trip_on_fib():
 def test_parse_is_deterministic():
     a = parse_module(FIB_SOURCE)
     b = parse_module(FIB_SOURCE)
-    assert dump_structure(a) == dump_structure(b)
+    assert trees_equal(a, b)
 
 
 def test_source_file_rejects_non_utf8(tmp_path):
@@ -284,17 +282,6 @@ def test_source_file_module_names(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("x = 1\n", encoding="utf-8")
     assert SourceFile.load(target).module_name == "mod"
-
-
-def test_walk_orders():
-    tree = parse_module("x = 1")
-    pre = [type(n).__name__ for n in walk(tree, "pre")]
-    post = [type(n).__name__ for n in walk(tree, "post")]
-    assert pre[:2] == ["Module", "Assign"]
-    assert post[-1] == "Module"
-    assert sorted(pre) == sorted(post)
-    with pytest.raises(ValueError):
-        list(walk(tree, "sideways"))
 
 
 def test_walk_visits_each_node_once():
@@ -311,19 +298,18 @@ def test_walk_visits_each_node_once():
     assert sum(isinstance(n, ast.FunctionDef) for n in nodes) == 1
 
 
-def _recursive_walk(node: ast.AST, order: str) -> list[ast.AST]:
-    out = [node] if order == "pre" else []
+def _recursive_walk(node: ast.AST) -> list[ast.AST]:
+    out = [node]
     for child in ast.iter_child_nodes(node):
-        out.extend(_recursive_walk(child, order))
-    return out if order == "pre" else out + [node]
+        out.extend(_recursive_walk(child))
+    return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(programs())
 def test_walk_matches_recursive_reference(source: str):
     tree = parse_module(source)
-    for order in ("pre", "post"):
-        assert [id(n) for n in walk(tree, order)] == [id(n) for n in _recursive_walk(tree, order)]
+    assert [id(n) for n in walk(tree)] == [id(n) for n in _recursive_walk(tree)]
 
 
 def test_leaf_walk():
@@ -376,7 +362,7 @@ def test_generated_programs_round_trip(source: str):
     tree = parse_module(source)
     _assert_fully_located(tree)
     assert trees_equal(tree, parse_module(unparse(tree)))
-    assert dump_structure(parse_module(source)) == dump_structure(tree)
+    assert trees_equal(parse_module(source), tree)
 
 
 def test_source_text_prints_an_int_past_the_digit_limit_in_hex():

@@ -7,11 +7,11 @@ import ast
 
 import pytest
 
-from lancet.callgraph import AssignmentGraph, CallGraph, CgNode
+from lancet.callgraph import AssignmentGraph, CallGraph
 from lancet.cfg import Block, Cfg, Link
 from lancet.frontend import SourceFile
 from lancet.modgraph import ImportGraph, ImportRelation, NameContext, Scope, ScopeTable, TreeNode
-from lancet.rewriter import RewriteRule, TempNamer, TransformHook
+from lancet.rewriter import RewriteRule, TempNamer
 from lancet.ssa import AliasPair, ConstDict, DefValue, SsaUseMap
 from lancet.typeinfer import HeuristicTable, TypeRecord
 
@@ -42,9 +42,7 @@ MUTABLE = {
     SsaUseMap: [("per_block", {1: [{"x": {0}}]})],
     TypeRecord: [("file", "m.py"), ("line_number", 3), ("type", {"int"}), ("function", "f"),
                  ("variable", None), ("parameter", "a")],
-    HeuristicTable: [("known_signatures", {"os.getcwd": "str"}),
-                     ("operator_rules", {("Add", "int", "int"): "int"}),
-                     ("method_signatures", {"upper": ("str", "str")})],
+    HeuristicTable: [("known_signatures", {"os.getcwd": "str"})],
     AssignmentGraph: [("nodes", {"m.x"}), ("value_sets", {"m.x": {("func", "m.f")}})],
     CallGraph: [("edges", {"m": {"m.f"}}), ("nodes", {"m": "module"}), ("internal_mods", {"m"}),
                 ("external_mods", {"os"}), ("diagnostics", ["d"]),
@@ -52,13 +50,11 @@ MUTABLE = {
 }
 
 IMMUTABLE = {
-    CgNode: [("fqn", "m.f"), ("kind", "function")],
     SourceFile: [("path", "m.py"), ("text", "x = 1\n"), ("module_name", "m")],
     ImportRelation: [("importer", "p.a"), ("imported_module", "p.b"),
                      ("symbols", (("f", None),)), ("relative_level", 1), ("resolved", False)],
     AliasPair: [("alias", ("b", 0)), ("target", "a")],
     RewriteRule: [("id", 9), ("name", "Rule"), ("matcher", len), ("builder", max)],
-    TransformHook: [("name", "hook"), ("callback", len)],
     NameContext: [("table", ScopeTable()), ("scope", None), ("scope_of", {}), ("alias_map", {})],
 }
 
@@ -115,11 +111,7 @@ def test_defaults_that_are_not_plain_values():
             graph.diagnostics) == ({}, {}, set(), set(), [])
     assert type(graph.assignment_graph) is AssignmentGraph
     assert _fields(graph.assignment_graph) == {"nodes": set(), "value_sets": {}}
-    table = HeuristicTable()
-    assert table.known_signatures == {}
-    assert table.operator_rules[("Add", "int", "float")] == "float"
-    assert table.operator_rules[("Mult", "str", "int")] == "str"
-    assert table.method_signatures["upper"] == ("str", "str")
+    assert HeuristicTable().known_signatures == {}
 
 
 @pytest.mark.parametrize("cls", [Block, Cfg, TreeNode, ImportGraph, Scope, TempNamer, ConstDict,
@@ -133,15 +125,6 @@ def test_default_constructed_records_share_no_container(cls):
     assert containers
     for name in containers:
         assert getattr(first, name) is not getattr(second, name), name
-
-
-def test_a_table_edit_stays_in_its_table():
-    edited = HeuristicTable()
-    edited.method_signatures["shout"] = ("str", "str")
-    edited.operator_rules[("Add", "str", "int")] = "str"
-    fresh = HeuristicTable()
-    assert "shout" not in fresh.method_signatures
-    assert ("Add", "str", "int") not in fresh.operator_rules
 
 
 @pytest.mark.parametrize("cls", list(IMMUTABLE), ids=lambda cls: cls.__name__)

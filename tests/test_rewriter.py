@@ -12,12 +12,8 @@ from lancet.rewriter import (
     FixpointError,
     RewriteRule,
     TempNamer,
-    TransformHook,
-    TransformHookError,
     apply_rule,
     collect_identifiers,
-    refine_call_chains,
-    run_transforms,
     simplify_module,
     simplify_source,
 )
@@ -160,65 +156,25 @@ def test_a_large_module_simplifies_without_a_rewrite_cap():
         assert unparse(rewritten) == f"x_{i} = f({temp})"
 
 
-def test_run_transforms_identity_and_order():
-    tree = parse_module("a = 1")
-    assert run_transforms(tree, []) is tree
-
-    order: list[str] = []
-
-    def mk(name):
-        def hook(module):
-            order.append(name)
-            return module
-
-        return TransformHook(name, hook)
-
-    run_transforms(tree, [mk("first"), mk("second")])
-    assert order == ["first", "second"]
+CHAIN_SPLITTING = (RULES[4],)
 
 
-def test_run_transforms_rename_hook():
-    class Rename(ast.NodeTransformer):
-        def visit_Name(self, node):
-            if node.id == "a":
-                node.id = "b"
-            return node
-
-    tree = parse_module("a = 1")
-    result = run_transforms(tree, [TransformHook("rename", lambda m: Rename().visit(m))])
-    assert unparse(result) == "b = 1\n"
-
-
-def test_run_transforms_wraps_hook_failures():
-    def boom(module):
-        raise RuntimeError("kaput")
-
-    with pytest.raises(TransformHookError) as exc:
-        run_transforms(parse_module("a = 1"), [TransformHook("boom", boom)])
-    assert exc.value.hook_name == "boom"
-    assert "kaput" in str(exc.value)
-
-
-def test_run_transforms_rejects_non_module_results():
-    with pytest.raises(TransformHookError):
-        run_transforms(parse_module("a = 1"), [TransformHook("wrong", lambda m: 42)])
-
-
-def test_refine_call_chains_without_types_still_splits():
+def test_chain_splitting_alone_splits_a_chain():
+    assert CHAIN_SPLITTING[0].name == "CallChainSplitting"
     tree = parse_module("f1().f2().f3()")
-    result = refine_call_chains(tree, return_types={})
+    result = simplify_module(tree, rules=CHAIN_SPLITTING)
     assert len(result.body) == 3
 
 
-def test_refine_call_chains_is_a_fixpoint_on_split_code():
+def test_chain_splitting_alone_is_a_fixpoint_on_split_code():
     tree = parse_module("_x = f1()\n_y = _x.f2()\n_y.f3()\n")
-    result = refine_call_chains(tree, return_types={"m.f1": "Thing"})
+    result = simplify_module(tree, rules=CHAIN_SPLITTING)
     assert trees_equal(result, tree)
 
 
-def test_refine_call_chains_two_chains_distinct_temps():
+def test_chain_splitting_alone_gives_two_chains_distinct_temps():
     source = "def run():\n    a().b().c()\n    d().e().f()\n"
-    result = refine_call_chains(parse_module(source))
+    result = simplify_module(parse_module(source), rules=CHAIN_SPLITTING)
     fn = result.body[0]
     assert len(fn.body) == 6
     temps = [

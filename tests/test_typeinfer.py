@@ -7,16 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from lancet import callgraph
-from lancet.frontend import parse_module
-from lancet.typeinfer import (
-    HeuristicTable,
-    default_table,
-    infer_parameters,
-    infer_types,
-    infer_types_report,
-    load_signature_table,
-    type_of_expr,
-)
+from lancet.typeinfer import default_table, infer_types, infer_types_report, load_signature_table
 
 from helpers import (CORPUS, corpus_files, observe_types, perfbench_gen, round_robin, type_agrees,
                      write_files)
@@ -116,44 +107,61 @@ def test_rewriter_temporaries_are_not_reported(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# type_of_expr
+# The rules, one source-level case each: ``y`` is a module variable, ``f.a``
+# the parameter ``a`` of ``f``.
 
 
-def _expr(source: str) -> ast.expr:
-    return parse_module(source).body[0].value
+def _type_of(tmp_path, source: str, name: str) -> tuple[set[str], list[str]]:
+    path = tmp_path / "case.py"
+    path.write_text(source, encoding="utf-8")
+    records, diagnostics = infer_types_report(path)
+    function, _, name = name.rpartition(".")
+    (record,) = [r for r in records
+                 if (r.function or "") == function and name in (r.variable, r.parameter)]
+    return record.type, diagnostics
 
 
-def test_string_literal_type():
-    assert type_of_expr(_expr("'abc'"), {}, default_table()) == {"str"}
+_SUSPICIOUS = ["suspicious str/int concatenation (str + int)"]
 
 
-def test_str_concat_with_known_signature():
-    table = HeuristicTable(known_signatures={"getcwd": "str"})
-    env = {"x": {"str"}}
-    assert type_of_expr(_expr("x + getcwd()"), env, table) == {"str"}
+@pytest.mark.parametrize("source, name, types, diagnostics", [
+    pytest.param("y = 'abc'\n", "y", {"str"}, [], id="str-literal"),
+    pytest.param("y = unknown_fn()\n", "y", {"Any"}, [], id="unknown-call"),
+    pytest.param("y = 1 + 2\n", "y", {"int"}, [], id="int-add"),
+    pytest.param("y = 1 / 2\n", "y", {"float"}, [], id="true-division"),
+    pytest.param("y = 1 + 2.0\n", "y", {"float"}, [], id="int-float-add"),
+    pytest.param("y = 'a' * 3\n", "y", {"str"}, [], id="str-repeat"),
+    pytest.param("x = 1\ny = not x\n", "y", {"bool"}, [], id="not"),
+    pytest.param("y = 1 < 2\n", "y", {"bool"}, [], id="compare"),
+    pytest.param("y = -3\n", "y", {"int"}, [], id="negation"),
+    pytest.param("y = [1] + [2]\n", "y", {"List"}, [], id="list-concat"),
+    pytest.param("y = 'a' + 1\n", "y", {"Any"}, _SUSPICIOUS, id="str-int-concat"),
+    pytest.param("s = 'a'\ny = s.upper()\n", "y", {"str"}, [], id="method-upper"),
+    pytest.param("s = 'a'\ny = s.split(',')\n", "y", {"List"}, [], id="method-split"),
+    pytest.param("s = 'a'\ns = 1\ny = s.upper()\n", "y", {"str"}, [],
+                 id="method-on-str-or-int"),
+    pytest.param("s = 'a'\ns = unknown\ny = s.upper()\n", "y", {"str", "Any"}, [],
+                 id="method-on-any-receiver"),
+    pytest.param("s = 1\ny = s.bit_length()\n", "y", {"Any"}, [], id="method-not-in-table"),
+    pytest.param("def f(a):\n    return a + 1\n\n\nf(1)\n", "f.a", {"int"}, [],
+                 id="call-site"),
+    pytest.param("def f(a, b):\n    return a\n\n\nf('x', b=1.5)\n", "f.b", {"float"}, [],
+                 id="keyword"),
+    pytest.param("def f(s):\n    return s.upper()\n", "f.s", {"str"}, [], id="pinned-by-method"),
+    pytest.param("def f(s):\n    return s + 'x'\n", "f.s", {"str"}, [], id="pinned-by-concat"),
+    pytest.param("def f(unused):\n    return 1\n", "f.unused", {"Any"}, [], id="no-evidence"),
+])
+def test_tag_rule(tmp_path, source, name, types, diagnostics):
+    assert _type_of(tmp_path, source, name) == (types, diagnostics)
 
 
-def test_unknown_call_is_any():
-    assert type_of_expr(_expr("unknown_fn()"), {}, default_table()) == {"Any"}
-
-
-def test_operator_rules():
-    table = default_table()
-    assert type_of_expr(_expr("1 + 2"), {}, table) == {"int"}
-    assert type_of_expr(_expr("1 / 2"), {}, table) == {"float"}
-    assert type_of_expr(_expr("1 + 2.0"), {}, table) == {"float"}
-    assert type_of_expr(_expr("'a' * 3"), {}, table) == {"str"}
-    assert type_of_expr(_expr("not x"), {"x": {"int"}}, table) == {"bool"}
-    assert type_of_expr(_expr("1 < 2"), {}, table) == {"bool"}
-    assert type_of_expr(_expr("-3"), {}, table) == {"int"}
-    assert type_of_expr(_expr("[1] + [2]"), {}, table) == {"List"}
-
-
-def test_mixed_str_int_concat_is_any_with_diagnostic():
-    diags: list[str] = []
-    result = type_of_expr(_expr("'a' + 1"), {}, default_table(), diagnostics=diags)
-    assert result == {"Any"}
-    assert diags
+def test_a_custom_signature_types_a_call_of_an_unbound_name(tmp_path, monkeypatch):
+    source = "x = 'a'\ny = x + getcwd()\n"
+    assert _type_of(tmp_path, source, "y") == ({"Any"}, [])
+    table_file = tmp_path / "custom.txt"
+    table_file.write_text("getcwd str\n", encoding="utf-8")
+    monkeypatch.setenv("LANCET_SIGNATURES", str(table_file))
+    assert _type_of(tmp_path, source, "y") == ({"str"}, [])
 
 
 def test_a_suspicious_concatenation_is_reported_by_typeinfer_only(tmp_path):
@@ -161,60 +169,6 @@ def test_a_suspicious_concatenation_is_reported_by_typeinfer_only(tmp_path):
     path.write_text("x = 'a' + 1\n")
     assert callgraph.analyze([path]).diagnostics == []
     assert infer_types_report(path)[1] == ["suspicious str/int concatenation (str + int)"]
-
-
-def test_method_table_lookup():
-    table = default_table()
-    env = {"s": {"str"}}
-    assert type_of_expr(_expr("s.upper()"), env, table) == {"str"}
-    assert type_of_expr(_expr("s.split(',')"), env, table) == {"List"}
-
-
-# ---------------------------------------------------------------------------
-# infer_parameters
-
-
-def _fn(source: str) -> ast.FunctionDef:
-    return parse_module(source).body[0]
-
-
-def test_infer_parameters_from_call_sites():
-    fn = _fn("def f(a):\n    return a + 1\n")
-    records = infer_parameters(fn, call_sites=[([{"int"}], {})])
-    assert records[0].parameter == "a"
-    assert records[0].type == {"int"}
-
-
-def test_infer_parameters_backward_constraint():
-    fn = _fn("def f(s):\n    return s.upper()\n")
-    records = infer_parameters(fn, call_sites=[])
-    assert records[0].type == {"str"}
-
-
-def test_infer_parameters_no_evidence_is_any():
-    fn = _fn("def f(unused):\n    return 1\n")
-    records = infer_parameters(fn, call_sites=[])
-    assert records[0].type == {"Any"}
-
-
-def test_infer_parameters_keyword_sites_and_explicit_constraints():
-    fn = _fn("def f(a, b):\n    return a\n")
-    records = infer_parameters(
-        fn,
-        call_sites=[([], {"b": {"float"}})],
-        body_constraints={"a": {"str"}},
-    )
-    by_name = {r.parameter: r.type for r in records}
-    assert by_name == {"a": {"str"}, "b": {"float"}}
-
-
-@pytest.mark.parametrize("source", [
-    "def outer(s):\n    def inner(s):\n        return s.upper()\n    return inner\n",
-    "def first(k):\n    return list(map(lambda k: k.upper(), ['a']))\n",
-])
-def test_infer_parameters_pins_only_the_parameter_a_use_resolves_to(source):
-    records = infer_parameters(_fn(source), call_sites=[([{"int"}], {})])
-    assert records[0].type == {"int"}
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +686,3 @@ def test_an_any_receiver_keeps_any_in_a_method_result_whatever_the_order(tmp_pat
     assert parameters[("b", "o")].type == {"Any", "any_receiver.C"}
     assert returns["b"].type == {"Any", "int"}
     assert returns["a"].type == returns["c"].type == {"Any", "int"}
-
-
-def test_a_method_call_on_an_any_receiver_keeps_any():
-    table = default_table()
-    assert type_of_expr(_expr("s.upper()"), {"s": {"str", "int"}}, table) == {"str"}
-    assert type_of_expr(_expr("s.upper()"), {"s": {"str", "Any"}}, table) == {"str", "Any"}
-    assert type_of_expr(_expr("s.bit_length()"), {"s": {"int"}}, table) == {"Any"}

@@ -48,7 +48,8 @@ class base, and calls that do or do not pass a receiver (a method called
 through its class with an instance, a staticmethod, a classmethod, an
 instance's ``__call__`` with a first parameter not named ``self``, a
 method called on ``self``) and literal ``*[...]``, ``*(...)`` and
-``**{...}`` arguments.  The edge cases and the workloads (made by importing
+``**{...}`` arguments, and a file that starts with a UTF-8 byte order
+mark.  The edge cases and the workloads (made by importing
 ``perfbench/gen.py``) are written to a temporary directory that both sides
 read; nothing under ``perfbench/`` is written.
 """
@@ -128,6 +129,7 @@ EDGE_CASES = {
         "C.m(C(), g)\nC.s(g)\nC.make(g)\nc = C()\nk = c(g, 1)\nr = c.run(g)\ny = c.s(g)\n"
         "star(*[g, 2])\nstar(**{'a': g, 'b': 's'})\nstar(*(g,), *[1])\n"
     ),
+    "bom.py": "\ufeffimport os\n\n\ndef f(a):\n    return a + 1\n\n\nx = f(2)\ny = os.getcwd()\n",
     "def_head_call.py": (
         "def g(k):\n    return k\n\n\ndef f(a=g(1)):\n    return a\n\n\n"
         "def base(b):\n    return object\n\n\nclass C(base('s')):\n    pass\n\n\nx = f()\n"
