@@ -201,9 +201,10 @@ class _LoopFrame:
 
 
 class _Assembler:
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, in_function: bool) -> None:
         entry = Block(id=1)
         self._counter = 1
+        self.in_function = in_function
         self.cfg = Cfg(name=name, entry=entry, blocks={1: entry})
         self.current: Block | None = entry
         self.loops: list[_LoopFrame] = []
@@ -248,16 +249,16 @@ class _Assembler:
         block = self._here()
         block.statements.append(stmt)
         if isinstance(stmt, ast.FunctionDef):
-            self.cfg.function_cfgs[(block.id, stmt.name)] = _build_cfg(stmt.name, stmt.body)
+            self.cfg.function_cfgs[(block.id, stmt.name)] = _build_cfg(stmt.name, stmt.body, True)
         elif isinstance(stmt, ast.ClassDef):
-            self.cfg.class_cfgs[stmt.name] = _build_cfg(stmt.name, stmt.body)
+            self.cfg.class_cfgs[stmt.name] = _build_cfg(stmt.name, stmt.body, False)
         elif isinstance(stmt, (ast.Return, ast.Break, ast.Continue)):
             if self.loops and isinstance(stmt, ast.Break):
                 self.link(block, self.loops[-1].after())
             elif self.loops and isinstance(stmt, ast.Continue):
                 self.link(block, self.loops[-1].header)
             self.current = None
-        elif contains_yield(stmt):
+        elif self.in_function and contains_yield(stmt):
             self.current = self.new_block()
             self.link(block, self.current)
 
@@ -329,12 +330,14 @@ def _negate(test: ast.expr) -> ast.expr:
 
 def contains_yield(stmt: ast.stmt) -> bool:
     """Whether the statement's own expressions yield; a ``yield`` inside a
-    lambda body belongs to the lambda."""
+    lambda body belongs to the lambda.  Only function bodies are searched:
+    ``parse_module`` rejects a ``yield`` at module level, in a class body, in a
+    comprehension, and in a default or base evaluated outside a function."""
     return any(isinstance(n, ast.Yield) for e in head_exprs(stmt) for n in iter_eager(e))
 
 
-def _build_cfg(name: str, body: list[ast.stmt]) -> Cfg:
-    assembler = _Assembler(name)
+def _build_cfg(name: str, body: list[ast.stmt], in_function: bool) -> Cfg:
+    assembler = _Assembler(name, in_function)
     assembler.add_body(body)
     return assembler.finish()
 
@@ -346,7 +349,7 @@ def build_from_source(name: str, text: str, path: str = "<string>") -> Cfg:
 
 
 def build_from_ast(name: str, module: ast.Module) -> Cfg:
-    return _build_cfg(name, module.body)
+    return _build_cfg(name, module.body, False)
 
 
 def build_from_file(name: str, path: str | Path) -> Cfg:

@@ -71,8 +71,7 @@ def _ssa_pipeline(args: argparse.Namespace):
 
 def _cmd_ssa(args: argparse.Namespace) -> int:
     use_map, const = _ssa_pipeline(args)
-    payload = ssa.to_json_dict(use_map, const)
-    _emit(dump_json(payload), args.output)
+    _emit(dump_json(ssa.to_json_dict(use_map, const)), args.output)
     return 0
 
 
@@ -231,10 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
-    except FixpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (FixpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (RecursionError, MemoryError) as exc:
@@ -246,5 +242,14 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The ``lancet`` script and ``python -m lancet.cli``: exit with ``main()``'s status."""
+    status = main()
+    # Exit collects over every unfrozen tracked object, even with the collector off.  Safe:
+    # no finalizer sits in a cycle; flushing, atexit and the exit status need no collection.
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -77,15 +77,17 @@ class SourceFile(NamedTuple):
         """Read ``path`` as UTF-8, without a leading byte order mark, and
         take its stem as the module name.
 
-        Raises :class:`ParseError` when the bytes do not decode as UTF-8 and
-        ``OSError`` for filesystem problems.
+        Raises :class:`ParseError` at the first byte that does not decode as
+        UTF-8 and ``OSError`` for filesystem problems.
         """
         p = Path(path)
         raw = p.read_bytes()
         try:
             text = raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            raise ParseError(str(p), 1, 0, f"not valid UTF-8: {exc.reason}") from None
+            before = raw.removeprefix(b"\xef\xbb\xbf")[:exc.start].decode()  # exc.start skips a BOM
+            line, col = before.count("\n") + 1, len(before) - before.rfind("\n") - 1
+            raise ParseError(str(p), line, col, f"not valid UTF-8: {exc.reason}") from None
         name = p.stem if p.suffix == ".py" else p.name
         return cls(path=str(p), text=text, module_name=name)
 

@@ -358,17 +358,6 @@ def leaf_nodes(graph: ImportGraph) -> list[TreeNode]:
     return sorted(leaves, key=lambda n: n.full_name)
 
 
-def external_modules(graph: ImportGraph) -> set[str]:
-    """Imported module names that do not belong to the project."""
-    project = {node.full_name for node in graph.tree.iter_modules() if node.module is not None}
-    out: set[str] = set()
-    for relations in graph.module_dict.values():
-        for rel in relations:
-            if rel.resolved and rel.imported_module not in project:
-                out.add(rel.imported_module)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scopes
 

@@ -14,6 +14,7 @@ from lancet.cfg import (
     stmt_head_text,
     to_dot,
     to_json,
+    to_json_dict,
     visit_function_cfgs,
 )
 from lancet.frontend import parse_module
@@ -53,6 +54,41 @@ else:
 solve(x)
 """
 
+# Generators in every kind of scope, with yields that a module or class CFG
+# must not split on (a lambda's); ``yield_scope_cfg_golden.json`` holds their
+# ``to_json_dict`` output from before only function bodies were searched.
+YIELD_SCOPE_SOURCES = {
+    "method": (
+        "class Counter:\n"
+        "    start = 0\n"
+        "\n"
+        "    def count(self, n):\n"
+        "        i = self.start\n"
+        "        while i < n:\n"
+        "            sent = yield i\n"
+        "            i = i + 1\n"
+        "        yield\n"
+        "        return i\n"
+        "\n"
+        "\n"
+        "c = Counter()\n"
+    ),
+    "nested": (
+        "def outer(xs):\n"
+        "    def gen():\n"
+        "        for x in xs:\n"
+        "            if x:\n"
+        "                y = yield x\n"
+        "                print(y)\n"
+        "    total = len(xs)\n"
+        "    return gen()\n"
+        "\n"
+        "\n"
+        "it = outer([1, 2])\n"
+    ),
+    "lambda": "g = lambda: (yield)\nh = g()\n\n\nclass K:\n    m = lambda self: (yield self)\n",
+}
+
 
 def _shape(cfg) -> dict:
     return {
@@ -64,12 +100,17 @@ def _shape(cfg) -> dict:
 
 
 def test_fib_produces_exactly_two_cfgs_matching_golden():
+    """A yield in a function body ends its block; also pinned for the
+    generators of ``YIELD_SCOPE_SOURCES``."""
     golden = json.loads((DATA / "fib_cfg_golden.json").read_text())
     cfg = build_from_source("example", FIB_SOURCE)
     assert _shape(cfg) == golden["module"]
     fib_cfg = cfg.function_cfgs[(1, "fib")]
     assert _shape(fib_cfg) == golden["fib"]
     assert not fib_cfg.function_cfgs
+    scopes = json.loads((DATA / "yield_scope_cfg_golden.json").read_text())
+    for name, source in YIELD_SCOPE_SOURCES.items():
+        assert to_json_dict(build_from_source(name, source)) == scopes[name], name
 
 
 def test_merge_blocks_and_join_numbering():

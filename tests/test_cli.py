@@ -36,6 +36,42 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["cfg", str(MERGE)], 0),
+    (["imports", "PROJ", "--strict"], 1),
+    (["cfg", "BAD"], 2),
+    (["ssa", str(MERGE), "--output", "OUT"], 0),
+], ids=["exit-0", "strict-exit-1", "parse-error-exit-2", "output-file"])
+def test_a_fresh_process_matches_main_in_process(capsys, tmp_path, argv, code):
+    """``python -m lancet.cli`` freezes the collector before it exits; its
+    stdout, stderr, exit code and ``--output`` bytes are those of ``main``."""
+    write_files(tmp_path, {"bad.py": "def broken(:\n", "proj/mod.py": "from ...above import thing\n"})
+    results = []
+    for side in ("fresh", "in-process"):
+        sink = tmp_path / f"{side}.out"
+        paths = {"BAD": tmp_path / "bad.py", "PROJ": tmp_path / "proj", "OUT": sink}
+        args = [str(paths.get(arg, arg)) for arg in argv]
+        if side == "fresh":
+            proc = _fresh("-m", "lancet.cli", *args)
+            result = (proc.returncode, proc.stdout, proc.stderr)
+        else:
+            result = _run(capsys, *args)
+        results.append((*result, sink.read_bytes() if sink.exists() else None))
+    assert results[0] == results[1]
+    fresh_code, out, err, written = results[0]
+    assert fresh_code == code
+    assert err if code else (written if "OUT" in argv else out)
+
+
+def test_run_exits_frozen_and_still_runs_atexit_handlers():
+    proc = _fresh("-c", "import atexit, gc, sys\nfrom lancet import cli\n"
+                        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                        f"sys.argv = ['lancet', 'cfg', {str(MERGE)!r}]\ncli.run()\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith('digraph "merge_branches" {')
+    assert proc.stdout.endswith("}\nfrozen True\n")
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Every subcommand is a fresh process, so what ``import lancet.cli``
     pulls in is paid on each run; ``dataclasses`` also imports ``inspect``.

@@ -278,6 +278,29 @@ def test_source_file_rejects_non_utf8(tmp_path):
         SourceFile.load(bad)
 
 
+_COOKIE = b"# -*- coding: latin-1 -*-\n"
+
+
+@pytest.mark.parametrize("raw,line,col", [
+    (b"x = '\xe9'\n", 1, 5),
+    (_COOKIE + b"x = '\xe9'\n", 2, 5),
+    (b"\xef\xbb\xbf" + _COOKIE + b"x = '\xe9'\n", 2, 5),
+    (b"\xef\xbb\xbfx = '\xe9'\n", 1, 5),
+    ("y = 'é'\nz = 'ü' + '".encode() + b"\xff'\n", 2, 11),
+    (b"x = 1\r\n\r\ny = '\xe9", 3, 5),
+    (b"x = '\xe2\x82'\n", 1, 5),  # a truncated three-byte sequence
+], ids=["line-1", "line-2", "bom-line-2", "bom-line-1", "multibyte-before", "crlf", "truncated"])
+def test_bytes_that_are_not_utf8_are_placed_at_the_first_bad_byte(tmp_path, raw, line, col):
+    """The line counts the newlines before the byte and the column the
+    characters before it on its line; a byte order mark counts for neither."""
+    bad = tmp_path / "latin.py"
+    bad.write_bytes(raw)
+    with pytest.raises(ParseError) as info:
+        SourceFile.load(bad)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value).startswith(f"{bad}:{line}:{col}: not valid UTF-8: ")
+
+
 def test_source_file_module_names(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("x = 1\n", encoding="utf-8")

@@ -154,5 +154,5 @@ def test_unloadable_modules_are_skipped_with_one_line_each(capsys, tmp_path, arg
     assert err.splitlines() == [
         f"{root / 'bad.py'}:1:11: invalid syntax",
         f"{root / 'dangling.py'}: skipped: No such file or directory",
-        f"{root / 'latin.py'}:1:0: not valid UTF-8: invalid continuation byte",
+        f"{root / 'latin.py'}:1:5: not valid UTF-8: invalid continuation byte",
     ]

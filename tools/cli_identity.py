@@ -48,8 +48,9 @@ class base, and calls that do or do not pass a receiver (a method called
 through its class with an instance, a staticmethod, a classmethod, an
 instance's ``__call__`` with a first parameter not named ``self``, a
 method called on ``self``) and literal ``*[...]``, ``*(...)`` and
-``**{...}`` arguments, and a file that starts with a UTF-8 byte order
-mark.  The edge cases and the workloads (made by importing
+``**{...}`` arguments, a file that starts with a UTF-8 byte order
+mark, and generators in a class, in a function and in a module-level
+lambda.  The edge cases and the workloads (made by importing
 ``perfbench/gen.py``) are written to a temporary directory that both sides
 read; nothing under ``perfbench/`` is written.
 """
@@ -130,6 +131,12 @@ EDGE_CASES = {
         "star(*[g, 2])\nstar(**{'a': g, 'b': 's'})\nstar(*(g,), *[1])\n"
     ),
     "bom.py": "\ufeffimport os\n\n\ndef f(a):\n    return a + 1\n\n\nx = f(2)\ny = os.getcwd()\n",
+    "yields.py": (
+        "class Counter:\n    def count(self, n):\n        i = 0\n        while i < n:\n"
+        "            sent = yield i\n            i = i + 1\n        yield\n\n\n"
+        "def outer(xs):\n    def gen():\n        for x in xs:\n            y = yield x\n"
+        "    return gen()\n\n\ng = lambda: (yield)\nit = outer([g()])\n"
+    ),
     "def_head_call.py": (
         "def g(k):\n    return k\n\n\ndef f(a=g(1)):\n    return a\n\n\n"
         "def base(b):\n    return object\n\n\nclass C(base('s')):\n    pass\n\n\nx = f()\n"
