@@ -271,13 +271,6 @@ def test_parse_is_deterministic():
     assert trees_equal(a, b)
 
 
-def test_source_file_rejects_non_utf8(tmp_path):
-    bad = tmp_path / "latin.py"
-    bad.write_bytes("x = '\xe9'\n".encode("latin-1"))
-    with pytest.raises(ParseError):
-        SourceFile.load(bad)
-
-
 _COOKIE = b"# -*- coding: latin-1 -*-\n"
 
 
@@ -290,9 +283,10 @@ _COOKIE = b"# -*- coding: latin-1 -*-\n"
     (b"x = 1\r\n\r\ny = '\xe9", 3, 5),
     (b"x = '\xe2\x82'\n", 1, 5),  # a truncated three-byte sequence
 ], ids=["line-1", "line-2", "bom-line-2", "bom-line-1", "multibyte-before", "crlf", "truncated"])
-def test_bytes_that_are_not_utf8_are_placed_at_the_first_bad_byte(tmp_path, raw, line, col):
-    """The line counts the newlines before the byte and the column the
-    characters before it on its line; a byte order mark counts for neither."""
+def test_source_file_rejects_non_utf8(tmp_path, raw, line, col):
+    """Placed at the first bad byte: the line counts the newlines before it,
+    the column the characters before it on its line; a byte order mark
+    counts for neither."""
     bad = tmp_path / "latin.py"
     bad.write_bytes(raw)
     with pytest.raises(ParseError) as info:
