@@ -30,7 +30,7 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
-from .frontend import SourceFile, child_nodes, dump_json, node_span, parse_module, source_text
+from .frontend import NODE_FIELDS, SourceFile, child_nodes, dump_json, node_span, parse_module, source_text
 
 __all__ = [
     "Block",
@@ -131,26 +131,20 @@ def head_exprs(stmt: ast.stmt) -> list[ast.expr]:
     return []
 
 
-# Node types with no child nodes: constants, contexts and operators.
-_LEAVES = frozenset({ast.Constant, *(cls for base in (ast.expr_context, ast.operator, ast.unaryop,
-                                                     ast.boolop, ast.cmpop) for cls in base.__subclasses__())})
-
-
 def iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
-    """Pre-order walk of an expression, skipping deferred lambda bodies."""
+    """Pre-order walk of an expression, skipping deferred lambda bodies and,
+    as :func:`~lancet.frontend.walk`, context and operator objects."""
     stack = [expr]
     while stack:
         node = stack.pop()
         yield node
-        if type(node) is ast.Name:  # the commonest node; its one child is its context
-            stack.append(node.ctx)
+        fields = NODE_FIELDS[type(node)]
+        if not fields:  # a leaf, tested before any call
             continue
-        if type(node) in _LEAVES:
-            continue
-        if isinstance(node, ast.Lambda):
+        if type(node) is ast.Lambda:
             children = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
         else:
-            children = child_nodes(node)
+            children = child_nodes(node, fields)
         children.reverse()
         stack += children
 

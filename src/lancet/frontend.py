@@ -29,7 +29,9 @@ tokenizer (tabs expand per the usual 8-column convention).
 from __future__ import annotations
 
 import ast
+import codecs
 import copy
+import re
 from collections import deque
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -45,6 +47,7 @@ __all__ = [
     "positional_params",
     "walk",
     "child_nodes",
+    "NODE_FIELDS",
     "node_span",
     "trees_equal",
 ]
@@ -74,22 +77,37 @@ class SourceFile(NamedTuple):
 
     @classmethod
     def load(cls, path: str | Path) -> "SourceFile":
-        """Read ``path`` as UTF-8, without a leading byte order mark, and
-        take its stem as the module name.
+        """Read ``path`` in its PEP 263 encoding and take its stem as the
+        module name.  The encoding is found as ``tokenize.detect_encoding``
+        finds it: a ``coding`` cookie on line 1, or on line 2 when line 1 is
+        blank or a comment, else UTF-8.  A leading byte order mark is dropped
+        and allows no cookie but UTF-8.
 
-        Raises :class:`ParseError` at the first byte that does not decode as
-        UTF-8 and ``OSError`` for filesystem problems.
+        Raises :class:`ParseError` for an unknown encoding, a cookie that
+        contradicts the mark, or at the first byte that does not decode, and
+        ``OSError`` for filesystem problems.
         """
         p = Path(path)
         raw = p.read_bytes()
+        body = raw[3:] if raw.startswith(b"\xef\xbb\xbf") else raw
+        cookie = re.match(_CODING, body)
+        encoding, line = (cookie[1].decode(), cookie[0].count(b"\n") + 1) if cookie else ("UTF-8", 1)
         try:
-            text = raw.decode("utf-8-sig")
+            if body is not raw and not codecs.lookup(encoding).name.startswith("utf-8"):
+                raise ParseError(str(p), line, 0, f"encoding problem: {encoding} with BOM")
+            text = body.decode(encoding)
         except UnicodeDecodeError as exc:
-            before = raw.removeprefix(b"\xef\xbb\xbf")[:exc.start].decode()  # exc.start skips a BOM
+            before = exc.object[:exc.start].decode(exc.encoding, "replace")
             line, col = before.count("\n") + 1, len(before) - before.rfind("\n") - 1
-            raise ParseError(str(p), line, col, f"not valid UTF-8: {exc.reason}") from None
+            raise ParseError(str(p), line, col, f"not valid {encoding}: {exc.reason}") from None
+        except (LookupError, UnicodeError) as exc:  # no bytes-to-text codec, or one refusing the bytes
+            raise ParseError(str(p), line, 0, f"cannot decode as {encoding}: {exc}") from None
         name = p.stem if p.suffix == ".py" else p.name
         return cls(path=str(p), text=text, module_name=name)
+
+
+# A PEP 263 coding cookie, on line 1 or after a blank or comment line 1; compiled on first use.
+_CODING = rb"(?:[ \t\f]*(?:#[^\n]*)?\r?\n)??[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)"
 
 
 # Statement node types the analyses model.  `global`/`nonlocal` are accepted
@@ -139,8 +157,8 @@ SUPPORTED_EXPRS = (
 
 # Auxiliary grammar nodes that carry no statement/expression semantics of
 # their own (comprehension clauses, argument lists).  Operator and context
-# nodes are accepted too: they sit in ``ctx``/``op``/``ops`` fields, which
-# validation does not enter.
+# objects are accepted too: they sit in ``ctx``/``op``/``ops`` fields, which
+# no walk enters (:data:`NODE_FIELDS`).
 _AUX_NODES = (
     ast.comprehension,
     ast.arguments,
@@ -188,16 +206,27 @@ def parse_module(text: str, path: str | Path = "<string>") -> ast.Module:
     return tree
 
 
+# The fields of each node class that can hold nodes.  ``ctx``, ``op`` and ``ops`` hold the
+# context and operator objects, one per kind shared across the whole tree by ``ast.parse``, so
+# no walk visits them; the others left out hold identifiers and flags.  A leaf, such as
+# ``Name`` or ``Constant``, has no fields here, so a walk tests for it before any call.
+_NOT_NODES = frozenset("ctx op ops id attr name asname arg module level kind is_async conversion simple "
+                       "tag type_comment rest kwd_attrs".split())
+NODE_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(name for name in cls._fields if name not in _NOT_NODES)
+    for cls in vars(ast).values() if isinstance(cls, type) and issubclass(cls, ast.AST)
+}
+NODE_FIELDS[ast.Constant] = NODE_FIELDS[ast.Global] = NODE_FIELDS[ast.Nonlocal] = ()
 _AST = ast.AST  # a global, not an attribute lookup, for every field of every node
 
 
 def child_nodes(node: ast.AST, fields: tuple[str, ...] | None = None) -> list[ast.AST]:
-    """The nodes held in ``fields`` of ``node`` (default: all), in field order.
-
-    With every field this is ``list(ast.iter_child_nodes(node))``.
+    """The nodes held in ``fields`` of ``node`` (default: :data:`NODE_FIELDS`),
+    in field order: ``list(ast.iter_child_nodes(node))`` without context and
+    operator objects.
     """
     out: list[ast.AST] = []
-    for name in node._fields if fields is None else fields:
+    for name in NODE_FIELDS[type(node)] if fields is None else fields:
         value = getattr(node, name, None)
         if isinstance(value, _AST):
             out.append(value)
@@ -208,11 +237,11 @@ def child_nodes(node: ast.AST, fields: tuple[str, ...] | None = None) -> list[as
     return out
 
 
-# A handler checks one node and returns the children to visit next, in visit
-# order, as groups of (owner, nodes, in_function, in_loop); ``owner`` is the
-# node whose fields hold ``nodes``, so that an f-string among them can be
-# replaced in place.
+# A handler checks one node and returns the children to visit next, in visit order, as groups
+# of (owner, nodes, in_function, in_loop); an f-string in ``nodes`` is replaced in ``owner``.
 _Group = tuple[ast.AST, list, bool, bool]
+# Children that carry no check and hold no nodes, so they are never pushed.
+_NO_CHECK = frozenset({ast.Name, ast.Constant, type(None)})
 
 
 def _fold_and_validate(tree: ast.Module, path: str) -> None:
@@ -222,28 +251,35 @@ def _fold_and_validate(tree: ast.Module, path: str) -> None:
     depth is bounded by memory, not by the interpreter's recursion limit.
     Children are pushed in reverse, so nodes are checked in source order and
     the first offending construct is the one reported.  An f-string is
-    replaced in its owner's field by a constant holding its source text before
-    it is visited; the constant takes the f-string's location.  Context and
-    operator nodes carry no check and are never pushed.
+    replaced in its owner's field by a constant holding its source text; the
+    constant takes the f-string's location.  Names, constants, and context
+    and operator objects carry no check and are never pushed; a node with no
+    check of its own has its children pushed here, with its context.
     """
     stack: list[tuple[ast.AST, bool, bool]] = [(tree, False, False)]
     pop, push = stack.pop, stack.append
     while stack:
         node, in_function, in_loop = pop()
-        cls = type(node)
-        fields = _PLAIN_FIELDS.get(cls)
+        fields = _PLAIN_FIELDS.get(type(node))
         if fields is not None:
-            groups: tuple[_Group, ...] = ((node, child_nodes(node, fields), in_function, in_loop),)
-        else:
-            groups = _HANDLERS.get(cls, _unsupported)(node, path, in_function, in_loop)
-        for owner, kids, fn, loop in reversed(groups):
+            for name in fields:
+                value = getattr(node, name, None)
+                for kid in reversed(value) if type(value) is list else (value,):
+                    if type(kid) is ast.JoinedStr:
+                        _fold_fstring(node, kid)
+                    elif type(kid) not in _NO_CHECK:
+                        push((kid, in_function, in_loop))
+            continue
+        handler = _HANDLERS.get(type(node), _unsupported)
+        for owner, kids, fn, loop in reversed(handler(node, path, in_function, in_loop)):
             for kid in reversed(kids):
                 if type(kid) is ast.JoinedStr:
-                    kid = _fold_fstring(owner, kid)
-                push((kid, fn, loop))
+                    _fold_fstring(owner, kid)
+                elif type(kid) not in _NO_CHECK:
+                    push((kid, fn, loop))
 
 
-def _fold_fstring(owner: ast.AST, node: ast.JoinedStr) -> ast.Constant:
+def _fold_fstring(owner: ast.AST, node: ast.JoinedStr) -> None:
     """Replace ``node`` in ``owner``'s fields by its source text as a constant."""
     folded = ast.copy_location(ast.Constant(value=source_text(node)), node)
     for name in owner._fields:
@@ -254,31 +290,16 @@ def _fold_fstring(owner: ast.AST, node: ast.JoinedStr) -> ast.Constant:
             for i, item in enumerate(value):
                 if item is node:
                     value[i] = folded
-    return folded
 
 
 def _reject(node: ast.AST, path: str, message: str) -> None:
-    line = getattr(node, "lineno", 1)
-    col = getattr(node, "col_offset", 0)
-    raise ParseError(path, line, col, message)
-
-
-def _rejecter(message: str):
-    def handler(node: ast.AST, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
-        _reject(node, path, message)
-        return ()
-
-    return handler
+    raise ParseError(path, getattr(node, "lineno", 1), getattr(node, "col_offset", 0), message)
 
 
 def _unsupported(node: ast.AST, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
-    if isinstance(node, ast.stmt):
-        kind = "statement"
-    elif isinstance(node, ast.expr):
-        kind = "expression"
-    else:
-        kind = "construct"
-    _reject(node, path, f"unsupported {kind}: {type(node).__name__}")
+    kind = ("statement" if isinstance(node, ast.stmt)
+            else "expression" if isinstance(node, ast.expr) else "construct")
+    _reject(node, path, _REJECT_HINTS.get(type(node)) or f"unsupported {kind}: {type(node).__name__}")
     return ()
 
 
@@ -297,8 +318,8 @@ def _function_def(node: ast.FunctionDef, path: str, in_function: bool, in_loop: 
     if node.returns is not None:
         _reject(node.returns, path, "return annotations are not supported")
     args = node.args
-    for a in _all_args(args):
-        if a.annotation is not None:
+    for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+        if a is not None and a.annotation is not None:
             _reject(a.annotation, path, "parameter annotations are not supported")
     return (
         (node, node.decorator_list, in_function, in_loop),
@@ -324,27 +345,20 @@ def _lambda(node: ast.Lambda, path: str, in_function: bool, in_loop: bool) -> tu
     )
 
 
-def _return_or_yield(node: ast.Return | ast.Yield, path: str, in_function: bool,
-                     in_loop: bool) -> tuple[_Group, ...]:
-    if not in_function:
-        kind = "return" if type(node) is ast.Return else "yield"
-        _reject(node, path, f"'{kind}' outside function")
+def _jump(node: ast.Return | ast.Yield | ast.Break | ast.Continue, path: str, in_function: bool,
+          in_loop: bool) -> tuple[_Group, ...]:
+    """``return`` and ``yield`` need a function, ``break`` and ``continue`` a loop."""
+    kind, needs_loop = type(node).__name__.lower(), type(node) in (ast.Break, ast.Continue)
+    if not (in_loop if needs_loop else in_function):
+        _reject(node, path, f"'{kind}' outside {'loop' if needs_loop else 'function'}")
     return ((node, child_nodes(node), in_function, in_loop),)
-
-
-def _break_or_continue(node: ast.Break | ast.Continue, path: str, in_function: bool,
-                       in_loop: bool) -> tuple[_Group, ...]:
-    if not in_loop:
-        kind = "break" if type(node) is ast.Break else "continue"
-        _reject(node, path, f"'{kind}' outside loop")
-    return ()
 
 
 def _loop(node: ast.While | ast.For, path: str, in_function: bool, in_loop: bool) -> tuple[_Group, ...]:
     # The else clause of a loop is not a loop context for break/continue.
     return tuple(
         (node, child_nodes(node, (name,)), in_function, in_loop or name == "body")
-        for name in node._fields
+        for name in NODE_FIELDS[type(node)]
     )
 
 
@@ -366,14 +380,13 @@ def _comprehension(node: ast.ListComp | ast.SetComp | ast.DictComp | ast.Generat
 
 
 _HANDLERS = {
-    **{cls: _rejecter(message) for cls, message in _REJECT_HINTS.items()},
     ast.FunctionDef: _function_def,
     ast.ClassDef: _class_def,
     ast.Lambda: _lambda,
-    ast.Return: _return_or_yield,
-    ast.Yield: _return_or_yield,
-    ast.Break: _break_or_continue,
-    ast.Continue: _break_or_continue,
+    ast.Return: _jump,
+    ast.Yield: _jump,
+    ast.Break: _jump,
+    ast.Continue: _jump,
     ast.While: _loop,
     ast.For: _loop,
     ast.ListComp: _comprehension,
@@ -383,21 +396,12 @@ _HANDLERS = {
 }
 
 # Every other supported node has no check of its own, and its children
-# inherit its context.  Context and operator fields are left out.
+# inherit its context; its node fields are listed last first, for the stack.
 _PLAIN_FIELDS = {
-    cls: tuple(name for name in cls._fields if name not in ("ctx", "op", "ops"))
+    cls: NODE_FIELDS[cls][::-1]
     for cls in (ast.Module, *SUPPORTED_STMTS, *SUPPORTED_EXPRS, *_AUX_NODES)
     if cls not in _HANDLERS
 }
-
-
-def _all_args(args: ast.arguments) -> list[ast.arg]:
-    out = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    if args.vararg:
-        out.append(args.vararg)
-    if args.kwarg:
-        out.append(args.kwarg)
-    return out
 
 
 def unparse(node: ast.AST) -> str:
@@ -501,18 +505,21 @@ def positional_params(args: ast.arguments) -> list[ast.arg]:
 
 
 def walk(node: ast.AST) -> Iterator[ast.AST]:
-    """Yield every node of the tree exactly once, in pre-order (node before
-    children, children in field order, as from ``ast.iter_child_nodes``).
-    The walk keeps an explicit stack, so tree depth is not limited by the
-    recursion limit.
+    """Yield every node of the tree once, in pre-order (node before
+    children, children in field order, as from ``ast.iter_child_nodes``),
+    except the context and operator objects, which ``ast.parse`` shares
+    across the tree.  The walk keeps an explicit stack, so tree depth is not
+    limited by the recursion limit.
     """
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
-        children = child_nodes(node)
-        children.reverse()
-        stack += children
+        fields = NODE_FIELDS[type(node)]
+        if fields:
+            children = child_nodes(node, fields)
+            children.reverse()
+            stack += children
 
 
 def node_span(node: ast.AST) -> tuple[int, int, int, int] | None:

@@ -45,7 +45,7 @@ from collections import deque
 from typing import Iterator, NamedTuple
 
 from .cfg import Block, Cfg, head_exprs
-from .frontend import source_text
+from .frontend import NODE_FIELDS, source_text
 
 __all__ = [
     "DefValue",
@@ -239,15 +239,13 @@ def _collect_loads(roots: list[ast.expr]) -> set[str]:
             else:
                 stack.append((node.elt, inner))
         else:
-            # Inlined ast.iter_child_nodes (twice as fast here); nodes with
-            # no fields (contexts, operators) are not pushed.
-            for field_name in node._fields:
+            # child_nodes inlined: calling it here made compute_ssa on the
+            # chain workload about 30% slower.
+            for field_name in NODE_FIELDS[type(node)]:
                 child = getattr(node, field_name, None)
-                if isinstance(child, ast.expr):
-                    stack.append((child, shadowed))
-                elif isinstance(child, list):
-                    stack.extend((c, shadowed) for c in child if isinstance(c, ast.AST))
-                elif isinstance(child, ast.AST) and child._fields:
+                if isinstance(child, list):
+                    stack.extend((c, shadowed) for c in child if c is not None)
+                elif child is not None:
                     stack.append((child, shadowed))
     return out
 

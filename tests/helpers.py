@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import io
 import re
 import subprocess
@@ -235,21 +236,22 @@ def all_cfgs(cfg):
 # Dynamic call-edge tracer
 
 
-def qualified_function_names(source: str, module_fqn: str) -> dict[tuple[str, int], str]:
-    """(name, first line) -> fully qualified name, from an independent AST
-    walk.  A decorated def's first line is its first decorator's, as in the
+def qualified_function_names(source: str, module_fqn: str,
+                             classes: bool = False) -> dict[tuple[str, int], str]:
+    """(name, first line) -> fully qualified name of each def, and with
+    ``classes`` of each class body too, from an independent AST walk.  A
+    decorated definition's first line is its first decorator's, as in the
     code object's ``co_firstlineno``."""
     tree = ast.parse(source)
     out: dict[tuple[str, int], str] = {}
 
     def visit(body: list[ast.stmt], prefix: str) -> None:
         for stmt in body:
-            if isinstance(stmt, ast.FunctionDef):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 fqn = f"{prefix}.{stmt.name}"
-                out[(stmt.name, (stmt.decorator_list or [stmt])[0].lineno)] = fqn
+                if classes or isinstance(stmt, ast.FunctionDef):
+                    out[(stmt.name, (stmt.decorator_list or [stmt])[0].lineno)] = fqn
                 visit(stmt.body, fqn)
-            elif isinstance(stmt, ast.ClassDef):
-                visit(stmt.body, f"{prefix}.{stmt.name}")
             elif isinstance(stmt, (ast.If, ast.While, ast.For)):
                 visit(list(stmt.body) + list(stmt.orelse), prefix)
 
@@ -258,10 +260,12 @@ def qualified_function_names(source: str, module_fqn: str) -> dict[tuple[str, in
 
 
 def trace_call_edges(path: Path, module_fqn: str | None = None) -> set[tuple[str, str]]:
-    """(caller FQN, callee FQN) pairs observed while executing the program."""
+    """(caller FQN, callee FQN) pairs observed while executing the program.
+    A call made while a class body runs is charged to the class, as the call
+    graph charges it; the class body's own run is not a call."""
     fqn = module_fqn or path.stem
     source = path.read_text(encoding="utf-8")
-    name_map = qualified_function_names(source, fqn)
+    name_map = qualified_function_names(source, fqn, classes=True)
     filename = str(path)
     edges: set[tuple[str, str]] = set()
 
@@ -276,7 +280,8 @@ def trace_call_edges(path: Path, module_fqn: str | None = None) -> set[tuple[str
         if event != "call":
             return tracer
         callee = lookup(frame.f_code)
-        if callee is None or callee == fqn:
+        # Only a function body runs in new locals; a module or class body does not.
+        if callee is None or not frame.f_code.co_flags & inspect.CO_NEWLOCALS:
             return tracer
         caller_frame = frame.f_back
         while caller_frame is not None:

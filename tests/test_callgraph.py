@@ -208,14 +208,7 @@ def test_node_kinds():
     assert set(graph.nodes) == set(graph.edges)
 
 
-# The tracer charges a class body's calls to its module, the call graph to the class.
-_CLASS_BODY_CALLS = {"class_body_call.py"}
-
-
-@pytest.mark.parametrize(
-    "path", [path for path in corpus_files("callgraph", "typeinfer", "programs")
-             if path.name not in _CLASS_BODY_CALLS], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", corpus_files("callgraph", "typeinfer", "programs"), ids=lambda p: p.name)
 def test_traced_edges_are_a_subset_of_computed_edges(path: Path):
     traced = trace_call_edges(path)
     computed = set(output_edges(analyze([path])))

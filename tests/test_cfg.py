@@ -383,13 +383,16 @@ def test_loop_free_path_enumeration_matches_structure(source):
 
 
 def _recursive_eager(expr: ast.AST) -> list[ast.AST]:
+    """Recursive ``ast.iter_child_nodes`` without the shared context and
+    operator objects, and without lambda bodies."""
     out = [expr]
     if isinstance(expr, ast.Lambda):
         children = expr.args.defaults + [d for d in expr.args.kw_defaults if d is not None]
     else:
         children = list(ast.iter_child_nodes(expr))
     for child in children:
-        out.extend(_recursive_eager(child))
+        if not isinstance(child, (ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop)):
+            out.extend(_recursive_eager(child))
     return out
 
 

@@ -562,27 +562,43 @@ def test_a_huge_int_literal_is_analyzed_by_every_subcommand(capsys, tmp_path, so
     assert _HUGE in outputs["cfg"]
 
 
+def _every_subcommand(capsys, target: Path) -> list[tuple[int, str, str]]:
+    """What each of the eight subcommands prints for ``target``, the
+    directory ones for the directory that holds it."""
+    argvs = [["rewrite"], ["cfg"], ["ssa"], ["alias"], ["fqn"]]
+    results = [_run(capsys, *argv, str(target)) for argv in argvs]
+    for argv in (["imports"], ["callgraph", "--package"], ["typeinfer"]):
+        results.append(_run(capsys, *argv, str(target.parent)))
+    return results
+
+
 def test_a_byte_order_mark_changes_no_output(capsys, tmp_path):
     """CPython runs a UTF-8 file that starts with a BOM; so does every subcommand."""
     target = tmp_path / "bom.py"
     source = "import os\n\n\ndef f(a):\n    return a + 1\n\n\nx = f(2)\ny = os.getcwd()\n"
-    argvs = [
-        ["rewrite", str(target)],
-        ["cfg", str(target)],
-        ["ssa", str(target)],
-        ["alias", str(target)],
-        ["fqn", str(target)],
-        ["imports", str(tmp_path)],
-        ["callgraph", "--package", str(tmp_path)],
-        ["typeinfer", str(tmp_path)],
-    ]
     results = []
     for text in (source, "\ufeff" + source):
         target.write_text(text, encoding="utf-8")
-        results.append([_run(capsys, *argv) for argv in argvs])
-    for argv, plain, bom in zip(argvs, *results):
-        assert plain[0] == 0, (argv, plain[2])
-        assert bom == plain, argv
+        results.append(_every_subcommand(capsys, target))
+    for plain, bom in zip(*results):
+        assert plain[0] == 0, plain[2]
+        assert bom == plain
+
+
+@pytest.mark.parametrize("first", ["", "#!/usr/bin/env python3\n"], ids=["line-1", "line-2"])
+def test_a_coding_cookie_decodes_the_file_as_python_does(capsys, tmp_path, first):
+    """A latin-1 file with a PEP 263 cookie, on line 1 or after a comment
+    line, prints what its UTF-8 twin prints, under every subcommand."""
+    target = tmp_path / "latin1.py"
+    source = "import os\n\n\ndef f(a):\n    return a + 'é'\n\n\nx = f('café')\ny = os.getcwd()\n"
+    results = []
+    for encoding in ("utf-8", "latin-1"):
+        target.write_bytes(f"{first}# -*- coding: {encoding} -*-\n{source}".encode(encoding))
+        results.append(_every_subcommand(capsys, target))
+    for twin, latin1 in zip(*results):
+        assert twin[0] == 0, twin[2]
+        assert latin1 == twin
+    assert "'café'" in results[1][0][1]
 
 
 def test_a_repeated_diagnostic_line_prints_once(capsys, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lancet.frontend import (
+    _REJECT_HINTS,
     ParseError,
     SourceFile,
     dump_json,
@@ -222,6 +223,44 @@ def test_folded_fstring_takes_its_location():
     assert (stmt.value.end_lineno, stmt.value.end_col_offset) == (2, 8)
 
 
+# Each expression construct outside the subset, and an f-string, as written alone.
+_CONSTRUCTS = {
+    ast.Await: "(await w)",
+    ast.NamedExpr: "(y := 2)",
+    ast.IfExp: "(a if b else 3)",
+    ast.Set: "{k, 4}",
+    ast.YieldFrom: "(yield from g)",
+    ast.JoinedStr: "f'{n + 1}!'",
+}
+# Places beside names and constants, which validation does not push.
+_BESIDE_LEAVES = ["f(n, 1, {}, m)", "s[n, 1, {}]", "[n, 1, {}, m]", "[(n, 1, {}) for n in ms]"]
+
+
+def test_every_rejected_expression_construct_is_placed_beside_leaves():
+    assert {cls for cls in _REJECT_HINTS if issubclass(cls, ast.expr)} | {ast.JoinedStr} == set(_CONSTRUCTS)
+
+
+@pytest.mark.parametrize("context", _BESIDE_LEAVES, ids=["call-argument", "subscript-index", "list-element",
+                                                         "comprehension-element"])
+@pytest.mark.parametrize("kind", list(_CONSTRUCTS), ids=lambda kind: kind.__name__)
+def test_a_construct_beside_leaves_is_checked_as_at_top_level(kind, context):
+    """The same located error, or the same folded constant, as alone."""
+    text, shift = _CONSTRUCTS[kind], context.index("{}")
+    source = context.format(text)
+    if kind is ast.JoinedStr:
+        (alone,) = parse_module(text).body
+        folded = [(n.value, n.col_offset, n.end_col_offset) for n in walk(parse_module(source))
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert folded == [(alone.value.value, shift, alone.value.end_col_offset + shift)]
+        return
+    with pytest.raises(ParseError) as alone:
+        parse_module(text, "m.py")
+    with pytest.raises(ParseError) as placed:
+        parse_module(source, "m.py")
+    assert (placed.value.line, placed.value.col) == (1, alone.value.col + shift)
+    assert placed.value.message == alone.value.message == _REJECT_HINTS[kind]
+
+
 DEEP_CHAIN_SCRIPT = """
 import ast
 from lancet.frontend import parse_module, walk
@@ -271,13 +310,13 @@ def test_parse_is_deterministic():
     assert trees_equal(a, b)
 
 
-_COOKIE = b"# -*- coding: latin-1 -*-\n"
+_COMMENT = b"# -*- mode: python -*-\n"  # no coding cookie, so UTF-8
 
 
 @pytest.mark.parametrize("raw,line,col", [
     (b"x = '\xe9'\n", 1, 5),
-    (_COOKIE + b"x = '\xe9'\n", 2, 5),
-    (b"\xef\xbb\xbf" + _COOKIE + b"x = '\xe9'\n", 2, 5),
+    (_COMMENT + b"x = '\xe9'\n", 2, 5),
+    (b"\xef\xbb\xbf" + _COMMENT + b"x = '\xe9'\n", 2, 5),
     (b"\xef\xbb\xbfx = '\xe9'\n", 1, 5),
     ("y = 'é'\nz = 'ü' + '".encode() + b"\xff'\n", 2, 11),
     (b"x = 1\r\n\r\ny = '\xe9", 3, 5),
@@ -293,6 +332,38 @@ def test_source_file_rejects_non_utf8(tmp_path, raw, line, col):
         SourceFile.load(bad)
     assert (info.value.line, info.value.col) == (line, col)
     assert str(info.value).startswith(f"{bad}:{line}:{col}: not valid UTF-8: ")
+
+
+@pytest.mark.parametrize("raw,line,message", [
+    (b"\xef\xbb\xbf# -*- coding: latin-1 -*-\nx = '\xe9'\n", 1, "encoding problem: latin-1 with BOM"),
+    (b"#!/usr/bin/env python3\n# coding=no-such-codec\nx = 1\n", 2, "cannot decode as no-such-codec: "),
+    (b"# coding: base64\nx = 1\n", 1, "cannot decode as base64: "),
+    (b"x = 1\n# coding: latin-1\ny = '\xe9'\n", 3, "not valid UTF-8: "),  # a cookie after code is none
+    (b"# coding: ascii\n\ny = '\xe9'\n", 3, "not valid ascii: "),
+], ids=["bom-and-latin-1", "unknown-codec", "not-a-text-codec", "line-2-after-code", "ascii"])
+def test_a_coding_cookie_that_cannot_be_honoured_is_a_located_error(tmp_path, raw, line, message):
+    bad = tmp_path / "cookie.py"
+    bad.write_bytes(raw)
+    with pytest.raises(ParseError) as info:
+        SourceFile.load(bad)
+    assert str(info.value).startswith(f"{bad}:{line}:")
+    assert info.value.message.startswith(message)
+
+
+def test_a_coding_cookie_selects_the_decoding(tmp_path):
+    """On line 1, or on line 2 after a blank or comment-only line, as
+    ``tokenize.detect_encoding`` finds it; a UTF-8 cookie may follow a BOM."""
+    cases = {
+        b"# -*- coding: latin-1 -*-\nx = '\xe9'\n": "x = '\xe9'\n",
+        b"\n# vim: set fileencoding=cp1252 :\nx = '\x80'\n": "x = '\u20ac'\n",
+        b"\xef\xbb\xbf# coding: utf-8\nx = '\xc3\xa9'\n": "x = '\xe9'\n",
+        b"\xef\xbb\xbf# coding: utf-8-sig\nx = '\xc3\xa9'\n": "x = '\xe9'\n",
+        b"# coding: utf-8\n# coding: latin-1\nx = '\xc3\xa9'\n": "x = '\xe9'\n",
+    }
+    for raw, body in cases.items():
+        path = tmp_path / "mod.py"
+        path.write_bytes(raw)
+        assert SourceFile.load(path).text.splitlines()[-1] == body.rstrip("\n"), raw
 
 
 def test_source_file_module_names(tmp_path):
@@ -315,10 +386,16 @@ def test_walk_visits_each_node_once():
     assert sum(isinstance(n, ast.FunctionDef) for n in nodes) == 1
 
 
+_SHARED = (ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop)
+
+
 def _recursive_walk(node: ast.AST) -> list[ast.AST]:
+    """Recursive ``ast.iter_child_nodes`` without the shared context and
+    operator objects."""
     out = [node]
     for child in ast.iter_child_nodes(node):
-        out.extend(_recursive_walk(child))
+        if not isinstance(child, _SHARED):
+            out.extend(_recursive_walk(child))
     return out
 
 

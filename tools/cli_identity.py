@@ -49,7 +49,8 @@ through its class with an instance, a staticmethod, a classmethod, an
 instance's ``__call__`` with a first parameter not named ``self``, a
 method called on ``self``) and literal ``*[...]``, ``*(...)`` and
 ``**{...}`` arguments, a file that starts with a UTF-8 byte order
-mark, and generators in a class, in a function and in a module-level
+mark, a latin-1 file with a PEP 263 coding cookie, the same cookie after a
+byte order mark (an error), and generators in a class, in a function and in a module-level
 lambda.  The edge cases and the workloads (made by importing
 ``perfbench/gen.py``) are written to a temporary directory that both sides
 read; nothing under ``perfbench/`` is written.
@@ -74,8 +75,9 @@ DIFF_LINES = 12
 DIFF_WIDTH = 160
 _HUGE = "0x" + "f" * 4000  # 16,000 bits: far past the 4,300-digit limit
 
-# Relative path under the edge-case directory -> source text.
-EDGE_CASES = {
+# Relative path under the edge-case directory -> source text, or the file's
+# bytes where it is not UTF-8.
+EDGE_CASES: dict[str, str | bytes] = {
     "starred.py": (
         "def f():\n    return 1\n\n\ndef g():\n    return 'g'\n\n\n"
         "def h(p):\n    return p\n\n\n"
@@ -131,6 +133,11 @@ EDGE_CASES = {
         "star(*[g, 2])\nstar(**{'a': g, 'b': 's'})\nstar(*(g,), *[1])\n"
     ),
     "bom.py": "\ufeffimport os\n\n\ndef f(a):\n    return a + 1\n\n\nx = f(2)\ny = os.getcwd()\n",
+    "latin1_cookie.py": (
+        "# -*- coding: latin-1 -*-\nimport os\n\n\ndef f(a):\n    return a + 'é'\n\n\n"
+        "x = f('café')\ny = os.getcwd()\n"
+    ).encode("latin-1"),
+    "bom_latin1_cookie.py": b"\xef\xbb\xbf# -*- coding: latin-1 -*-\nx = '\xe9'\n",
     "yields.py": (
         "class Counter:\n    def count(self, n):\n        i = 0\n        while i < n:\n"
         "            sent = yield i\n            i = i + 1\n        yield\n\n\n"
@@ -172,11 +179,11 @@ def _dir_argvs(path: str) -> list[list[str]]:
     ]
 
 
-def _write_files(base: Path, files: dict[str, str]) -> None:
+def _write_files(base: Path, files: dict[str, str | bytes]) -> None:
     for rel, text in files.items():
         path = base / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
 
 
 def _write_workloads(workdir: Path) -> tuple[list[str], list[tuple[str, str]]]:
