@@ -45,8 +45,7 @@ def _load(path: str):
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
-    _, tree = _load(args.file)
-    _emit(unparse(simplify_module(tree)), args.output)
+    _emit(unparse(simplify_module(_load(args.file)[1])), args.output)
     return 0
 
 
@@ -70,26 +69,21 @@ def _ssa_pipeline(args: argparse.Namespace):
 
 
 def _cmd_ssa(args: argparse.Namespace) -> int:
-    use_map, const = _ssa_pipeline(args)
-    _emit(dump_json(ssa.to_json_dict(use_map, const)), args.output)
+    _emit(dump_json(ssa.to_json_dict(*_ssa_pipeline(args))), args.output)
     return 0
 
 
 def _cmd_alias(args: argparse.Namespace) -> int:
     _, const = _ssa_pipeline(args)
-    pairs = [
-        {"alias": f"{pair.alias[0]}#{pair.alias[1]}", "target": pair.target}
-        for pair in ssa.alias_pairs(const)
-    ]
+    pairs = [{"alias": f"{name}#{version}", "target": target}
+             for (name, version), target in ssa.alias_pairs(const)]
     _emit(dump_json(pairs), args.output)
     return 0
 
 
 def _cmd_imports(args: argparse.Namespace) -> int:
     graph = modgraph.build_import_graph(args.root)
-    modules = sorted(
-        node.full_name for node in graph.tree.iter_modules() if node.module is not None
-    )
+    modules = sorted(node.full_name for node in graph.tree.iter_modules() if node.module is not None)
     payload = {
         "modules": modules,
         "edges": [list(edge) for edge in sorted(graph.internal_edges)],
@@ -113,11 +107,10 @@ def _cmd_fqn(args: argparse.Namespace) -> int:
 
 
 def _cmd_callgraph(args: argparse.Namespace) -> int:
-    entries = list(args.entry or [])
-    if not entries and args.package is None:
+    if not args.entry and args.package is None:
         print("error: provide --entry files or a --package root", file=sys.stderr)
         return USAGE_ERROR
-    graph = cg.analyze(entries, package_root=args.package)
+    graph = cg.analyze(list(args.entry or []), package_root=args.package)
     if args.format == "simple-json":
         _emit(cg.to_simple_json(graph), args.output)
     else:
@@ -127,12 +120,24 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_typeinfer(args: argparse.Namespace) -> int:
-    records, diagnostics = typeinfer.infer_types_report(
-        args.entry, simplify=not args.no_simplify
-    )
+    records, diagnostics = typeinfer.infer_types_report(args.entry, simplify=not args.no_simplify)
     payload = [record.to_json_dict() for record in records]
     _emit(dump_json(payload), args.output)
     return _report(diagnostics, args.strict)
+
+
+# One row per subcommand, run by ``_cmd_<name>``: name, help, positional argument,
+# ``--format`` choices (the first is the default) and whether it takes ``--no-simplify``.
+_COMMANDS = (
+    ("rewrite", "simplify a source file", "file", (), False),
+    ("cfg", "control-flow graph of a file", "file", ("dot", "json"), False),
+    ("ssa", "SSA use sets and constants of a file", "file", ("json",), True),
+    ("alias", "alias pairs of a file", "file", ("json",), True),
+    ("imports", "import graph of a project directory", "root", ("json",), False),
+    ("fqn", "fully qualified names of call sites", "file", (), False),
+    ("callgraph", "project call graph", None, ("simple-json", "edges"), False),
+    ("typeinfer", "inferred types for a file or package", "entry", ("json",), True),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,70 +145,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lancet", description="Static analysis toolkit for Python 3 source code."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, help_text, positional, formats, no_simplify in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if positional:
+            p.add_argument(positional)
+        if name == "callgraph":
+            p.add_argument("--entry", action="append",
+                           help="entry point file (repeatable; defaults to every file under --package)")
+            p.add_argument("--package", help="project root directory")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if name == "cfg":
+            p.add_argument("--include-functions", action="store_true",
+                           help="include nested function CFGs as DOT clusters")
+        if no_simplify:
+            p.add_argument("--no-simplify", action="store_true", help="analyze the raw source")
         p.add_argument("--output", help="write results to this path instead of stdout")
-        p.add_argument(
-            "--strict", action="store_true", help="treat analysis diagnostics as errors"
-        )
-
-    p = sub.add_parser("rewrite", help="simplify a source file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_rewrite)
-
-    p = sub.add_parser("cfg", help="control-flow graph of a file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument(
-        "--include-functions", action="store_true",
-        help="include nested function CFGs as DOT clusters",
-    )
-    common(p)
-    p.set_defaults(fn=_cmd_cfg)
-
-    p = sub.add_parser("ssa", help="SSA use sets and constants of a file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--no-simplify", action="store_true", help="analyze the raw source")
-    common(p)
-    p.set_defaults(fn=_cmd_ssa)
-
-    p = sub.add_parser("alias", help="alias pairs of a file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--no-simplify", action="store_true", help="analyze the raw source")
-    common(p)
-    p.set_defaults(fn=_cmd_alias)
-
-    p = sub.add_parser("imports", help="import graph of a project directory")
-    p.add_argument("root")
-    p.add_argument("--format", choices=["json"], default="json")
-    common(p)
-    p.set_defaults(fn=_cmd_imports)
-
-    p = sub.add_parser("fqn", help="fully qualified names of call sites")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_fqn)
-
-    p = sub.add_parser("callgraph", help="project call graph")
-    p.add_argument(
-        "--entry", action="append",
-        help="entry point file (repeatable; defaults to every file under --package)",
-    )
-    p.add_argument("--package", help="project root directory")
-    p.add_argument("--format", choices=["simple-json", "edges"], default="simple-json")
-    common(p)
-    p.set_defaults(fn=_cmd_callgraph)
-
-    p = sub.add_parser("typeinfer", help="inferred types for a file or package")
-    p.add_argument("entry")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--no-simplify", action="store_true", help="analyze the raw source")
-    common(p)
-    p.set_defaults(fn=_cmd_typeinfer)
-
+        p.add_argument("--strict", action="store_true", help="treat analysis diagnostics as errors")
+        p.set_defaults(fn=globals()[f"_cmd_{name}"])  # looked up now, so tests may patch it
     return parser
 
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import ast
 import codecs
-import copy
 import re
+import sys
 from collections import deque
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -49,7 +49,6 @@ __all__ = [
     "child_nodes",
     "NODE_FIELDS",
     "node_span",
-    "trees_equal",
 ]
 
 
@@ -412,31 +411,90 @@ def unparse(node: ast.AST) -> str:
     structurally equal tree, spans aside.
     """
     text = source_text(node)
-    if isinstance(node, ast.Module):
-        return text + "\n" if text else ""
-    return text
-
-
-class _HexInts(ast.NodeTransformer):
-    """Replaces each int constant too long for ``repr`` by its hex text."""
-
-    def visit_Constant(self, node: ast.Constant) -> ast.AST:
-        if type(node.value) is int:
-            try:
-                repr(node.value)
-            except ValueError:
-                return ast.Name(id=hex(node.value), ctx=ast.Load())
-        return node
+    return text + "\n" if text and isinstance(node, ast.Module) else text
 
 
 def source_text(node: ast.AST) -> str:
-    """``ast.unparse(node)``, except that an int past the interpreter's
-    int-to-str digit limit prints in hex, which is exact and takes linear
-    time.  ``node`` is not modified."""
-    try:
-        return ast.unparse(node)
-    except ValueError:
-        return ast.unparse(_HexInts().visit(copy.deepcopy(node)))
+    """``ast.unparse(node)``, except that an int past the interpreter's int-to-str digit limit
+    prints in hex, which is exact and takes linear time.  Only brackets and indentation, which
+    the tokenizer bounds, and lambda defaults nest the printer's frames; ``node`` is not modified."""
+    return _Printer().visit(node)
+
+
+if not (3, 11) <= sys.version_info[:2] <= (3, 13):  # the versions whose ast._Unparser _Printer mirrors
+    raise ImportError("lancet runs on Python 3.11 to 3.13: its printer subclasses their ast._Unparser")
+_U, _TEST, _ATOM = ast._Unparser, int(ast._Precedence.TEST), int(ast._Precedence.ATOM)
+_RECEIVER = _ATOM + 1  # an attribute's receiver: an atom, where a decimal int takes a space (1 .real)
+# Operator class -> (text item, own precedence, left operand's, right operand's), as plain ints.
+_BINOPS = {getattr(ast, name): ((f" {op} ", 0), p, p + (op == "**"), p + (op != "**"))
+           for name, op in _U.binop.items() for p in [int(_U.binop_precedence[op])]}
+_UNOPS = {getattr(ast, name): (op + " " * (op == "not"), int(_U.unop_precedence[op]))
+          for name, op in _U.unop.items()}
+_STACKED = {ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.Attribute, ast.Call, ast.Subscript,
+            ast.Lambda}
+
+
+def _items(nodes: list[ast.AST]) -> list[tuple]:
+    """Stack items for ``nodes`` at test precedence, comma-separated, last node first."""
+    return [item for node in reversed(nodes) for item in ((", ", 0), (node, _TEST))][1:]
+
+
+class _Printer(_U):
+    """``ast.unparse``'s own printer, except that the kinds in ``_STACKED``, which nest without
+    brackets, print from one explicit stack of (node or text, precedence) items."""
+
+    def traverse(self, node):  # no super() call and no frame per list
+        for node in node if isinstance(node, list) else (node,):
+            if type(node) in _STACKED:
+                self._print(node)
+            else:
+                ast.NodeVisitor.visit(self, node)
+
+    def _print(self, node: ast.expr) -> None:
+        out, precedences = self._source.append, self._precedences
+        stack = [(node, precedences.get(node, _TEST))]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, prec = pop()
+            kind = type(node)
+            if kind is str:
+                out(node)
+            elif kind is ast.Name:
+                out(node.id)
+            elif kind is ast.Constant and isinstance(node.value, int):
+                try:
+                    out(repr(node.value) + " " * (prec == _RECEIVER))
+                except ValueError:  # past the int-to-str digit limit; 0x1.real needs no space
+                    out(hex(node.value))
+            elif kind is ast.BinOp:
+                text, own, left, right = _BINOPS[type(node.op)]
+                if prec > own:
+                    out("(")
+                    push((")", 0))
+                stack += (node.right, right), text, (node.left, left)
+            elif kind is ast.UnaryOp or kind is ast.Lambda:
+                if kind is ast.UnaryOp:
+                    (text, own), operand = _UNOPS[type(node.op)], node.operand
+                else:
+                    with self.buffered() as args:
+                        self.traverse(node.args)
+                    text, own, operand = f"lambda {''.join(args)}: " if args else "lambda: ", _TEST, node.body
+                if prec > own:
+                    text = "(" + text
+                    push((")", 0))
+                out(text)
+                push((operand, own))
+            elif kind is ast.Attribute:
+                stack += ("." + node.attr, 0), (node.value, _RECEIVER)
+            elif kind is ast.Call:
+                stack += (")", 0), *_items(node.args + node.keywords), ("(", 0), (node.func, _ATOM)
+            elif kind is ast.Subscript:  # x[a,] and x[()] as ast.unparse prints them
+                elts = type(node.slice) is ast.Tuple and node.slice.elts
+                close = ",]" if elts and len(elts) == 1 else "]"
+                stack += (close, 0), *_items(elts or [node.slice]), ("[", 0), (node.value, _ATOM)
+            else:
+                precedences[node] = prec
+                ast.NodeVisitor.visit(self, node)
 
 
 def dump_json(obj: object) -> str:
@@ -533,8 +591,3 @@ def node_span(node: ast.AST) -> tuple[int, int, int, int] | None:
         return None
     decorators = getattr(node, "decorator_list", None)
     return (decorators[0].lineno if decorators else node.lineno, node.col_offset, end_line, end_col)
-
-
-def trees_equal(a: ast.AST, b: ast.AST) -> bool:
-    """Structural equality modulo spans."""
-    return ast.dump(a, include_attributes=False) == ast.dump(b, include_attributes=False)

@@ -33,16 +33,14 @@ import ast
 import copy
 from typing import Callable, NamedTuple, Sequence
 
-from .frontend import child_nodes, parse_module, unparse, walk
+from .frontend import child_nodes, walk
 
 __all__ = [
     "RewriteRule",
     "TempNamer",
     "FixpointError",
     "RULES",
-    "apply_rule",
     "simplify_module",
-    "simplify_source",
 ]
 
 TEMP_PREFIX = "_ret"
@@ -375,13 +373,6 @@ RULES: tuple[RewriteRule, ...] = (
 )
 
 
-def apply_rule(rule: RewriteRule, stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    """Apply one rule to a statement its matcher accepts."""
-    if not rule.matcher(stmt):
-        raise ValueError(f"rule {rule.id} ({rule.name}) does not match this statement")
-    return rule.builder(stmt, namer)
-
-
 _BODY_FIELDS = ("body", "orelse")
 
 
@@ -450,8 +441,3 @@ def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = No
     result = copy.copy(module)
     result.body, _ = _rewrite_block(module.body, namer, RULES if rules is None else rules)
     return result
-
-
-def simplify_source(text: str, path: str = "<string>") -> str:
-    """Convenience wrapper: parse, simplify, unparse."""
-    return unparse(simplify_module(parse_module(text, path)))

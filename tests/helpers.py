@@ -108,6 +108,19 @@ def alpha_equal(actual_source: str, expected_source: str) -> bool:
     return canonical_dump(actual_source) == canonical_dump(expected_source)
 
 
+def trees_equal(a: ast.AST, b: ast.AST) -> bool:
+    """Structural equality modulo spans."""
+    return ast.dump(a, include_attributes=False) == ast.dump(b, include_attributes=False)
+
+
+def rewrite_text(source: str, path: str = "<string>") -> str:
+    """What ``lancet rewrite`` prints for ``source``: parse, simplify, unparse."""
+    from lancet.frontend import parse_module, unparse
+    from lancet.rewriter import simplify_module
+
+    return unparse(simplify_module(parse_module(source, path)))
+
+
 # ---------------------------------------------------------------------------
 # Independent reaching-definitions oracle.
 #

@@ -15,9 +15,9 @@ from pathlib import Path
 from lancet.callgraph import analyze, output_edges, to_simple_json
 from lancet.cfg import build_from_ast, build_from_source
 from lancet.cli import main as cli_main
-from lancet.frontend import parse_module, trees_equal, unparse
+from lancet.frontend import parse_module, unparse
 from lancet.modgraph import build_import_graph, leaf_nodes
-from lancet.rewriter import simplify_module, simplify_source
+from lancet.rewriter import simplify_module
 from lancet.ssa import compute_ssa, fold_constants
 from lancet.typeinfer import infer_types
 
@@ -28,9 +28,11 @@ from helpers import (
     corpus_files,
     observe_types,
     oracle_reaching_sites,
+    rewrite_text,
     run_program,
     run_source,
     trace_call_edges,
+    trees_equal,
     type_agrees,
 )
 
@@ -95,7 +97,7 @@ def test_criterion_02_rewrite_rules():
         ("x = lambda a: a + 10", "def x(a):\n    return a + 10\n"),
     ]
     for source, expected in cases:
-        rewritten = simplify_source(source)
+        rewritten = rewrite_text(source)
         assert alpha_equal(rewritten, expected), (source, rewritten)
         assert trees_equal(parse_module(rewritten), parse_module(unparse(parse_module(rewritten))))
     elapsed = time.perf_counter() - started
@@ -109,7 +111,7 @@ def test_criterion_03_rewrite_semantics(tmp_path):
     assert len(cases) >= 20
     for path in cases:
         original_out = run_program(path)
-        rewritten = simplify_source(path.read_text(encoding="utf-8"), str(path))
+        rewritten = rewrite_text(path.read_text(encoding="utf-8"), str(path))
         rewritten_out = run_source(rewritten, tmp_path, name=f"rw_{path.name}")
         assert original_out == rewritten_out, path.name
     elapsed = time.perf_counter() - started

@@ -63,6 +63,17 @@ def test_a_fresh_process_matches_main_in_process(capsys, tmp_path, argv, code):
     assert err if code else (written if "OUT" in argv else out)
 
 
+_USAGE_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_usage_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _USAGE_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_help_and_usage_errors_match_golden(capsys, monkeypatch, case):
+    """``lancet --help``, each subcommand's ``--help`` and four usage errors print, at 80
+    columns, the bytes that the hand-written parser printed before ``_COMMANDS`` built it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_run_exits_frozen_and_still_runs_atexit_handlers():
     proc = _fresh("-c", "import atexit, gc, sys\nfrom lancet import cli\n"
                         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
@@ -469,9 +480,9 @@ def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
 
 
 def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
-    # Parsing never recurses, so the subcommands that neither print nor fold
-    # the expression get exit 0; rewrite, cfg, ssa and alias still recurse on
-    # it after parsing (ROADMAP aim 3).
+    # Parsing never recurses, so the subcommands that do not fold the
+    # expression get exit 0; ssa and alias still recurse on it when they fold
+    # it (ROADMAP aim 3).
     target = tmp_path / "deep.py"
     target.write_text("x = " + "+".join(["1"] * 1000) + "\n")
     for argv in (["imports", str(tmp_path)], ["fqn", str(target)], ["callgraph", "--entry", str(target)]):
@@ -531,6 +542,53 @@ def test_a_deep_operand_is_built_into_cfg_and_ssa(tmp_path, source, call):
 
 
 _HUGE = "0x" + "f" * 4000  # past the 4,300-digit int-to-str limit
+
+# Shapes that nest 2,900 deep without brackets; the printer keeps them off the interpreter's stack.
+_DEEP_SHAPES = {
+    "sum": f"x = {_SUM_2900}\n",
+    "str-sum": "x = " + "+".join(["'a'"] * 2900) + "\n",
+    "minus": "x = " + "-" * 2900 + "1\n",
+    "not": "x = " + "not " * 2900 + "a\n",
+    "attribute": "import os\nx = os" + ".path" * 2900 + "\n",
+    "call": "x = f" + "()" * 2900 + "\n",
+    "subscript": "a = [0]\nx = a" + "[0]" * 2900 + "\n",
+    "lambda": "x = " + "lambda: " * 2900 + "1\n",
+    "hex-sum": f"x = {_SUM_2900}+{_HUGE}\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_a_2900_deep_expression_is_printed(tmp_path, shape):
+    """``rewrite``, ``cfg`` in both formats and ``fqn`` print source text,
+    and each gets exit 0 on every shape, in a fresh interpreter."""
+    target = tmp_path / "deep.py"
+    target.write_text(_DEEP_SHAPES[shape])
+    for argv in (["rewrite"], ["cfg"], ["cfg", "--format", "json"], ["fqn"]):
+        proc = _fresh("-m", "lancet.cli", *argv, str(target))
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.stdout or argv == ["fqn"], argv
+
+
+@pytest.mark.parametrize("source", [
+    "x = " + "[" * 199 + "1" + "]" * 199 + "\n",
+    "x = " + "(" * 199 + "1," + ")," * 198 + ")\n",
+    "x = " + "f(" * 199 + "1" + ")" * 199 + "\n",
+    "x = " + "[" * 199 + " + ".join(["1"] * 1000) + "]" * 199 + "\n",
+], ids=["list", "tuple", "call", "list-of-sum"])
+def test_a_199_deep_bracket_nest_is_printed(tmp_path, source):
+    """Brackets still nest the printer's frames, and the tokenizer stops at 200
+    of them.  No rule rewrites a list or a tuple, so ``rewrite`` prints those as
+    written; the nested calls are hoisted one per statement."""
+    target = tmp_path / "nest.py"
+    target.write_text(source)
+    for argv in (["rewrite"], ["cfg"], ["cfg", "--format", "json"]):
+        proc = _fresh("-m", "lancet.cli", *argv, str(target))
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])
+        if argv == ["rewrite"] and "f(" in source:
+            assert proc.stdout.count("\n") == 199, proc.stdout[-500:]
+        elif argv == ["rewrite"]:
+            assert proc.stdout == source
 
 
 @pytest.mark.parametrize("source", [

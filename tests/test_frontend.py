@@ -19,12 +19,11 @@ from lancet.frontend import (
     node_span,
     parse_module,
     source_text,
-    trees_equal,
     unparse,
     walk,
 )
 
-from helpers import corpus_files
+from helpers import corpus_files, trees_equal
 from strategies import programs
 
 FIB_SOURCE = """# example.py

@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lancet.frontend import ParseError, parse_module, trees_equal, unparse, walk
+from lancet.frontend import ParseError, parse_module, unparse, walk
 from lancet.rewriter import (
     RULES,
     FixpointError,
     RewriteRule,
     TempNamer,
-    apply_rule,
     collect_identifiers,
     simplify_module,
-    simplify_source,
 )
 
-from helpers import alpha_equal, corpus_files
+from helpers import alpha_equal, corpus_files, rewrite_text, trees_equal
 from strategies import programs
 
 SIMPLIFICATION_CASES = [
@@ -51,11 +49,11 @@ SIMPLIFICATION_CASES = [
 
 @pytest.mark.parametrize("source,expected", SIMPLIFICATION_CASES)
 def test_simplification_golden_cases(source, expected):
-    assert alpha_equal(simplify_source(source), expected)
+    assert alpha_equal(rewrite_text(source), expected)
 
 
 def test_nested_calls_hoist_innermost_first():
-    result = simplify_source("x = funA(funB(funC()))")
+    result = rewrite_text("x = funA(funB(funC()))")
     lines = result.strip().splitlines()
     assert len(lines) == 3
     # The innermost call is evaluated first and the original target last.
@@ -70,7 +68,7 @@ def test_module_without_matches_is_unchanged():
 
 
 def test_lambda_in_function_body_becomes_nested_def():
-    result = simplify_source("def wrap():\n    f = lambda y: y * 2\n    return f(4)\n")
+    result = rewrite_text("def wrap():\n    f = lambda y: y * 2\n    return f(4)\n")
     tree = parse_module(result)
     outer = tree.body[0]
     assert isinstance(outer, ast.FunctionDef)
@@ -112,22 +110,16 @@ def test_evaluation_order_guard_blocks_unsafe_hoists():
     # funB() inside the first argument must run before funC(); no rule may
     # reorder them, so the statement is left alone.
     source = "x = funA(g + funB(), funC())\n"
-    assert simplify_source(source) == source
+    assert rewrite_text(source) == source
 
 
 def test_chains_inside_arguments_settle():
-    result = simplify_source("x = funA(funB().m())")
+    result = rewrite_text("x = funA(funB().m())")
     tree = parse_module(result)
     for node in walk(tree):
         if isinstance(node, ast.stmt):
             for rule in RULES:
                 assert not rule.matcher(node)
-
-
-def test_apply_rule_rejects_non_matching_statement():
-    stmt = parse_module("x = 1").body[0]
-    with pytest.raises(ValueError):
-        apply_rule(RULES[0], stmt, TempNamer())
 
 
 def test_simplify_raises_on_non_terminating_rule():
@@ -232,7 +224,7 @@ def _assert_rewrites_leave_input_alone(tree: ast.Module) -> None:
     for stmt in [node for node in walk(tree) if isinstance(node, ast.stmt)]:
         for rule in RULES:
             if rule.matcher(stmt):
-                apply_rule(rule, stmt, namer)
+                rule.builder(stmt, namer)
                 assert ast.dump(tree, include_attributes=True) == before, rule.name
 
 

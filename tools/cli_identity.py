@@ -35,7 +35,8 @@ starred and nested assignment targets, calls inside lambda bodies, int
 literals past the int-to-str digit limit (which ``ast.dump`` cannot print,
 so they stay out of ``tests/corpus``), two relative imports on one line
 that reach above the project root, a call hoisted out of a statement
-whose next argument is a 1,000-deep subscript chain, and, for ``fqn``,
+whose next argument is a 1,000-deep subscript chain, a 2,900-term sum, a
+2,900-deep attribute chain and a 2,900-deep lambda chain, and, for ``fqn``,
 names that a function binds over the module's (a function-local import
 read from another function, a parameter and a local that shadow
 module-level imports, a nested def that shadows a module-level one), calls
@@ -98,6 +99,9 @@ EDGE_CASES: dict[str, str | bytes] = {
     "huge_method.py": f"y = ({_HUGE}).bit_length()\n",
     "dups/mod.py": "from ...x import a; from ...y import b\n",
     "deep_hoist.py": "a = [0]\nx = f(g(), a" + "[0]" * 1000 + ")\n",
+    "deep_sum.py": "x = " + "+".join(["1"] * 2900) + "\n",
+    "deep_attribute.py": "import os\nx = os" + ".path" * 2900 + "\n",
+    "deep_lambda.py": "x = " + "lambda: " * 2900 + "1\n",
     "scoped_names.py": (
         "from os import getcwd, sep\n\n\n"
         "def f():\n    from os import getcwd as cwd\n    return cwd()\n\n\n"
