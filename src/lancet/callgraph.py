@@ -18,12 +18,13 @@ calls of external names, keyed by the FQN an ``ext`` value carries, or for
 an unbound name by its dotted text.  An ``Any`` receiver keeps ``Any`` in a
 method call's result, so every rule is monotone.  Tags make no edges.
 
-The fixpoint is solved on a :class:`~lancet.modgraph.Worklist`, with
-statements as its units.  Every statement is evaluated once, in scope
-pre-order, and each slot notes the statements that read it; when a slot
-grows, its readers are queued to be evaluated again.  Value sets only grow,
-over finitely many callables and tags, so the queue runs dry, and what it
-leaves is the least fixpoint, whatever the order of evaluation.
+The fixpoint is solved on a :class:`~lancet.ssa.Worklist`, which constant
+folding runs on too, with statements as its units.  Every statement is
+evaluated once, in scope pre-order, and each slot notes the statements that
+read it; when a slot grows, its readers are queued to be evaluated again.
+Value sets only grow, over finitely many callables and tags, so the queue
+runs dry, and what it leaves is the least fixpoint, whatever the order of
+evaluation.
 
 Design points:
 
@@ -52,10 +53,9 @@ from pathlib import Path
 
 from .cfg import head_exprs, iter_eager
 from .frontend import dump_json
-from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, Worklist, bind_arguments,
-                       bind_defaults, binds_receiver, discover, dotted_parts, import_bindings,
-                       load_module)
-from .ssa import target_names, unpack
+from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, bind_arguments, bind_defaults,
+                       binds_receiver, discover, dotted_parts, import_bindings, load_module)
+from .ssa import Worklist, target_names, unpack
 
 __all__ = [
     "AssignmentGraph",
@@ -453,7 +453,7 @@ class _Analyzer:
     def head_nodes(self, stmt: ast.stmt) -> list[ast.AST]:
         """The nodes of ``stmt``'s own expressions in source order, walked
         once: :func:`~lancet.cfg.iter_eager` over :func:`~lancet.cfg.head_exprs`,
-        so its calls are :func:`~lancet.cfg.statement_calls`."""
+        so its calls are those of :meth:`~lancet.cfg.Block.get_calls`."""
         nodes = self.heads.get(stmt)
         if nodes is None:
             nodes = self.heads[stmt] = [node for expr in head_exprs(stmt) for node in iter_eager(expr)]

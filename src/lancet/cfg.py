@@ -30,7 +30,8 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
-from .frontend import NODE_FIELDS, SourceFile, child_nodes, dump_json, node_span, parse_module, source_text
+from .frontend import (NODE_FIELDS, SourceFile, _defaults, child_nodes, dump_json, node_span, parse_module,
+                       source_text)
 
 __all__ = [
     "Block",
@@ -45,8 +46,6 @@ __all__ = [
     "stmt_head_text",
     "head_exprs",
     "iter_eager",
-    "iter_calls",
-    "statement_calls",
     "contains_yield",
 ]
 
@@ -72,9 +71,11 @@ class Block:
         """Call expressions that run when this block executes, in source order.
 
         Nested calls are included; bodies of function/class definitions and
-        of lambdas are not (they execute elsewhere).
+        of lambdas are not (they execute elsewhere): :func:`iter_eager` over
+        :func:`head_exprs`.
         """
-        return [call for stmt in self.statements for call in statement_calls(stmt)]
+        return [node for stmt in self.statements for expr in head_exprs(stmt)
+                for node in iter_eager(expr) if type(node) is ast.Call]
 
     def __repr__(self) -> str:
         return f"Block(#{self.id}, {len(self.statements)} stmts)"
@@ -124,8 +125,7 @@ def head_exprs(stmt: ast.stmt) -> list[ast.expr]:
     if isinstance(stmt, ast.For):
         return [stmt.iter, stmt.target]
     if isinstance(stmt, ast.FunctionDef):
-        defaults = [d for d in stmt.args.kw_defaults if d is not None]
-        return list(stmt.decorator_list) + list(stmt.args.defaults) + defaults
+        return stmt.decorator_list + _defaults(stmt.args)
     if isinstance(stmt, ast.ClassDef):
         return list(stmt.decorator_list) + list(stmt.bases) + [kw.value for kw in stmt.keywords]
     return []
@@ -142,24 +142,11 @@ def iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
         if not fields:  # a leaf, tested before any call
             continue
         if type(node) is ast.Lambda:
-            children = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            children = _defaults(node.args)
         else:
             children = child_nodes(node, fields)
         children.reverse()
         stack += children
-
-
-def iter_calls(expr: ast.expr) -> Iterator[ast.Call]:
-    for node in iter_eager(expr):
-        if isinstance(node, ast.Call):
-            yield node
-
-
-def statement_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
-    """The calls ``stmt``'s head makes, in source order: :func:`iter_calls`
-    over :func:`head_exprs`, so no lambda or definition body is entered."""
-    for expr in head_exprs(stmt):
-        yield from iter_calls(expr)
 
 
 def stmt_head_text(stmt: ast.stmt) -> str:

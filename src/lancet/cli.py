@@ -98,9 +98,10 @@ def _cmd_fqn(args: argparse.Namespace) -> int:
     ctx = modgraph.build_name_context(tree, source.module_name)
     lines = []
     for call in modgraph.call_sites(tree):
-        syntactic = source_text(call.func)
         resolved = modgraph.resolve_fqn(call.func, ctx)
-        shown = "UNRESOLVED" if isinstance(resolved, Unresolved) else resolved
+        unresolved = isinstance(resolved, Unresolved)  # then it is already the callee's text
+        syntactic = resolved if unresolved else source_text(call.func)
+        shown = "UNRESOLVED" if unresolved else resolved
         lines.append(f"{call.lineno}:{call.col_offset} {syntactic} -> {shown}")
     _emit("".join(line + "\n" for line in lines), args.output)
     return 0

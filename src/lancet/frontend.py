@@ -309,6 +309,7 @@ def _check_decorators(node: ast.FunctionDef | ast.ClassDef, path: str) -> None:
 
 
 def _defaults(args: ast.arguments) -> list[ast.expr]:
+    """A function's or lambda's defaults, which run when it is defined, in order."""
     return args.defaults + [d for d in args.kw_defaults if d is not None]
 
 

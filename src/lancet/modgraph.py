@@ -9,8 +9,7 @@ skips it; :func:`build_dir_tree` loads the modules the walk finds into a
 :class:`TreeNode` tree.  :class:`ScopeTable` walks a loaded module once into
 its module, function and class :class:`Scope` records, each with its own
 statements as one flat list; the call graph, type inference and ``lancet
-fqn`` read it, and the call graph's analyzer, which type inference runs
-too, solves its fixpoint on a :class:`Worklist`.
+fqn`` read it.
 :func:`import_bindings` maps one import statement to the names it
 binds, and :func:`parse_imports` turns each import statement into an
 :class:`ImportRelation` with relative imports resolved against the
@@ -31,7 +30,6 @@ text unchanged, so resolution is idempotent.
 from __future__ import annotations
 
 import ast
-from collections import deque
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -48,7 +46,6 @@ __all__ = [
     "binds_receiver",
     "bind_defaults",
     "ScopeTable",
-    "Worklist",
     "ImportRelation",
     "ImportGraph",
     "NameContext",
@@ -531,48 +528,6 @@ class ScopeTable:
             self.functions[fqn] = child
         self.scopes.append(child)
         return child
-
-
-class Worklist:
-    """A fixpoint over growing sets, by difference propagation: :meth:`solve`
-    runs each unit once, in order, then again whenever a slot it read
-    (:meth:`get`) has grown (:meth:`add`).  Slots only grow, so over finitely
-    many values the queue runs dry, at the least fixpoint."""
-
-    def __init__(self) -> None:
-        self.values: dict[str, set] = {}
-        self.readers: dict[str, list[int]] = {}  # slot -> the units that read it, by index
-        self.reading = 0
-        self.queue: deque[int] = deque()
-        self.queued = bytearray()
-
-    def get(self, slot: str) -> set:
-        readers = self.readers.get(slot)
-        if readers is None:
-            self.readers[slot] = [self.reading]
-        elif readers[-1] != self.reading:
-            readers.append(self.reading)
-        return self.values.setdefault(slot, set())
-
-    def add(self, slot: str, values: set) -> None:
-        if not values:
-            return
-        current = self.values.setdefault(slot, set())
-        before = len(current)
-        current |= values
-        if len(current) != before:
-            for reader in self.readers.get(slot, ()):
-                if not self.queued[reader]:
-                    self.queued[reader] = 1
-                    self.queue.append(reader)
-
-    def solve(self, units: list, run: Callable) -> None:
-        self.queue = deque(range(len(units)))
-        self.queued = bytearray([1]) * len(units)
-        while self.queue:
-            self.reading = self.queue.popleft()
-            self.queued[self.reading] = 0
-            run(units[self.reading])
 
 
 # ---------------------------------------------------------------------------

@@ -125,33 +125,17 @@ def _build_comprehension(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
     assert isinstance(target, ast.Name)
     comp = stmt.value
 
-    if isinstance(comp, ast.ListComp):
-        init_value: ast.expr = ast.List(elts=[], ctx=ast.Load())
-        accumulate: ast.stmt = ast.Expr(
-            value=ast.Call(
-                func=ast.Attribute(value=_load(target.id), attr="append", ctx=ast.Load()),
-                args=[comp.elt],
-                keywords=[],
-            )
-        )
-    elif isinstance(comp, ast.SetComp):
-        init_value = ast.Call(func=_load("set"), args=[], keywords=[])
-        accumulate = ast.Expr(
-            value=ast.Call(
-                func=ast.Attribute(value=_load(target.id), attr="add", ctx=ast.Load()),
-                args=[comp.elt],
-                keywords=[],
-            )
-        )
+    if isinstance(comp, (ast.ListComp, ast.SetComp)):
+        is_list = isinstance(comp, ast.ListComp)
+        init_value: ast.expr = (ast.List(elts=[], ctx=ast.Load()) if is_list
+                                else ast.Call(func=_load("set"), args=[], keywords=[]))
+        method = ast.Attribute(value=_load(target.id), attr="append" if is_list else "add", ctx=ast.Load())
+        accumulate: ast.stmt = ast.Expr(value=ast.Call(func=method, args=[comp.elt], keywords=[]))
     else:
         assert isinstance(comp, ast.DictComp)
         init_value = ast.Dict(keys=[], values=[])
-        accumulate = ast.Assign(
-            targets=[
-                ast.Subscript(value=_load(target.id), slice=comp.key, ctx=ast.Store())
-            ],
-            value=comp.value,
-        )
+        store = ast.Subscript(value=_load(target.id), slice=comp.key, ctx=ast.Store())
+        accumulate = ast.Assign(targets=[store], value=comp.value)
 
     body: ast.stmt = accumulate
     for gen in reversed(comp.generators):

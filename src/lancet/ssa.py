@@ -24,15 +24,16 @@ those names (a name with one version has no other bit to kill);
 clears its name's other bits and sets its own, and a use's version set is
 decoded from ``(live & mask[name]) >> offset[name]``.
 
-Folding is a dependency-driven worklist.  Every candidate definition is
-evaluated once; one whose evaluation stops at a single-version operand that
-is not folded yet waits on that version and is evaluated again only when it
-folds.  Evaluation is deterministic and only ever sees more folded values,
-so the result is the same in any order.  Folding is bounded (see
-``MAX_FOLD_INT_BITS`` and ``MAX_FOLD_STR_LEN``): a step certain to exceed a
-bound is refused before it is computed, and a definition whose value
-exceeds one, or is not an int, finite float, bool, str or None (a complex,
-an infinity or a NaN, which JSON cannot spell), is marked ``fold_failed``.
+Folding runs on a :class:`Worklist`, the call graph's fixpoint solver, with
+the candidate definitions as units and a slot per (name, version): each
+definition is evaluated once, in entry order, and again when a slot it read
+grows.  Evaluation stops at the first operand not folded yet, and a slot
+grows once, when its definition folds, so the result is the same in any
+order.  Folding is bounded (see ``MAX_FOLD_INT_BITS`` and
+``MAX_FOLD_STR_LEN``): a step certain to exceed a bound is refused before
+it is computed, and a definition whose value exceeds one, or is not an
+int, finite float, bool, str or None (a complex, an infinity or a NaN,
+which JSON cannot spell), is marked ``fold_failed``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ import math
 import operator
 import re
 from collections import deque
-from typing import Iterator, NamedTuple
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .cfg import Block, Cfg, head_exprs
-from .frontend import NODE_FIELDS, source_text
+from .frontend import NODE_FIELDS, _defaults, source_text
 
 __all__ = [
     "DefValue",
@@ -55,6 +56,7 @@ __all__ = [
     "compute_ssa",
     "fold_constants",
     "alias_pairs",
+    "Worklist",
     "to_json_dict",
     "target_names",
     "unpack",
@@ -221,9 +223,7 @@ def _collect_loads(roots: list[ast.expr]) -> set[str]:
                 out.add(node.id)
         elif isinstance(node, ast.Lambda):
             # Only the defaults run now; the body runs later, in its own scope.
-            args = node.args
-            stack.extend((d, shadowed) for d in args.defaults)
-            stack.extend((d, shadowed) for d in args.kw_defaults if d is not None)
+            stack.extend((d, shadowed) for d in _defaults(node.args))
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             bound = set(shadowed)
             for gen in node.generators:
@@ -376,7 +376,55 @@ def _versions(bits: int) -> set[int]:
 # Constant folding
 
 
-_BIN_OPS = {
+class Worklist:
+    """A fixpoint over growing sets, by difference propagation: :meth:`solve`
+    runs each unit once, in order, then again whenever a slot it read
+    (:meth:`get`) has grown (:meth:`add`).  Slots only grow, so over finitely
+    many values the queue runs dry, at the least fixpoint."""
+
+    def __init__(self) -> None:
+        self.values: dict[Hashable, set] = {}
+        self.readers: dict[Hashable, list[int]] = {}  # slot -> the units that read it, by index
+        self.reading = 0
+        self.queue: deque[int] = deque()
+        self.queued = bytearray()
+
+    def get(self, slot: Hashable) -> set:
+        readers = self.readers.get(slot)
+        if readers is None:
+            self.readers[slot] = [self.reading]
+        elif readers[-1] != self.reading:
+            readers.append(self.reading)
+        values = self.values.get(slot)
+        return self.values.setdefault(slot, set()) if values is None else values
+
+    def add(self, slot: Hashable, values: set) -> None:
+        if not values:
+            return
+        current = self.values.setdefault(slot, set())
+        before = len(current)
+        current |= values
+        if len(current) != before:
+            for reader in self.readers.get(slot, ()):
+                if not self.queued[reader]:
+                    self.queued[reader] = 1
+                    self.queue.append(reader)
+
+    def solve(self, units: list, run: Callable) -> None:
+        self.queue = deque(range(len(units)))
+        self.queued = bytearray([1]) * len(units)
+        while self.queue:
+            self.reading = self.queue.popleft()
+            self.queued[self.reading] = 0
+            run(units[self.reading])
+
+
+# Unary and binary operators: an operator node's type is never the other kind's.
+_OPS = {
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+    ast.Invert: operator.invert,
+    ast.Not: operator.not_,
     ast.Add: operator.add,
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
@@ -413,14 +461,7 @@ MAX_FOLD_STR_LEN = 4096
 
 
 class _NotConstant(Exception):
-    """No constant value (yet).
-
-    ``waits_on`` is the single-version operand, not folded so far, at which
-    evaluation stopped; None when no later fold can change the outcome.
-    """
-
-    def __init__(self, waits_on: tuple[str, int] | None = None) -> None:
-        self.waits_on = waits_on
+    """No constant value (yet)."""
 
 
 class _FoldFault(Exception):
@@ -490,12 +531,41 @@ def _unfoldable(value: object) -> bool:
     return value is not None
 
 
-def _eval_expr(
-    expr: ast.expr,
-    env: dict[str, set[int]],
-    folded: dict[tuple[str, int], object],
-) -> object:
-    if isinstance(expr, ast.Constant):
+def _eval_expr(expr: ast.expr, env: dict[str, set[int]], solver: Worklist) -> object:
+    """The constant ``expr`` evaluates to, operands in source order.  Chains
+    that need no brackets run in a loop: a unary operand, a binary left operand,
+    and the right operand of ``**``, whose left one is evaluated on the way down."""
+    spine: list[tuple[ast.UnaryOp | ast.BinOp, object]] = []  # (operator node, a ``**``'s left value)
+    while type(expr) in (ast.UnaryOp, ast.BinOp) and type(expr.op) in _OPS:
+        if type(expr) is ast.UnaryOp:
+            spine.append((expr, None))
+            expr = expr.operand
+        elif type(expr.op) is ast.Pow:
+            spine.append((expr, _eval_expr(expr.left, env, solver)))
+            expr = expr.right
+        else:
+            spine.append((expr, None))
+            expr = expr.left
+    value = _eval_leaf(expr, env, solver)
+    for node, left in reversed(spine):
+        op = type(node.op)
+        if type(node) is ast.UnaryOp:
+            operands: tuple = (value,)
+        elif op is ast.Pow:
+            operands = (left, value)
+        else:
+            operands = (value, _eval_expr(node.right, env, solver))
+        if op in _GROWING_OPS and _exceeds_bound(node.op, *operands):
+            raise _FoldFault
+        try:
+            value = _OPS[op](*operands)
+        except (ZeroDivisionError, TypeError, ValueError, OverflowError):
+            raise _FoldFault from None
+    return value
+
+
+def _eval_leaf(expr: ast.expr, env: dict[str, set[int]], solver: Worklist) -> object:
+    if type(expr) is ast.Constant:
         if isinstance(expr.value, (int, float, bool, str)) or expr.value is None:
             return expr.value
         raise _NotConstant
@@ -503,54 +573,24 @@ def _eval_expr(
         versions = env.get(expr.id)
         if versions is None or len(versions) != 1:
             raise _NotConstant
-        key = (expr.id, next(iter(versions)))
-        if key not in folded:
-            raise _NotConstant(key)
-        return folded[key]
-    if isinstance(expr, ast.UnaryOp):
-        value = _eval_expr(expr.operand, env, folded)
-        try:
-            if isinstance(expr.op, ast.USub):
-                return -value  # type: ignore[operator]
-            if isinstance(expr.op, ast.UAdd):
-                return +value  # type: ignore[operator]
-            if isinstance(expr.op, ast.Invert):
-                return ~value  # type: ignore[operator]
-            if isinstance(expr.op, ast.Not):
-                return not value
-        except TypeError:
-            raise _FoldFault from None
-        raise _NotConstant
-    if isinstance(expr, ast.BinOp):
-        fn = _BIN_OPS.get(type(expr.op))
-        if fn is None:
+        values = solver.get((expr.id, next(iter(versions))))
+        if not values:
             raise _NotConstant
-        left = _eval_expr(expr.left, env, folded)
-        right = _eval_expr(expr.right, env, folded)
-        if isinstance(expr.op, _GROWING_OPS) and _exceeds_bound(expr.op, left, right):
-            raise _FoldFault
-        try:
-            return fn(left, right)
-        except (ZeroDivisionError, TypeError, ValueError, OverflowError):
-            raise _FoldFault from None
+        return next(iter(values))
     if isinstance(expr, ast.BoolOp):
-        result = _eval_expr(expr.values[0], env, folded)
-        for value in expr.values[1:]:
-            if isinstance(expr.op, ast.And):
-                if not result:
-                    return result
-            else:
-                if result:
-                    return result
-            result = _eval_expr(value, env, folded)
+        is_and = isinstance(expr.op, ast.And)
+        for value in expr.values:
+            result = _eval_expr(value, env, solver)
+            if bool(result) != is_and:  # ``and`` stops at a false value, ``or`` at a true one
+                return result
         return result
     if isinstance(expr, ast.Compare):
-        left = _eval_expr(expr.left, env, folded)
+        left = _eval_expr(expr.left, env, solver)
         for op, comparator in zip(expr.ops, expr.comparators):
             fn = _CMP_OPS.get(type(op))
             if fn is None:
                 raise _NotConstant
-            right = _eval_expr(comparator, env, folded)
+            right = _eval_expr(comparator, env, solver)
             try:
                 if not fn(left, right):
                     return False
@@ -574,37 +614,27 @@ def fold_constants(const_dict: ConstDict, use_map: SsaUseMap) -> ConstDict:
         key: DefValue(value.expr, value.kind, value.site, value.folded, value.fold_failed)
         for key, value in const_dict.entries.items()
     })
-    folded: dict[tuple[str, int], object] = {}
-    # A blocked definition waits on the version that stopped its evaluation
-    # and is evaluated again only once that version folds.
-    waiting: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    # Entry order puts a definition after those it reads, outside loops.
-    worklist = deque(
-        key
-        for key, value in result.entries.items()
-        if not value.fold_failed
-        and value.expr is not None
-        and value.kind not in (KIND_CALL, KIND_OTHER, KIND_UNKNOWN)
-    )
-    while worklist:
-        key = worklist.popleft()
+    solver = Worklist()
+
+    def run(key: tuple[str, int]) -> None:
         value = result.entries[key]
         bid, idx = value.site
         try:
-            constant = _eval_expr(value.expr, use_map.per_block[bid][idx], folded)
-        except _NotConstant as blocked:
-            if blocked.waits_on is not None:
-                waiting.setdefault(blocked.waits_on, []).append(key)
-            continue
+            constant = _eval_expr(value.expr, use_map.per_block[bid][idx], solver)
+            if _unfoldable(constant):
+                raise _FoldFault
+        except _NotConstant:
+            return
         except _FoldFault:
             value.fold_failed = True
-            continue
-        if _unfoldable(constant):
-            value.fold_failed = True
-            continue
+            return
         value.folded = constant
-        folded[key] = constant
-        worklist.extend(waiting.pop(key, ()))
+        solver.add(key, {constant})
+
+    # Entry order puts a definition after those it reads, outside loops.
+    solver.solve([key for key, value in result.entries.items()
+                  if not value.fold_failed and value.expr is not None
+                  and value.kind not in (KIND_CALL, KIND_OTHER, KIND_UNKNOWN)], run)
     return result
 
 

@@ -480,9 +480,8 @@ def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
 
 
 def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
-    # Parsing never recurses, so the subcommands that do not fold the
-    # expression get exit 0; ssa and alias still recurse on it when they fold
-    # it (ROADMAP aim 3).
+    # Parsing never recurses, so the subcommands that read the file get exit 0;
+    # test_ssa_and_alias_fold_a_2900_deep_expression covers ssa and alias.
     target = tmp_path / "deep.py"
     target.write_text("x = " + "+".join(["1"] * 1000) + "\n")
     for argv in (["imports", str(tmp_path)], ["fqn", str(target)], ["callgraph", "--entry", str(target)]):
@@ -554,6 +553,7 @@ _DEEP_SHAPES = {
     "subscript": "a = [0]\nx = a" + "[0]" * 2900 + "\n",
     "lambda": "x = " + "lambda: " * 2900 + "1\n",
     "hex-sum": f"x = {_SUM_2900}+{_HUGE}\n",
+    "pow": "x = " + "**".join(["1"] * 2900) + "\n",
 }
 
 
@@ -568,6 +568,19 @@ def test_a_2900_deep_expression_is_printed(tmp_path, shape):
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         assert "Traceback" not in proc.stderr, argv
         assert proc.stdout or argv == ["fqn"], argv
+
+
+def test_ssa_and_alias_fold_a_2900_deep_expression(tmp_path):
+    """The folder walks operator chains in a loop, so ``ssa`` and ``alias``
+    get exit 0 on every shape, in a fresh interpreter."""
+    for shape, source in sorted(_DEEP_SHAPES.items()):
+        target = tmp_path / f"{shape}.py"
+        target.write_text(source)
+        for command in ("ssa", "alias"):
+            proc = _fresh("-m", "lancet.cli", command, str(target))
+            assert proc.returncode == 0, (shape, command, proc.stderr[-500:])
+            if (shape, command) == ("sum", "ssa"):
+                assert json.loads(proc.stdout)["constants"]["x#0"]["folded"] == 2900
 
 
 @pytest.mark.parametrize("source", [

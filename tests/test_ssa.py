@@ -167,6 +167,24 @@ def test_merged_versions_block_folding():
     assert not folded[("c", 0)].is_folded
 
 
+@pytest.mark.parametrize("expr, fails", [
+    ("a ** (1 // 0)", False),
+    ("a + 1 // 0", False),
+    ("(1 // 0) ** a", True),
+    ("-(1 // 0) + a", True),
+    ("a - -(1 // 0)", False),
+])
+def test_operands_are_evaluated_in_source_order(expr, fails):
+    """A two-version ``a`` stops evaluation where it is read, and a fault
+    only counts when it comes first; ``**``'s left operand comes first
+    although the chain runs right."""
+    source = f"a = 1\nif c:\n    a = 2\nx = {expr}\n"
+    _, use_map, const = _ssa_for(source)
+    value = fold_constants(const, use_map)[("x", 0)]
+    assert not value.is_folded
+    assert value.fold_failed is fails
+
+
 def test_folding_does_not_depend_on_entry_order():
     source = "x = 0\nwhile x < 3:\n    y = x\n    x = 1\nz = 2\nw = z * 3 + 4\nv = w - z\n"
     _, use_map, const = _ssa_for(source)

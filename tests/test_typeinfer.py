@@ -349,7 +349,7 @@ def test_a_starred_assignment_types_the_names_around_the_star(tmp_path):
 
 def test_a_call_in_a_lambda_body_is_no_argument_evidence(tmp_path):
     # The lambda body runs later, in its own scope; only calls the
-    # statement itself makes count (cfg.statement_calls).
+    # statement itself makes count (Block.get_calls).
     _, _, parameters = _types(
         tmp_path, "lam_call.py",
         "def f(a):\n    return a\n\n\nhandlers = [lambda: f(1)]\nf('s')\n",
