@@ -284,38 +284,61 @@ class _Analyzer:
     # -- value propagation -----------------------------------------------------
 
     def eval_expr(self, expr: ast.expr, scope: Scope) -> set[Value]:
-        node = type(expr)  # compared by identity: the commonest kinds first
-        if node is ast.Name:
+        """The values ``expr`` may take.  Chains that need no brackets run in a
+        loop: an attribute's receiver, a callee, a unary ``+``/``-`` operand, a
+        binary left operand, and the right operand of ``**``, whose left one is
+        evaluated on the way down."""
+        kind = type(expr)  # compared by identity: the commonest kinds first
+        if kind is ast.Name or kind is ast.Constant:
+            return self._leaf(expr, scope)
+        spine: list[tuple[ast.expr, set[Value] | None]] = []  # (chain node, a ``**``'s left values)
+        while True:
+            if kind is ast.Attribute:
+                spine.append((expr, None))
+                expr = expr.value
+            elif kind is ast.Call and expr not in self.reached:
+                spine.append((expr, None))
+                expr = expr.func.value if type(expr.func) is ast.Attribute else expr.func
+            elif kind is ast.BinOp and type(expr.op) is ast.Pow:
+                spine.append((expr, self.eval_expr(expr.left, scope)))
+                expr = expr.right
+            elif kind is ast.BinOp or kind is ast.UnaryOp and type(expr.op) in (ast.USub, ast.UAdd):
+                spine.append((expr, None))
+                expr = expr.left if kind is ast.BinOp else expr.operand
+            else:
+                break
+            kind = type(expr)
+        values = self._leaf(expr, scope)
+        for node, left in reversed(spine):
+            kind = type(node)
+            if kind is ast.Attribute:
+                values = {value for receiver in values for value in self._attr_values(receiver, node.attr)}
+            elif kind is ast.Call:
+                values = self._call_values(node, self._targets(node, scope, values), scope)
+            elif kind is ast.UnaryOp:
+                values = {("type", "int" if t == "bool" else t if t in _NUMERIC else ANY)
+                          for t in map(type_name, values)}
+            elif left is None:
+                values = self._binop(type(node.op).__name__, values, self.eval_expr(node.right, scope))
+            else:
+                values = self._binop("Pow", left, values)
+        return values
+
+    def _leaf(self, expr: ast.expr, scope: Scope) -> set[Value]:
+        """The values of an expression that :meth:`eval_expr` does not walk into."""
+        kind = type(expr)
+        if kind is ast.Name:
             binding = scope.lookup(expr.id)
-            if binding is None:
-                return {_ANY}
-            return set(self.solver.get(binding[1])) if binding[0] == "slot" else self._binding_values(binding)
-        if node is ast.Constant:
+            return {_ANY} if binding is None else self._binding_values(binding)
+        if kind is ast.Constant:
             return {_LITERALS.get(type(expr.value), _ANY)}
-        if node is ast.Call:
-            return self._call_values(expr, scope)
-        if node is ast.Attribute:
-            out: set[Value] = set()
-            for value in self.eval_expr(expr.value, scope):
-                out |= self._attr_values(value, expr.attr)
-            return out
-        if node is ast.BinOp:  # a left-leaning chain, folded without recursion
-            spine = []
-            while type(expr) is ast.BinOp:
-                spine.append(expr)
-                expr = expr.left
-            values = self.eval_expr(expr, scope)
-            for binop in reversed(spine):
-                values = self._binop(type(binop.op).__name__, values, self.eval_expr(binop.right, scope))
-            return values
-        if node is ast.BoolOp:
+        if kind is ast.Call:  # its targets were found earlier in this evaluation
+            return self._call_values(expr, self._targets(expr, scope), scope)
+        if kind is ast.BoolOp:
             return set().union(*(self.eval_expr(value, scope) for value in expr.values))
-        if node is ast.UnaryOp and type(expr.op) in (ast.USub, ast.UAdd):
-            names = map(type_name, self.eval_expr(expr.operand, scope))
-            return {("type", "int" if t == "bool" else t if t in _NUMERIC else ANY) for t in names}
-        if node is ast.UnaryOp and type(expr.op) is ast.Not:
+        if kind is ast.UnaryOp and type(expr.op) is ast.Not:
             return {("type", "bool")}
-        return {("type", _EXPR_TYPES.get(node, ANY))}
+        return {("type", _EXPR_TYPES.get(kind, ANY))}
 
     def _binop(self, op: str, left: set[Value], right: set[Value]) -> set[Value]:
         # An empty operand is no evidence yet, and gives none.
@@ -334,7 +357,8 @@ class _Analyzer:
             self.type_diagnostics.append(f"suspicious str/int concatenation ({l} + {r})")
         return ("type", rule or ANY)
 
-    def _call_values(self, call: ast.Call, scope: Scope) -> set[Value]:
+    def _call_values(self, call: ast.Call, targets: list[tuple[Value, Value | None]],
+                     scope: Scope) -> set[Value]:
         """What ``call`` returns: an instance of a class it calls, the return
         set of a function, the signature of an external name (of an unbound
         one by its dotted text), a method-table result on a tag, else ``Any``."""
@@ -344,7 +368,7 @@ class _Analyzer:
         if isinstance(root, ast.Name) and scope.lookup(root.id) is None:
             return {("type", self.signatures.signature(".".join(dotted_parts(call.func))) or ANY)}
         out: set[Value] = set()
-        for (kind, fqn), receiver in self._targets(call, scope):
+        for (kind, fqn), receiver in targets:
             if receiver is not None and receiver[0] == "type":
                 method = _METHODS.get(call.func.attr)
                 if method is None or receiver[1] == ANY:
@@ -363,19 +387,21 @@ class _Analyzer:
                     out.add(_ANY)
         return out
 
-    def _targets(self, call: ast.Call, scope: Scope) -> list[tuple[Value, Value | None]]:
+    def _targets(self, call: ast.Call, scope: Scope,
+                 callee: set[Value] | None = None) -> list[tuple[Value, Value | None]]:
         """What ``call`` calls, each with the receiver it is reached through;
         found once per evaluation of its statement, which a slot it read
-        queues again when it grows."""
+        queues again when it grows.  ``callee`` holds the values of the
+        callee, or of its receiver for a method call, when they are known."""
         targets = self.reached.get(call)
         if targets is None:
             func = call.func
-            if isinstance(func, ast.Attribute):
-                targets = [(target, receiver) for receiver in self.eval_expr(func.value, scope)
-                           for target in self._attr_values(receiver, func.attr)]
-            else:
-                targets = [(target, None) for target in self.eval_expr(func, scope)]
-            self.reached[call] = targets
+            method = type(func) is ast.Attribute
+            if callee is None:
+                callee = self.eval_expr(func.value if method else func, scope)
+            targets = self.reached[call] = (
+                [(target, receiver) for receiver in callee for target in self._attr_values(receiver, func.attr)]
+                if method else [(target, None) for target in callee])
         return targets
 
     def _runs(self, value: Value, receiver: Value | None) -> list[tuple[str, Value | None]]:

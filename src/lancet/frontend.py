@@ -418,7 +418,8 @@ def unparse(node: ast.AST) -> str:
 def source_text(node: ast.AST) -> str:
     """``ast.unparse(node)``, except that an int past the interpreter's int-to-str digit limit
     prints in hex, which is exact and takes linear time.  Only brackets and indentation, which
-    the tokenizer bounds, and lambda defaults nest the printer's frames; ``node`` is not modified."""
+    the tokenizer bounds, and lambda defaults nest the printer's frames, four per level, so a
+    chain of about 245 lambda defaults exceeds the recursion limit; ``node`` is not modified."""
     return _Printer().visit(node)
 
 
@@ -449,7 +450,7 @@ class _Printer(_U):
             if type(node) in _STACKED:
                 self._print(node)
             else:
-                ast.NodeVisitor.visit(self, node)
+                getattr(self, "visit_" + type(node).__name__, self.generic_visit)(node)
 
     def _print(self, node: ast.expr) -> None:
         out, precedences = self._source.append, self._precedences
@@ -495,7 +496,7 @@ class _Printer(_U):
                 stack += (close, 0), *_items(elts or [node.slice]), ("[", 0), (node.value, _ATOM)
             else:
                 precedences[node] = prec
-                ast.NodeVisitor.visit(self, node)
+                getattr(self, "visit_" + type(node).__name__, self.generic_visit)(node)
 
 
 def dump_json(obj: object) -> str:

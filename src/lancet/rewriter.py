@@ -100,42 +100,39 @@ def collect_identifiers(module: ast.AST) -> set[str]:
 
 
 class RewriteRule(NamedTuple):
+    """``apply(stmt, namer)`` returns the statements that replace ``stmt``, or
+    None when the rule does not match it."""
     id: int
     name: str
-    matcher: Callable[[ast.stmt], bool]
-    builder: Callable[[ast.stmt, TempNamer], list[ast.stmt]]
+    apply: Callable[[ast.stmt, TempNamer], list[ast.stmt] | None]
+
+
+# Each rule tests the type of the statement's value first: most statements
+# match no rule, and that test turns them away before any other work.
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp)
 
 
 # ---------------------------------------------------------------------------
 # Rule 1: comprehension unfolding
 
 
-def _match_comprehension(stmt: ast.stmt) -> bool:
-    return (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and isinstance(stmt.value, (ast.ListComp, ast.SetComp, ast.DictComp))
-    )
-
-
-def _build_comprehension(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    assert isinstance(stmt, ast.Assign)
-    target = stmt.targets[0]
-    assert isinstance(target, ast.Name)
-    comp = stmt.value
-
-    if isinstance(comp, (ast.ListComp, ast.SetComp)):
-        is_list = isinstance(comp, ast.ListComp)
-        init_value: ast.expr = (ast.List(elts=[], ctx=ast.Load()) if is_list
-                                else ast.Call(func=_load("set"), args=[], keywords=[]))
-        method = ast.Attribute(value=_load(target.id), attr="append" if is_list else "add", ctx=ast.Load())
-        accumulate: ast.stmt = ast.Expr(value=ast.Call(func=method, args=[comp.elt], keywords=[]))
+def _unfold_comprehension(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None:
+    comp = getattr(stmt, "value", None)
+    kind = type(comp)
+    if (kind not in _COMPREHENSIONS or type(stmt) is not ast.Assign or len(stmt.targets) != 1
+            or type(stmt.targets[0]) is not ast.Name):
+        return None
+    name = stmt.targets[0].id
+    if kind is ast.DictComp:
+        init_value: ast.expr = ast.Dict(keys=[], values=[])
+        store = ast.Subscript(value=_load(name), slice=comp.key, ctx=ast.Store())
+        accumulate: ast.stmt = ast.Assign(targets=[store], value=comp.value)
     else:
-        assert isinstance(comp, ast.DictComp)
-        init_value = ast.Dict(keys=[], values=[])
-        store = ast.Subscript(value=_load(target.id), slice=comp.key, ctx=ast.Store())
-        accumulate = ast.Assign(targets=[store], value=comp.value)
+        is_list = kind is ast.ListComp
+        init_value = (ast.List(elts=[], ctx=ast.Load()) if is_list
+                      else ast.Call(func=_load("set"), args=[], keywords=[]))
+        method = ast.Attribute(value=_load(name), attr="append" if is_list else "add", ctx=ast.Load())
+        accumulate = ast.Expr(value=ast.Call(func=method, args=[comp.elt], keywords=[]))
 
     body: ast.stmt = accumulate
     for gen in reversed(comp.generators):
@@ -143,7 +140,7 @@ def _build_comprehension(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
             body = ast.If(test=test, body=[body], orelse=[])
         body = ast.For(target=gen.target, iter=gen.iter, body=[body], orelse=[])
 
-    init = ast.Assign(targets=[ast.Name(id=target.id, ctx=ast.Store())], value=init_value)
+    init = ast.Assign(targets=[ast.Name(id=name, ctx=ast.Store())], value=init_value)
     return _locate([init, body], stmt)
 
 
@@ -170,17 +167,13 @@ def _hoistable_call_arg(call: ast.Call) -> int | None:
     return None
 
 
-def _match_nested_call(stmt: ast.stmt) -> bool:
-    value = _stmt_value(stmt)
-    return (_is_simple_carrier(stmt) and isinstance(value, ast.Call)
-            and _hoistable_call_arg(value) is not None)
-
-
-def _build_nested_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    call = _stmt_value(stmt)
-    assert isinstance(call, ast.Call)
+def _hoist_call_argument(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None:
+    call = getattr(stmt, "value", None)
+    if type(call) is not ast.Call or not _is_simple_carrier(stmt):
+        return None
     index = _hoistable_call_arg(call)
-    assert index is not None
+    if index is None:
+        return None
     temp = namer.fresh()
     new_call = copy.copy(call)
     if index < len(call.args):
@@ -202,19 +195,11 @@ def _build_nested_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
 # Rule 3: subscripted call results
 
 
-def _match_subscript_call(stmt: ast.stmt) -> bool:
-    if not isinstance(stmt, (ast.Assign, ast.Return)):
-        return False
-    value = _stmt_value(stmt)
-    return (
-        isinstance(value, ast.Subscript)
-        and isinstance(value.value, ast.Call)
-    )
-
-
-def _build_subscript_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    sub = _stmt_value(stmt)
-    assert isinstance(sub, ast.Subscript)
+def _hoist_subscripted_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None:
+    sub = getattr(stmt, "value", None)
+    if (type(sub) is not ast.Subscript or type(sub.value) is not ast.Call
+            or type(stmt) not in (ast.Assign, ast.Return)):
+        return None
     temp = namer.fresh()
     hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=sub.value)
     return _locate([hoisted, _with_value(stmt, _with_value(sub, _load(temp)))], stmt)
@@ -224,23 +209,13 @@ def _build_subscript_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
 # Rule 4: lambda-to-def conversion
 
 
-def _match_lambda(stmt: ast.stmt) -> bool:
-    return (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and isinstance(stmt.value, ast.Lambda)
-    )
-
-
-def _build_lambda(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    assert isinstance(stmt, ast.Assign)
-    target = stmt.targets[0]
-    assert isinstance(target, ast.Name)
-    lam = stmt.value
-    assert isinstance(lam, ast.Lambda)
+def _lambda_to_def(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None:
+    lam = getattr(stmt, "value", None)
+    if (type(lam) is not ast.Lambda or type(stmt) is not ast.Assign or len(stmt.targets) != 1
+            or type(stmt.targets[0]) is not ast.Name):
+        return None
     fn = ast.FunctionDef(
-        name=target.id,
+        name=stmt.targets[0].id,
         args=lam.args,
         body=[ast.Return(value=lam.body)],
         decorator_list=[],
@@ -254,42 +229,21 @@ def _build_lambda(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
 # Rule 5: call chain splitting
 
 
-def _chain_value(stmt: ast.stmt) -> ast.Call | None:
-    value = _stmt_value(stmt)
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Attribute)
-        and isinstance(value.func.value, ast.Call)
-    ):
-        return value
-    return None
-
-
-def _match_call_chain(stmt: ast.stmt) -> bool:
-    return _is_simple_carrier(stmt) and _chain_value(stmt) is not None
-
-
-def _build_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
-    top = _chain_value(stmt)
-    assert top is not None
-
+def _split_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None:
     # Walk down the chain spine; `segments` ends up outermost-last.
+    top = cur = getattr(stmt, "value", None)
     segments: list[ast.Call] = []
-    cur: ast.expr = top
-    while (
-        isinstance(cur, ast.Call)
-        and isinstance(cur.func, ast.Attribute)
-        and isinstance(cur.func.value, ast.Call)
-    ):
+    while type(cur) is ast.Call and type(cur.func) is ast.Attribute and type(cur.func.value) is ast.Call:
         segments.append(cur)
         cur = cur.func.value
+    if not segments or not _is_simple_carrier(stmt):
+        return None
     segments.reverse()
 
     out: list[ast.stmt] = []
     receiver = namer.fresh()
     out.append(ast.Assign(targets=[ast.Name(id=receiver, ctx=ast.Store())], value=cur))
     for seg in segments[:-1]:
-        assert isinstance(seg.func, ast.Attribute)
         call = ast.Call(
             func=ast.Attribute(value=_load(receiver), attr=seg.func.attr, ctx=ast.Load()),
             args=seg.args,
@@ -299,7 +253,6 @@ def _build_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt]:
         out.append(ast.Assign(targets=[ast.Name(id=receiver, ctx=ast.Store())], value=call))
 
     # The outermost link stays in the statement, now called on the last temp.
-    assert isinstance(top.func, ast.Attribute)
     last = copy.copy(top)
     last.func = _with_value(top.func, _load(receiver))
     out.append(_with_value(stmt, last))
@@ -319,12 +272,6 @@ def _is_simple_carrier(stmt: ast.stmt) -> bool:
     if isinstance(stmt, ast.Assign):
         return len(stmt.targets) == 1
     return isinstance(stmt, (ast.Expr, ast.Return))
-
-
-def _stmt_value(stmt: ast.stmt) -> ast.expr | None:
-    if isinstance(stmt, (ast.Assign, ast.Expr, ast.Return)):
-        return stmt.value
-    return None
 
 
 def _with_value(node: ast.AST, value: ast.expr) -> ast.AST:
@@ -349,11 +296,11 @@ def _locate(stmts: list[ast.stmt], origin: ast.stmt) -> list[ast.stmt]:
 
 
 RULES: tuple[RewriteRule, ...] = (
-    RewriteRule(1, "ComprehensionUnfolding", _match_comprehension, _build_comprehension),
-    RewriteRule(2, "NestedCallHandling", _match_nested_call, _build_nested_call),
-    RewriteRule(3, "SubscriptionAssignment", _match_subscript_call, _build_subscript_call),
-    RewriteRule(4, "LambdaConversion", _match_lambda, _build_lambda),
-    RewriteRule(5, "CallChainSplitting", _match_call_chain, _build_call_chain),
+    RewriteRule(1, "ComprehensionUnfolding", _unfold_comprehension),
+    RewriteRule(2, "NestedCallHandling", _hoist_call_argument),
+    RewriteRule(3, "SubscriptionAssignment", _hoist_subscripted_call),
+    RewriteRule(4, "LambdaConversion", _lambda_to_def),
+    RewriteRule(5, "CallChainSplitting", _split_call_chain),
 )
 
 
@@ -383,7 +330,8 @@ def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer,
                         setattr(stmt, fname, new_inner)
                         changed = True
             for rule in rules:
-                if rule.matcher(stmt):
+                built = rule.apply(stmt, namer)
+                if built is not None:
                     if budget is None:
                         budget = sum(1 for _ in walk(origin))
                     if budget == 0:
@@ -391,7 +339,7 @@ def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer,
                             "rewrite did not settle; a rule keeps matching its own output"
                         )
                     budget -= 1
-                    pending += reversed(rule.builder(stmt, namer))
+                    pending += reversed(built)
                     changed = True
                     break
             else:

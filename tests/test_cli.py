@@ -583,16 +583,43 @@ def test_ssa_and_alias_fold_a_2900_deep_expression(tmp_path):
                 assert json.loads(proc.stdout)["constants"]["x#0"]["folded"] == 2900
 
 
+def test_callgraph_and_typeinfer_analyze_a_2900_deep_expression(tmp_path):
+    """The call graph's evaluator walks bracket-free chains in a loop, so
+    ``callgraph --entry`` and ``typeinfer`` get exit 0 on every shape, in a
+    fresh interpreter, and a 2,900-deep chain of project calls has its edge."""
+    types = {"sum": "int", "str-sum": "str", "minus": "int", "not": "bool", "hex-sum": "int", "pow": "int"}
+    for shape, source in sorted(_DEEP_SHAPES.items()):
+        target = tmp_path / f"{shape}.py"
+        target.write_text(source)
+        for argv in (["callgraph", "--entry"], ["typeinfer"]):
+            proc = _fresh("-m", "lancet.cli", *argv, str(target))
+            assert proc.returncode == 0, (shape, argv, proc.stderr[-500:])
+        records = {r.get("variable"): r["type"] for r in json.loads(proc.stdout)}
+        if shape != "lambda":  # rewritten to ``def x``
+            assert records["x"] == [types.get(shape, "Any")], shape
+    target = tmp_path / "calls.py"
+    target.write_text("def f():\n    return f\n\n\nx = f" + "()" * 2900 + "\n")
+    proc = _fresh("-m", "lancet.cli", "callgraph", "--entry", str(target), "--format", "edges")
+    assert (proc.returncode, proc.stdout) == (0, "calls -> calls.f\n"), proc.stderr[-500:]
+
+
+_DEFAULTS_199 = "lambda a=" * 199 + "0" + ": 0" * 199
+
+
 @pytest.mark.parametrize("source", [
     "x = " + "[" * 199 + "1" + "]" * 199 + "\n",
     "x = " + "(" * 199 + "1," + ")," * 198 + ")\n",
     "x = " + "f(" * 199 + "1" + ")" * 199 + "\n",
     "x = " + "[" * 199 + " + ".join(["1"] * 1000) + "]" * 199 + "\n",
-], ids=["list", "tuple", "call", "list-of-sum"])
+    "x = " + "[-" * 199 + "1" + "]" * 199 + "\n",
+    f"x = lambda a={_DEFAULTS_199}: 0\n",
+], ids=["list", "tuple", "call", "list-of-sum", "negated-list", "lambda-defaults"])
 def test_a_199_deep_bracket_nest_is_printed(tmp_path, source):
-    """Brackets still nest the printer's frames, and the tokenizer stops at 200
-    of them.  No rule rewrites a list or a tuple, so ``rewrite`` prints those as
-    written; the nested calls are hoisted one per statement."""
+    """Brackets and lambda defaults still nest the printer's frames, four per
+    level; the tokenizer stops at 200 brackets, and a chain of 246 lambda
+    defaults exceeds the recursion limit.  No rule rewrites a list or a tuple,
+    so ``rewrite`` prints those as written; the nested calls are hoisted one
+    per statement, and the lambda becomes a def."""
     target = tmp_path / "nest.py"
     target.write_text(source)
     for argv in (["rewrite"], ["cfg"], ["cfg", "--format", "json"]):
@@ -600,6 +627,8 @@ def test_a_199_deep_bracket_nest_is_printed(tmp_path, source):
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         if argv == ["rewrite"] and "f(" in source:
             assert proc.stdout.count("\n") == 199, proc.stdout[-500:]
+        elif argv == ["rewrite"] and "lambda" in source:
+            assert proc.stdout == f"def x(a={_DEFAULTS_199}):\n    return 0\n"
         elif argv == ["rewrite"]:
             assert proc.stdout == source
 

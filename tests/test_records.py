@@ -54,7 +54,7 @@ IMMUTABLE = {
     ImportRelation: [("importer", "p.a"), ("imported_module", "p.b"),
                      ("symbols", (("f", None),)), ("relative_level", 1), ("resolved", False)],
     AliasPair: [("alias", ("b", 0)), ("target", "a")],
-    RewriteRule: [("id", 9), ("name", "Rule"), ("matcher", len), ("builder", max)],
+    RewriteRule: [("id", 9), ("name", "Rule"), ("apply", max)],
     NameContext: [("table", ScopeTable()), ("scope", None), ("scope_of", {}), ("alias_map", {})],
 }
 

@@ -91,7 +91,7 @@ def test_fixpoint_reached_on_corpus():
         for node in walk(simplified):
             if isinstance(node, ast.stmt):
                 for rule in RULES:
-                    assert not rule.matcher(node), (path.name, rule.name)
+                    assert rule.apply(node, TempNamer()) is None, (path.name, rule.name)
 
 
 def test_temporaries_never_shadow_existing_names():
@@ -119,15 +119,14 @@ def test_chains_inside_arguments_settle():
     for node in walk(tree):
         if isinstance(node, ast.stmt):
             for rule in RULES:
-                assert not rule.matcher(node)
+                assert rule.apply(node, TempNamer()) is None
 
 
 def test_simplify_raises_on_non_terminating_rule():
     bad = RewriteRule(
         id=99,
         name="KeepsMatching",
-        matcher=lambda stmt: isinstance(stmt, ast.Pass),
-        builder=lambda stmt, namer: [ast.Pass(), ast.Pass()],
+        apply=lambda stmt, namer: [ast.Pass(), ast.Pass()] if isinstance(stmt, ast.Pass) else None,
     )
     with pytest.raises(FixpointError):
         simplify_module(parse_module("pass"), rules=[bad])
@@ -204,7 +203,7 @@ def test_generated_programs_simplify_to_a_fixpoint(source):
     for node in walk(simplified):
         if isinstance(node, ast.stmt):
             for rule in RULES:
-                assert not rule.matcher(node)
+                assert rule.apply(node, TempNamer()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +222,8 @@ def _assert_rewrites_leave_input_alone(tree: ast.Module) -> None:
     namer = TempNamer.for_module(tree)
     for stmt in [node for node in walk(tree) if isinstance(node, ast.stmt)]:
         for rule in RULES:
-            if rule.matcher(stmt):
-                rule.builder(stmt, namer)
-                assert ast.dump(tree, include_attributes=True) == before, rule.name
+            rule.apply(stmt, namer)
+            assert ast.dump(tree, include_attributes=True) == before, rule.name
 
 
 @settings(max_examples=60, deadline=None)

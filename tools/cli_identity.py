@@ -36,8 +36,9 @@ literals past the int-to-str digit limit (which ``ast.dump`` cannot print,
 so they stay out of ``tests/corpus``), two relative imports on one line
 that reach above the project root, a call hoisted out of a statement
 whose next argument is a 1,000-deep subscript chain, a 2,900-term sum, a
-2,900-term ``**`` chain, a 2,900-deep attribute chain and a 2,900-deep
-lambda chain, and, for ``fqn``,
+2,900-term ``**`` chain, a 2,900-deep attribute chain, a 2,900-deep
+lambda chain, 2,900 unary minuses, 1,000 chained calls, ``[-[-...]]``
+nested 199 deep and a chain of 200 lambda defaults, and, for ``fqn``,
 names that a function binds over the module's (a function-local import
 read from another function, a parameter and a local that shadow
 module-level imports, a nested def that shadows a module-level one), calls
@@ -104,6 +105,10 @@ EDGE_CASES: dict[str, str | bytes] = {
     "deep_pow.py": "x = " + "**".join(["1"] * 2900) + "\n",
     "deep_attribute.py": "import os\nx = os" + ".path" * 2900 + "\n",
     "deep_lambda.py": "x = " + "lambda: " * 2900 + "1\n",
+    "deep_minus.py": "x = " + "-" * 2900 + "1\n",
+    "deep_call.py": "x = f" + "()" * 1000 + "\n",  # fqn prints each callee: quadratic text
+    "deep_neg_list.py": "x = " + "[-" * 199 + "1" + "]" * 199 + "\n",
+    "lambda_defaults.py": "x = " + "lambda a=" * 200 + "0" + ": 0" * 200 + "\n",
     "scoped_names.py": (
         "from os import getcwd, sep\n\n\n"
         "def f():\n    from os import getcwd as cwd\n    return cwd()\n\n\n"
