@@ -212,7 +212,8 @@ class CallGraph:
 
 
 class _Analyzer:
-    def __init__(self, package_root: Path | None) -> None:
+    def __init__(self, package_root: Path | None, simplify: bool = True) -> None:
+        self.simplify = simplify  # whether each module loaded is simplified first
         self.files: dict[str, Path] = {}  # package modules, loaded once reached
         self.failed: dict[str, str] = {}  # modules that did not load, with why; not retried
         self.table = ScopeTable()
@@ -233,29 +234,28 @@ class _Analyzer:
 
     # -- module loading ------------------------------------------------------
 
-    def load(self, path: str | Path, fqn: str, simplify: bool = True) -> None:
+    def load(self, path: str | Path, fqn: str) -> None:
         if fqn in self.table.modules or fqn in self.failed:
             return
-        module, diagnostic = load_module(path, simplify=simplify)
+        module, diagnostic = load_module(path, simplify=self.simplify)
         if module is None:
             self.diagnostics.append(diagnostic)
             self.failed[fqn] = diagnostic
             return
         is_package = Path(path).name == "__init__.py"
-        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package, simplify),
+        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package),
                               is_package=is_package)
 
-    def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool, simplify: bool) -> None:
+    def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool) -> None:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            self._bind_import(scope, stmt, is_package, simplify)
+            self._bind_import(scope, stmt, is_package)
         elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.decorator_list:
             names = [d.id for d in stmt.decorator_list]  # bare names only (see frontend)
             if not (scope.kind == "class" and isinstance(stmt, ast.FunctionDef)
                     and names in (["staticmethod"], ["classmethod"])):  # what Scope.receiver models
                 self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
 
-    def _bind_import(self, scope: Scope, stmt: ast.Import | ast.ImportFrom,
-                     is_package: bool, simplify: bool) -> None:
+    def _bind_import(self, scope: Scope, stmt: ast.Import | ast.ImportFrom, is_package: bool) -> None:
         bindings = import_bindings(stmt, scope.module, is_package)
         if bindings is None:
             self.diagnostics.append(
@@ -271,12 +271,12 @@ class _Analyzer:
                     scope.bindings[local] = ("ext", target)
                 continue
             if module in self.files:
-                self.load(self.files[module], module, simplify)
+                self.load(self.files[module], module)
             if isinstance(stmt, ast.ImportFrom) and stmt.names[0].name == "*":
                 self._diagnose(scope, stmt, "star import; names not tracked")
             for local, target in pairs:
                 if target != module and target in self.files:
-                    self.load(self.files[target], target, simplify)
+                    self.load(self.files[target], target)
                 # ``import a.b`` binds package ``a`` even if ``a`` has no file.
                 is_module = isinstance(stmt, ast.Import) or target in self.files
                 scope.bindings[local] = ("mod" if is_module else "slot", target)

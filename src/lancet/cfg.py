@@ -40,6 +40,7 @@ __all__ = [
     "build_from_source",
     "build_from_file",
     "visit_function_cfgs",
+    "reverse_postorder",
     "to_dot",
     "to_json_dict",
     "to_json",
@@ -103,6 +104,27 @@ class Cfg:
 def visit_function_cfgs(cfg: Cfg) -> Iterator[tuple[tuple[int, str], Cfg]]:
     """Directly nested function CFGs, ordered by (block id, name)."""
     yield from sorted(cfg.function_cfgs.items(), key=lambda item: item[0])
+
+
+def reverse_postorder(cfg: Cfg) -> list[int]:
+    """The ids of the blocks reachable from the entry, in reverse post-order (Cooper & Torczon,
+    ch. 9) of a depth-first search on an explicit stack, which follows each block's exits last
+    to first and marks a block visited when it first reaches it."""
+    order: list[int] = []
+    visited = {cfg.entry.id}
+    stack = [(cfg.entry, reversed(cfg.entry.exits))]
+    while stack:
+        block, exits = stack[-1]
+        for edge in exits:
+            if edge.target.id not in visited:
+                visited.add(edge.target.id)
+                stack.append((edge.target, reversed(edge.target.exits)))
+                break
+        else:
+            stack.pop()
+            order.append(block.id)
+    order.reverse()
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +311,9 @@ class _Assembler:
         self.current = after
 
     def finish(self) -> Cfg:
-        reachable: set[int] = set()
-        stack = [self.cfg.entry]
-        while stack:
-            block = stack.pop()
-            if block.id in reachable:
-                continue
-            reachable.add(block.id)
-            for edge in block.exits:
-                stack.append(edge.target)
+        reachable = set(reverse_postorder(self.cfg))
         self.cfg.unreachable_blocks = set(self.cfg.blocks) - reachable
-        self.cfg.final_blocks = {
-            bid for bid in reachable if not self.cfg.blocks[bid].exits
-        }
+        self.cfg.final_blocks = {bid for bid in reachable if not self.cfg.blocks[bid].exits}
         return self.cfg
 
 

@@ -63,13 +63,12 @@ def _ssa_pipeline(args: argparse.Namespace):
     source, tree = _load(args.file)
     if not args.no_simplify:
         tree = simplify_module(tree)
-    graph = cfg_mod.build_from_ast(source.module_name, tree)
-    use_map, const = ssa.compute_ssa(graph)
-    return use_map, ssa.fold_constants(const, use_map)
+    return ssa.compute_ssa(cfg_mod.build_from_ast(source.module_name, tree))
 
 
 def _cmd_ssa(args: argparse.Namespace) -> int:
-    _emit(dump_json(ssa.to_json_dict(*_ssa_pipeline(args))), args.output)
+    use_map, const = _ssa_pipeline(args)
+    _emit(dump_json(ssa.to_json_dict(use_map, ssa.fold_constants(const, use_map))), args.output)
     return 0
 
 

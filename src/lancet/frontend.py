@@ -199,7 +199,7 @@ def parse_module(text: str, path: str | Path = "<string>") -> ast.Module:
         ) from None
     except ValueError as exc:  # e.g. null bytes
         raise ParseError(str(path), 1, 0, str(exc)) from None
-    except RecursionError:
+    except (RecursionError, MemoryError):  # 3.11's parser raises a bare MemoryError on deep nesting
         raise ParseError(str(path), 1, 0, "too deeply nested to parse") from None
     _fold_and_validate(tree, str(path))
     return tree
@@ -418,8 +418,7 @@ def unparse(node: ast.AST) -> str:
 def source_text(node: ast.AST) -> str:
     """``ast.unparse(node)``, except that an int past the interpreter's int-to-str digit limit
     prints in hex, which is exact and takes linear time.  Only brackets and indentation, which
-    the tokenizer bounds, and lambda defaults nest the printer's frames, four per level, so a
-    chain of about 245 lambda defaults exceeds the recursion limit; ``node`` is not modified."""
+    the tokenizer bounds, nest the printer's frames, four per level; ``node`` is not modified."""
     return _Printer().visit(node)
 
 
@@ -445,9 +444,14 @@ class _Printer(_U):
     """``ast.unparse``'s own printer, except that the kinds in ``_STACKED``, which nest without
     brackets, print from one explicit stack of (node or text, precedence) items."""
 
+    defaults = None  # while a lambda's parameters are buffered, the defaults they hold
+
     def traverse(self, node):  # no super() call and no frame per list
         for node in node if isinstance(node, list) else (node,):
-            if type(node) in _STACKED:
+            if self.defaults is not None and isinstance(node, ast.expr):  # printed as a NUL
+                self.defaults.append(node)
+                self.write("\0")
+            elif type(node) in _STACKED:
                 self._print(node)
             else:
                 getattr(self, "visit_" + type(node).__name__, self.generic_visit)(node)
@@ -476,16 +480,22 @@ class _Printer(_U):
                 stack += (node.right, right), text, (node.left, left)
             elif kind is ast.UnaryOp or kind is ast.Lambda:
                 if kind is ast.UnaryOp:
-                    (text, own), operand = _UNOPS[type(node.op)], node.operand
-                else:
+                    (text, own), operand, tail = _UNOPS[type(node.op)], node.operand, ()
+                else:  # the parameters' text, split where each default goes; no printed source holds a NUL
+                    self.defaults = defaults = []
                     with self.buffered() as args:
                         self.traverse(node.args)
-                    text, own, operand = f"lambda {''.join(args)}: " if args else "lambda: ", _TEST, node.body
+                    self.defaults = None
+                    text, *pieces = f"lambda {''.join(args)}: ".split("\0") if args else ("lambda: ",)
+                    tail = [item for default, piece in zip(defaults[::-1], pieces[::-1])
+                            for item in ((piece, 0), (default, _TEST))]
+                    own, operand = _TEST, node.body
                 if prec > own:
                     text = "(" + text
                     push((")", 0))
                 out(text)
                 push((operand, own))
+                stack += tail
             elif kind is ast.Attribute:
                 stack += ("." + node.attr, 0), (node.value, _RECEIVER)
             elif kind is ast.Call:

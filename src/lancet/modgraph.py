@@ -278,8 +278,12 @@ def _statements(module: ast.Module) -> Iterator[ast.stmt]:
         stack += (getattr(stmt, "body", []) + getattr(stmt, "orelse", []))[::-1]
 
 
-def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str]]:
+def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str], list[str]]:
+    """The module's import relations, the modules its imports load by
+    :func:`import_bindings` (a from-import's module and the targets it binds,
+    a plain import's module) and its diagnostics."""
     relations: list[ImportRelation] = []
+    loads: list[str] = []
     diagnostics: list[str] = []
     assert node.module is not None
     is_package = node.name == "__init__"
@@ -294,7 +298,7 @@ def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str]]:
             )
             bindings = [("." * stmt.level + (stmt.module or ""), [])]
         groups = [[alias] for alias in stmt.names] if isinstance(stmt, ast.Import) else [stmt.names]
-        for (module, _), aliases in zip(bindings, groups):
+        for (module, pairs), aliases in zip(bindings, groups):
             relations.append(
                 ImportRelation(
                     importer=node.full_name,
@@ -304,22 +308,18 @@ def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str]]:
                     resolved=resolved,
                 )
             )
-    return relations, diagnostics
+            if resolved:
+                loads += [module] + [target for _, target in pairs if isinstance(stmt, ast.ImportFrom)]
+    return relations, loads, diagnostics
 
 
 def parse_imports(tree: TreeNode) -> dict[str, list[ImportRelation]]:
     """Import relations per module, for every parsed module in the tree."""
-    module_dict: dict[str, list[ImportRelation]] = {}
-    for node in tree.iter_modules():
-        if node.module is None:
-            continue
-        relations, _ = _relations_for(node)
-        module_dict[node.full_name] = relations
-    return module_dict
+    return {node.full_name: _relations_for(node)[0] for node in tree.iter_modules() if node.module is not None}
 
 
 def build_import_graph(root: str | Path) -> ImportGraph:
-    """Directory tree + import relations + project-internal edge set."""
+    """Directory tree + import relations + an edge to each project module an import loads."""
     tree, diagnostics = _parsed_tree(root)
     graph = ImportGraph(tree=tree, diagnostics=DiagnosticLog(diagnostics))
     project = {node.full_name for node in tree.iter_modules() if node.module is not None}
@@ -328,19 +328,13 @@ def build_import_graph(root: str | Path) -> ImportGraph:
             if node.parse_error is not None:
                 graph.diagnostics.append(node.parse_error)
             continue
-        relations, diagnostics = _relations_for(node)
+        relations, loads, diagnostics = _relations_for(node)
         graph.module_dict[node.full_name] = relations
         graph.diagnostics.extend(diagnostics)
-        for rel in relations:
-            if not rel.resolved:
-                continue
-            targets = [rel.imported_module]
-            targets += [f"{rel.imported_module}.{symbol}" for symbol, _alias in rel.symbols]
-            for target in targets:
-                # ``from . import x`` in a package's ``__init__`` names the
-                # package itself; a module is no dependency of its own.
-                if target in project and target != rel.importer:
-                    graph.internal_edges.add((rel.importer, target))
+        # ``from . import x`` in a package's ``__init__`` names the package
+        # itself; a module is no dependency of its own.
+        graph.internal_edges.update((node.full_name, target) for target in loads
+                                    if target in project and target != node.full_name)
     return graph
 
 

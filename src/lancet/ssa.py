@@ -45,7 +45,7 @@ import re
 from collections import deque
 from typing import Callable, Hashable, Iterator, NamedTuple
 
-from .cfg import Block, Cfg, head_exprs
+from .cfg import Cfg, head_exprs, reverse_postorder
 from .frontend import NODE_FIELDS, _defaults, source_text
 
 __all__ = [
@@ -254,36 +254,10 @@ def _collect_loads(roots: list[ast.expr]) -> set[str]:
 # Reaching definitions
 
 
-def _reverse_postorder(cfg: Cfg) -> list[int]:
-    # Iterative DFS (exits visited in reverse order) so deep block chains
-    # cannot hit the interpreter recursion limit; unreachable blocks go last.
-    order: list[int] = []
-    visited: set[int] = {cfg.entry.id}
-    stack: list[tuple[Block, int]] = [(cfg.entry, 0)]
-    while stack:
-        block, idx = stack[-1]
-        exits = block.exits
-        advanced = False
-        while idx < len(exits):
-            target = exits[len(exits) - 1 - idx].target
-            idx += 1
-            if target.id not in visited:
-                visited.add(target.id)
-                stack[-1] = (block, idx)
-                stack.append((target, 0))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            order.append(block.id)
-    order.reverse()
-    order.extend(sorted(set(cfg.blocks) - visited))
-    return order
-
-
 def compute_ssa(cfg: Cfg) -> tuple[SsaUseMap, ConstDict]:
     """Exact reaching-version sets at every use, plus the definition table."""
-    rpo = _reverse_postorder(cfg)
+    rpo = reverse_postorder(cfg)
+    rpo += sorted(set(cfg.blocks) - set(rpo))  # the unreachable blocks
 
     next_version: dict[str, int] = {}
     const = ConstDict()

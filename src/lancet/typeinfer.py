@@ -184,17 +184,17 @@ def infer_types_report(
     suspicious operations."""
     entry_path = Path(entry)
     if entry_path.is_dir():
-        analyzer = _Analyzer(entry_path)
+        analyzer = _Analyzer(entry_path, simplify)
         files = {name: str(path) for name, path in analyzer.files.items()}
     elif entry_path.is_file():
-        analyzer = _Analyzer(None)
+        analyzer = _Analyzer(None, simplify)
         files = {entry_path.stem: str(entry)}
     else:
         raise FileNotFoundError(f"entry point not found: {entry}")
     diagnostics = DiagnosticLog(analyzer.diagnostics)  # so far, the directory walk's
     analyzer.signatures = default_table()
     for name, file in files.items():
-        analyzer.load(file, name, simplify)
+        analyzer.load(file, name)
     _seed(analyzer)
     analyzer.solve()
     diagnostics.extend(analyzer.failed[name] for name in files if name in analyzer.failed)

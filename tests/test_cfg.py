@@ -11,6 +11,7 @@ from lancet.cfg import (
     build_from_file,
     build_from_source,
     iter_eager,
+    reverse_postorder,
     stmt_head_text,
     to_dot,
     to_json,
@@ -340,6 +341,49 @@ def test_reachability_accounting():
         assert reachable | cfg.unreachable_blocks == set(cfg.blocks), path.name
         assert not reachable & cfg.unreachable_blocks, path.name
         assert cfg.final_blocks <= reachable
+
+
+def _recursive_reverse_postorder(cfg) -> list[int]:
+    """Reference: a recursive depth-first search, exits last to first, that
+    marks a block visited when it first reaches it."""
+    order: list[int] = []
+    visited = {cfg.entry.id}
+
+    def visit(block) -> None:
+        for edge in reversed(block.exits):
+            if edge.target.id not in visited:
+                visited.add(edge.target.id)
+                visit(edge.target)
+        order.append(block.id)
+
+    visit(cfg.entry)
+    return order[::-1]
+
+
+def _assert_reverse_postorder_matches_reference(top) -> None:
+    for cfg in all_cfgs(top):
+        order = reverse_postorder(cfg)
+        assert order == _recursive_reverse_postorder(cfg)
+        assert set(order) == set(cfg.blocks) - cfg.unreachable_blocks
+
+
+def test_reverse_postorder_matches_a_recursive_search_on_corpus():
+    for path in corpus_files("programs", "rewrite", "callgraph", "typeinfer"):
+        _assert_reverse_postorder_matches_reference(build_from_file(path.stem, path))
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_reverse_postorder_matches_a_recursive_search_on_generated_programs(source: str):
+    _assert_reverse_postorder_matches_reference(build_from_source("m", source))
+
+
+def test_reverse_postorder_follows_the_last_exit_first():
+    """Blocks: 1 ``if c``, 2 and 4 its branches, 3 the join and ``while x``,
+    5 the loop body and 6 after it.  Exits taken first to last would give
+    [1, 4, 2, 3, 6, 5]."""
+    cfg = build_from_source("m", "if c:\n    x = 1\nelse:\n    x = 2\nwhile x:\n    x = 0\ny = x\n")
+    assert reverse_postorder(cfg) == [1, 2, 4, 3, 5, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,20 @@ def test_alias_json(capsys, tmp_path):
     ]
 
 
+def test_alias_folds_nothing(capsys, tmp_path, monkeypatch):
+    """``alias`` reads each definition's kind and expression, never its folded value."""
+    def _no_fold(*args):
+        raise AssertionError("alias folded constants")
+
+    monkeypatch.setattr(cli.ssa, "fold_constants", _no_fold)
+    target = tmp_path / "aliases.py"
+    target.write_text("a = 1\nb = a + 1\nc = b\n")
+    for argv in (["alias"], ["alias", "--no-simplify"]):
+        code, out, err = _run(capsys, *argv, str(target))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"alias": "c#0", "target": "b"}]
+
+
 def test_rewrite_stdout(capsys, tmp_path):
     target = tmp_path / "in.py"
     target.write_text("x = funA(funB())\n")
@@ -606,6 +620,46 @@ def test_callgraph_and_typeinfer_analyze_a_2900_deep_expression(tmp_path):
 _DEFAULTS_199 = "lambda a=" * 199 + "0" + ": 0" * 199
 
 
+def _lambda_defaults(depth: int) -> str:
+    return "x = " + "lambda a=" * depth + "0" + ": 0" * depth + "\n"
+
+
+def _every_argv(target: Path) -> list[list[str]]:
+    """Each subcommand on ``target``, and with ``--no-simplify`` where it takes it."""
+    file = str(target)
+    return [["rewrite", file], ["cfg", file], ["cfg", "--format", "json", file],
+            ["cfg", "--include-functions", file], ["ssa", file], ["ssa", "--no-simplify", file],
+            ["alias", file], ["alias", "--no-simplify", file], ["fqn", file], ["imports", str(target.parent)],
+            ["callgraph", "--entry", file], ["typeinfer", file], ["typeinfer", "--no-simplify", file]]
+
+
+def test_a_745_deep_chain_of_lambda_defaults_is_analyzed(tmp_path):
+    """The printer pushes a lambda's defaults onto its stack, so the deepest
+    chain the parser accepts gets exit 0 from every subcommand, in a fresh
+    interpreter."""
+    target = tmp_path / "defaults.py"
+    target.write_text(_lambda_defaults(745))
+    for argv in _every_argv(target):
+        proc = _fresh("-m", "lancet.cli", *argv)
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])
+        assert proc.stderr == "", argv
+
+
+@pytest.mark.parametrize("source", [_lambda_defaults(746), "x = " + "-" * 6000 + "1\n"],
+                         ids=["lambda-defaults-746", "minus-6000"])
+def test_input_too_deep_to_parse_gets_a_located_diagnostic(tmp_path, source):
+    """The parser's stack overflow is a located parse error: exit 2 from the
+    subcommands that read one file, and from the project ones the diagnostic
+    that skips the module, in a fresh interpreter."""
+    target = tmp_path / "deep.py"
+    target.write_text(source)
+    for argv in _every_argv(target):
+        proc = _fresh("-m", "lancet.cli", *argv)
+        skipped = argv[0] in ("imports", "callgraph", "typeinfer")
+        assert proc.returncode == (0 if skipped else 2), (argv, proc.stderr[-500:])
+        assert proc.stderr.endswith("deep.py:1:0: too deeply nested to parse\n"), (argv, proc.stderr[-500:])
+
+
 @pytest.mark.parametrize("source", [
     "x = " + "[" * 199 + "1" + "]" * 199 + "\n",
     "x = " + "(" * 199 + "1," + ")," * 198 + ")\n",
@@ -615,9 +669,8 @@ _DEFAULTS_199 = "lambda a=" * 199 + "0" + ": 0" * 199
     f"x = lambda a={_DEFAULTS_199}: 0\n",
 ], ids=["list", "tuple", "call", "list-of-sum", "negated-list", "lambda-defaults"])
 def test_a_199_deep_bracket_nest_is_printed(tmp_path, source):
-    """Brackets and lambda defaults still nest the printer's frames, four per
-    level; the tokenizer stops at 200 brackets, and a chain of 246 lambda
-    defaults exceeds the recursion limit.  No rule rewrites a list or a tuple,
+    """Brackets still nest the printer's frames, four per level, and the
+    tokenizer stops at 200 brackets.  No rule rewrites a list or a tuple,
     so ``rewrite`` prints those as written; the nested calls are hoisted one
     per statement, and the lambda becomes a def."""
     target = tmp_path / "nest.py"

@@ -144,6 +144,22 @@ def test_package_importing_its_own_submodule_has_no_self_edge(tmp_path):
     assert [n.full_name for n in leaf_nodes(graph)] == ["app.core.engine"]
 
 
+@pytest.mark.parametrize("source,edges", [
+    ("import app\n", {("app.main", "app")}),
+    ("from app import app\n", {("app.main", "app"), ("app.main", "app.app")}),
+    ("import app.app\n", {("app.main", "app.app")}),
+])
+def test_an_import_draws_edges_to_the_modules_it_loads(tmp_path, source, edges):
+    """Edges follow ``import_bindings``: ``import app`` loads the package, not
+    a submodule that happens to share its name."""
+    root = tmp_path / "app"
+    root.mkdir()
+    (root / "__init__.py").write_text("")
+    (root / "app.py").write_text("x = 1\n")
+    (root / "main.py").write_text(source)
+    assert build_import_graph(root).internal_edges == edges
+
+
 def test_every_non_leaf_has_an_outgoing_internal_edge():
     graph = build_import_graph(EXAMPLE)
     leaves = {n.full_name for n in leaf_nodes(graph)}

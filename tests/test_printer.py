@@ -86,6 +86,10 @@ def test_stdlib_sample_prints_as_ast_unparse(path: Path):
     "f(a, *b, c=d, **e)",
     "(lambda: 1)()",
     "lambda: lambda x=1, *a, **k: x",
+    "lambda a=1, /, b=(1, 2), *c, d=[e for e in f], g, **h: 0",
+    "lambda a=lambda b=(lambda: c): b, *, d=-1: (a, d)",
+    "f(lambda a=x if y else z: 0, lambda a=(yield): 0)",
+    "lambda a='\\0', b=f'\\0{c}': a",
     "f'{a!r:>{w}}' + f'{1 .real}'",
     "x = (yield)",
 ])

@@ -38,7 +38,10 @@ that reach above the project root, a call hoisted out of a statement
 whose next argument is a 1,000-deep subscript chain, a 2,900-term sum, a
 2,900-term ``**`` chain, a 2,900-deep attribute chain, a 2,900-deep
 lambda chain, 2,900 unary minuses, 1,000 chained calls, ``[-[-...]]``
-nested 199 deep and a chain of 200 lambda defaults, and, for ``fqn``,
+nested 199 deep, chains of 200 and 745 lambda defaults, and two inputs
+too deep to parse (746 lambda defaults and 6,000 unary minuses), a
+project whose ``app/main.py`` does ``import app`` beside an ``app/app.py``,
+and, for ``fqn``,
 names that a function binds over the module's (a function-local import
 read from another function, a parameter and a local that shadow
 module-level imports, a nested def that shadows a module-level one), calls
@@ -109,6 +112,11 @@ EDGE_CASES: dict[str, str | bytes] = {
     "deep_call.py": "x = f" + "()" * 1000 + "\n",  # fqn prints each callee: quadratic text
     "deep_neg_list.py": "x = " + "[-" * 199 + "1" + "]" * 199 + "\n",
     "lambda_defaults.py": "x = " + "lambda a=" * 200 + "0" + ": 0" * 200 + "\n",
+    "lambda_defaults_745.py": "x = " + "lambda a=" * 745 + "0" + ": 0" * 745 + "\n",
+    "lambda_defaults_746.py": "x = " + "lambda a=" * 746 + "0" + ": 0" * 746 + "\n",  # too deep to parse
+    "deep_minus_6000.py": "x = " + "-" * 6000 + "1\n",  # too deep to parse
+    "samename/app/main.py": "import app\n",
+    "samename/app/app.py": "x = 1\n",
     "scoped_names.py": (
         "from os import getcwd, sep\n\n\n"
         "def f():\n    from os import getcwd as cwd\n    return cwd()\n\n\n"
