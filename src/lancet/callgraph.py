@@ -55,7 +55,7 @@ from .cfg import head_exprs, iter_eager
 from .frontend import dump_json
 from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, bind_arguments, bind_defaults,
                        binds_receiver, discover, dotted_parts, import_bindings, load_module)
-from .ssa import Worklist, target_names, unpack
+from .ssa import Worklist, definitions
 
 __all__ = [
     "AssignmentGraph",
@@ -216,6 +216,7 @@ class _Analyzer:
         self.simplify = simplify  # whether each module loaded is simplified first
         self.files: dict[str, Path] = {}  # package modules, loaded once reached
         self.failed: dict[str, str] = {}  # modules that did not load, with why; not retried
+        self.pending: list[tuple[str | Path, str]] = []  # what load has reached, in order
         self.table = ScopeTable()
         self.signatures = HeuristicTable()  # type inference sets the bundled table
         self.solver = Worklist()
@@ -235,16 +236,20 @@ class _Analyzer:
     # -- module loading ------------------------------------------------------
 
     def load(self, path: str | Path, fqn: str) -> None:
-        if fqn in self.table.modules or fqn in self.failed:
-            return
-        module, diagnostic = load_module(path, simplify=self.simplify)
-        if module is None:
-            self.diagnostics.append(diagnostic)
-            self.failed[fqn] = diagnostic
-            return
-        is_package = Path(path).name == "__init__.py"
-        self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package),
-                              is_package=is_package)
+        """Load module ``fqn`` from ``path``, then each project module its
+        imports reach, first reached first, after the module that reached it."""
+        self.pending = [(path, fqn)]
+        for path, fqn in self.pending:  # _bind_import appends to it
+            if fqn in self.table.modules or fqn in self.failed:
+                continue
+            module, diagnostic = load_module(path, simplify=self.simplify)
+            if module is None:
+                self.diagnostics.append(diagnostic)
+                self.failed[fqn] = diagnostic
+                continue
+            is_package = Path(path).name == "__init__.py"
+            self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package),
+                                  is_package=is_package)
 
     def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool) -> None:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
@@ -270,13 +275,11 @@ class _Analyzer:
                 for local, target in pairs:
                     scope.bindings[local] = ("ext", target)
                 continue
-            if module in self.files:
-                self.load(self.files[module], module)
+            loads = [module, *(target for _, target in pairs)]
+            self.pending += [(self.files[name], name) for name in loads if name in self.files]
             if isinstance(stmt, ast.ImportFrom) and stmt.names[0].name == "*":
                 self._diagnose(scope, stmt, "star import; names not tracked")
             for local, target in pairs:
-                if target != module and target in self.files:
-                    self.load(self.files[target], target)
                 # ``import a.b`` binds package ``a`` even if ``a`` has no file.
                 is_module = isinstance(stmt, ast.Import) or target in self.files
                 scope.bindings[local] = ("mod" if is_module else "slot", target)
@@ -456,19 +459,13 @@ class _Analyzer:
         elif isinstance(stmt, ast.ClassDef):
             fqn = scope.slot(stmt.name)
             self.solver.add(fqn, {("class", fqn)})
-        elif isinstance(stmt, ast.Assign):
-            values = self.eval_expr(stmt.value, scope)
-            for target in stmt.targets:
-                for name, expr in unpack(target, stmt.value):
-                    found = (values if expr is stmt.value else {_ANY} if expr is None
-                             else self.eval_expr(expr, scope))
-                    self._assign(scope, name, found)
-        elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-            left, right = self.eval_expr(stmt.target, scope), self.eval_expr(stmt.value, scope)
-            self._assign(scope, stmt.target.id, self._binop(type(stmt.op).__name__, left, right))
-        elif isinstance(stmt, ast.For):
-            for name in target_names(stmt.target):
-                self._assign(scope, name, {_ANY})
+        elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):
+            # Evaluated even where no name takes it (``x.a = s + 1``): that reads slots and may diagnose.
+            value = stmt.value if isinstance(stmt, ast.Assign) else None
+            values = None if value is None else self.eval_expr(value, scope)
+            for name, expr, _ in definitions(stmt):
+                found = {_ANY} if expr is None else values if expr is value else self.eval_expr(expr, scope)
+                self._assign(scope, name, found)
         elif isinstance(stmt, ast.Return) and stmt.value is not None and scope.kind == "function":
             self.solver.add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
 

@@ -3,9 +3,9 @@
 A :class:`Cfg` holds numbered :class:`Block`s of straight-line statements
 joined by :class:`Link`s; a link carries the branch condition (or loop
 binding) that guards it.  Function and class bodies get their own nested
-CFGs: ``function_cfgs`` is keyed by ``(block_id, name)`` because the same
-name can be defined in different branches, and each nested CFG may hold
-further nested CFGs of its own.
+CFGs: ``function_cfgs`` and ``class_cfgs`` are keyed by ``(block_id, name)``
+because the same name can be defined in different branches, and each nested
+CFG may hold further nested CFGs of its own.
 
 Construction rules:
 
@@ -30,8 +30,7 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
-from .frontend import (NODE_FIELDS, SourceFile, _defaults, child_nodes, dump_json, node_span, parse_module,
-                       source_text)
+from .frontend import SourceFile, _defaults, _walk, dump_json, node_span, parse_module, source_text
 
 __all__ = [
     "Block",
@@ -86,7 +85,7 @@ class Cfg:
     def __init__(self, name: str, entry: Block, blocks: dict[int, Block] | None = None,
                  final_blocks: set[int] | None = None, unreachable_blocks: set[int] | None = None,
                  function_cfgs: dict[tuple[int, str], Cfg] | None = None,
-                 class_cfgs: dict[str, Cfg] | None = None) -> None:
+                 class_cfgs: dict[tuple[int, str], Cfg] | None = None) -> None:
         self.name, self.entry = name, entry
         self.blocks = {} if blocks is None else blocks
         self.final_blocks = set() if final_blocks is None else final_blocks
@@ -156,19 +155,7 @@ def head_exprs(stmt: ast.stmt) -> list[ast.expr]:
 def iter_eager(expr: ast.AST) -> Iterator[ast.AST]:
     """Pre-order walk of an expression, skipping deferred lambda bodies and,
     as :func:`~lancet.frontend.walk`, context and operator objects."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        fields = NODE_FIELDS[type(node)]
-        if not fields:  # a leaf, tested before any call
-            continue
-        if type(node) is ast.Lambda:
-            children = _defaults(node.args)
-        else:
-            children = child_nodes(node, fields)
-        children.reverse()
-        stack += children
+    return _walk(expr, True)
 
 
 def stmt_head_text(stmt: ast.stmt) -> str:
@@ -254,7 +241,7 @@ class _Assembler:
         if isinstance(stmt, ast.FunctionDef):
             self.cfg.function_cfgs[(block.id, stmt.name)] = _build_cfg(stmt.name, stmt.body, True)
         elif isinstance(stmt, ast.ClassDef):
-            self.cfg.class_cfgs[stmt.name] = _build_cfg(stmt.name, stmt.body, False)
+            self.cfg.class_cfgs[(block.id, stmt.name)] = _build_cfg(stmt.name, stmt.body, False)
         elif isinstance(stmt, (ast.Return, ast.Break, ast.Continue)):
             if self.loops and isinstance(stmt, ast.Break):
                 self.link(block, self.loops[-1].after())
@@ -379,7 +366,8 @@ def _dot_body(cfg: Cfg, prefix: str, lines: list[str], indent: str,
     if not include_functions:
         return
     nested = [(f"{name} (block {bid})", "f", sub) for (bid, name), sub in visit_function_cfgs(cfg)]
-    nested += [(f"class {name}", "c", cfg.class_cfgs[name]) for name in sorted(cfg.class_cfgs)]
+    classes = sorted(cfg.class_cfgs.items(), key=lambda item: item[0][::-1])  # by (name, block id)
+    nested += [(f"class {name}", "c", sub) for (_, name), sub in classes]
     for cluster, (label, kind, sub) in enumerate(nested):
         lines.append(f'{indent}subgraph cluster_{prefix}{cluster} {{')
         lines.append(f'{indent}  label="{_dot_escape(label)}";')
@@ -419,8 +407,8 @@ def to_json_dict(cfg: Cfg) -> dict:
             for (bid, name), sub in visit_function_cfgs(cfg)
         ],
         "classes": [
-            {"name": name, "cfg": to_json_dict(cfg.class_cfgs[name])}
-            for name in sorted(cfg.class_cfgs)
+            {"name": name, "cfg": to_json_dict(sub)}
+            for (_, name), sub in sorted(cfg.class_cfgs.items(), key=lambda item: item[0][::-1])
         ],
     }
 

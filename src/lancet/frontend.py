@@ -581,13 +581,18 @@ def walk(node: ast.AST) -> Iterator[ast.AST]:
     across the tree.  The walk keeps an explicit stack, so tree depth is not
     limited by the recursion limit.
     """
+    return _walk(node, False)
+
+
+def _walk(node: ast.AST, eager: bool) -> Iterator[ast.AST]:
+    """:func:`walk`'s loop; ``eager`` enters only a lambda's defaults (:func:`~lancet.cfg.iter_eager`)."""
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
         fields = NODE_FIELDS[type(node)]
-        if fields:
-            children = child_nodes(node, fields)
+        if fields:  # a leaf is tested before any call
+            children = _defaults(node.args) if eager and type(node) is ast.Lambda else child_nodes(node, fields)
             children.reverse()
             stack += children
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple
 from .cfg import head_exprs
 from .frontend import ParseError, SourceFile, parse_module, positional_params, source_text, walk
 from .rewriter import FixpointError, simplify_module
-from .ssa import target_names, unpack
+from .ssa import definitions
 
 __all__ = [
     "DiagnosticLog",
@@ -102,10 +102,13 @@ class TreeNode:
         self.module, self.parse_error, self.is_module = module, parse_error, is_module
 
     def iter_modules(self):
-        if self.is_module:
-            yield self
-        for child in self.children:
-            yield from child.iter_modules()
+        """The module leaves under this node, in pre-order (explicit stack)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_module:
+                yield node
+            stack += reversed(node.children)
 
 
 class ImportRelation(NamedTuple):
@@ -150,35 +153,38 @@ def discover(root: str | Path) -> tuple[TreeNode, list[str]]:
     """
     rootp = Path(root)
     real = rootp.resolve()
+    seen = {real}
     diagnostics: list[str] = []
-    return _walk_dir(rootp, real.name, {real}, diagnostics), diagnostics
-
-
-def _walk_dir(path: Path, full_name: str, seen: set[Path], diagnostics: list[str]) -> TreeNode:
-    node = TreeNode(name=path.name, full_name=full_name, path=str(path))
-    taken: set[str] = set()
-    for entry in sorted(path.iterdir(), key=lambda p: p.name):
-        if entry.is_dir():
-            if entry.name in _SKIP_DIRS or entry.name.startswith("."):
-                continue
-            taken.add(entry.name)
-            if entry.suffix == ".py":
-                diagnostics.append(f"{entry}: skipped: a directory, not a module")
-                continue
-            real = entry.resolve()
-            if real in seen:
-                diagnostics.append(f"{entry}: skipped: {real} is already part of the project")
-                continue
-            seen.add(real)
-            node.children.append(_walk_dir(entry, f"{full_name}.{entry.name}", seen, diagnostics))
-        elif entry.suffix == ".py" and entry.stem not in taken:
-            stem = entry.stem
-            child_full = full_name if stem == "__init__" else f"{full_name}.{stem}"
-            node.children.append(
-                TreeNode(name=stem, full_name=child_full, path=str(entry), is_module=True)
-            )
-            taken.add(stem)
-    return node
+    tree = TreeNode(name=rootp.name, full_name=real.name, path=str(rootp))
+    # One frame per open directory: (node, its sorted entries still to visit, names taken).
+    stack = [(tree, iter(sorted(rootp.iterdir(), key=lambda p: p.name)), set())]
+    while stack:
+        node, entries, taken = stack[-1]
+        for entry in entries:
+            if entry.is_dir():
+                if entry.name in _SKIP_DIRS or entry.name.startswith("."):
+                    continue
+                taken.add(entry.name)
+                if entry.suffix == ".py":
+                    diagnostics.append(f"{entry}: skipped: a directory, not a module")
+                    continue
+                real = entry.resolve()
+                if real in seen:
+                    diagnostics.append(f"{entry}: skipped: {real} is already part of the project")
+                    continue
+                seen.add(real)
+                child = TreeNode(name=entry.name, full_name=f"{node.full_name}.{entry.name}", path=str(entry))
+                node.children.append(child)
+                stack.append((child, iter(sorted(entry.iterdir(), key=lambda p: p.name)), set()))
+                break
+            elif entry.suffix == ".py" and entry.stem not in taken:
+                stem = entry.stem
+                child_full = node.full_name if stem == "__init__" else f"{node.full_name}.{stem}"
+                node.children.append(TreeNode(name=stem, full_name=child_full, path=str(entry), is_module=True))
+                taken.add(stem)
+        else:
+            stack.pop()
+    return tree, diagnostics
 
 
 def load_module(path: str | Path, *, simplify: bool = False) -> tuple[ast.Module | None, str | None]:
@@ -495,11 +501,8 @@ class ScopeTable:
                 child = self._add_definition(scope, stmt)
                 stack += [(inner, child) for inner in reversed(stmt.body)]
                 continue
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                for target in targets:
-                    for local in target_names(target):
-                        scope.bindings.setdefault(local, ("slot", scope.slot(local)))
+            for local, _, _ in definitions(stmt):
+                scope.bindings.setdefault(local, ("slot", scope.slot(local)))
             if isinstance(stmt, (ast.If, ast.While, ast.For)):
                 stack += [(inner, scope) for inner in reversed(stmt.body + stmt.orelse)]
 
@@ -554,7 +557,7 @@ def build_name_context(module: ast.Module, module_name: str) -> NameContext:
     with lambda bodies included.  A name that module-level assignments,
     including those in module-level ``if``/``while``/``for`` bodies, copy
     from exactly one other name (``g = getcwd``, paired by
-    :func:`~lancet.ssa.unpack`) maps to that name in ``alias_map``."""
+    :func:`~lancet.ssa.definitions`) maps to that name in ``alias_map``."""
     table = ScopeTable()
     table.add_module(module, module_name)
     top, *bodies = table.scopes
@@ -562,11 +565,9 @@ def build_name_context(module: ast.Module, module_name: str) -> NameContext:
                 for expr in head_exprs(stmt) for node in walk(expr) if isinstance(node, ast.Call)}
     copies: dict[str, set[str]] = {}
     for stmt in top.statements:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                for name, expr in unpack(target, stmt.value):
-                    if isinstance(expr, ast.Name):
-                        copies.setdefault(name, set()).add(expr.id)
+        for name, expr, _ in definitions(stmt):
+            if isinstance(expr, ast.Name):
+                copies.setdefault(name, set()).add(expr.id)
     alias_map = {name: next(iter(t)) for name, t in copies.items() if len(t) == 1}
     return NameContext(table, top, scope_of, alias_map)
 

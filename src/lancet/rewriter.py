@@ -43,8 +43,6 @@ __all__ = [
     "simplify_module",
 ]
 
-TEMP_PREFIX = "_ret"
-
 
 class FixpointError(Exception):
     """A rule kept matching its own output (a rule bug, not user error)."""
@@ -54,17 +52,18 @@ class TempNamer:
     """Generates `_ret`, `_ret_1`, ... temporaries that collide with nothing.
 
     ``forbidden`` holds the names to avoid; every emitted name is added to
-    it.  :meth:`for_module` adds the identifiers bound or referenced in the
-    module under rewrite, collected on the first :meth:`fresh` call, so a
-    module that needs no temporary is never walked for them.  That module
-    must not change before then.
+    it and to ``issued``.  :meth:`for_module` adds the identifiers bound or
+    referenced in the module under rewrite, collected on the first
+    :meth:`fresh` call, so a module that needs no temporary is never walked
+    for them.  That module must not change before then.
     """
 
     def __init__(self, forbidden: set[str] | None = None, counter: int = 0,
-                 pending: ast.AST | None = None) -> None:
+                 pending: ast.AST | None = None, issued: set[str] | None = None) -> None:
         self.forbidden = set() if forbidden is None else forbidden
         self.counter = counter
         self.pending = pending
+        self.issued = set() if issued is None else issued
 
     @classmethod
     def for_module(cls, module: ast.Module) -> "TempNamer":
@@ -75,10 +74,11 @@ class TempNamer:
             self.forbidden |= collect_identifiers(self.pending)
             self.pending = None
         while True:
-            name = TEMP_PREFIX if self.counter == 0 else f"{TEMP_PREFIX}_{self.counter}"
+            name = "_ret" if self.counter == 0 else f"_ret_{self.counter}"
             self.counter += 1
             if name not in self.forbidden:
                 self.forbidden.add(name)
+                self.issued.add(name)
                 return name
 
 
@@ -367,9 +367,11 @@ def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = No
     yields the input's statements themselves), so no caller may mutate
     either tree.  Every statement a rule builds carries the location of the
     statement it replaces; the input is expected to be fully located, as
-    :func:`~lancet.frontend.parse_module` leaves it.
+    :func:`~lancet.frontend.parse_module` leaves it.  The result's
+    ``temporaries`` is the set of names the rewrite made (:class:`TempNamer`).
     """
     namer = TempNamer.for_module(module)
     result = copy.copy(module)
     result.body, _ = _rewrite_block(module.body, namer, RULES if rules is None else rules)
+    result.temporaries = namer.issued
     return result

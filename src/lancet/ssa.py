@@ -54,6 +54,7 @@ __all__ = [
     "SsaUseMap",
     "AliasPair",
     "compute_ssa",
+    "definitions",
     "fold_constants",
     "alias_pairs",
     "Worklist",
@@ -135,18 +136,11 @@ class AliasPair(NamedTuple):
 # Definition / use extraction
 
 
-def _classify(expr: ast.expr | None) -> str:
-    if expr is None:
-        return KIND_UNKNOWN
-    if isinstance(expr, ast.Constant):
-        return KIND_LITERAL
-    if isinstance(expr, ast.Name):
-        return KIND_NAME
-    if isinstance(expr, (ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare)):
-        return KIND_ARITHMETIC
-    if isinstance(expr, ast.Call):
-        return KIND_CALL
-    return KIND_OTHER
+# A value's kind by its node type; any type not listed is KIND_OTHER.
+_KINDS: dict[type, str] = {
+    type(None): KIND_UNKNOWN, ast.Constant: KIND_LITERAL, ast.Name: KIND_NAME, ast.Call: KIND_CALL,
+    **dict.fromkeys((ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare), KIND_ARITHMETIC),
+}
 
 
 def unpack(target: ast.expr, value: ast.expr | None) -> list[tuple[str, ast.expr | None]]:
@@ -186,12 +180,13 @@ def target_names(target: ast.expr) -> list[str]:
     return [name for name, _ in unpack(target, None)]
 
 
-def _definitions(stmt: ast.stmt) -> list[tuple[str, ast.expr | None, str]]:
+def definitions(stmt: ast.stmt) -> list[tuple[str, ast.expr | None, str]]:
+    """(name, value expr or None, kind) for each name ``stmt`` binds, in target
+    order: an ``Assign``'s as :func:`unpack` pairs them, a name ``AugAssign``'s
+    to a new located ``name op value``, a ``for``'s to None; nothing else."""
     if isinstance(stmt, ast.Assign):
-        pairs: list[tuple[str, ast.expr | None]] = []
-        for target in stmt.targets:
-            pairs.extend(unpack(target, stmt.value))
-        return [(name, expr, _classify(expr)) for name, expr in pairs]
+        return [(name, expr, _KINDS.get(type(expr), KIND_OTHER))
+                for target in stmt.targets for name, expr in unpack(target, stmt.value)]
     if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
         left = ast.copy_location(ast.Name(id=stmt.target.id, ctx=ast.Load()), stmt)
         combined = ast.copy_location(ast.BinOp(left=left, op=stmt.op, right=stmt.value), stmt)
@@ -266,7 +261,7 @@ def compute_ssa(cfg: Cfg) -> tuple[SsaUseMap, ConstDict]:
         block = cfg.blocks[bid]
         for idx, stmt in enumerate(block.statements):
             assigned: list[tuple[str, int]] = []
-            for name, expr, kind in _definitions(stmt):
+            for name, expr, kind in definitions(stmt):
                 version = next_version.get(name, 0)
                 next_version[name] = version + 1
                 const.entries[(name, version)] = DefValue(expr=expr, kind=kind, site=(bid, idx))

@@ -21,8 +21,9 @@ slot is ``Any``.
 Each function return, each distinct local variable, and each parameter
 yields one :class:`TypeRecord`; records sort by (file, line).  A variable's
 line is the first assignment in its scope that binds it; class bodies give
-no records.  Rewriter temporaries are analysis artifacts and are not
-reported.
+no records.  The temporaries the rewriter made (the ``temporaries`` that
+:func:`~lancet.rewriter.simplify_module` leaves on a module) are analysis
+artifacts and are not reported; a user's own ``_ret`` is.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from pathlib import Path
 from .callgraph import (ANY, _METHODS, HeuristicTable, _Analyzer, default_table,
                         load_signature_table, type_name)
 from .modgraph import RETURN_SLOT, DiagnosticLog
-from .rewriter import TEMP_PREFIX
-from .ssa import target_names
+from .ssa import definitions
 
 __all__ = [
     "TypeRecord",
@@ -125,14 +125,14 @@ def _records(analyzer: _Analyzer, files: dict[str, str]) -> list[TypeRecord]:
         first: dict[str, int] = {}  # variable -> the line of the first assignment to it
         for stmt in scope.statements:
             if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    for name in target_names(target):
-                        first.setdefault(name, stmt.lineno)
+                for name, _, _ in definitions(stmt):
+                    first.setdefault(name, stmt.lineno)
+        temporaries = getattr(table.modules[scope.module].node, "temporaries", ())
         records += [
             TypeRecord(file=file, line_number=line, function=function, variable=name,
                        type=_types(analyzer, scope.lookup(name)[1]))
             for name, line in sorted(first.items())
-            if not name.startswith(TEMP_PREFIX)
+            if name not in temporaries
         ]
         if function is not None:
             returns = [stmt.lineno for stmt in scope.statements if isinstance(stmt, ast.Return)]

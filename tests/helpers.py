@@ -12,6 +12,7 @@ import ast
 import importlib.util
 import inspect
 import io
+import os
 import re
 import subprocess
 import sys
@@ -64,6 +65,15 @@ def run_program(path: Path, timeout: float = 20.0) -> str:
         check=True,
     )
     return proc.stdout
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    ``lancet``.  ``ast.parse``'s depth bound depends on the caller's stack,
+    so deep inputs are run outside pytest's."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def run_source(source: str, tmp_path: Path, name: str = "rewritten.py") -> str:

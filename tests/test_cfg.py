@@ -132,6 +132,19 @@ def test_same_name_definitions_get_distinct_keys():
     assert len({bid for bid, _ in keys}) == 2
 
 
+def test_same_name_classes_in_two_branches_keep_both_cfgs():
+    """Classes are keyed like functions, by (block id, name), and listed by
+    (name, block id): ``B`` first, then the ``C`` of each branch."""
+    cfg = build_from_source("m", "if a:\n    class C:\n        x = 1\nelse:\n    class C:\n"
+                                 "        y = 2\nclass B:\n    z = 3\n")
+    assert sorted(cfg.class_cfgs) == [(2, "C"), (3, "B"), (4, "C")]
+    classes = to_json_dict(cfg)["classes"]
+    assert [c["name"] for c in classes] == ["B", "C", "C"]
+    assert [c["cfg"]["blocks"][0]["statements"] for c in classes[1:]] == [[[3, 8, 3, 13]], [[6, 8, 6, 13]]]
+    dot = to_dot(cfg, include_functions=True)
+    assert dot.count('label="class C"') == 2 and "x = 1" in dot and "y = 2" in dot
+
+
 def test_empty_module_is_one_empty_block():
     cfg = build_from_source("empty", "")
     assert sorted(cfg.blocks) == [1]

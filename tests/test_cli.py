@@ -3,9 +3,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +10,7 @@ import pytest
 from lancet import cli
 from lancet.cli import main
 
-from helpers import CORPUS, perfbench_gen, write_files
+from helpers import CORPUS, fresh_python, perfbench_gen, write_files
 
 EXAMPLE = CORPUS / "imports" / "example"
 MERGE = CORPUS / "programs" / "merge_branches.py"
@@ -25,15 +22,6 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh interpreter that imports this checkout's
-    ``lancet``.  ``ast.parse``'s depth bound depends on the caller's stack,
-    so deep inputs are run outside pytest's."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -52,7 +40,7 @@ def test_a_fresh_process_matches_main_in_process(capsys, tmp_path, argv, code):
         paths = {"BAD": tmp_path / "bad.py", "PROJ": tmp_path / "proj", "OUT": sink}
         args = [str(paths.get(arg, arg)) for arg in argv]
         if side == "fresh":
-            proc = _fresh("-m", "lancet.cli", *args)
+            proc = fresh_python("-m", "lancet.cli", *args)
             result = (proc.returncode, proc.stdout, proc.stderr)
         else:
             result = _run(capsys, *args)
@@ -75,7 +63,7 @@ def test_help_and_usage_errors_match_golden(capsys, monkeypatch, case):
 
 
 def test_run_exits_frozen_and_still_runs_atexit_handlers():
-    proc = _fresh("-c", "import atexit, gc, sys\nfrom lancet import cli\n"
+    proc = fresh_python("-c", "import atexit, gc, sys\nfrom lancet import cli\n"
                         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
                         f"sys.argv = ['lancet', 'cfg', {str(MERGE)!r}]\ncli.run()\n")
     assert proc.returncode == 0, proc.stderr
@@ -87,7 +75,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Every subcommand is a fresh process, so what ``import lancet.cli``
     pulls in is paid on each run; ``dataclasses`` also imports ``inspect``.
     Compared against the modules loaded before, whatever ``site`` preloads."""
-    proc = _fresh("-c", "import sys\nbefore = set(sys.modules)\nimport lancet.cli\n"
+    proc = fresh_python("-c", "import sys\nbefore = set(sys.modules)\nimport lancet.cli\n"
                         "print(' '.join(sorted(set(sys.modules) - before)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
@@ -468,7 +456,7 @@ def test_deeply_nested_input_never_crashes(tmp_path, terms):
         ["callgraph", "--entry", str(target)],
         ["typeinfer", str(target)],
     ):
-        proc = _fresh("-m", "lancet.cli", *argv)
+        proc = fresh_python("-m", "lancet.cli", *argv)
         assert proc.returncode in (0, 2), (argv, proc.stderr[-500:])
         assert "Traceback" not in proc.stderr, (argv, proc.stderr[-500:])
 
@@ -487,7 +475,7 @@ def test_300_term_chain_is_analyzed_by_every_subcommand(tmp_path):
         ["callgraph", "--entry", str(target)],
         ["typeinfer", str(target)],
     ):
-        proc = _fresh("-m", "lancet.cli", *argv)
+        proc = fresh_python("-m", "lancet.cli", *argv)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         outputs[argv[0]] = proc.stdout
     assert json.loads(outputs["ssa"])["constants"]["x#0"]["folded"] == 300
@@ -499,7 +487,7 @@ def test_1000_term_chain_is_parsed_and_analyzed(tmp_path):
     target = tmp_path / "deep.py"
     target.write_text("x = " + "+".join(["1"] * 1000) + "\n")
     for argv in (["imports", str(tmp_path)], ["fqn", str(target)], ["callgraph", "--entry", str(target)]):
-        proc = _fresh("-m", "lancet.cli", *argv)
+        proc = fresh_python("-m", "lancet.cli", *argv)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
 
 
@@ -511,7 +499,7 @@ def test_typeinfer_types_a_2900_term_sum(tmp_path):
     """The analyzer folds a left-leaning operator chain without recursion."""
     target = tmp_path / "deep.py"
     target.write_text(f"x = {_SUM_2900}\n")
-    proc = _fresh("-m", "lancet.cli", "typeinfer", str(target))
+    proc = fresh_python("-m", "lancet.cli", "typeinfer", str(target))
     assert proc.returncode == 0, proc.stderr[-500:]
     assert [(r["variable"], r["type"]) for r in json.loads(proc.stdout)] == [("x", ["int"])]
 
@@ -519,7 +507,7 @@ def test_typeinfer_types_a_2900_term_sum(tmp_path):
 def test_a_call_hoisted_beside_a_deep_sum_is_analyzed(tmp_path):
     target = tmp_path / "hoist.py"
     target.write_text(f"{_F_AND_G}x = f(g(), {_SUM_2900})\n")
-    proc = _fresh("-m", "lancet.cli", "callgraph", "--entry", str(target), "--format", "edges")
+    proc = fresh_python("-m", "lancet.cli", "callgraph", "--entry", str(target), "--format", "edges")
     assert proc.returncode == 0, proc.stderr[-500:]
     assert proc.stdout == "hoist -> hoist.f\nhoist -> hoist.g\n"
 
@@ -533,7 +521,7 @@ def test_a_call_hoisted_beside_a_deep_subscript_chain_is_analyzed(tmp_path):
         ["callgraph", "--entry", str(target), "--format", "edges"],
         ["typeinfer", str(target)],
     ):
-        proc = _fresh("-m", "lancet.cli", *argv)
+        proc = fresh_python("-m", "lancet.cli", *argv)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         outputs[argv[0]] = proc.stdout
     assert json.loads(outputs["alias"]) == []
@@ -548,7 +536,7 @@ def test_a_call_hoisted_beside_a_deep_subscript_chain_is_analyzed(tmp_path):
 def test_a_deep_operand_is_built_into_cfg_and_ssa(tmp_path, source, call):
     target = tmp_path / "deep.py"
     target.write_text(source)
-    proc = _fresh("-c", "import sys\nfrom lancet.cfg import build_from_ast\n"
+    proc = fresh_python("-c", "import sys\nfrom lancet.cfg import build_from_ast\n"
                   "from lancet.frontend import parse_module\nfrom lancet.ssa import compute_ssa\n"
                   f"tree = parse_module(open(sys.argv[1]).read())\n{call}\n", str(target))
     assert proc.returncode == 0, proc.stderr[-500:]
@@ -578,7 +566,7 @@ def test_a_2900_deep_expression_is_printed(tmp_path, shape):
     target = tmp_path / "deep.py"
     target.write_text(_DEEP_SHAPES[shape])
     for argv in (["rewrite"], ["cfg"], ["cfg", "--format", "json"], ["fqn"]):
-        proc = _fresh("-m", "lancet.cli", *argv, str(target))
+        proc = fresh_python("-m", "lancet.cli", *argv, str(target))
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         assert "Traceback" not in proc.stderr, argv
         assert proc.stdout or argv == ["fqn"], argv
@@ -591,7 +579,7 @@ def test_ssa_and_alias_fold_a_2900_deep_expression(tmp_path):
         target = tmp_path / f"{shape}.py"
         target.write_text(source)
         for command in ("ssa", "alias"):
-            proc = _fresh("-m", "lancet.cli", command, str(target))
+            proc = fresh_python("-m", "lancet.cli", command, str(target))
             assert proc.returncode == 0, (shape, command, proc.stderr[-500:])
             if (shape, command) == ("sum", "ssa"):
                 assert json.loads(proc.stdout)["constants"]["x#0"]["folded"] == 2900
@@ -606,14 +594,14 @@ def test_callgraph_and_typeinfer_analyze_a_2900_deep_expression(tmp_path):
         target = tmp_path / f"{shape}.py"
         target.write_text(source)
         for argv in (["callgraph", "--entry"], ["typeinfer"]):
-            proc = _fresh("-m", "lancet.cli", *argv, str(target))
+            proc = fresh_python("-m", "lancet.cli", *argv, str(target))
             assert proc.returncode == 0, (shape, argv, proc.stderr[-500:])
         records = {r.get("variable"): r["type"] for r in json.loads(proc.stdout)}
         if shape != "lambda":  # rewritten to ``def x``
             assert records["x"] == [types.get(shape, "Any")], shape
     target = tmp_path / "calls.py"
     target.write_text("def f():\n    return f\n\n\nx = f" + "()" * 2900 + "\n")
-    proc = _fresh("-m", "lancet.cli", "callgraph", "--entry", str(target), "--format", "edges")
+    proc = fresh_python("-m", "lancet.cli", "callgraph", "--entry", str(target), "--format", "edges")
     assert (proc.returncode, proc.stdout) == (0, "calls -> calls.f\n"), proc.stderr[-500:]
 
 
@@ -640,7 +628,7 @@ def test_a_745_deep_chain_of_lambda_defaults_is_analyzed(tmp_path):
     target = tmp_path / "defaults.py"
     target.write_text(_lambda_defaults(745))
     for argv in _every_argv(target):
-        proc = _fresh("-m", "lancet.cli", *argv)
+        proc = fresh_python("-m", "lancet.cli", *argv)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         assert proc.stderr == "", argv
 
@@ -654,7 +642,7 @@ def test_input_too_deep_to_parse_gets_a_located_diagnostic(tmp_path, source):
     target = tmp_path / "deep.py"
     target.write_text(source)
     for argv in _every_argv(target):
-        proc = _fresh("-m", "lancet.cli", *argv)
+        proc = fresh_python("-m", "lancet.cli", *argv)
         skipped = argv[0] in ("imports", "callgraph", "typeinfer")
         assert proc.returncode == (0 if skipped else 2), (argv, proc.stderr[-500:])
         assert proc.stderr.endswith("deep.py:1:0: too deeply nested to parse\n"), (argv, proc.stderr[-500:])
@@ -676,7 +664,7 @@ def test_a_199_deep_bracket_nest_is_printed(tmp_path, source):
     target = tmp_path / "nest.py"
     target.write_text(source)
     for argv in (["rewrite"], ["cfg"], ["cfg", "--format", "json"]):
-        proc = _fresh("-m", "lancet.cli", *argv, str(target))
+        proc = fresh_python("-m", "lancet.cli", *argv, str(target))
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
         if argv == ["rewrite"] and "f(" in source:
             assert proc.stdout.count("\n") == 199, proc.stdout[-500:]

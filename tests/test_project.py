@@ -14,7 +14,7 @@ from lancet.cli import main
 from lancet.modgraph import build_import_graph
 from lancet.typeinfer import infer_types_report
 
-from helpers import CORPUS
+from helpers import CORPUS, fresh_python
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE = CORPUS / "imports" / "example"
@@ -156,3 +156,53 @@ def test_unloadable_modules_are_skipped_with_one_line_each(capsys, tmp_path, arg
         f"{root / 'dangling.py'}: skipped: No such file or directory",
         f"{root / 'latin.py'}:1:5: not valid UTF-8: invalid continuation byte",
     ]
+
+
+def test_a_reached_module_is_loaded_after_the_module_that_reached_it(tmp_path):
+    """Loading runs on a queue: ``a`` is walked to its end before ``b`` and
+    ``c``, which it imports, so their diagnostics follow all of ``a``'s."""
+    root = tmp_path.resolve() / "proj"
+    _write(root, {
+        "a.py": "from . import b, c\n\n\n@dec\ndef f():\n    pass\n",
+        "b.py": "@dec\ndef g():\n    pass\n",
+        "c.py": "def broken(:\n",
+    })
+    expected = [
+        "proj.a:5: decorated definition; wrapper effects ignored",
+        "proj.b:2: decorated definition; wrapper effects ignored",
+        f"{root / 'c.py'}:1:11: invalid syntax",
+    ]
+    assert analyze([], package_root=root).diagnostics == expected
+    assert analyze([root / "a.py"], package_root=root).diagnostics == expected
+
+
+# Runs ``lancet`` under a recursion limit far below the depth of the projects
+# below, so a frame per module or per directory level fails.
+LOW_LIMIT = "import sys; sys.setrecursionlimit(150); from lancet.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.fixture(scope="module")
+def deep_projects(tmp_path_factory) -> dict[str, Path]:
+    """A chain of 197 modules, ``m{i}`` importing ``m{i+1}``, and a module
+    250 directories deep."""
+    base = tmp_path_factory.mktemp("deep").resolve()
+    chain = {f"m{i}.py": f"from . import m{i + 1}\n" for i in range(196)}
+    _write(base / "chain", {**chain, "m196.py": "x = 1\n"})
+    _write(base / "tree", {"/".join(["d"] * 250) + "/m.py": "x = 1\n"})
+    return {"chain": base / "chain", "tree": base / "tree"}
+
+
+@pytest.mark.parametrize("project, argv, deepest", [
+    ("chain", ["typeinfer", "ROOT"], "m196.py"),
+    ("chain", ["callgraph", "--package", "ROOT"], "chain.m196"),
+    ("chain", ["callgraph", "--entry", "ROOT/m0.py", "--package", "ROOT"], "chain.m196"),
+    ("tree", ["imports", "ROOT"], "tree" + ".d" * 250 + ".m"),
+    ("tree", ["callgraph", "--package", "ROOT"], "tree" + ".d" * 250 + ".m"),
+    ("tree", ["typeinfer", "ROOT"], "/d/m.py"),
+], ids=["chain-typeinfer", "chain-callgraph-package", "chain-callgraph-entry", "tree-imports",
+        "tree-callgraph-package", "tree-typeinfer"])
+def test_loading_a_project_does_not_recurse_per_module_or_directory(deep_projects, project, argv, deepest):
+    root = str(deep_projects[project])
+    proc = fresh_python("-c", LOW_LIMIT, *[arg.replace("ROOT", root) for arg in argv])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert deepest in proc.stdout

@@ -25,7 +25,7 @@ MUTABLE = {
             ("predecessors", [Link(_B2, _B1)])],
     Cfg: [("name", "m"), ("entry", _B1), ("blocks", {1: _B1}), ("final_blocks", {1}),
           ("unreachable_blocks", {2}), ("function_cfgs", {(1, "f"): None}),
-          ("class_cfgs", {"C": None})],
+          ("class_cfgs", {(1, "C"): None})],
     TreeNode: [("name", "m"), ("full_name", "p.m"), ("path", "p/m.py"),
                ("children", [TreeNode("q", "p.m.q", "p/m/q.py")]),
                ("module", _MODULE), ("parse_error", "bad"), ("is_module", True)],
@@ -35,7 +35,7 @@ MUTABLE = {
             ("parent", None), ("params", ["self"]), ("receiver", "inst"),
             ("methods", {"g": "m.C.g"}), ("bindings", {"self": ("slot", "m.f.self")}),
             ("statements", list(_MODULE.body))],
-    TempNamer: [("forbidden", {"_ret"}), ("counter", 2), ("pending", _MODULE)],
+    TempNamer: [("forbidden", {"_ret"}), ("counter", 2), ("pending", _MODULE), ("issued", {"_ret"})],
     DefValue: [("expr", ast.Constant(1)), ("kind", "literal"), ("site", (1, 0)),
                ("folded", 1), ("fold_failed", False)],
     ConstDict: [("entries", {("x", 0): DefValue(None, "unknown", (1, 0))})],
@@ -87,7 +87,7 @@ DEFAULTS = {
     Scope: (("m", "module", _MODULE, "m"),
             {"parent": None, "params": [], "receiver": None, "methods": {}, "bindings": {},
              "statements": []}),
-    TempNamer: ((), {"forbidden": set(), "counter": 0, "pending": None}),
+    TempNamer: ((), {"forbidden": set(), "counter": 0, "pending": None, "issued": set()}),
     ConstDict: ((), {"entries": {}}),
     SsaUseMap: ((), {"per_block": {}}),
     TypeRecord: (("m.py", 1, {"int"}), {"function": None, "variable": None, "parameter": None}),

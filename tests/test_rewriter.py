@@ -106,6 +106,14 @@ def test_temporaries_never_shadow_existing_names():
     assert {"_ret", "_ret_1"} <= collect_identifiers(simplified)
 
 
+def test_the_result_records_exactly_the_temporaries_the_rewrite_made():
+    tree = parse_module("_ret = 1\n_ret_1 = 2\nx = funA(funB(_ret))\ny = funC(funD())\n")
+    simplified = simplify_module(tree)
+    assert simplified.temporaries == collect_identifiers(simplified) - collect_identifiers(tree)
+    assert simplified.temporaries == {"_ret_2", "_ret_3"}
+    assert simplify_module(parse_module("_ret = f()\n")).temporaries == set()
+
+
 def test_evaluation_order_guard_blocks_unsafe_hoists():
     # funB() inside the first argument must run before funC(); no rule may
     # reorder them, so the statement is left alone.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lancet.cfg import build_from_file, build_from_source
 from lancet.rewriter import simplify_module
-from lancet.frontend import parse_module
+from lancet.frontend import parse_module, walk
 from lancet.cfg import build_from_ast
 from lancet.ssa import (
     MAX_FOLD_INT_BITS,
@@ -18,7 +18,9 @@ from lancet.ssa import (
     ConstDict,
     alias_pairs,
     compute_ssa,
+    definitions,
     fold_constants,
+    target_names,
     to_json_dict,
     unpack,
 )
@@ -498,3 +500,49 @@ def test_a_starred_assignment_folds_the_names_before_the_star():
     assert folded[("a", 0)].folded_value() == 1
     assert folded[("c", 0)].folded_value() == 2
     assert folded[("b", 0)].kind == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# The binding rule
+
+
+def _assert_definitions_bind_target_names(module: ast.Module) -> None:
+    """``definitions`` binds the names ``target_names`` reads off each
+    ``Assign`` target, a name ``AugAssign``'s target and a ``for`` target."""
+    for stmt in walk(module):
+        if isinstance(stmt, ast.Assign):
+            expected = [name for target in stmt.targets for name in target_names(target)]
+        elif isinstance(stmt, (ast.For, ast.AugAssign)):
+            expected = target_names(stmt.target)
+        elif isinstance(stmt, ast.stmt):
+            expected = []
+        else:
+            continue
+        assert [name for name, _, _ in definitions(stmt)] == expected, ast.unparse(stmt)
+
+
+def test_definitions_bind_the_target_names_on_corpus():
+    for path in corpus_files():
+        module = parse_module(path.read_text(encoding="utf-8"), str(path))
+        _assert_definitions_bind_target_names(module)
+        _assert_definitions_bind_target_names(simplify_module(module))
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_definitions_bind_the_target_names_on_generated_programs(source: str):
+    _assert_definitions_bind_target_names(simplify_module(parse_module(source, "m.py")))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("a, (b, *c) = 1, (2, 3)", [("a", "1", "literal"), ("b", "2", "literal"), ("c", None, "unknown")]),
+    ("x = y = f()", [("x", "f()", "call"), ("y", "f()", "call")]),
+    ("x.a = s + 1", []),
+    ("n += 1", [("n", "n + 1", "arithmetic")]),
+    ("x[0] += 1", []),
+    ("for i, j in pairs:\n    pass", [("i", None, "unknown"), ("j", None, "unknown")]),
+    ("def f():\n    pass", []),
+])
+def test_definitions_pair_each_bound_name_with_its_value(source, expected):
+    (stmt,) = ast.parse(source).body
+    assert [(name, expr and ast.unparse(expr), kind) for name, expr, kind in definitions(stmt)] == expected

@@ -136,6 +136,10 @@ _SUSPICIOUS = ["suspicious str/int concatenation (str + int)"]
     pytest.param("y = -3\n", "y", {"int"}, [], id="negation"),
     pytest.param("y = [1] + [2]\n", "y", {"List"}, [], id="list-concat"),
     pytest.param("y = 'a' + 1\n", "y", {"Any"}, _SUSPICIOUS, id="str-int-concat"),
+    pytest.param("s = 'a'\nx = [0]\nx[0] = s + 1\n", "s", {"str"}, _SUSPICIOUS,
+                 id="str-int-concat-stored-in-no-name"),
+    pytest.param("s = 'a'\ns += 1\n", "s", {"str", "Any"}, _SUSPICIOUS, id="str-int-aug-assign"),
+    pytest.param("n = 1\nn += 2.0\n", "n", {"int", "float"}, [], id="aug-assign"),
     pytest.param("s = 'a'\ny = s.upper()\n", "y", {"str"}, [], id="method-upper"),
     pytest.param("s = 'a'\ny = s.split(',')\n", "y", {"List"}, [], id="method-split"),
     pytest.param("s = 'a'\ns = 1\ny = s.upper()\n", "y", {"str"}, [],
@@ -686,3 +690,22 @@ def test_an_any_receiver_keeps_any_in_a_method_result_whatever_the_order(tmp_pat
     assert parameters[("b", "o")].type == {"Any", "any_receiver.C"}
     assert returns["b"].type == {"Any", "int"}
     assert returns["a"].type == returns["c"].type == {"Any", "int"}
+
+
+USER_RET_NAMES = (
+    "def f(a):\n    return a\n\n\n_retries = 3\n_ret = 's'\ny = f(f(_retries))\n\n\n"
+    "def g():\n    _ret_2 = f(f(1))\n    return _ret_2\n"
+)
+
+
+@pytest.mark.parametrize("simplify", [True, False], ids=["simplified", "no-simplify"])
+def test_only_the_rewriters_own_temporaries_are_hidden(tmp_path, simplify):
+    """The rewriter makes ``_ret_1`` and ``_ret_3`` (``_ret`` and ``_ret_2``
+    are taken) and hides them; the user's ``_ret``, ``_ret_2`` and
+    ``_retries`` get records, and without simplification nothing is hidden."""
+    path = tmp_path / "names.py"
+    path.write_text(USER_RET_NAMES, encoding="utf-8")
+    _, variables, _ = _by_kind(infer_types(name="names", entry=path, simplify=simplify))
+    assert {key: r.type for key, r in variables.items()} == {
+        (None, "_retries"): {"int"}, (None, "_ret"): {"str"}, (None, "y"): {"int"}, ("g", "_ret_2"): {"int"},
+    }

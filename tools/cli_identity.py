@@ -56,8 +56,11 @@ instance's ``__call__`` with a first parameter not named ``self``, a
 method called on ``self``) and literal ``*[...]``, ``*(...)`` and
 ``**{...}`` arguments, a file that starts with a UTF-8 byte order
 mark, a latin-1 file with a PEP 263 coding cookie, the same cookie after a
-byte order mark (an error), and generators in a class, in a function and in a module-level
-lambda.  The edge cases and the workloads (made by importing
+byte order mark (an error), generators in a class, in a function and in a module-level
+lambda, two classes named ``C`` in the two branches of an ``if``, and a user's own
+``_ret`` and ``_retries`` beside a temporary the rewriter makes.  A directory of 250
+modules, each importing the next (``from . import m{i+1}``), runs the directory
+subcommands only.  The edge cases and the workloads (made by importing
 ``perfbench/gen.py``) are written to a temporary directory that both sides
 read; nothing under ``perfbench/`` is written.
 """
@@ -80,6 +83,7 @@ SEEDS = (1, 2, 3, 7)
 DIFF_LINES = 12
 DIFF_WIDTH = 160
 _HUGE = "0x" + "f" * 4000  # 16,000 bits: far past the 4,300-digit limit
+CHAIN_MODULES = 250  # the chain directory: m0.py imports m1, ..., m248.py imports m249
 
 # Relative path under the edge-case directory -> source text, or the file's
 # bytes where it is not UTF-8.
@@ -115,6 +119,11 @@ EDGE_CASES: dict[str, str | bytes] = {
     "lambda_defaults_745.py": "x = " + "lambda a=" * 745 + "0" + ": 0" * 745 + "\n",
     "lambda_defaults_746.py": "x = " + "lambda a=" * 746 + "0" + ": 0" * 746 + "\n",  # too deep to parse
     "deep_minus_6000.py": "x = " + "-" * 6000 + "1\n",  # too deep to parse
+    "two_classes.py": (
+        "a = 1\nif a:\n    class C:\n        x = 1\nelse:\n    class C:\n        y = 2\n\n\n"
+        "class B:\n    z = 3\n"
+    ),
+    "user_ret_names.py": "def f(a):\n    return a\n\n\n_retries = 3\n_ret = 's'\ny = f(f(_retries))\n",
     "samename/app/main.py": "import app\n",
     "samename/app/app.py": "x = 1\n",
     "scoped_names.py": (
@@ -235,6 +244,11 @@ def build_matrix(workdir: Path) -> list[list[str]]:
     _write_files(edge, EDGE_CASES)
     files += [str(p) for p in sorted(edge.rglob("*.py"))]
     dirs += [str(p) for p in [edge, *sorted(edge.rglob("*"))] if p.is_dir()]
+    chain = workdir / "chain"
+    links = {f"m{i}.py": f"from . import m{i + 1}\n\n\ndef f():\n    return m{i + 1}.f()\n"
+             for i in range(CHAIN_MODULES - 1)}
+    _write_files(chain, {**links, f"m{CHAIN_MODULES - 1}.py": "def f():\n    return 1\n"})
+    dirs.append(str(chain))
     seed_files, packages = _write_workloads(workdir)
     matrix = [argv for path in files + seed_files for argv in _file_argvs(path)]
     matrix += [argv for path in dirs for argv in _dir_argvs(path)]
