@@ -102,47 +102,20 @@ _OPERATORS: dict[tuple[str, str, str], str] = {
 # Method name -> (receiver type, result type).  Only entries whose runtime
 # result type matches the vocabulary exactly belong here.
 _METHODS: dict[str, tuple[str, str]] = {
-    "upper": ("str", "str"),
-    "lower": ("str", "str"),
-    "strip": ("str", "str"),
-    "lstrip": ("str", "str"),
-    "rstrip": ("str", "str"),
-    "title": ("str", "str"),
-    "capitalize": ("str", "str"),
-    "casefold": ("str", "str"),
-    "swapcase": ("str", "str"),
-    "replace": ("str", "str"),
-    "format": ("str", "str"),
-    "join": ("str", "str"),
-    "zfill": ("str", "str"),
-    "split": ("str", "List"),
-    "rsplit": ("str", "List"),
-    "splitlines": ("str", "List"),
-    "startswith": ("str", "bool"),
-    "endswith": ("str", "bool"),
-    "isdigit": ("str", "bool"),
-    "isalpha": ("str", "bool"),
-    "isalnum": ("str", "bool"),
-    "isupper": ("str", "bool"),
-    "islower": ("str", "bool"),
-    "find": ("str", "int"),
-    "rfind": ("str", "int"),
-    "count": ("str", "int"),
-    "append": ("List", "None"),
-    "extend": ("List", "None"),
-    "insert": ("List", "None"),
-    "remove": ("List", "None"),
-    "sort": ("List", "None"),
-    "reverse": ("List", "None"),
-    "copy": ("List", "List"),
-    "index": ("List", "int"),
-    "update": ("Dict", "None"),
-    "clear": ("Dict", "None"),
-    "add": ("Set", "None"),
-    "discard": ("Set", "None"),
-    "union": ("Set", "Set"),
-    "intersection": ("Set", "Set"),
-    "issubset": ("Set", "bool"),
+    method: (receiver, result) for receiver, result, methods in (
+        ("str", "str", "upper lower strip lstrip rstrip title capitalize casefold swapcase replace"
+                       " format join zfill"),
+        ("str", "List", "split rsplit splitlines"),
+        ("str", "bool", "startswith endswith isdigit isalpha isalnum isupper islower"),
+        ("str", "int", "find rfind count"),
+        ("List", "None", "append extend insert remove sort reverse"),
+        ("List", "List", "copy"),
+        ("List", "int", "index"),
+        ("Dict", "None", "update clear"),
+        ("Set", "None", "add discard"),
+        ("Set", "Set", "union intersection"),
+        ("Set", "bool", "issubset"),
+    ) for method in methods.split()
 }
 
 

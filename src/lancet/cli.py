@@ -59,21 +59,21 @@ def _cmd_cfg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ssa_pipeline(args: argparse.Namespace):
+def _module_cfg(args: argparse.Namespace) -> cfg_mod.Cfg:
     source, tree = _load(args.file)
     if not args.no_simplify:
         tree = simplify_module(tree)
-    return ssa.compute_ssa(cfg_mod.build_from_ast(source.module_name, tree))
+    return cfg_mod.build_from_ast(source.module_name, tree)
 
 
 def _cmd_ssa(args: argparse.Namespace) -> int:
-    use_map, const = _ssa_pipeline(args)
+    use_map, const = ssa.compute_ssa(_module_cfg(args))
     _emit(dump_json(ssa.to_json_dict(use_map, ssa.fold_constants(const, use_map))), args.output)
     return 0
 
 
 def _cmd_alias(args: argparse.Namespace) -> int:
-    _, const = _ssa_pipeline(args)
+    const = ssa.definition_table(_module_cfg(args))
     pairs = [{"alias": f"{name}#{version}", "target": target}
              for (name, version), target in ssa.alias_pairs(const)]
     _emit(dump_json(pairs), args.output)

@@ -156,10 +156,11 @@ def discover(root: str | Path) -> tuple[TreeNode, list[str]]:
     seen = {real}
     diagnostics: list[str] = []
     tree = TreeNode(name=rootp.name, full_name=real.name, path=str(rootp))
-    # One frame per open directory: (node, its sorted entries still to visit, names taken).
-    stack = [(tree, iter(sorted(rootp.iterdir(), key=lambda p: p.name)), set())]
+    # One frame per open directory: (node, its resolved path, its sorted entries still to
+    # visit, names taken).  A child's resolved path extends its parent's unless it is a link.
+    stack = [(tree, real, iter(sorted(rootp.iterdir(), key=lambda p: p.name)), set())]
     while stack:
-        node, entries, taken = stack[-1]
+        node, parent_real, entries, taken = stack[-1]
         for entry in entries:
             if entry.is_dir():
                 if entry.name in _SKIP_DIRS or entry.name.startswith("."):
@@ -168,14 +169,14 @@ def discover(root: str | Path) -> tuple[TreeNode, list[str]]:
                 if entry.suffix == ".py":
                     diagnostics.append(f"{entry}: skipped: a directory, not a module")
                     continue
-                real = entry.resolve()
+                real = entry.resolve() if entry.is_symlink() else parent_real / entry.name
                 if real in seen:
                     diagnostics.append(f"{entry}: skipped: {real} is already part of the project")
                     continue
                 seen.add(real)
                 child = TreeNode(name=entry.name, full_name=f"{node.full_name}.{entry.name}", path=str(entry))
                 node.children.append(child)
-                stack.append((child, iter(sorted(entry.iterdir(), key=lambda p: p.name)), set()))
+                stack.append((child, real, iter(sorted(entry.iterdir(), key=lambda p: p.name)), set()))
                 break
             elif entry.suffix == ".py" and entry.stem not in taken:
                 stem = entry.stem

@@ -4,7 +4,9 @@ Merges are kept implicit: instead of materialized phi statements, every use
 records the *set* of versions that reach it, so a variable read after an
 if/else merge shows up as e.g. ``{'a': {1, 2}}``.  Versions are numbered
 0, 1, 2, ... per variable, in the order definitions are encountered on a
-reverse-post-order walk of the blocks (statement order within a block).
+reverse-post-order walk of the blocks (statement order within a block, the
+unreachable blocks last), by :func:`definition_table`: one :class:`DefValue`
+per version, which is all :func:`alias_pairs` reads.
 
 Scope rules: names are local to the CFG being analyzed (module level or a
 single function); attribute and subscript stores are not versioned, and
@@ -54,6 +56,7 @@ __all__ = [
     "SsaUseMap",
     "AliasPair",
     "compute_ssa",
+    "definition_table",
     "definitions",
     "fold_constants",
     "alias_pairs",
@@ -249,25 +252,34 @@ def _collect_loads(roots: list[ast.expr]) -> set[str]:
 # Reaching definitions
 
 
-def compute_ssa(cfg: Cfg) -> tuple[SsaUseMap, ConstDict]:
-    """Exact reaching-version sets at every use, plus the definition table."""
+def _block_order(cfg: Cfg) -> list[int]:
     rpo = reverse_postorder(cfg)
-    rpo += sorted(set(cfg.blocks) - set(rpo))  # the unreachable blocks
+    return rpo + sorted(set(cfg.blocks) - set(rpo))  # the unreachable blocks last
 
+
+def definition_table(cfg: Cfg) -> ConstDict:
+    """One :class:`DefValue` per (name, version), inserted in statement order
+    over the blocks in reverse post-order, the unreachable ones last."""
     next_version: dict[str, int] = {}
     const = ConstDict()
-    stmt_defs: dict[tuple[int, int], list[tuple[str, int]]] = {}
-    for bid in rpo:
-        block = cfg.blocks[bid]
-        for idx, stmt in enumerate(block.statements):
-            assigned: list[tuple[str, int]] = []
+    for bid in _block_order(cfg):
+        for idx, stmt in enumerate(cfg.blocks[bid].statements):
             for name, expr, kind in definitions(stmt):
                 version = next_version.get(name, 0)
                 next_version[name] = version + 1
                 const.entries[(name, version)] = DefValue(expr=expr, kind=kind, site=(bid, idx))
-                assigned.append((name, version))
-            if assigned:
-                stmt_defs[(bid, idx)] = assigned
+    return const
+
+
+def compute_ssa(cfg: Cfg) -> tuple[SsaUseMap, ConstDict]:
+    """Exact reaching-version sets at every use, plus the definition table."""
+    rpo = _block_order(cfg)
+    const = definition_table(cfg)
+    next_version: dict[str, int] = {}
+    stmt_defs: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    for (name, version), value in const.entries.items():
+        next_version[name] = version + 1
+        stmt_defs.setdefault(value.site, []).append((name, version))
 
     # Bit layout: each name's versions own one contiguous range, allocated
     # over the names in sorted order; bit offset[name] + v is (name, v).

@@ -131,6 +131,22 @@ def test_alias_folds_nothing(capsys, tmp_path, monkeypatch):
         assert json.loads(out) == [{"alias": "c#0", "target": "b"}]
 
 
+def test_alias_solves_no_reaching_definitions(capsys, tmp_path, monkeypatch):
+    """``alias`` reads only the definition table, so it prints the same pairs
+    with ``compute_ssa`` unavailable."""
+    def _no_solve(*args):
+        raise AssertionError("alias computed reaching definitions")
+
+    monkeypatch.setattr(cli.ssa, "compute_ssa", _no_solve)
+    target = tmp_path / "aliases.py"
+    target.write_text("a = 1\nif a:\n    b = a\nelse:\n    b = f(a)\nc = b\nfor x in [c]:\n    d = x\n")
+    for argv in (["alias"], ["alias", "--no-simplify"]):
+        code, out, err = _run(capsys, *argv, str(target))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"alias": "b#0", "target": "a"}, {"alias": "c#0", "target": "b"},
+                                   {"alias": "d#0", "target": "x"}]
+
+
 def test_rewrite_stdout(capsys, tmp_path):
     target = tmp_path / "in.py"
     target.write_text("x = funA(funB())\n")

@@ -11,7 +11,7 @@ import pytest
 
 from lancet.callgraph import analyze, output_edges
 from lancet.cli import main
-from lancet.modgraph import build_import_graph
+from lancet.modgraph import build_import_graph, discover
 from lancet.typeinfer import infer_types_report
 
 from helpers import CORPUS, fresh_python
@@ -206,3 +206,37 @@ def test_loading_a_project_does_not_recurse_per_module_or_directory(deep_project
     proc = fresh_python("-c", LOW_LIMIT, *[arg.replace("ROOT", root) for arg in argv])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert deepest in proc.stdout
+
+
+def test_discover_resolves_only_the_root_of_a_tree_without_links(tmp_path, monkeypatch):
+    """Each directory's resolved path extends its parent's, so a 500-level
+    tree costs one ``Path.resolve`` and not one per level."""
+    root = tmp_path / "tree"
+    _write(root, {"/".join(["d"] * 500) + "/m.py": "x = 1\n"})
+    calls = []
+    resolve = Path.resolve
+
+    def _counted(self, *args, **kwargs):
+        calls.append(self)
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "resolve", _counted)
+    tree, diagnostics = discover(root)
+    assert calls == [root]
+    assert diagnostics == []
+    assert [node.full_name for node in tree.iter_modules()] == ["tree" + ".d" * 500 + ".m"]
+
+
+def test_discover_resolves_below_a_link_through_its_target(tmp_path):
+    """``a -> z`` is walked first, so ``a/inner`` is ``z/inner``, and ``y``, a
+    link to ``z/inner``, and ``z`` itself are each skipped as a repeat."""
+    root = (tmp_path / "proj").resolve()
+    _write(root, {"z/inner/m.py": "x = 1\n"})
+    (root / "a").symlink_to(root / "z", target_is_directory=True)
+    (root / "y").symlink_to(root / "z" / "inner", target_is_directory=True)
+    tree, diagnostics = discover(root)
+    assert [node.full_name for node in tree.iter_modules()] == ["proj.a.inner.m"]
+    assert diagnostics == [
+        f"{root / 'y'}: skipped: {root / 'z' / 'inner'} is already part of the project",
+        f"{root / 'z'}: skipped: {root / 'z'} is already part of the project",
+    ]

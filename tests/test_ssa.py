@@ -18,6 +18,7 @@ from lancet.ssa import (
     ConstDict,
     alias_pairs,
     compute_ssa,
+    definition_table,
     definitions,
     fold_constants,
     target_names,
@@ -532,6 +533,51 @@ def test_definitions_bind_the_target_names_on_corpus():
 @given(programs())
 def test_definitions_bind_the_target_names_on_generated_programs(source: str):
     _assert_definitions_bind_target_names(simplify_module(parse_module(source, "m.py")))
+
+
+def _assert_definition_table_matches_compute_ssa(module: ast.Module) -> None:
+    """``definition_table`` gives every CFG the entries ``compute_ssa`` does:
+    the same keys in the same order, with the same kinds, sites and value
+    nodes.  An ``x op= e`` gets a new ``x op e`` on each call, over the same ``e``."""
+    for cfg in all_cfgs(build_from_ast("m", module)):
+        table, (_, const) = definition_table(cfg), compute_ssa(cfg)
+        assert list(table.entries) == list(const.entries), cfg.name
+        for key, value in table.entries.items():
+            other = const.entries[key]
+            assert (value.kind, value.site) == (other.kind, other.site), (cfg.name, key)
+            bid, idx = value.site
+            stmt = cfg.blocks[bid].statements[idx]
+            if isinstance(stmt, ast.AugAssign):
+                assert value.expr.right is other.expr.right is stmt.value, (cfg.name, key)
+                assert (ast.dump(value.expr, include_attributes=True)
+                        == ast.dump(other.expr, include_attributes=True)), (cfg.name, key)
+            else:
+                assert value.expr is other.expr, (cfg.name, key)
+
+
+def test_definition_table_numbers_versions_in_reverse_post_order():
+    """Block 4, the ``else`` branch, precedes block 3, the ``for`` header, in
+    reverse post-order, so its ``x`` is version 1 and the loop target version 2."""
+    cfg = build_from_source("m", "if c:\n    x = 1\nelse:\n    x = 2\nfor x in y:\n    pass\nz = x\n")
+    assert [(key, value.site, value.kind) for key, value in definition_table(cfg).entries.items()] == [
+        (("x", 0), (2, 0), "literal"), (("x", 1), (4, 0), "literal"),
+        (("x", 2), (3, 0), "unknown"), (("z", 0), (6, 0), "name-reference"),
+    ]
+
+
+def test_definition_table_matches_compute_ssa_on_corpus():
+    for path in corpus_files():
+        module = parse_module(path.read_text(encoding="utf-8"), str(path))
+        _assert_definition_table_matches_compute_ssa(module)
+        _assert_definition_table_matches_compute_ssa(simplify_module(module))
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_definition_table_matches_compute_ssa_on_generated_programs(source: str):
+    module = parse_module(source, "m.py")
+    _assert_definition_table_matches_compute_ssa(module)
+    _assert_definition_table_matches_compute_ssa(simplify_module(module))
 
 
 @pytest.mark.parametrize("source, expected", [

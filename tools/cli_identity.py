@@ -58,11 +58,15 @@ method called on ``self``) and literal ``*[...]``, ``*(...)`` and
 mark, a latin-1 file with a PEP 263 coding cookie, the same cookie after a
 byte order mark (an error), generators in a class, in a function and in a module-level
 lambda, two classes named ``C`` in the two branches of an ``if``, and a user's own
-``_ret`` and ``_retries`` beside a temporary the rewriter makes.  A directory of 250
-modules, each importing the next (``from . import m{i+1}``), runs the directory
-subcommands only.  The edge cases and the workloads (made by importing
-``perfbench/gen.py``) are written to a temporary directory that both sides
-read; nothing under ``perfbench/`` is written.
+``_ret`` and ``_retries`` beside a temporary the rewriter makes.  Two
+directories run the directory subcommands only: one of 250 modules, each
+importing the next (``from . import m{i+1}``), and a project that holds a
+link to a sibling subpackage (walked before its target), a link from that
+subpackage back to the project root, and a chain of 300 nested packages,
+each importing the next (``from . import d``).  The edge cases and the
+workloads (made by importing ``perfbench/gen.py``) are written to a
+temporary directory that both sides read; nothing under ``perfbench/`` is
+written.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ DIFF_LINES = 12
 DIFF_WIDTH = 160
 _HUGE = "0x" + "f" * 4000  # 16,000 bits: far past the 4,300-digit limit
 CHAIN_MODULES = 250  # the chain directory: m0.py imports m1, ..., m248.py imports m249
+LINKED_LEVELS = 300  # the linked project's package chain: d, d/d, ..., each importing the next
 
 # Relative path under the edge-case directory -> source text, or the file's
 # bytes where it is not UTF-8.
@@ -249,6 +254,16 @@ def build_matrix(workdir: Path) -> list[list[str]]:
              for i in range(CHAIN_MODULES - 1)}
     _write_files(chain, {**links, f"m{CHAIN_MODULES - 1}.py": "def f():\n    return 1\n"})
     dirs.append(str(chain))
+    linked = workdir / "linked"
+    levels = {"/".join(["d"] * i) + "/__init__.py": "from . import d\n" for i in range(1, LINKED_LEVELS)}
+    _write_files(linked, {
+        "main.py": "from .alias import f\nfrom .pkg import f as g\n\n\nx = f() + g()\n",
+        "pkg/__init__.py": "def f():\n    return 1\n",
+        **levels, "/".join(["d"] * LINKED_LEVELS) + "/__init__.py": "x = 1\n",
+    })
+    (linked / "alias").symlink_to("pkg", target_is_directory=True)
+    (linked / "pkg" / "back").symlink_to("..", target_is_directory=True)
+    dirs.append(str(linked))
     seed_files, packages = _write_workloads(workdir)
     matrix = [argv for path in files + seed_files for argv in _file_argvs(path)]
     matrix += [argv for path in dirs for argv in _dir_argvs(path)]
