@@ -23,39 +23,13 @@ from .typeinfer import HeuristicTable, TypeRecord, infer_types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Block",
-    "Cfg",
-    "Link",
-    "build_from_file",
-    "build_from_source",
-    "to_dot",
-    "ParseError",
-    "SourceFile",
-    "parse_module",
-    "unparse",
-    "walk",
-    "RewriteRule",
-    "TempNamer",
-    "simplify_module",
-    "AliasPair",
-    "ConstDict",
-    "SsaUseMap",
-    "alias_pairs",
-    "compute_ssa",
-    "fold_constants",
-    "ImportGraph",
-    "TreeNode",
-    "build_import_graph",
-    "leaf_nodes",
-    "resolve_fqn",
-    "CallGraph",
-    "analyze",
-    "output_edges",
-    "output_mods",
-    "to_simple_json",
-    "HeuristicTable",
-    "TypeRecord",
-    "infer_types",
+__all__ = [  # one line per submodule, as imported above
+    "Block", "Cfg", "Link", "build_from_file", "build_from_source", "to_dot",
+    "ParseError", "SourceFile", "parse_module", "unparse", "walk",
+    "RewriteRule", "TempNamer", "simplify_module",
+    "AliasPair", "ConstDict", "SsaUseMap", "alias_pairs", "compute_ssa", "fold_constants",
+    "ImportGraph", "TreeNode", "build_import_graph", "leaf_nodes", "resolve_fqn",
+    "CallGraph", "analyze", "output_edges", "output_mods", "to_simple_json",
+    "HeuristicTable", "TypeRecord", "infer_types",
     "__version__",
 ]

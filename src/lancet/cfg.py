@@ -253,21 +253,25 @@ class _Assembler:
             self.link(block, self.current)
 
     def _add_if(self, stmt: ast.If) -> None:
+        """An ``elif`` chain (an ``orelse`` that is one ``If``) is built in a loop."""
         head = self._here()
-        head.statements.append(stmt)
-
-        then_end = self._branch(head, stmt.test, stmt.body)
-        join = self.new_block()
-        negated = _negate(stmt.test)
-        if stmt.orelse:
-            else_end = self._branch(head, negated, stmt.orelse)
-            if else_end is not None:
-                self.link(else_end, join)
-        else:
-            self.link(head, join, condition=negated)
-        if then_end is not None:
-            self.link(then_end, join)
-        self.current = join
+        joins: list[tuple[Block | None, Block]] = []  # (then-branch end, join) per If
+        while True:
+            head.statements.append(stmt)
+            joins.append((self._branch(head, stmt.test, stmt.body), self.new_block()))
+            negated = _negate(stmt.test)
+            if len(stmt.orelse) != 1 or type(stmt.orelse[0]) is not ast.If:
+                break
+            head, stmt = self._branch(head, negated, []), stmt.orelse[0]
+        # The last else branch ends in ``end`` (or is its head's edge); each other, in the next join.
+        end, condition = (self._branch(head, negated, stmt.orelse), None) if stmt.orelse else (head, negated)
+        for then_end, join in reversed(joins):
+            if end is not None:
+                self.link(end, join, condition)
+            if then_end is not None:
+                self.link(then_end, join)
+            end, condition = join, None
+        self.current = end
 
     def _add_loop(self, stmt: ast.While | ast.For) -> None:
         prev = self._here()

@@ -112,59 +112,22 @@ _CODING = rb"(?:[ \t\f]*(?:#[^\n]*)?\r?\n)??[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+
 # Statement node types the analyses model.  `global`/`nonlocal` are accepted
 # and recorded as ordinary statements.
 SUPPORTED_STMTS = (
-    ast.Module,
-    ast.FunctionDef,
-    ast.ClassDef,
-    ast.Assign,
-    ast.AugAssign,
-    ast.Return,
-    ast.If,
-    ast.While,
-    ast.For,
-    ast.Break,
-    ast.Continue,
-    ast.Pass,
-    ast.Import,
-    ast.ImportFrom,
-    ast.Expr,
-    ast.Global,
-    ast.Nonlocal,
+    ast.Module, ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AugAssign, ast.Return, ast.If,
+    ast.While, ast.For, ast.Break, ast.Continue, ast.Pass, ast.Import, ast.ImportFrom, ast.Expr,
+    ast.Global, ast.Nonlocal,
 )
 
 SUPPORTED_EXPRS = (
-    ast.Call,
-    ast.Attribute,
-    ast.Subscript,
-    ast.Name,
-    ast.Constant,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.BoolOp,
-    ast.Compare,
-    ast.Lambda,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-    ast.List,
-    ast.Tuple,
-    ast.Dict,
-    ast.Slice,
-    ast.Starred,
-    ast.Yield,
+    ast.Call, ast.Attribute, ast.Subscript, ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp,
+    ast.BoolOp, ast.Compare, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+    ast.List, ast.Tuple, ast.Dict, ast.Slice, ast.Starred, ast.Yield,
 )
 
 # Auxiliary grammar nodes that carry no statement/expression semantics of
 # their own (comprehension clauses, argument lists).  Operator and context
 # objects are accepted too: they sit in ``ctx``/``op``/``ops`` fields, which
 # no walk enters (:data:`NODE_FIELDS`).
-_AUX_NODES = (
-    ast.comprehension,
-    ast.arguments,
-    ast.arg,
-    ast.keyword,
-    ast.alias,
-)
+_AUX_NODES = (ast.comprehension, ast.arguments, ast.arg, ast.keyword, ast.alias)
 
 _REJECT_HINTS = {
     ast.AsyncFunctionDef: "async function definitions are not supported",
@@ -380,19 +343,10 @@ def _comprehension(node: ast.ListComp | ast.SetComp | ast.DictComp | ast.Generat
 
 
 _HANDLERS = {
-    ast.FunctionDef: _function_def,
-    ast.ClassDef: _class_def,
-    ast.Lambda: _lambda,
-    ast.Return: _jump,
-    ast.Yield: _jump,
-    ast.Break: _jump,
-    ast.Continue: _jump,
-    ast.While: _loop,
-    ast.For: _loop,
-    ast.ListComp: _comprehension,
-    ast.SetComp: _comprehension,
-    ast.DictComp: _comprehension,
-    ast.GeneratorExp: _comprehension,
+    ast.FunctionDef: _function_def, ast.ClassDef: _class_def, ast.Lambda: _lambda,
+    **dict.fromkeys((ast.Return, ast.Yield, ast.Break, ast.Continue), _jump),
+    **dict.fromkeys((ast.While, ast.For), _loop),
+    **dict.fromkeys((ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp), _comprehension),
 }
 
 # Every other supported node has no check of its own, and its children

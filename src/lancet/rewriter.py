@@ -17,7 +17,16 @@ Five rewrite rules remove syntax that complicates flow analysis:
 :func:`simplify_module` applies the rules in one pass, which is their
 fixpoint; a statement fires at most once per node it has, so it ends.
 Temporaries come from :class:`TempNamer`, which avoids every identifier
-already present in the module.
+already present in the module, collected when it names the first
+temporary.  The work follows what is rewritten: a statement tries only
+the rules that can match its value's type, so one that no rule can match
+costs one type lookup, and a compound statement costs that plus the
+statements of its blocks.
+
+Located input gives located output: a node a rule builds takes the
+location of its nearest located ancestor, the replaced statement above
+them all, and a rule that copies a node locates the name it puts in the
+copy at that node, so no located node holds an unlocated one.
 
 Rewriting is copy-on-write: no rule and no pass modifies a node it was
 given.  A rewritten statement is rebuilt along the path from the statement
@@ -30,10 +39,9 @@ the result may therefore be mutated by any caller.
 from __future__ import annotations
 
 import ast
-import copy
 from typing import Callable, NamedTuple, Sequence
 
-from .frontend import child_nodes, walk
+from .frontend import NODE_FIELDS, child_nodes, walk
 
 __all__ = [
     "RewriteRule",
@@ -83,19 +91,29 @@ class TempNamer:
 
 
 def collect_identifiers(module: ast.AST) -> set[str]:
-    """Every identifier bound or used anywhere in the tree."""
+    """Every identifier bound or used anywhere in the tree (explicit stack)."""
     names: set[str] = set()
-    for node in walk(module):
-        if isinstance(node, ast.Name):
+    stack = [module]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ast.Name:  # a leaf, and the most common node
             names.add(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if kind is ast.FunctionDef or kind is ast.ClassDef:
             names.add(node.name)
-        elif isinstance(node, ast.arg):
+        elif kind is ast.arg:
             names.add(node.arg)
-        elif isinstance(node, ast.alias):
+        elif kind is ast.alias:
             names.add(node.asname or node.name.split(".")[0])
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+        elif kind is ast.Global or kind is ast.Nonlocal:
             names.update(node.names)
+        for field in NODE_FIELDS.get(kind, ()):  # a None popped from Dict.keys or kw_defaults has none
+            value = getattr(node, field)
+            if type(value) is list:
+                stack += value
+            elif value is not None:
+                stack.append(value)
     return names
 
 
@@ -107,8 +125,6 @@ class RewriteRule(NamedTuple):
     apply: Callable[[ast.stmt, TempNamer], list[ast.stmt] | None]
 
 
-# Each rule tests the type of the statement's value first: most statements
-# match no rule, and that test turns them away before any other work.
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp)
 
 
@@ -156,13 +172,16 @@ def _hoistable_call_arg(call: ast.Call) -> int | None:
     preserved exactly.  Callee-side calls are chain links; rule 5 removes
     them first.
     """
-    if any(isinstance(n, ast.Call) for n in walk(call.func)):
+    func = call.func
+    while type(func) is ast.Attribute:  # a dotted callee is walked down its spine, not by walk
+        func = func.value
+    if type(func) is not ast.Name and any(type(n) is ast.Call for n in walk(func)):
         return None
-    flat: list[ast.expr] = list(call.args) + [kw.value for kw in call.keywords]
-    for i, arg in enumerate(flat):
-        if isinstance(arg, ast.Call):
+    for i, arg in enumerate(call.args + [kw.value for kw in call.keywords] if call.keywords else call.args):
+        kind = type(arg)
+        if kind is ast.Call:
             return i
-        if any(isinstance(n, ast.Call) for n in walk(arg)):
+        if kind is not ast.Name and kind is not ast.Constant and any(type(n) is ast.Call for n in walk(arg)):
             return None
     return None
 
@@ -175,20 +194,18 @@ def _hoist_call_argument(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | N
     if index is None:
         return None
     temp = namer.fresh()
-    new_call = copy.copy(call)
+    new_call = _copy(call)
     if index < len(call.args):
         inner = call.args[index]
         new_call.args = list(call.args)
-        new_call.args[index] = _load(temp)
+        new_call.args[index] = _load(temp, call)
     else:
         pos = index - len(call.args)
-        keyword = copy.copy(call.keywords[pos])
-        inner = keyword.value
-        keyword.value = _load(temp)
+        inner = call.keywords[pos].value
         new_call.keywords = list(call.keywords)
-        new_call.keywords[pos] = keyword
+        new_call.keywords[pos] = _copy(call.keywords[pos], value=_load(temp, call.keywords[pos]))
     hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=inner)
-    return _locate([hoisted, _with_value(stmt, new_call)], stmt)
+    return _locate([hoisted, _copy(stmt, value=new_call)], stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +219,7 @@ def _hoist_subscripted_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] 
         return None
     temp = namer.fresh()
     hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=sub.value)
-    return _locate([hoisted, _with_value(stmt, _with_value(sub, _load(temp)))], stmt)
+    return _locate([hoisted, _copy(stmt, value=_copy(sub, value=_load(temp, sub)))], stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +270,8 @@ def _split_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None
         out.append(ast.Assign(targets=[ast.Name(id=receiver, ctx=ast.Store())], value=call))
 
     # The outermost link stays in the statement, now called on the last temp.
-    last = copy.copy(top)
-    last.func = _with_value(top.func, _load(receiver))
-    out.append(_with_value(stmt, last))
+    last = _copy(top, func=_copy(top.func, value=_load(receiver, top.func)))
+    out.append(_copy(stmt, value=last))
     return _locate(out, stmt)
 
 
@@ -263,34 +279,37 @@ def _split_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None
 # Shared helpers and the rule table
 
 
-def _load(name: str) -> ast.Name:
-    return ast.Name(id=name, ctx=ast.Load())
+def _load(name: str, at: ast.AST | None = None) -> ast.Name:
+    """A load of ``name``; a copy site locates it at ``at``, the node it copied."""
+    node = ast.Name(id=name, ctx=ast.Load())
+    return node if at is None else ast.copy_location(node, at)
 
 
 def _is_simple_carrier(stmt: ast.stmt) -> bool:
     """Statements whose single value expression we may rewrite in place."""
-    if isinstance(stmt, ast.Assign):
-        return len(stmt.targets) == 1
-    return isinstance(stmt, (ast.Expr, ast.Return))
+    return type(stmt) in (ast.Expr, ast.Return) or type(stmt) is ast.Assign and len(stmt.targets) == 1
 
 
-def _with_value(node: ast.AST, value: ast.expr) -> ast.AST:
-    """A shallow copy of ``node`` whose ``value`` field is ``value``."""
-    new = copy.copy(node)
-    new.value = value
+def _copy(node: ast.AST, **fields: object) -> ast.AST:
+    """A shallow copy of ``node`` with ``fields`` replaced: ``copy.copy``
+    without its dispatch."""
+    new = node.__class__.__new__(node.__class__)
+    new.__dict__.update(node.__dict__, **fields)
     return new
 
 
 def _locate(stmts: list[ast.stmt], origin: ast.stmt) -> list[ast.stmt]:
     """Copy onto every unlocated node of ``stmts`` the location of its nearest
-    located ancestor, ``origin`` above them all (explicit stack: no depth limit)."""
+    located ancestor, ``origin`` above them all (explicit stack: no depth limit).
+    A located node is not entered: its subtree is located, since every copy
+    site locates the name it inserts."""
     stack: list[tuple[ast.AST, ast.AST]] = [(s, origin) for s in stmts]
     while stack:
         node, located = stack.pop()
         if "lineno" in node._attributes:
-            if not hasattr(node, "lineno"):
-                ast.copy_location(node, located)
-            located = node
+            if hasattr(node, "lineno"):
+                continue
+            located = ast.copy_location(node, located)
         stack += [(child, located) for child in child_nodes(node)]
     return stmts
 
@@ -304,47 +323,90 @@ RULES: tuple[RewriteRule, ...] = (
 )
 
 
-_BODY_FIELDS = ("body", "orelse")
+# The value types each built-in rule can match, keyed by its function (each
+# also tests the type first): a statement tries only the rules for its
+# value's type, and a rule missing here, such as a caller's own, is tried on
+# every statement.
+_MATCHES = {
+    _unfold_comprehension: _COMPREHENSIONS,
+    _hoist_call_argument: (ast.Call,),
+    _hoist_subscripted_call: (ast.Subscript,),
+    _lambda_to_def: (ast.Lambda,),
+    _split_call_chain: (ast.Call,),
+}
 
 
-def _rewrite_block(stmts: list[ast.stmt], namer: TempNamer,
-                   rules: Sequence[RewriteRule]) -> tuple[list[ast.stmt], bool]:
-    """Rewrite a statement list in one pass into a new list; say if it changed.
+class _Rewrite:
+    """One pass of ``rules`` over statement lists, copy-on-write."""
 
-    A rule's products wait on a stack and go to the output once no rule
-    matches them.  ``stmts`` and the statements in it are not modified.
-    """
-    out: list[ast.stmt] = []
-    changed = False
-    for origin in stmts:
-        pending = [origin]
-        budget = None  # firings left for origin: its node count, once one fires
-        while pending:
-            stmt = pending.pop()
-            for fname in _BODY_FIELDS:
-                inner = getattr(stmt, fname, None)
-                if isinstance(inner, list) and inner and isinstance(inner[0], ast.stmt):
-                    new_inner, inner_changed = _rewrite_block(inner, namer, rules)
-                    if inner_changed:
-                        stmt = copy.copy(stmt)
-                        setattr(stmt, fname, new_inner)
-                        changed = True
-            for rule in rules:
-                built = rule.apply(stmt, namer)
+    def __init__(self, namer: TempNamer, rules: Sequence[RewriteRule]) -> None:
+        self.namer = namer
+        self.anywhere = [rule for rule in rules if rule.apply not in _MATCHES]
+        self.by_type = {kind: [rule for rule in rules if kind in _MATCHES.get(rule.apply, (kind,))]
+                        for match in rules for kind in _MATCHES.get(match.apply, ())}
+
+    def block(self, stmts: list[ast.stmt]) -> tuple[list[ast.stmt], bool]:
+        """Rewrite a statement list into a new list; say if it changed."""
+        out: list[ast.stmt] = []
+        changed = False
+        for origin in stmts:
+            stmt = self.blocks(origin) if type(getattr(origin, "body", None)) is list else origin
+            if stmt is origin and not self.by_type.get(type(getattr(origin, "value", None)), self.anywhere):
+                out.append(origin)  # no rule can match it
+            else:
+                changed |= self.settle(origin, stmt, out)
+        return out, changed
+
+    def blocks(self, stmt: ast.stmt) -> ast.stmt:
+        """``stmt`` with its ``body`` and ``orelse`` rewritten: a shallow copy if
+        either changed, else ``stmt``.  An ``elif`` chain (an ``orelse`` that is
+        one ``If``) is rewritten top-down in a loop, then settled bottom-up."""
+        chain: list[tuple[ast.stmt, ast.stmt]] = []  # (an elif's parent, it with its body rewritten)
+        while True:
+            orelse = getattr(stmt, "orelse", [])
+            is_elif = len(orelse) == 1 and type(orelse[0]) is ast.If
+            new = stmt
+            for fname in ("body",) if is_elif else ("body", "orelse"):
+                inner, changed = self.block(getattr(stmt, fname, []))
+                if changed:
+                    new = _copy(new, **{fname: inner})
+            if not is_elif:
+                break
+            chain.append((stmt, new))
+            stmt = orelse[0]
+        for parent, new_parent in reversed(chain):
+            orelse = []
+            if self.settle(stmt, new, orelse):
+                new_parent = _copy(new_parent, orelse=orelse)
+            stmt, new = parent, new_parent
+        return new
+
+    def settle(self, origin: ast.stmt, stmt: ast.stmt, out: list[ast.stmt]) -> bool:
+        """Append to ``out`` what ``origin`` becomes, given ``stmt``, ``origin``
+        with its blocks rewritten; say if that is not ``origin`` itself.
+
+        A rule's products wait on a stack and go to ``out`` once no rule
+        matches them."""
+        changed = stmt is not origin
+        pending: list[ast.stmt] = []
+        firings, limit = 0, 1  # limit: origin's node count, taken once it fires twice
+        while True:
+            for rule in self.by_type.get(type(getattr(stmt, "value", None)), self.anywhere):
+                built = rule.apply(stmt, self.namer)
                 if built is not None:
-                    if budget is None:
-                        budget = sum(1 for _ in walk(origin))
-                    if budget == 0:
-                        raise FixpointError(
-                            "rewrite did not settle; a rule keeps matching its own output"
-                        )
-                    budget -= 1
+                    firings += 1
+                    if firings == 2:
+                        limit = sum(1 for _ in walk(origin))
+                    if firings > limit:
+                        raise FixpointError("rewrite did not settle; a rule keeps matching its own output")
                     pending += reversed(built)
                     changed = True
                     break
             else:
                 out.append(stmt)
-    return out, changed
+            if not pending:
+                return changed
+            stmt = self.blocks(pending.pop())
 
 
 def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = None) -> ast.Module:
@@ -357,21 +419,20 @@ def simplify_module(module: ast.Module, rules: Sequence[RewriteRule] | None = No
     stays final.  Each firing of a built-in rule uses up a distinct node of
     the input statement it started from (a comprehension, a lambda, a
     subscripted call, a chain's top call or the call argument it hoists), so
-    a statement fires at most once per node; :class:`FixpointError` is
-    raised when a rule exceeds that bound, which only a rule that keeps
-    matching its own output can do.
+    :class:`FixpointError` is raised only when rules fire on a statement
+    more times than it has nodes, which only a rule that keeps matching its
+    own output can do.  A statement that no rule can match by its value's
+    type costs one lookup; the identifiers are collected for the first
+    temporary only.
 
     The input tree is not modified.  The result is a shallow copy of the
-    module with a new ``body`` list; it shares every statement and
-    expression no rule touched with the input (a module where no rule fires
-    yields the input's statements themselves), so no caller may mutate
-    either tree.  Every statement a rule builds carries the location of the
-    statement it replaces; the input is expected to be fully located, as
-    :func:`~lancet.frontend.parse_module` leaves it.  The result's
-    ``temporaries`` is the set of names the rewrite made (:class:`TempNamer`).
+    module with a new ``body`` list that shares every node no rule touched
+    (with no firing, the input's statements themselves), so no caller may
+    mutate either tree.  When every locatable node of the input is located,
+    as :func:`~lancet.frontend.parse_module` leaves it, so is every one of
+    the result: a built statement takes the location of the one it
+    replaces.  ``temporaries`` is the set of names the rewrite made.
     """
     namer = TempNamer.for_module(module)
-    result = copy.copy(module)
-    result.body, _ = _rewrite_block(module.body, namer, RULES if rules is None else rules)
-    result.temporaries = namer.issued
-    return result
+    body, _ = _Rewrite(namer, RULES if rules is None else rules).block(module.body)
+    return _copy(module, body=body, temporaries=namer.issued)

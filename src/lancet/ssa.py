@@ -252,29 +252,30 @@ def _collect_loads(roots: list[ast.expr]) -> set[str]:
 # Reaching definitions
 
 
-def _block_order(cfg: Cfg) -> list[int]:
-    rpo = reverse_postorder(cfg)
-    return rpo + sorted(set(cfg.blocks) - set(rpo))  # the unreachable blocks last
-
-
 def definition_table(cfg: Cfg) -> ConstDict:
     """One :class:`DefValue` per (name, version), inserted in statement order
     over the blocks in reverse post-order, the unreachable ones last."""
+    return _ordered_definitions(cfg)[1]
+
+
+def _ordered_definitions(cfg: Cfg) -> tuple[list[int], ConstDict]:
+    """:func:`definition_table` and the block order it numbers versions in."""
+    rpo = reverse_postorder(cfg)
+    rpo += sorted(set(cfg.blocks) - set(rpo))  # the unreachable blocks last
     next_version: dict[str, int] = {}
     const = ConstDict()
-    for bid in _block_order(cfg):
+    for bid in rpo:
         for idx, stmt in enumerate(cfg.blocks[bid].statements):
             for name, expr, kind in definitions(stmt):
                 version = next_version.get(name, 0)
                 next_version[name] = version + 1
                 const.entries[(name, version)] = DefValue(expr=expr, kind=kind, site=(bid, idx))
-    return const
+    return rpo, const
 
 
 def compute_ssa(cfg: Cfg) -> tuple[SsaUseMap, ConstDict]:
     """Exact reaching-version sets at every use, plus the definition table."""
-    rpo = _block_order(cfg)
-    const = definition_table(cfg)
+    rpo, const = _ordered_definitions(cfg)
     next_version: dict[str, int] = {}
     stmt_defs: dict[tuple[int, int], list[tuple[str, int]]] = {}
     for (name, version), value in const.entries.items():

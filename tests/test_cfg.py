@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from lancet.cfg import (
+    _Assembler,
+    _negate,
+    build_from_ast,
     build_from_file,
     build_from_source,
     iter_eager,
@@ -397,6 +400,80 @@ def test_reverse_postorder_follows_the_last_exit_first():
     [1, 4, 2, 3, 6, 5]."""
     cfg = build_from_source("m", "if c:\n    x = 1\nelse:\n    x = 2\nwhile x:\n    x = 0\ny = x\n")
     assert reverse_postorder(cfg) == [1, 2, 4, 3, 5, 6]
+
+
+def _recursive_add_if(self, stmt: ast.If) -> None:
+    """Reference: the ``If`` builder that recursed into an ``elif``."""
+    head = self._here()
+    head.statements.append(stmt)
+    then_end = self._branch(head, stmt.test, stmt.body)
+    join = self.new_block()
+    negated = _negate(stmt.test)
+    if stmt.orelse:
+        else_end = self._branch(head, negated, stmt.orelse)
+        if else_end is not None:
+            self.link(else_end, join)
+    else:
+        self.link(head, join, condition=negated)
+    if then_end is not None:
+        self.link(then_end, join)
+    self.current = join
+
+
+def _edges(source: str, add_if=None) -> list:
+    """Every block of every CFG of ``source``, with its exits and predecessors in order."""
+    if add_if is not None:
+        original, _Assembler._add_if = _Assembler._add_if, add_if
+    try:
+        top = build_from_source("m", source)
+    finally:
+        if add_if is not None:
+            _Assembler._add_if = original
+    return [(cfg.name, block.id, [stmt_head_text(s) for s in block.statements],
+             [(e.target.id, e.condition and ast.dump(e.condition)) for e in block.exits],
+             [e.source.id for e in block.predecessors], sorted(cfg.unreachable_blocks))
+            for cfg in all_cfgs(top) for block in cfg]
+
+
+_ELIF_SOURCES = [
+    "if a:\n    x = 1\nelif b:\n    x = 2\nelif c:\n    x = 3\n",
+    "if a:\n    x = 1\nelif b:\n    x = 2\nelse:\n    x = 3\nprint(x)\n",
+    "def f(a):\n    if a:\n        return 1\n    elif a > 1:\n        return 2\n    else:\n        return 3\n"
+    "    y = 4\n",
+    "while a:\n    if a:\n        break\n    elif b:\n        continue\n    elif c:\n        a = 1\n"
+    "    else:\n        break\nelse:\n    if a:\n        b = 1\n    elif b:\n        c = 2\n",
+    "if a:\n    if b:\n        x = 1\n    elif c:\n        x = 2\nelif d:\n    x = 3\nelse:\n"
+    "    if e:\n        x = 4\n    else:\n        x = 5\n",
+    "x = 0\nif x == 0:\n    y = 1\n" + "".join(f"elif x == {i}:\n    y = {i}\n" for i in range(1, 200)),
+]
+
+
+@pytest.mark.parametrize("source", _ELIF_SOURCES)
+def test_an_elif_chain_gets_the_blocks_and_edges_recursion_gave(source):
+    assert _edges(source) == _edges(source, _recursive_add_if)
+
+
+def test_the_corpus_gets_the_blocks_and_edges_recursion_gave():
+    for path in corpus_files("programs", "rewrite", "callgraph", "typeinfer"):
+        source = path.read_text(encoding="utf-8")
+        assert _edges(source) == _edges(source, _recursive_add_if), path.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_generated_programs_get_the_blocks_and_edges_recursion_gave(source: str):
+    assert _edges(source) == _edges(source, _recursive_add_if)
+
+
+def test_a_2900_branch_elif_chain_is_built_without_recursion():
+    """Built by hand: under pytest's stack the parser rejects a chain this long."""
+    branches = [ast.parse(f"if x == {i}:\n    y = {i}\n").body[0] for i in range(2900)]
+    for outer, inner in zip(branches, branches[1:]):
+        outer.orelse = [inner]
+    cfg = build_from_ast("m", ast.Module(body=branches[:1], type_ignores=[]))
+    # Per branch a head (the entry for the first), a then-block and a join.
+    assert len(cfg.blocks) == 3 * len(branches) and not cfg.unreachable_blocks
+    assert cfg.final_blocks == {3}
 
 
 # ---------------------------------------------------------------------------

@@ -649,6 +649,32 @@ def test_a_745_deep_chain_of_lambda_defaults_is_analyzed(tmp_path):
         assert proc.stderr == "", argv
 
 
+def _elif_chain(branches: int) -> str:
+    """``x = 0``, an ``if`` and ``branches - 1`` ``elif`` branches, then ``print(y)``."""
+    return ("x = 0\nif x == 0:\n    y = 1\n"
+            + "".join(f"elif x == {i}:\n    y = {i} + 1\n" for i in range(1, branches)) + "print(y)\n")
+
+
+@pytest.mark.parametrize("branches", [250, 2900])
+def test_a_long_elif_chain_is_analyzed(tmp_path, branches):
+    """The CFG assembler and the rewriter build an ``elif`` chain in a loop, so
+    every file subcommand, and the project ones on the directory that holds
+    the file, get exit 0 in a fresh interpreter at the default recursion limit."""
+    target = tmp_path / "chain.py"
+    source = _elif_chain(branches)
+    target.write_text(source)
+    argvs = _every_argv(target) + [["callgraph", "--package", str(tmp_path)], ["typeinfer", str(tmp_path)]]
+    outputs = {}
+    for argv in argvs:
+        proc = fresh_python("-m", "lancet.cli", *argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), (argv, proc.stderr[-500:])
+        outputs[tuple(argv[:-1])] = proc.stdout
+    assert outputs[("rewrite",)] == source
+    cfg = json.loads(outputs[("cfg", "--format", "json")])
+    assert len(cfg["blocks"]) == 3 * branches  # per branch: a head (the entry for the first), a then, a join
+    assert set(json.loads(outputs[("ssa",)])["constants"]) >= {f"y#{i}" for i in range(branches)}
+
+
 @pytest.mark.parametrize("source", [_lambda_defaults(746), "x = " + "-" * 6000 + "1\n"],
                          ids=["lambda-defaults-746", "minus-6000"])
 def test_input_too_deep_to_parse_gets_a_located_diagnostic(tmp_path, source):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from lancet.rewriter import (
     simplify_module,
 )
 
-from helpers import alpha_equal, corpus_files, rewrite_text, trees_equal
+from helpers import alpha_equal, corpus_files, perfbench_gen, rewrite_text, trees_equal
 from strategies import programs
 
 SIMPLIFICATION_CASES = [
@@ -264,3 +265,186 @@ def test_rewrite_in_a_branch_copies_only_that_branch():
     branch, original = simplified.body[1], tree.body[1]
     assert branch is not original and len(original.body) == 1 and len(branch.body) == 2
     assert branch.test is original.test and branch.orelse is original.orelse
+
+
+# ---------------------------------------------------------------------------
+# Locations, rule dispatch and the fixpoint bound.
+
+
+def _assert_every_locatable_node_is_located(tree: ast.AST) -> None:
+    for node in ast.walk(tree):
+        if "lineno" in node._attributes:
+            assert getattr(node, "lineno", None) is not None, ast.dump(node)
+            assert getattr(node, "end_col_offset", None) is not None, ast.dump(node)
+
+
+def test_every_locatable_node_of_a_rewritten_corpus_file_is_located():
+    for path in corpus_files():
+        try:
+            tree = parse_module(path.read_text(encoding="utf-8"), str(path))
+        except ParseError:
+            continue
+        _assert_every_locatable_node_is_located(simplify_module(tree))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+@pytest.mark.parametrize("workload", ["branchy", "chain"])
+def test_every_locatable_node_of_a_rewritten_workload_is_located(monkeypatch, workload, seed):
+    files = perfbench_gen(monkeypatch).GENERATORS[workload](seed).files
+    for path, text in files.items():
+        _assert_every_locatable_node_is_located(simplify_module(parse_module(text, path)))
+
+
+def _span(node: ast.AST) -> tuple[int, int, int, int]:
+    return node.lineno, node.col_offset, node.end_lineno, node.end_col_offset
+
+
+def _names(tree: ast.AST, name: str) -> list[ast.Name]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name]
+
+
+@pytest.mark.parametrize("source,anchor", [
+    ("x = 1\nx = f(g())\n", lambda stmt: stmt.value),  # rule 2, positional: the call
+    ("x = 1\nx = f(a, k=g())\n", lambda stmt: stmt.value.keywords[0]),  # rule 2, keyword: the keyword
+    ("x = 1\nx = f()[1:2]\n", lambda stmt: stmt.value),  # rule 3: the subscript
+    ("x = 1\nx = f().m()\n", lambda stmt: stmt.value.func),  # rule 5: the attribute
+], ids=["positional", "keyword", "subscript", "chain"])
+def test_a_hoisted_temporary_takes_the_location_of_the_node_it_replaces(source, anchor):
+    tree = parse_module(source)
+    stmt = tree.body[1]
+    load, store = sorted(_names(simplify_module(tree), "_ret"), key=lambda n: type(n.ctx).__name__)
+    assert isinstance(load.ctx, ast.Load) and _span(load) == _span(anchor(stmt))
+    assert isinstance(store.ctx, ast.Store) and _span(store) == _span(stmt)
+
+
+def test_a_rule_outside_rules_is_tried_on_every_statement():
+    seen = []
+
+    def pass_to_assign(stmt, namer):
+        seen.append(type(stmt).__name__)
+        if type(stmt) is ast.Pass:
+            return parse_module("p = 0").body
+        return None
+
+    custom = RewriteRule(9, "PassToAssign", pass_to_assign)
+    source = "global g\nif a:\n    pass\nelif b:\n    x = f(g())\nfor i in c:\n    pass\n"
+    result = simplify_module(parse_module(source), rules=(*RULES, custom))
+    assert unparse(result) == (
+        "global g\nif a:\n    p = 0\nelif b:\n    _ret = g()\n    x = f(_ret)\nfor i in c:\n    p = 0\n"
+    )
+    assert sorted(set(seen)) == ["Assign", "For", "Global", "If", "Pass"]
+    _assert_every_locatable_node_is_located(result)
+
+
+def _firing(times: int) -> RewriteRule:
+    """A rule that fires ``times`` times in all, each time giving the statement back."""
+    left = [times]
+
+    def apply(stmt, namer):
+        if not left[0]:
+            return None
+        left[0] -= 1
+        return [stmt]
+
+    return RewriteRule(9, f"Fires{times}Times", apply)
+
+
+@pytest.mark.parametrize("source", ["pass", "x = 1", "x = f(a, b.c)"])
+def test_a_statement_may_fire_once_per_node_and_no_more(source):
+    tree = parse_module(source)
+    nodes = sum(1 for _ in walk(tree.body[0]))
+    assert simplify_module(tree, rules=[_firing(nodes)]).body == tree.body
+    with pytest.raises(FixpointError):
+        simplify_module(tree, rules=[_firing(nodes + 1)])
+
+
+def _recursive_rewrite_block(stmts, namer, rules):
+    """Reference: the one-pass driver that tried every rule on every
+    statement and recursed into each ``body`` and ``orelse``."""
+    out, changed = [], False
+    for origin in stmts:
+        pending, budget = [origin], None
+        while pending:
+            stmt = pending.pop()
+            for fname in ("body", "orelse"):
+                inner = getattr(stmt, fname, None)
+                if isinstance(inner, list) and inner and isinstance(inner[0], ast.stmt):
+                    new_inner, inner_changed = _recursive_rewrite_block(inner, namer, rules)
+                    if inner_changed:
+                        stmt = copy.copy(stmt)
+                        setattr(stmt, fname, new_inner)
+                        changed = True
+            for rule in rules:
+                built = rule.apply(stmt, namer)
+                if built is not None:
+                    budget = sum(1 for _ in walk(origin)) if budget is None else budget
+                    if budget == 0:
+                        raise FixpointError("rewrite did not settle")
+                    budget -= 1
+                    pending += reversed(built)
+                    changed = True
+                    break
+            else:
+                out.append(stmt)
+    return out, changed
+
+
+def _assert_rewrite_matches_reference(tree: ast.Module, rules=RULES) -> None:
+    namer = TempNamer.for_module(tree)
+    body, _ = _recursive_rewrite_block(tree.body, namer, rules)
+    result = simplify_module(tree, rules)
+    assert ast.dump(ast.Module(body=body, type_ignores=[]), include_attributes=True) == ast.dump(
+        ast.Module(body=result.body, type_ignores=[]), include_attributes=True)
+    assert result.temporaries == namer.issued
+
+
+_ELIF_SOURCES = [
+    "if a:\n    x = f(g())\nelif b:\n    y = h().k()\nelif c:\n    pass\nelse:\n    z = [i for i in d]\n",
+    "for i in a:\n    x = f(g(i))\nelse:\n    if b:\n        y = f()[0]\n"
+    "    elif c:\n        z = lambda: g(h())\n",
+    "def f(a):\n    if a:\n        return g(h(a))\n    elif a > 1:\n        if b:\n            x = k(m())\n"
+    "        elif c:\n            x = n().p()\n    return 3\n",
+]
+
+
+@pytest.mark.parametrize("source", _ELIF_SOURCES)
+def test_an_elif_chain_is_rewritten_as_recursion_rewrote_it(source):
+    _assert_rewrite_matches_reference(parse_module(source))
+
+
+def test_the_corpus_is_rewritten_as_recursion_rewrote_it():
+    for path in corpus_files():
+        try:
+            tree = parse_module(path.read_text(encoding="utf-8"), str(path))
+        except ParseError:
+            continue
+        _assert_rewrite_matches_reference(tree)
+        _assert_rewrite_matches_reference(tree, CHAIN_SPLITTING)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_generated_programs_are_rewritten_as_recursion_rewrote_them(source):
+    _assert_rewrite_matches_reference(parse_module(source))
+
+
+def test_an_elif_chain_is_rewritten_branch_by_branch():
+    source = _ELIF_SOURCES[0]
+    assert unparse(simplify_module(parse_module(source))) == (
+        "if a:\n    _ret = g()\n    x = f(_ret)\nelif b:\n    _ret_1 = h()\n    y = _ret_1.k()\n"
+        "elif c:\n    pass\nelse:\n    z = []\n    for i in d:\n        z.append(i)\n"
+    )
+
+
+def test_a_2900_branch_elif_chain_is_rewritten_without_recursion():
+    """Built by hand: under pytest's stack the parser rejects a chain this long."""
+    branches = [ast.parse(f"if x == {i}:\n    y = f(g({i}))\n").body[0] for i in range(2900)]
+    for outer, inner in zip(branches, branches[1:]):
+        outer.orelse = [inner]
+    node, count = simplify_module(ast.Module(body=branches[:1], type_ignores=[])).body[0], 0
+    while node is not None:
+        count += 1
+        assert [unparse(stmt) for stmt in node.body] == [f"{node.body[0].targets[0].id} = g({count - 1})",
+                                                         f"y = f({node.body[0].targets[0].id})"]
+        node = node.orelse[0] if node.orelse else None
+    assert count == len(branches)

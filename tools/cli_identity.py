@@ -63,7 +63,9 @@ directories run the directory subcommands only: one of 250 modules, each
 importing the next (``from . import m{i+1}``), and a project that holds a
 link to a sibling subpackage (walked before its target), a link from that
 subpackage back to the project root, and a chain of 300 nested packages,
-each importing the next (``from . import d``).  The edge cases and the
+each importing the next (``from . import d``).  One more directory holds
+one file, ``x = 0`` and an ``if`` with 2,899 ``elif`` branches, and runs
+both the file and the directory subcommands.  The edge cases and the
 workloads (made by importing ``perfbench/gen.py``) are written to a
 temporary directory that both sides read; nothing under ``perfbench/`` is
 written.
@@ -89,6 +91,7 @@ DIFF_WIDTH = 160
 _HUGE = "0x" + "f" * 4000  # 16,000 bits: far past the 4,300-digit limit
 CHAIN_MODULES = 250  # the chain directory: m0.py imports m1, ..., m248.py imports m249
 LINKED_LEVELS = 300  # the linked project's package chain: d, d/d, ..., each importing the next
+ELIF_BRANCHES = 2900  # the elif directory's one file: an if with 2,899 elif branches
 
 # Relative path under the edge-case directory -> source text, or the file's
 # bytes where it is not UTF-8.
@@ -264,6 +267,11 @@ def build_matrix(workdir: Path) -> list[list[str]]:
     (linked / "alias").symlink_to("pkg", target_is_directory=True)
     (linked / "pkg" / "back").symlink_to("..", target_is_directory=True)
     dirs.append(str(linked))
+    elif_dir = workdir / "elif"
+    _write_files(elif_dir, {"elif.py": "x = 0\nif x == 0:\n    y = 1\n" + "".join(
+        f"elif x == {i}:\n    y = {i} + 1\n" for i in range(1, ELIF_BRANCHES)) + "print(y)\n"})
+    files.append(str(elif_dir / "elif.py"))
+    dirs.append(str(elif_dir))
     seed_files, packages = _write_workloads(workdir)
     matrix = [argv for path in files + seed_files for argv in _file_argvs(path)]
     matrix += [argv for path in dirs for argv in _dir_argvs(path)]
