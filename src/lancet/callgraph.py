@@ -54,7 +54,7 @@ from pathlib import Path
 from .cfg import head_exprs, iter_eager
 from .frontend import dump_json
 from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, bind_arguments, bind_defaults,
-                       binds_receiver, discover, dotted_parts, import_bindings, load_module)
+                       binds_receiver, discover, dotted_parts, load_module, resolve_import)
 from .ssa import Worklist, definitions
 
 __all__ = [
@@ -201,6 +201,7 @@ class _Analyzer:
         self.external_mods: set[str] = set()
         self.diagnostics = DiagnosticLog()
         self.type_diagnostics = DiagnosticLog()  # what only type inference reports
+        self.escapes: list[str] = []  # relative imports that reach above the project root
         if package_root is not None and package_root.is_dir():
             tree, diagnostics = discover(package_root)
             self.diagnostics.extend(diagnostics)
@@ -209,38 +210,43 @@ class _Analyzer:
     # -- module loading ------------------------------------------------------
 
     def load(self, path: str | Path, fqn: str) -> None:
-        """Load module ``fqn`` from ``path``, then each project module its
+        """Load module ``fqn`` from ``path``, then each project package that
+        holds it, which Python runs first, and each project module its
         imports reach, first reached first, after the module that reached it."""
         self.pending = [(path, fqn)]
         for path, fqn in self.pending:  # _bind_import appends to it
             if fqn in self.table.modules or fqn in self.failed:
                 continue
+            parts = fqn.split(".")
+            holders = (".".join(parts[:i]) for i in range(1, len(parts)))
+            self.pending += [(self.files[name], name) for name in holders if name in self.files]
             module, diagnostic = load_module(path, simplify=self.simplify)
             if module is None:
                 self.diagnostics.append(diagnostic)
                 self.failed[fqn] = diagnostic
                 continue
             is_package = Path(path).name == "__init__.py"
-            self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, is_package),
-                                  is_package=is_package)
+            self.table.add_module(module, fqn, lambda scope, stmt: self._reach(scope, stmt, path, is_package))
 
-    def _reach(self, scope: Scope, stmt: ast.stmt, is_package: bool) -> None:
+    def _reach(self, scope: Scope, stmt: ast.stmt, path: str | Path, is_package: bool) -> None:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            self._bind_import(scope, stmt, is_package)
+            self._bind_import(scope, stmt, path, is_package)
         elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.decorator_list:
             names = [d.id for d in stmt.decorator_list]  # bare names only (see frontend)
             if not (scope.kind == "class" and isinstance(stmt, ast.FunctionDef)
                     and names in (["staticmethod"], ["classmethod"])):  # what Scope.receiver models
                 self._diagnose(scope, stmt, "decorated definition; wrapper effects ignored")
 
-    def _bind_import(self, scope: Scope, stmt: ast.Import | ast.ImportFrom, is_package: bool) -> None:
-        bindings = import_bindings(stmt, scope.module, is_package)
-        if bindings is None:
-            self.diagnostics.append(
-                f"{scope.module}: unresolvable relative import at line {stmt.lineno}"
-            )
-            return
-        for module, pairs in bindings:
+    def _bind_import(self, scope: Scope, stmt: ast.Import | ast.ImportFrom, path: str | Path,
+                     is_package: bool) -> None:
+        """Queue the project modules ``stmt`` loads (:func:`~lancet.modgraph.resolve_import`)
+        and give each name it binds a kind: ``ext`` outside the project, else ``mod`` or ``slot``."""
+        entries, escape = resolve_import(stmt, scope.module, is_package, path)
+        if escape is not None:
+            self.diagnostics.append(escape)
+            self.escapes.append(escape)
+        for module, pairs, loads in entries:
+            self.pending += [(self.files[name], name) for name in loads if name in self.files]
             # ``from .. import util`` binds a module even where ``..`` is a
             # directory with no ``__init__.py``.
             if module not in self.files and all(target not in self.files for _, target in pairs):
@@ -248,8 +254,6 @@ class _Analyzer:
                 for local, target in pairs:
                     scope.bindings[local] = ("ext", target)
                 continue
-            loads = [module, *(target for _, target in pairs)]
-            self.pending += [(self.files[name], name) for name in loads if name in self.files]
             if isinstance(stmt, ast.ImportFrom) and stmt.names[0].name == "*":
                 self._diagnose(scope, stmt, "star import; names not tracked")
             for local, target in pairs:

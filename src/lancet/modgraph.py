@@ -10,8 +10,10 @@ skips it; :func:`build_dir_tree` loads the modules the walk finds into a
 its module, function and class :class:`Scope` records, each with its own
 statements as one flat list; the call graph, type inference and ``lancet
 fqn`` read it.
-:func:`import_bindings` maps one import statement to the names it
-binds, and :func:`parse_imports` turns each import statement into an
+:func:`resolve_import` is the one import rule, which the import graph, the
+scope table and the call graph all read: what one import statement binds,
+which modules it loads, and the one located diagnostic when it escapes the
+project root.  :func:`parse_imports` turns each import statement into an
 :class:`ImportRelation` with relative imports resolved against the
 importer's package.  A module is a *leaf* when it has no outgoing
 project-internal imports - the bottom of the dependency hierarchy,
@@ -53,7 +55,7 @@ __all__ = [
     "discover",
     "load_module",
     "build_dir_tree",
-    "import_bindings",
+    "resolve_import",
     "parse_imports",
     "build_import_graph",
     "leaf_nodes",
@@ -117,8 +119,8 @@ class ImportRelation(NamedTuple):
     ``symbols`` holds (name, alias) pairs for ``from``-imports and the plain
     ``import`` binding; a ``*`` name records a wildcard import.
     ``relative_level`` counts leading dots (0 = absolute); ``resolved`` is
-    False when a relative import reaches above the project root, in which
-    case ``imported_module`` keeps the unanchored text.
+    False when the import escapes the project root, in which case
+    ``imported_module`` keeps the unanchored text.
     """
 
     importer: str
@@ -229,47 +231,44 @@ def resolve_relative(importer: str, is_package: bool, level: int, module: str | 
     """Anchor a relative import at the importer's package; None if it escapes."""
     if level == 0:
         return module
-    parts = importer.split(".")
-    if not is_package:
-        parts = parts[:-1]
-    strip = level - 1
-    if strip > len(parts):
-        return None
-    if strip:
-        parts = parts[:-strip]
-    if not parts and not module:
-        return None
-    if module:
-        parts = parts + module.split(".")
-    return ".".join(parts) if parts else None
+    keep = importer.count(".") + is_package - level + 1  # the anchor package's length in parts
+    parts = importer.split(".")[:keep] + (module.split(".") if module else [])
+    return ".".join(parts) if keep >= 0 and parts else None
 
 
-def import_bindings(
-    stmt: ast.Import | ast.ImportFrom, importer: str, is_package: bool
-) -> list[tuple[str, list[tuple[str, str]]]] | None:
-    """What one import statement in module ``importer`` binds.
+def resolve_import(
+    stmt: ast.Import | ast.ImportFrom, importer: str, is_package: bool, path: str | Path
+) -> tuple[list[tuple[str, list[tuple[str, str]], list[str]]], str | None]:
+    """What one import statement in module ``importer``, read from ``path``,
+    binds and loads: the one import rule of every project analysis.
 
-    One ``(module, [(local name, dotted target), ...])`` entry per module the
-    statement loads: ``import a.b`` binds ``a`` to ``a``, ``import a.b as c``
-    binds ``c`` to ``a.b``, and ``from m import x as y`` binds ``y`` to
-    ``m.x``, with a relative ``m`` anchored by :func:`resolve_relative`.  A
-    ``*`` binds nothing.  None when a relative import reaches above the
-    project root.
+    One ``(module, [(local name, dotted target), ...], loads)`` entry per
+    module the statement names, and None.  ``import a.b`` binds ``a`` to
+    ``a``, ``import a.b as c`` binds ``c`` to ``a.b``, and ``from m import x
+    as y`` binds ``y`` to ``m.x``, with a relative ``m`` anchored by
+    :func:`resolve_relative`; a ``*`` binds nothing.  ``loads`` names the
+    modules the statement runs, if they exist: the named module, then the
+    packages above it and the targets it binds, less each package that holds
+    the importer, which ran before the importer did; a module never loads
+    itself.  When a relative import escapes the project root: no entry, and
+    the located diagnostic.
     """
     if isinstance(stmt, ast.Import):
-        out: list[tuple[str, list[tuple[str, str]]]] = []
-        for alias in stmt.names:
-            if alias.asname:
-                out.append((alias.name, [(alias.asname, alias.name)]))
-            else:
-                top = alias.name.split(".")[0]
-                out.append((alias.name, [(top, top)]))
-        return out
-    module = resolve_relative(importer, is_package, stmt.level, stmt.module)
-    if module is None:
-        return None
-    return [(module, [(alias.asname or alias.name, f"{module}.{alias.name}")
-                      for alias in stmt.names if alias.name != "*"])]
+        bound = [alias.name if alias.asname else alias.name.split(".")[0] for alias in stmt.names]
+        named = [(alias.name, [(alias.asname or target, target)]) for alias, target in zip(stmt.names, bound)]
+    else:
+        module = resolve_relative(importer, is_package, stmt.level, stmt.module)
+        if module is None:
+            return [], f"{path}:{stmt.lineno}: relative import reaches above the project root"
+        named = [(module, [(alias.asname or alias.name, f"{module}.{alias.name}")
+                           for alias in stmt.names if alias.name != "*"])]
+    entries = []
+    for module, pairs in named:
+        parts = module.split(".")
+        others = [".".join(parts[:i]) for i in range(1, len(parts))] + [target for _, target in pairs]
+        loads = [module] + [name for name in others if not f"{importer}.".startswith(f"{name}.")]
+        entries.append((module, pairs, [name for name in dict.fromkeys(loads) if name != importer]))
+    return entries, None
 
 
 def _statements(module: ast.Module) -> Iterator[ast.stmt]:
@@ -287,8 +286,7 @@ def _statements(module: ast.Module) -> Iterator[ast.stmt]:
 
 def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str], list[str]]:
     """The module's import relations, the modules its imports load by
-    :func:`import_bindings` (a from-import's module and the targets it binds,
-    a plain import's module) and its diagnostics."""
+    :func:`resolve_import`, and its diagnostics."""
     relations: list[ImportRelation] = []
     loads: list[str] = []
     diagnostics: list[str] = []
@@ -297,26 +295,22 @@ def _relations_for(node: TreeNode) -> tuple[list[ImportRelation], list[str], lis
     for stmt in _statements(node.module):
         if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
             continue
-        bindings = import_bindings(stmt, node.full_name, is_package)
-        resolved = bindings is not None
-        if not resolved:
-            diagnostics.append(
-                f"{node.path}:{stmt.lineno}: relative import reaches above the project root"
-            )
-            bindings = [("." * stmt.level + (stmt.module or ""), [])]
+        entries, escape = resolve_import(stmt, node.full_name, is_package, node.path)
+        if escape is not None:
+            diagnostics.append(escape)
+            entries = [("." * stmt.level + (stmt.module or ""), [], [])]
         groups = [[alias] for alias in stmt.names] if isinstance(stmt, ast.Import) else [stmt.names]
-        for (module, pairs), aliases in zip(bindings, groups):
+        for (module, _, targets), aliases in zip(entries, groups):
             relations.append(
                 ImportRelation(
                     importer=node.full_name,
                     imported_module=module,
                     symbols=tuple((a.name, a.asname) for a in aliases),
                     relative_level=getattr(stmt, "level", 0),
-                    resolved=resolved,
+                    resolved=escape is None,
                 )
             )
-            if resolved:
-                loads += [module] + [target for _, target in pairs if isinstance(stmt, ast.ImportFrom)]
+            loads += targets
     return relations, loads, diagnostics
 
 
@@ -338,10 +332,7 @@ def build_import_graph(root: str | Path) -> ImportGraph:
         relations, loads, diagnostics = _relations_for(node)
         graph.module_dict[node.full_name] = relations
         graph.diagnostics.extend(diagnostics)
-        # ``from . import x`` in a package's ``__init__`` names the package
-        # itself; a module is no dependency of its own.
-        graph.internal_edges.update((node.full_name, target) for target in loads
-                                    if target in project and target != node.full_name)
+        graph.internal_edges.update((node.full_name, target) for target in loads if target in project)
     return graph
 
 
@@ -478,10 +469,10 @@ class ScopeTable:
         """Walk ``module`` once, adding each scope as the walk enters it.
 
         ``on_statement(scope, stmt)`` is called for every statement as the
-        walk reaches it, after an import has bound each name to
-        ``("import", target)`` in that scope and before the body; scopes it
-        adds (an import that loads another module) take that place in the
-        pre-order.  ``is_package`` marks a package's ``__init__``.
+        walk reaches it, before the body; scopes it adds (an import that loads
+        another module) take that place in the pre-order.  Without it, an
+        import binds each name to ``("import", target)`` in its scope, by
+        :func:`resolve_import`; ``is_package`` marks a package's ``__init__``.
         """
         root = Scope(name, "module", module, name)
         self.modules[name] = root
@@ -490,14 +481,14 @@ class ScopeTable:
         while stack:
             stmt, scope = stack.pop()
             scope.statements.append(stmt)
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for _, pairs in import_bindings(stmt, name, is_package) or ():
-                    scope.bindings.update((local, ("import", target)) for local, target in pairs)
             if isinstance(stmt, ast.Global):
                 for local in stmt.names:
                     scope.bindings[local] = root.bindings.setdefault(local, ("slot", root.slot(local)))
             if on_statement is not None:
                 on_statement(scope, stmt)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):  # located by name: the escape line is unused
+                for _, pairs, _ in resolve_import(stmt, name, is_package, name)[0]:
+                    scope.bindings.update((local, ("import", target)) for local, target in pairs)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 child = self._add_definition(scope, stmt)
                 stack += [(inner, child) for inner in reversed(stmt.body)]

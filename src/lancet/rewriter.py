@@ -119,7 +119,7 @@ def collect_identifiers(module: ast.AST) -> set[str]:
 
 class RewriteRule(NamedTuple):
     """``apply(stmt, namer)`` returns the statements that replace ``stmt``, or
-    None when the rule does not match it."""
+    None when the rule does not match it; the rewrite locates what it builds."""
     id: int
     name: str
     apply: Callable[[ast.stmt, TempNamer], list[ast.stmt] | None]
@@ -157,7 +157,7 @@ def _unfold_comprehension(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | 
         body = ast.For(target=gen.target, iter=gen.iter, body=[body], orelse=[])
 
     init = ast.Assign(targets=[ast.Name(id=name, ctx=ast.Store())], value=init_value)
-    return _locate([init, body], stmt)
+    return [init, body]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def _hoist_call_argument(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | N
         new_call.keywords = list(call.keywords)
         new_call.keywords[pos] = _copy(call.keywords[pos], value=_load(temp, call.keywords[pos]))
     hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=inner)
-    return _locate([hoisted, _copy(stmt, value=new_call)], stmt)
+    return [hoisted, _copy(stmt, value=new_call)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def _hoist_subscripted_call(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] 
         return None
     temp = namer.fresh()
     hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=sub.value)
-    return _locate([hoisted, _copy(stmt, value=_copy(sub, value=_load(temp, sub)))], stmt)
+    return [hoisted, _copy(stmt, value=_copy(sub, value=_load(temp, sub)))]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def _lambda_to_def(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None:
         returns=None,
         type_comment=None,
     )
-    return _locate([fn], stmt)
+    return [fn]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def _split_call_chain(stmt: ast.stmt, namer: TempNamer) -> list[ast.stmt] | None
     # The outermost link stays in the statement, now called on the last temp.
     last = _copy(top, func=_copy(top.func, value=_load(receiver, top.func)))
     out.append(_copy(stmt, value=last))
-    return _locate(out, stmt)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +385,8 @@ class _Rewrite:
         """Append to ``out`` what ``origin`` becomes, given ``stmt``, ``origin``
         with its blocks rewritten; say if that is not ``origin`` itself.
 
-        A rule's products wait on a stack and go to ``out`` once no rule
-        matches them."""
+        A rule's products, located at the statement it matched, wait on a
+        stack and go to ``out`` once no rule matches them."""
         changed = stmt is not origin
         pending: list[ast.stmt] = []
         firings, limit = 0, 1  # limit: origin's node count, taken once it fires twice
@@ -399,7 +399,7 @@ class _Rewrite:
                         limit = sum(1 for _ in walk(origin))
                     if firings > limit:
                         raise FixpointError("rewrite did not settle; a rule keeps matching its own output")
-                    pending += reversed(built)
+                    pending += reversed(_locate(built, stmt))
                     changed = True
                     break
             else:

@@ -180,8 +180,8 @@ def infer_types_report(
     simplify: bool = True,
 ) -> tuple[list[TypeRecord], list[str]]:
     """Like :func:`infer_types`, but also returns the diagnostics collected:
-    the directory walk's, one per skipped file in the walk's order, then the
-    suspicious operations."""
+    the directory walk's, one per skipped file in the walk's order, one per
+    import that escapes the project root, then the suspicious operations."""
     entry_path = Path(entry)
     if entry_path.is_dir():
         analyzer = _Analyzer(entry_path, simplify)
@@ -198,5 +198,6 @@ def infer_types_report(
     _seed(analyzer)
     analyzer.solve()
     diagnostics.extend(analyzer.failed[name] for name in files if name in analyzer.failed)
+    diagnostics.extend(analyzer.escapes)
     diagnostics.extend(analyzer.type_diagnostics)
     return _records(analyzer, files), list(diagnostics)

@@ -322,7 +322,7 @@ def test_a_repeated_unresolvable_import_line_is_diagnosed_once(tmp_path):
     root.mkdir()
     (root / "mod.py").write_text("from ...x import a; from ...y import b\n")
     graph = analyze([], package_root=root)
-    assert graph.diagnostics == ["pkg.mod: unresolvable relative import at line 1"]
+    assert graph.diagnostics == [f"{root / 'mod.py'}:1: relative import reaches above the project root"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lancet.modgraph import (
     leaf_nodes,
     parse_imports,
     resolve_fqn,
+    resolve_import,
     resolve_relative,
 )
 from lancet.rewriter import simplify_module
@@ -150,7 +151,7 @@ def test_package_importing_its_own_submodule_has_no_self_edge(tmp_path):
     ("import app.app\n", {("app.main", "app.app")}),
 ])
 def test_an_import_draws_edges_to_the_modules_it_loads(tmp_path, source, edges):
-    """Edges follow ``import_bindings``: ``import app`` loads the package, not
+    """Edges follow ``resolve_import``: ``import app`` loads the package, not
     a submodule that happens to share its name."""
     root = tmp_path / "app"
     root.mkdir()
@@ -190,12 +191,64 @@ def test_unresolvable_relative_import_is_diagnosed(tmp_path):
     assert not relation.resolved
 
 
+@pytest.mark.parametrize("source,importer,is_package,entries", [
+    # The packages above the named module load, except those holding the importer.
+    ("import p.a.b", "p.m", False, [("p.a.b", [("p", "p")], ["p.a.b", "p.a"])]),
+    ("import p.a.b as c", "q.m", False, [("p.a.b", [("c", "p.a.b")], ["p.a.b", "p", "p.a"])]),
+    ("from p.a.b import f", "p.q.m", False, [("p.a.b", [("f", "p.a.b.f")], ["p.a.b", "p.a", "p.a.b.f"])]),
+    ("from app import core", "app.core.engine", False, [("app", [("core", "app.core")], ["app"])]),
+    # The named module loads even when it holds the importer, but never the importer itself.
+    ("from .. import util", "p.q.m", False, [("p", [("util", "p.util")], ["p", "p.util"])]),
+    ("from . import x", "p", True, [("p", [("x", "p.x")], ["p.x"])]),
+    ("from .m import *", "p.n", False, [("p.m", [], ["p.m"])]),
+    ("import os.path, json", "p.m", False,
+     [("os.path", [("os", "os")], ["os.path", "os"]), ("json", [("json", "json")], ["json"])]),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_an_import_binds_and_loads_by_one_rule(source, importer, is_package, entries):
+    (stmt,) = parse_module(source).body
+    assert resolve_import(stmt, importer, is_package, "p/m.py") == (entries, None)
+
+
+def test_an_escaping_import_loads_nothing_and_gets_one_located_line():
+    (stmt,) = parse_module("\n\nfrom ... import x\n").body
+    assert resolve_import(stmt, "p.q.m", False, "p/q/m.py") == (
+        [], "p/q/m.py:3: relative import reaches above the project root")
+
+
 def test_resolve_relative_anchoring():
     assert resolve_relative("example.module_a", False, 1, "module_b") == "example.module_b"
     assert resolve_relative("pkg.sub", True, 1, "mod") == "pkg.sub.mod"
     assert resolve_relative("pkg.sub.mod", False, 2, "other") == "pkg.other"
     assert resolve_relative("pkg.mod", False, 0, "os.path") == "os.path"
     assert resolve_relative("pkg.mod", False, 3, "x") is None
+
+
+def _branching_resolve_relative(importer, is_package, level, module):
+    """Reference: anchoring step by step, as ``resolve_relative`` once did."""
+    if level == 0:
+        return module
+    parts = importer.split(".")
+    if not is_package:
+        parts = parts[:-1]
+    strip = level - 1
+    if strip > len(parts):
+        return None
+    if strip:
+        parts = parts[:-strip]
+    if not parts and not module:
+        return None
+    if module:
+        parts = parts + module.split(".")
+    return ".".join(parts) if parts else None
+
+
+def test_resolve_relative_matches_the_branching_reference():
+    for importer in ("a", "a.b", "a.b.c", "w.x.y.z"):
+        for is_package in (False, True):
+            for level in range(6):
+                for module in (None, "m", "m.n"):
+                    args = (importer, is_package, level, module)
+                    assert resolve_relative(*args) == _branching_resolve_relative(*args), args
 
 
 def test_an_import_in_a_function_binds_only_in_that_function():

@@ -14,7 +14,7 @@ from lancet.cli import main
 from lancet.modgraph import build_import_graph, discover
 from lancet.typeinfer import infer_types_report
 
-from helpers import CORPUS, fresh_python
+from helpers import CORPUS, fresh_python, perfbench_gen, write_files
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE = CORPUS / "imports" / "example"
@@ -36,7 +36,11 @@ def test_golden_project_outputs_are_pinned(capsys, monkeypatch, case):
     """Outputs pinned byte for byte.  ``project_golden.json``: the
     subcommands on ``tests/corpus/project/app`` (a namespace root with plain,
     aliased, relative, star, escaping and external imports), captured before
-    discovery and import binding moved into ``modgraph``.
+    discovery and import binding moved into ``modgraph``, and on
+    ``tests/corpus/project/nested`` (``import nested.a.b`` loads the package
+    ``nested.a``) and ``tests/corpus/project/escape`` (a relative import
+    above the root, diagnosed by one text), captured when one rule in
+    ``modgraph.resolve_import`` took over both.
     ``corpus_golden.json``: ``callgraph --entry`` (both formats) and
     ``typeinfer`` (with and without ``--no-simplify``) on every file of
     ``tests/corpus/{callgraph,typeinfer,programs}``, and ``imports``,
@@ -121,6 +125,78 @@ def test_symlink_loop_is_skipped_with_one_diagnostic(capsys, tmp_path, argv):
     (line,) = err.splitlines()
     assert f"{os.sep}pkg{os.sep}loop: skipped: " in line
     code, _, _ = _run(capsys, *argv, str(root), "--strict")
+    assert code == 1
+
+
+def _assert_callgraph_loads_what_the_import_graph_reaches(root: Path) -> None:
+    """From each module M, ``analyze([M])`` loads M, the modules that the
+    import graph's edges reach from M and the packages that hold each module
+    loaded, and no other: so every edge M -> T has T among M's internal
+    modules."""
+    graph = build_import_graph(root)
+    modules = {node.full_name for node in graph.tree.iter_modules() if node.module is not None}
+    targets: dict[str, set[str]] = {}
+    for importer, target in graph.internal_edges:
+        targets.setdefault(importer, set()).add(target)
+    for node in graph.tree.iter_modules():
+        if node.module is None:
+            continue
+        reached, stack = {node.full_name}, [node.full_name]
+        while stack:
+            name = stack.pop()
+            holders = {name.rsplit(".", i)[0] for i in range(1, name.count(".") + 1)} & modules
+            new = (targets.get(name, set()) | holders) - reached
+            reached |= new
+            stack += new
+        internal = analyze([node.path], package_root=root).internal_mods
+        assert targets.get(node.full_name, set()) <= internal, node.full_name
+        assert internal == reached, node.full_name
+
+
+@pytest.mark.parametrize("root", [CORPUS, *sorted(p for p in CORPUS.rglob("*") if p.is_dir())],
+                         ids=lambda root: str(root.relative_to(CORPUS.parent)))
+def test_callgraph_loads_what_the_import_graph_reaches_on_corpus(root):
+    _assert_callgraph_loads_what_the_import_graph_reaches(root)
+
+
+def test_callgraph_loads_what_the_import_graph_reaches_on_a_package_seed(tmp_path, monkeypatch):
+    workload = perfbench_gen(monkeypatch).gen_package(1)
+    write_files(tmp_path, workload.files)
+    _assert_callgraph_loads_what_the_import_graph_reaches(tmp_path / workload.facts["root"])
+
+
+def test_an_entry_module_s_packages_run_before_it(tmp_path):
+    """The packages that hold an entry module ran before it, so what they
+    define resolves, though the import graph draws no edge to them
+    (``pkg.m`` to ``pkg``, ``pkg.core.engine`` to ``pkg.core``):
+    ``pkg.helper`` reached through ``import pkg.sub``, and ``pkg.core.start``
+    through ``from pkg import core`` in ``pkg/core/engine.py``."""
+    root = tmp_path / "pkg"
+    _write(root, {
+        "__init__.py": "def helper():\n    return 1\n",
+        "sub.py": "",
+        "m.py": "import pkg.sub\n\n\ndef run():\n    return pkg.helper()\n",
+        "core/__init__.py": "def start():\n    return 2\n",
+        "core/engine.py": "from pkg import core\n\n\ndef go():\n    return core.start()\n",
+    })
+    assert build_import_graph(root).internal_edges == {("pkg.m", "pkg.sub"), ("pkg.core.engine", "pkg")}
+    for entry, edge in [("m.py", ("pkg.m.run", "pkg.helper")),
+                        ("core/engine.py", ("pkg.core.engine.go", "pkg.core.start"))]:
+        assert edge in output_edges(analyze([root / entry], package_root=root)), entry
+
+
+@pytest.mark.parametrize("argv", [
+    ["imports"], ["callgraph", "--package"], ["typeinfer"],
+], ids=lambda argv: argv[0])
+def test_an_escaping_import_prints_one_located_line(capsys, monkeypatch, argv):
+    """``from ... import x`` in ``escape/p/m2.py``: the same line, at the
+    path each subcommand loaded the module from, and ``--strict`` exits 1."""
+    monkeypatch.chdir(REPO)
+    root = "tests/corpus/project/escape"
+    code, _, err = _run(capsys, *argv, root)
+    path = root if argv[0] == "typeinfer" else str(REPO / root)
+    assert (code, err) == (0, f"{path}/p/m2.py:1: relative import reaches above the project root\n")
+    code, _, _ = _run(capsys, *argv, root, "--strict")
     assert code == 1
 
 

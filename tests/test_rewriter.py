@@ -13,6 +13,7 @@ from lancet.rewriter import (
     FixpointError,
     RewriteRule,
     TempNamer,
+    _locate,
     collect_identifiers,
     simplify_module,
 )
@@ -336,6 +337,21 @@ def test_a_rule_outside_rules_is_tried_on_every_statement():
     _assert_every_locatable_node_is_located(result)
 
 
+def test_what_a_caller_s_rule_builds_unlocated_takes_the_location_of_what_it_replaces():
+    def pass_to_assign(stmt, namer):
+        if type(stmt) is ast.Pass:
+            return [ast.Assign(targets=[ast.Name("p", ast.Store())], value=ast.Constant(0))]
+        return None
+
+    tree = parse_module("x = 1\nif x:\n    pass\n")
+    result = simplify_module(tree, rules=(RewriteRule(9, "PassToAssign", pass_to_assign),))
+    assert unparse(result) == "x = 1\nif x:\n    p = 0\n"
+    _assert_every_locatable_node_is_located(result)
+    (assign,) = result.body[1].body
+    assert {_span(node) for node in ast.walk(assign) if "lineno" in node._attributes} == {
+        _span(tree.body[1].body[0])}
+
+
 def _firing(times: int) -> RewriteRule:
     """A rule that fires ``times`` times in all, each time giving the statement back."""
     left = [times]
@@ -381,7 +397,7 @@ def _recursive_rewrite_block(stmts, namer, rules):
                     if budget == 0:
                         raise FixpointError("rewrite did not settle")
                     budget -= 1
-                    pending += reversed(built)
+                    pending += reversed(_locate(built, stmt))
                     changed = True
                     break
             else:

@@ -28,7 +28,8 @@ The matrix:
   formats; ``typeinfer`` with and without ``--no-simplify``) on every
   directory under ``tests/corpus`` and of the edge-case set, and on each
   seed's package root, plus ``callgraph --entry MAIN --package ROOT`` on the
-  package workloads.
+  package workloads and, in both formats, on the corpus projects of
+  ``PROJECT_ENTRIES``.
 
 The edge-case set (``EDGE_CASES``) holds inputs the corpus does not:
 starred and nested assignment targets, calls inside lambda bodies, int
@@ -92,6 +93,11 @@ _HUGE = "0x" + "f" * 4000  # 16,000 bits: far past the 4,300-digit limit
 CHAIN_MODULES = 250  # the chain directory: m0.py imports m1, ..., m248.py imports m249
 LINKED_LEVELS = 300  # the linked project's package chain: d, d/d, ..., each importing the next
 ELIF_BRANCHES = 2900  # the elif directory's one file: an if with 2,899 elif branches
+# Corpus projects run from one entry file: (root, entry file under it).
+PROJECT_ENTRIES = (
+    ("tests/corpus/project/nested", "m.py"),  # ``import nested.a.b`` loads the package ``nested.a``
+    ("tests/corpus/project/escape", "p/m2.py"),  # a relative import above the root
+)
 
 # Relative path under the edge-case directory -> source text, or the file's
 # bytes where it is not UTF-8.
@@ -278,6 +284,9 @@ def build_matrix(workdir: Path) -> list[list[str]]:
     for root, main in packages:
         matrix += _dir_argvs(root)
         matrix.append(["callgraph", "--entry", main, "--package", root, "--format", "edges"])
+    for root, main in PROJECT_ENTRIES:
+        matrix += [["callgraph", "--entry", f"{root}/{main}", "--package", root, *fmt]
+                   for fmt in ([], ["--format", "edges"])]
     return matrix
 
 
