@@ -10,13 +10,17 @@ and returns propagate those sets until nothing grows, then each syntactic
 call contributes edges from its enclosing definition (module-body calls
 attach to the module node) to every callable in its callee's value set.
 Type inference (:mod:`lancet.typeinfer`) reads its records off the same
-solved slots.
+solved slots, of an analyzer built with ``tags=True``.
 
 Tags come from literals, an operator table, a method table for calls on a
 tagged receiver, and the signature table of a :class:`HeuristicTable` for
 calls of external names, keyed by the FQN an ``ext`` value carries, or for
 an unbound name by its dotted text.  An ``Any`` receiver keeps ``Any`` in a
-method call's result, so every rule is monotone.  Tags make no edges.
+method call's result, so every rule is monotone.  Tags make no edges, so a
+call-graph run (:func:`analyze`) keeps none: with ``tags=False`` every slot
+write drops them, and an expression that could only take them (all but a
+name, attribute, call or ``and``/``or``) is not walked; the calls under
+it are still processed from the statement.
 
 The fixpoint is solved on a :class:`~lancet.ssa.Worklist`, which constant
 folding runs on too, with statements as its units.  Every statement is
@@ -79,6 +83,7 @@ _ANY: Value = ("type", ANY)
 _NUMERIC = ("bool", "int", "float")
 _LITERALS: dict[type, Value] = {t: ("type", name) for t, name in (
     (bool, "bool"), (int, "int"), (float, "float"), (str, "str"), (type(None), "None"))}
+_CALLABLE_KINDS = {ast.Name, ast.Attribute, ast.Call, ast.BoolOp}  # the rest take only tags
 _EXPR_TYPES = {ast.List: "List", ast.ListComp: "List", ast.Dict: "Dict", ast.DictComp: "Dict",
            ast.SetComp: "Set", ast.Tuple: "Tuple", ast.Lambda: "callable", ast.Compare: "bool"}
 
@@ -163,7 +168,8 @@ def type_name(value: Value) -> str:
 
 
 class AssignmentGraph:
-    """The slots (qualified names) read or written, with the value sets they carry."""
+    """The slots (qualified names) read or written, with the value sets they
+    carry: callables, modules and external names, since a call-graph run keeps no tags."""
 
     def __init__(self, nodes: set[str] | None = None,
                  value_sets: dict[str, set[Value]] | None = None) -> None:
@@ -185,14 +191,17 @@ class CallGraph:
 
 
 class _Analyzer:
-    def __init__(self, package_root: Path | None, simplify: bool = True) -> None:
+    def __init__(self, package_root: Path | None, simplify: bool = True, *, tags: bool = False) -> None:
         self.simplify = simplify  # whether each module loaded is simplified first
         self.files: dict[str, Path] = {}  # package modules, loaded once reached
         self.failed: dict[str, str] = {}  # modules that did not load, with why; not retried
         self.pending: list[tuple[str | Path, str]] = []  # what load has reached, in order
         self.table = ScopeTable()
-        self.signatures = HeuristicTable()  # type inference sets the bundled table
+        self.signatures = default_table() if tags else HeuristicTable()  # only tags read it
         self.solver = Worklist()
+        self.tags = tags  # with tags off, self.add drops them from each slot write that may carry one
+        add = self.solver.add
+        self.add = add if tags else lambda slot, values: add(slot, {v for v in values if v[0] != "type"})
         self.values: dict[str, set[Value]] = self.solver.values
         self.call_edges: set[tuple[str, str]] = set()
         self.heads: dict[ast.stmt, list[ast.AST]] = {}  # see head_nodes
@@ -271,6 +280,8 @@ class _Analyzer:
         kind = type(expr)  # compared by identity: the commonest kinds first
         if kind is ast.Name or kind is ast.Constant:
             return self._leaf(expr, scope)
+        if not self.tags and kind not in _CALLABLE_KINDS:  # it could only take tags
+            return set()
         spine: list[tuple[ast.expr, set[Value] | None]] = []  # (chain node, a ``**``'s left values)
         while True:
             if kind is ast.Attribute:
@@ -432,19 +443,19 @@ class _Analyzer:
             fqn = scope.slot(stmt.name)
             self.solver.add(fqn, {("func", fqn)})
             for name, default in bind_defaults(stmt):
-                self.solver.add(f"{fqn}.{name}", self.eval_expr(default, scope))
+                self.add(f"{fqn}.{name}", self.eval_expr(default, scope))
         elif isinstance(stmt, ast.ClassDef):
             fqn = scope.slot(stmt.name)
             self.solver.add(fqn, {("class", fqn)})
         elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):
-            # Evaluated even where no name takes it (``x.a = s + 1``): that reads slots and may diagnose.
+            # Evaluated even where no name takes it (``x.a = s + 1``): with tags on, that reads slots and may diagnose.
             value = stmt.value if isinstance(stmt, ast.Assign) else None
             values = None if value is None else self.eval_expr(value, scope)
             for name, expr, _ in definitions(stmt):
                 found = {_ANY} if expr is None else values if expr is value else self.eval_expr(expr, scope)
                 self._assign(scope, name, found)
         elif isinstance(stmt, ast.Return) and stmt.value is not None and scope.kind == "function":
-            self.solver.add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
+            self.add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
 
         for node in self.head_nodes(stmt):
             if type(node) is ast.Call:
@@ -462,7 +473,7 @@ class _Analyzer:
     def _assign(self, scope: Scope, name: str, values: set[Value]) -> None:
         binding = scope.lookup(name) or ("slot", scope.slot(name))
         if binding[0] == "slot":
-            self.solver.add(binding[1], values)
+            self.add(binding[1], values)
 
     def _process_call(self, scope: Scope, call: ast.Call) -> None:
         caller = scope.fqn
@@ -488,7 +499,7 @@ class _Analyzer:
         if bound:
             self.solver.add(callee.slot(callee.params[0]), {(callee.receiver, receiver[1])})
         for name, arg in bind_arguments(call, callee.params, bound):
-            self.solver.add(callee.slot(name), {_ANY} if arg is None else self.eval_expr(arg, scope))
+            self.add(callee.slot(name), {_ANY} if arg is None else self.eval_expr(arg, scope))
 
     def _diagnose(self, scope: Scope, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -497,26 +508,15 @@ class _Analyzer:
     # -- result assembly -------------------------------------------------------
 
     def result(self) -> CallGraph:
-        graph = CallGraph()
-        graph.internal_mods = set(self.table.modules)
-        graph.external_mods = set(self.external_mods)
-        graph.diagnostics = list(self.diagnostics)
-
-        for fqn in self.table.modules:
-            graph.nodes[fqn] = "module"
-        for scope in self.table.scopes:
-            if scope.kind != "module":
-                graph.nodes[scope.fqn] = scope.kind
+        nodes = dict.fromkeys(self.table.modules, "module")
+        nodes.update((scope.fqn, scope.kind) for scope in self.table.scopes if scope.kind != "module")
+        for _, callee in self.call_edges:  # a caller is always a scope
+            nodes.setdefault(callee, "external")
+        edges: dict[str, set[str]] = {fqn: set() for fqn in nodes}
         for caller, callee in self.call_edges:
-            graph.nodes.setdefault(callee, "external")
-            graph.nodes.setdefault(caller, "external")
-        for fqn in graph.nodes:
-            graph.edges.setdefault(fqn, set())
-        for caller, callee in self.call_edges:
-            graph.edges[caller].add(callee)
-
-        graph.assignment_graph = AssignmentGraph(nodes=set(self.values), value_sets=self.values)
-        return graph
+            edges[caller].add(callee)
+        return CallGraph(edges, nodes, set(self.table.modules), set(self.external_mods), list(self.diagnostics),
+                         AssignmentGraph(nodes=set(self.values), value_sets=self.values))
 
 
 def analyze(entry_points: list[str | Path], package_root: str | Path | None = None) -> CallGraph:

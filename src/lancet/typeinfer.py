@@ -4,9 +4,10 @@ call graph's solved value sets.
 The vocabulary is flat: "str", "int", "float", "bool", "List", "Dict",
 "Tuple", "Set", "None", "callable", class FQNs, and "Any" for no-evidence
 cases, with no generics.  There is one interpreter,
-:class:`lancet.callgraph._Analyzer`, whose slots hold project callables and
-type tags alike: literals, operators, methods on tags and the signature
-table (``data/signatures.txt``, or in its place the file that the
+:class:`lancet.callgraph._Analyzer`, built here with tags on (a call-graph
+run keeps none), so its slots hold project callables and type tags alike:
+literals, operators, methods on tags and the signature table
+(``data/signatures.txt``, or in its place the file that the
 ``LANCET_SIGNATURES`` environment variable names) give tags, and calls,
 arguments, defaults and returns flow them between slots as they flow callables.
 
@@ -184,15 +185,14 @@ def infer_types_report(
     import that escapes the project root, then the suspicious operations."""
     entry_path = Path(entry)
     if entry_path.is_dir():
-        analyzer = _Analyzer(entry_path, simplify)
+        analyzer = _Analyzer(entry_path, simplify, tags=True)
         files = {name: str(path) for name, path in analyzer.files.items()}
     elif entry_path.is_file():
-        analyzer = _Analyzer(None, simplify)
+        analyzer = _Analyzer(None, simplify, tags=True)
         files = {entry_path.stem: str(entry)}
     else:
         raise FileNotFoundError(f"entry point not found: {entry}")
     diagnostics = DiagnosticLog(analyzer.diagnostics)  # so far, the directory walk's
-    analyzer.signatures = default_table()
     for name, file in files.items():
         analyzer.load(file, name)
     _seed(analyzer)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from lancet import callgraph
 from lancet.callgraph import analyze, output_edges, output_mods, to_simple_json
 from lancet.cli import main
+from lancet.typeinfer import infer_types
 
-from helpers import CORPUS, corpus_files, round_robin, trace_call_edges
+from helpers import CORPUS, corpus_files, perfbench_gen, round_robin, trace_call_edges, write_files
 from strategies import programs
 
 CG = CORPUS / "callgraph"
@@ -233,26 +234,61 @@ def test_deep_return_chain_reaches_its_callee(tmp_path, capsys):
     assert err == ""
 
 
+def _evaluated(monkeypatch) -> list:
+    """The statements ``_Analyzer._evaluate`` runs from now on, in order."""
+    evaluated = []
+    evaluate = callgraph._Analyzer._evaluate
+
+    def counted(self, scope, stmt):
+        evaluated.append(stmt)
+        evaluate(self, scope, stmt)
+
+    monkeypatch.setattr(callgraph._Analyzer, "_evaluate", counted)
+    return evaluated
+
+
 def test_return_chain_evaluations_are_linear(tmp_path, monkeypatch):
     """Each statement is evaluated once, plus once more per growth of a slot
     it read: on a return chain that is linear in the chain's length."""
     path = tmp_path / "chain.py"
     path.write_text(_return_chain(800))
-    evaluate = callgraph._Analyzer._evaluate
-    calls = 0
-
-    def counted(self, scope, stmt):
-        nonlocal calls
-        calls += 1
-        evaluate(self, scope, stmt)
-
-    monkeypatch.setattr(callgraph._Analyzer, "_evaluate", counted)
+    evaluated = _evaluated(monkeypatch)
     analyzer = _loaded(path)
     analyzer.solve()
     statements = sum(len(scope.statements) for scope in analyzer.table.scopes)
     grown = sum(1 for values in analyzer.values.values() if values)
-    assert calls <= statements + grown == 3210
+    assert len(evaluated) <= statements + grown == 3210
     assert ("chain", "chain.g") in analyzer.call_edges
+
+
+def test_a_literal_from_a_later_caller_costs_the_call_graph_no_evaluation(tmp_path, monkeypatch):
+    """``run``, defined after ``f``, passes ``f`` a literal.  A call-graph run
+    keeps no tags, so ``f``'s ``a`` does not grow and ``return a`` is not
+    evaluated again: each statement is evaluated once.  Type inference still
+    types ``a`` from the literal."""
+    path = tmp_path / "late.py"
+    path.write_text("def f(a):\n    return a\n\n\ndef run():\n    return f(1)\n")
+    evaluated = _evaluated(monkeypatch)
+    assert ("late.run", "late.f") in set(output_edges(analyze([path])))
+    assert len(evaluated) == sum(len(scope.statements) for scope in _loaded(path).table.scopes) == 4
+    evaluated.clear()
+    [a] = [r for r in infer_types("t", path) if r.function == "f" and r.parameter == "a"]
+    assert a.type == {"int"}
+    assert len(evaluated) == 6  # ``return a`` and ``return f(1)`` again, as ``a`` and ``f``'s return grow
+
+
+def test_the_call_graph_evaluates_each_statement_of_a_package_once(tmp_path, monkeypatch):
+    """On the ``package`` benchmark's seed 1 the call graph evaluates each of
+    its 4,991 statements once; type inference, which keeps tags, 5,901 times."""
+    workload = perfbench_gen(monkeypatch).gen_package(1)
+    write_files(tmp_path, workload.files)
+    root = tmp_path / workload.facts["root"]
+    evaluated = _evaluated(monkeypatch)
+    analyze([], root)
+    assert len(evaluated) == len(set(evaluated)) == 4991
+    evaluated.clear()
+    infer_types("t", root)
+    assert len(evaluated) == 5901
 
 
 def _loaded(path: Path) -> callgraph._Analyzer:
@@ -289,6 +325,46 @@ def test_worklist_matches_round_robin_on_generated_programs(tmp_path_factory, so
     path = tmp_path_factory.mktemp("generated") / "generated.py"
     path.write_text(source)
     _assert_worklist_matches_round_robin(path)
+
+
+def _solved(entry: Path, tags: bool) -> callgraph._Analyzer:
+    """An analyzer solved on a file, or on every module under a directory;
+    with tags on it is type inference's, before type inference seeds it."""
+    analyzer = callgraph._Analyzer(entry if entry.is_dir() else None, tags=tags)
+    for name, path in analyzer.files.items() if entry.is_dir() else [(entry.stem, entry)]:
+        analyzer.load(path, name)
+    analyzer.solve()
+    return analyzer
+
+
+def _assert_tags_make_no_edge(entry: Path) -> None:
+    """Tags off or on, the analyzer draws the same edges, reports the same
+    diagnostics and loads the same modules; with tags off it keeps none."""
+    untagged, tagged = _solved(entry, tags=False), _solved(entry, tags=True)
+    assert untagged.call_edges == tagged.call_edges
+    assert list(untagged.diagnostics) == list(tagged.diagnostics)
+    assert untagged.table.modules.keys() == tagged.table.modules.keys()
+    assert untagged.external_mods == tagged.external_mods
+    assert all(kind != "type" for values in untagged.values.values() for kind, _ in values)
+
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_tags_make_no_edge_on_corpus_files(path: Path):
+    _assert_tags_make_no_edge(path)
+
+
+@pytest.mark.parametrize("root", [CORPUS, *sorted(p for p in CORPUS.rglob("*") if p.is_dir())],
+                         ids=lambda root: str(root.relative_to(CORPUS.parent)))
+def test_tags_make_no_edge_on_corpus_directories(root: Path):
+    _assert_tags_make_no_edge(root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_tags_make_no_edge_on_generated_programs(tmp_path_factory, source):
+    path = tmp_path_factory.mktemp("generated") / "generated.py"
+    path.write_text(source)
+    _assert_tags_make_no_edge(path)
 
 
 def test_a_starred_assignment_pairs_the_names_before_the_star(tmp_path):
@@ -402,4 +478,6 @@ def test_a_from_import_out_of_a_directory_without_init_binds_the_module(tmp_path
     assert graph.internal_mods == {"proj.a", "proj.b"}
     assert graph.external_mods == set()
     assert ("proj.a.f", "proj.b.g") in set(output_edges(graph))
-    assert graph.assignment_graph.value_sets["proj.b.g.x"] == {("type", "int")}
+    # A call-graph run keeps no tags; type inference reads the literal's.
+    [x] = [r for r in infer_types("t", root) if r.function == "g" and r.parameter == "x"]
+    assert x.type == {"int"}

@@ -58,8 +58,12 @@ method called on ``self``) and literal ``*[...]``, ``*(...)`` and
 ``**{...}`` arguments, a file that starts with a UTF-8 byte order
 mark, a latin-1 file with a PEP 263 coding cookie, the same cookie after a
 byte order mark (an error), generators in a class, in a function and in a module-level
-lambda, two classes named ``C`` in the two branches of an ``if``, and a user's own
-``_ret`` and ``_retries`` beside a temporary the rewriter makes.  Two
+lambda, two classes named ``C`` in the two branches of an ``if``, a user's own
+``_ret`` and ``_retries`` beside a temporary the rewriter makes, and calls
+under each kind of expression that a call-graph run does not walk because it
+keeps no type tags (a sum, a subscript, a comparison, a unary minus, an
+augmented assignment, a comprehension), beside a call through ``f or g`` and
+a parameter that receives both a literal and a function.  Two
 directories run the directory subcommands only: one of 250 modules, each
 importing the next (``from . import m{i+1}``), and a project that holds a
 link to a sibling subpackage (walked before its target), a link from that
@@ -189,6 +193,13 @@ EDGE_CASES: dict[str, str | bytes] = {
     "def_head_call.py": (
         "def g(k):\n    return k\n\n\ndef f(a=g(1)):\n    return a\n\n\n"
         "def base(b):\n    return object\n\n\nclass C(base('s')):\n    pass\n\n\nx = f()\n"
+    ),
+    "tag_boundary.py": (
+        "".join(f"def {name}({param}):\n    return {param}\n\n\n"
+                for name, param in zip("fghkmnpq", "abcdeijr"))
+        + "a, b = 1, 's'\nx = f(a) + g(b)\ny = [h(1)][0]\nz = k(2) < m(3)\nw = -n(4)\nx += p(5)\n"
+        "s = [u * 2 for u in k([6])]\nh2 = f or g\nh2(7)\nq(1)\nt = q(f)\nt(8)\n\n\n"
+        "def run(v):\n    o = q(g)\n    return o(v) + q(v)\n\n\nrun(9)\n"
     ),
 }
 
