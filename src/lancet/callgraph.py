@@ -55,11 +55,11 @@ import ast
 import os
 from pathlib import Path
 
-from .cfg import head_exprs, iter_eager
-from .frontend import dump_json
+from .cfg import head_exprs
+from .frontend import NODE_FIELDS, _defaults, child_nodes, dump_json
 from .modgraph import (RETURN_SLOT, DiagnosticLog, Scope, ScopeTable, bind_arguments, bind_defaults,
                        binds_receiver, discover, dotted_parts, load_module, resolve_import)
-from .ssa import Worklist, definitions
+from .ssa import Worklist
 
 __all__ = [
     "AssignmentGraph",
@@ -84,6 +84,7 @@ _NUMERIC = ("bool", "int", "float")
 _LITERALS: dict[type, Value] = {t: ("type", name) for t, name in (
     (bool, "bool"), (int, "int"), (float, "float"), (str, "str"), (type(None), "None"))}
 _CALLABLE_KINDS = {ast.Name, ast.Attribute, ast.Call, ast.BoolOp}  # the rest take only tags
+_HEAD_KINDS = {ast.Call, ast.BinOp, ast.Yield}  # the head nodes that a reader uses
 _EXPR_TYPES = {ast.List: "List", ast.ListComp: "List", ast.Dict: "Dict", ast.DictComp: "Dict",
            ast.SetComp: "Set", ast.Tuple: "Tuple", ast.Lambda: "callable", ast.Compare: "bool"}
 
@@ -354,9 +355,9 @@ class _Analyzer:
         set of a function, the signature of an external name (of an unbound
         one by its dotted text), a method-table result on a tag, else ``Any``."""
         root = call.func
-        while isinstance(root, ast.Attribute):
+        while type(root) is ast.Attribute:
             root = root.value
-        if isinstance(root, ast.Name) and scope.lookup(root.id) is None:
+        if type(root) is ast.Name and scope.lookup(root.id) is None:
             return {("type", self.signatures.signature(".".join(dotted_parts(call.func))) or ANY)}
         out: set[Value] = set()
         for (kind, fqn), receiver in targets:
@@ -439,35 +440,45 @@ class _Analyzer:
 
     def _evaluate(self, scope: Scope, stmt: ast.stmt) -> None:
         self.reached = {}
-        if isinstance(stmt, ast.FunctionDef):
+        kind = type(stmt)
+        if kind is ast.Assign or kind is ast.AugAssign or kind is ast.For:
+            # Evaluated even where no name takes it (``x.a = s + 1``): with tags on, that reads slots and may diagnose.
+            value = stmt.value if kind is ast.Assign else None
+            values = None if value is None else self.eval_expr(value, scope)
+            for name, expr, _ in self.table.definitions[stmt]:
+                found = {_ANY} if expr is None else values if expr is value else self.eval_expr(expr, scope)
+                self._assign(scope, name, found)
+        elif kind is ast.Return and stmt.value is not None and scope.kind == "function":
+            self.add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
+        elif kind is ast.FunctionDef:
             fqn = scope.slot(stmt.name)
             self.solver.add(fqn, {("func", fqn)})
             for name, default in bind_defaults(stmt):
                 self.add(f"{fqn}.{name}", self.eval_expr(default, scope))
-        elif isinstance(stmt, ast.ClassDef):
+        elif kind is ast.ClassDef:
             fqn = scope.slot(stmt.name)
             self.solver.add(fqn, {("class", fqn)})
-        elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.For)):
-            # Evaluated even where no name takes it (``x.a = s + 1``): with tags on, that reads slots and may diagnose.
-            value = stmt.value if isinstance(stmt, ast.Assign) else None
-            values = None if value is None else self.eval_expr(value, scope)
-            for name, expr, _ in definitions(stmt):
-                found = {_ANY} if expr is None else values if expr is value else self.eval_expr(expr, scope)
-                self._assign(scope, name, found)
-        elif isinstance(stmt, ast.Return) and stmt.value is not None and scope.kind == "function":
-            self.add(f"{scope.fqn}.{RETURN_SLOT}", self.eval_expr(stmt.value, scope))
 
         for node in self.head_nodes(stmt):
             if type(node) is ast.Call:
                 self._process_call(scope, node)
 
     def head_nodes(self, stmt: ast.stmt) -> list[ast.AST]:
-        """The nodes of ``stmt``'s own expressions in source order, walked
-        once: :func:`~lancet.cfg.iter_eager` over :func:`~lancet.cfg.head_exprs`,
-        so its calls are those of :meth:`~lancet.cfg.Block.get_calls`."""
+        """The calls, operators and yields of :func:`~lancet.cfg.iter_eager` over
+        :func:`~lancet.cfg.head_exprs`, walked once, on one stack: the calls are those of
+        :meth:`~lancet.cfg.Block.get_calls`; type inference reads the rest."""
         nodes = self.heads.get(stmt)
         if nodes is None:
-            nodes = self.heads[stmt] = [node for expr in head_exprs(stmt) for node in iter_eager(expr)]
+            nodes = self.heads[stmt] = []
+            stack = head_exprs(stmt)[::-1]
+            while stack:
+                node = stack.pop()
+                kind = type(node)
+                if kind in _HEAD_KINDS:
+                    nodes.append(node)
+                fields = NODE_FIELDS[kind]
+                if fields:  # a leaf is tested before any call
+                    stack += reversed(_defaults(node.args) if kind is ast.Lambda else child_nodes(node, fields))
         return nodes
 
     def _assign(self, scope: Scope, name: str, values: set[Value]) -> None:
@@ -479,7 +490,7 @@ class _Analyzer:
         caller = scope.fqn
         func = call.func
 
-        if isinstance(func, ast.Name) and func.id in _DYNAMIC_NAMES and scope.lookup(func.id) is None:
+        if type(func) is ast.Name and func.id in _DYNAMIC_NAMES and scope.lookup(func.id) is None:
             self._diagnose(scope, call, f"dynamic feature {func.id!r} ignored")
             return
 

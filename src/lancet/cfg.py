@@ -133,22 +133,21 @@ def reverse_postorder(cfg: Cfg) -> list[int]:
 
 
 def head_exprs(stmt: ast.stmt) -> list[ast.expr]:
-    if isinstance(stmt, ast.Assign):
-        return [stmt.value] + list(stmt.targets)
-    if isinstance(stmt, ast.AugAssign):
-        return [stmt.value, stmt.target]
-    if isinstance(stmt, ast.Expr):
-        return [stmt.value]
-    if isinstance(stmt, ast.Return):
-        return [stmt.value] if stmt.value is not None else []
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, ast.For):
-        return [stmt.iter, stmt.target]
-    if isinstance(stmt, ast.FunctionDef):
+    kind = type(stmt)  # compared by identity: the commonest kinds first
+    if kind is ast.Assign:
+        return [stmt.value, *stmt.targets]
+    if kind is ast.Expr or kind is ast.Return:  # a bare ``return`` has no value
+        return [] if stmt.value is None else [stmt.value]
+    if kind is ast.FunctionDef:
         return stmt.decorator_list + _defaults(stmt.args)
-    if isinstance(stmt, ast.ClassDef):
-        return list(stmt.decorator_list) + list(stmt.bases) + [kw.value for kw in stmt.keywords]
+    if kind is ast.If or kind is ast.While:
+        return [stmt.test]
+    if kind is ast.AugAssign:
+        return [stmt.value, stmt.target]
+    if kind is ast.For:
+        return [stmt.iter, stmt.target]
+    if kind is ast.ClassDef:
+        return [*stmt.decorator_list, *stmt.bases, *(kw.value for kw in stmt.keywords)]
     return []
 
 

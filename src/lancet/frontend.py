@@ -479,48 +479,53 @@ def dump_json(obj: object) -> str:
 
 
 _JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The text of each scalar type, by exact type; bool comes before int for a subclass (see _write_json).
+_JSON_SCALARS = {str: _json_str, bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
+                 float: lambda value: _JSON_FLOAT_WORDS.get(text := float.__repr__(value), text),
+                 type(None): lambda value: "null"}
+_JSON_TYPES = (dict, list, tuple, *_JSON_SCALARS)
 
 
 def _write_json(obj: object, newline: str, out: list[str]) -> None:
-    """Append ``obj``'s JSON text to ``out``; ``newline`` is a newline and
-    the indent of the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        out.append(_json_str(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
+    """Append ``obj``'s JSON text to ``out``; ``newline`` is a newline and the
+    indent of the line ``obj`` starts on.  Dispatch is on the exact type, and a
+    container writes its scalar items itself; a subclass takes the first of
+    :data:`_JSON_TYPES` that it is an instance of."""
+    kind = type(obj)
+    if kind not in _JSON_TYPES:
+        kind = next((base for base in _JSON_TYPES if isinstance(obj, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None or not obj:  # a scalar, or an empty container
+        out.append("{}" if kind is dict else "[]" if scalar is None else scalar(obj))
+        return
+    inner = newline + "  "
+    if kind is dict:
         sep = "{" + inner
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _json_str(key) + ": ")
-            _write_json(obj[key], inner, out)
+            value = obj[key]
+            scalar = _JSON_SCALARS.get(type(value))
+            if scalar is None:
+                out.append(f"{sep}{_json_str(key)}: ")
+                _write_json(value, inner, out)
+            else:
+                out.append(f"{sep}{_json_str(key)}: {scalar(value)}")
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
+        return
+    sep = "[" + inner
+    for item in obj:
+        scalar = _JSON_SCALARS.get(type(item))
+        if scalar is None:
             out.append(sep)
             _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        text = float.__repr__(obj)
-        out.append(_JSON_FLOAT_WORDS.get(text, text))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        else:
+            out.append(sep + scalar(item))
+        sep = "," + inner
+    out.append(newline + "]")
 
 
 def positional_params(args: ast.arguments) -> list[ast.arg]:

@@ -32,6 +32,7 @@ text unchanged, so resolution is idempotent.
 from __future__ import annotations
 
 import ast
+import os
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -158,27 +159,27 @@ def discover(root: str | Path) -> tuple[TreeNode, list[str]]:
     seen = {real}
     diagnostics: list[str] = []
     tree = TreeNode(name=rootp.name, full_name=real.name, path=str(rootp))
-    # One frame per open directory: (node, its resolved path, its sorted entries still to
-    # visit, names taken).  A child's resolved path extends its parent's unless it is a link.
-    stack = [(tree, real, iter(sorted(rootp.iterdir(), key=lambda p: p.name)), set())]
+    # One frame per open directory: (node, its resolved path, its entries still to visit
+    # (see _listing), names taken).  A child's resolved path extends its parent's unless it is a link.
+    stack = [(tree, real, _listing(rootp), set())]
     while stack:
         node, parent_real, entries, taken = stack[-1]
-        for entry in entries:
-            if entry.is_dir():
+        for entry, is_dir, is_link in entries:
+            if is_dir:
                 if entry.name in _SKIP_DIRS or entry.name.startswith("."):
                     continue
                 taken.add(entry.name)
                 if entry.suffix == ".py":
                     diagnostics.append(f"{entry}: skipped: a directory, not a module")
                     continue
-                real = entry.resolve() if entry.is_symlink() else parent_real / entry.name
+                real = entry.resolve() if is_link else parent_real / entry.name
                 if real in seen:
                     diagnostics.append(f"{entry}: skipped: {real} is already part of the project")
                     continue
                 seen.add(real)
                 child = TreeNode(name=entry.name, full_name=f"{node.full_name}.{entry.name}", path=str(entry))
                 node.children.append(child)
-                stack.append((child, real, iter(sorted(entry.iterdir(), key=lambda p: p.name)), set()))
+                stack.append((child, real, _listing(entry), set()))
                 break
             elif entry.suffix == ".py" and entry.stem not in taken:
                 stem = entry.stem
@@ -188,6 +189,15 @@ def discover(root: str | Path) -> tuple[TreeNode, list[str]]:
         else:
             stack.pop()
     return tree, diagnostics
+
+
+def _listing(directory: Path) -> Iterator[tuple[Path, bool, bool]]:
+    """``(directory / name, is a directory, is a link)`` per entry, by name, as ``os.scandir``
+    read them: only a link's target is looked up, through its path, as ``Path.is_dir`` does."""
+    with os.scandir(directory) as scan:
+        entries = sorted(scan, key=lambda entry: entry.name)
+    return iter([(directory / entry.name, (directory / entry.name).is_dir() if entry.is_symlink() else entry.is_dir(),
+                  entry.is_symlink()) for entry in entries])
 
 
 def load_module(path: str | Path, *, simplify: bool = False) -> tuple[ast.Module | None, str | None]:
@@ -450,6 +460,7 @@ class ScopeTable:
     """The scopes of the modules added so far, in pre-order, indexed by FQN.
 
     A later definition of an FQN replaces an earlier one in the indexes.
+    ``definitions`` keeps each assignment's and ``for``'s :func:`~lancet.ssa.definitions`.
     """
 
     def __init__(self) -> None:
@@ -457,6 +468,7 @@ class ScopeTable:
         self.modules: dict[str, Scope] = {}
         self.functions: dict[str, Scope] = {}
         self.classes: dict[str, Scope] = {}
+        self.definitions: dict[ast.stmt, list[tuple[str, ast.expr | None, str]]] = {}
 
     def add_module(
         self,
@@ -481,21 +493,24 @@ class ScopeTable:
         while stack:
             stmt, scope = stack.pop()
             scope.statements.append(stmt)
-            if isinstance(stmt, ast.Global):
+            kind = type(stmt)
+            if kind is ast.Global:
                 for local in stmt.names:
                     scope.bindings[local] = root.bindings.setdefault(local, ("slot", root.slot(local)))
             if on_statement is not None:
                 on_statement(scope, stmt)
-            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):  # located by name: the escape line is unused
+            elif kind is ast.Import or kind is ast.ImportFrom:  # located by name: the escape line is unused
                 for _, pairs, _ in resolve_import(stmt, name, is_package, name)[0]:
                     scope.bindings.update((local, ("import", target)) for local, target in pairs)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if kind is ast.FunctionDef or kind is ast.ClassDef:
                 child = self._add_definition(scope, stmt)
                 stack += [(inner, child) for inner in reversed(stmt.body)]
                 continue
-            for local, _, _ in definitions(stmt):
-                scope.bindings.setdefault(local, ("slot", scope.slot(local)))
-            if isinstance(stmt, (ast.If, ast.While, ast.For)):
+            if kind is ast.Assign or kind is ast.AugAssign or kind is ast.For:
+                found = self.definitions[stmt] = definitions(stmt)
+                for local, _, _ in found:
+                    scope.bindings.setdefault(local, ("slot", scope.slot(local)))
+            if kind is ast.If or kind is ast.While or kind is ast.For:
                 stack += [(inner, scope) for inner in reversed(stmt.body + stmt.orelse)]
 
     def _add_definition(self, parent: Scope, stmt: ast.FunctionDef | ast.ClassDef) -> Scope:
@@ -557,7 +572,7 @@ def build_name_context(module: ast.Module, module_name: str) -> NameContext:
                 for expr in head_exprs(stmt) for node in walk(expr) if isinstance(node, ast.Call)}
     copies: dict[str, set[str]] = {}
     for stmt in top.statements:
-        for name, expr, _ in definitions(stmt):
+        for name, expr, _ in table.definitions.get(stmt, ()):
             if isinstance(expr, ast.Name):
                 copies.setdefault(name, set()).add(expr.id)
     alias_map = {name: next(iter(t)) for name, t in copies.items() if len(t) == 1}

@@ -11,31 +11,33 @@ literals, operators, methods on tags and the signature table
 ``LANCET_SIGNATURES`` environment variable names) give tags, and calls,
 arguments, defaults and returns flow them between slots as they flow callables.
 
-Before the fixpoint, type inference adds the facts a call-graph run does
-not need (:func:`_seed`): a use that pins a parameter's type (``s.upper()``
-or ``s + 'x'``), ``Any`` for a generator's return, and ``None`` for a
-function that may end without a value.  Then it reads the records off the
-solved slots: an instance is its class, a function is ``callable``, a
-class, module or external name is ``Any``, a tag is its name, and an empty
-slot is ``Any``.
+Before the fixpoint, one pass over each scope's head nodes (:func:`_seed`)
+adds the facts a call-graph run does not need: a use that pins a
+parameter's type (``s.upper()`` or ``s + 'x'``), ``Any`` for a generator's
+return, and ``None`` for a function that may end without a value.  After
+it, one pass over each scope's statements (:func:`_records`) finds each
+variable's first assignment in the scope table's definitions and the
+first ``return``, and reads each record off its solved slot: an instance
+is its class, a function ``callable``, a class, module or external name
+``Any``, a tag its name, and an empty slot ``Any``.
 
 Each function return, each distinct local variable, and each parameter
-yields one :class:`TypeRecord`; records sort by (file, line).  A variable's
-line is the first assignment in its scope that binds it; class bodies give
-no records.  The temporaries the rewriter made (the ``temporaries`` that
-:func:`~lancet.rewriter.simplify_module` leaves on a module) are analysis
-artifacts and are not reported; a user's own ``_ret`` is.
+yields one :class:`TypeRecord`, sorted once by (file, line, variable,
+parameter, function).  A variable's line is the first assignment in its
+scope that binds it; class bodies give no records.  The temporaries the
+rewriter made (the ``temporaries`` that :func:`~lancet.rewriter.simplify_module`
+leaves on a module) are not reported; a user's own ``_ret`` is.
 """
 
 from __future__ import annotations
 
 import ast
+from operator import itemgetter
 from pathlib import Path
 
-from .callgraph import (ANY, _METHODS, HeuristicTable, _Analyzer, default_table,
-                        load_signature_table, type_name)
+from .callgraph import (ANY, _METHODS, HeuristicTable, _Analyzer, default_table, load_signature_table,
+                        type_name)
 from .modgraph import RETURN_SLOT, DiagnosticLog
-from .ssa import definitions
 
 __all__ = [
     "TypeRecord",
@@ -74,124 +76,90 @@ class TypeRecord:
 def _pin(node: ast.AST) -> tuple[str, str] | None:
     """The type a use forces on a bare name, as (name, type): a known method
     called on it (``s.upper()``), or ``+`` with a string literal."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        method = _METHODS.get(node.func.attr)
-        if isinstance(node.func.value, ast.Name) and method is not None:
-            return node.func.value.id, method[0]
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+    if type(node) is ast.Call:
+        func = node.func
+        if type(func) is ast.Attribute and type(func.value) is ast.Name and func.attr in _METHODS:
+            return func.value.id, _METHODS[func.attr][0]
+    elif type(node) is ast.BinOp and type(node.op) is ast.Add:
         for side, other in ((node.left, node.right), (node.right, node.left)):
-            if (isinstance(side, ast.Name) and isinstance(other, ast.Constant)
-                    and isinstance(other.value, str)):
+            if type(side) is ast.Name and type(other) is ast.Constant and type(other.value) is str:
                 return side.id, "str"
     return None
 
 
 def _seed(analyzer: _Analyzer) -> None:
-    """Add what type inference knows before the fixpoint and a call-graph
-    run does not need, for each scope that the table indexes by its FQN (not
-    a def that a later one replaced): the type a use pins on the parameter
-    its name resolves to (:func:`_pin`), not in a lambda body; ``Any`` for a
-    generator's return; and ``None`` for a function's return when it has a
-    bare ``return`` or its body's last statement is no ``return``."""
-    table = analyzer.table
+    """Add what type inference knows before the fixpoint and a call-graph run
+    does not need, in one pass over the head nodes of each scope the table
+    indexes by its FQN (not a def that a later one replaced): the type a use
+    pins on the parameter its name resolves to (:func:`_pin`), not in a lambda
+    body; ``Any`` for a generator's return; and ``None`` for a function's
+    return when it has a bare ``return`` or does not end in a ``return``."""
+    table, add = analyzer.table, analyzer.solver.add
     arguments = {scope.slot(name) for scope in table.functions.values() for name in scope.arguments}
     for scope in [*table.modules.values(), *table.functions.values(), *table.classes.values()]:
-        generator = False
-        for node in (node for stmt in scope.statements for node in analyzer.head_nodes(stmt)):
-            generator = generator or isinstance(node, ast.Yield)
-            pinned = _pin(node)
-            binding = scope.lookup(pinned[0]) if pinned is not None else None
-            if binding is not None and binding[1] in arguments:
-                analyzer.solver.add(binding[1], {("type", pinned[1])})
-        if scope.kind != "function":
-            continue
-        bare = any(isinstance(stmt, ast.Return) and stmt.value is None for stmt in scope.statements)
-        ends = bare or not isinstance(scope.node.body[-1], ast.Return)
-        if generator or ends:
-            analyzer.solver.add(f"{scope.fqn}.{RETURN_SLOT}", {("type", ANY if generator else "None")})
-
-
-def _types(analyzer: _Analyzer, slot: str) -> set[str]:
-    return {type_name(value) for value in analyzer.values.get(slot, ())} or {ANY}
+        generator = bare = False
+        for stmt in scope.statements:
+            bare = bare or type(stmt) is ast.Return and stmt.value is None
+            for node in analyzer.head_nodes(stmt):  # its calls, operators and yields
+                generator = generator or type(node) is ast.Yield
+                pinned = _pin(node)
+                binding = pinned and scope.lookup(pinned[0])
+                if binding and binding[1] in arguments:
+                    add(binding[1], {("type", pinned[1])})
+        if scope.kind == "function" and (generator or bare or type(scope.node.body[-1]) is not ast.Return):
+            add(f"{scope.fqn}.{RETURN_SLOT}", {("type", ANY if generator else "None")})
 
 
 def _records(analyzer: _Analyzer, files: dict[str, str]) -> list[TypeRecord]:
     """The records of each module and function scope that the table indexes
-    by its FQN, read off the solved slots."""
-    table = analyzer.table
-    records: list[TypeRecord] = []
+    by its FQN, read off the solved slots in one pass over each scope's
+    statements; each record's sort key is built once, with it."""
+    table, values = analyzer.table, analyzer.values
+    keyed: list[tuple[tuple[str, int, str, str, str], TypeRecord]] = []
     for scope in [*table.modules.values(), *table.functions.values()]:
-        file = files[scope.module]
-        function = scope.node.name if scope.kind == "function" else None
         first: dict[str, int] = {}  # variable -> the line of the first assignment to it
+        returned = None  # the line of the first ``return``
         for stmt in scope.statements:
-            if isinstance(stmt, ast.Assign):
-                for name, _, _ in definitions(stmt):
+            if type(stmt) is ast.Assign:
+                for name, _, _ in table.definitions[stmt]:
                     first.setdefault(name, stmt.lineno)
+            elif type(stmt) is ast.Return and returned is None:
+                returned = stmt.lineno
         temporaries = getattr(table.modules[scope.module].node, "temporaries", ())
-        records += [
-            TypeRecord(file=file, line_number=line, function=function, variable=name,
-                       type=_types(analyzer, scope.lookup(name)[1]))
-            for name, line in sorted(first.items())
-            if name not in temporaries
-        ]
-        if function is not None:
-            returns = [stmt.lineno for stmt in scope.statements if isinstance(stmt, ast.Return)]
-            records.append(TypeRecord(
-                file=file, line_number=returns[0] if returns else scope.node.lineno,
-                function=function, type=_types(analyzer, f"{scope.fqn}.{RETURN_SLOT}"),
-            ))
-            records += [
-                TypeRecord(file=file, line_number=scope.node.lineno, function=function,
-                           parameter=name, type=_types(analyzer, scope.slot(name)))
-                for name in scope.arguments
-            ]
-
-    records.sort(
-        key=lambda r: (
-            r.file,
-            r.line_number,
-            r.variable or "",
-            r.parameter or "",
-            r.function or "",
-        )
-    )
-    return records
+        # (line, variable, parameter, slot) of each record; a variable's slot is its binding's
+        facts = [(line, name, "", scope.bindings[name][1]) for name, line in first.items() if name not in temporaries]
+        if scope.kind == "function":
+            facts.append((returned or scope.node.lineno, "", "", f"{scope.fqn}.{RETURN_SLOT}"))
+            facts += [(scope.node.lineno, "", name, scope.slot(name)) for name in scope.arguments]
+        file, function = files[scope.module], scope.node.name if scope.kind == "function" else None
+        keyed += [((file, line, variable, parameter, function or ""),
+                   TypeRecord(file, line, set(map(type_name, values.get(slot, ()))) or {ANY}, function,
+                              variable or None, parameter or None))
+                  for line, variable, parameter, slot in facts]
+    keyed.sort(key=itemgetter(0))
+    return [record for _, record in keyed]
 
 
-def infer_types(
-    name: str,
-    entry: str | Path,
-    *,
-    simplify: bool = True,
-) -> list[TypeRecord]:
+def infer_types(name: str, entry: str | Path, *, simplify: bool = True) -> list[TypeRecord]:
     """Infer type records for a file or for every module under a directory.
 
     ``name`` labels the analysis run; it does not affect the results.
     Unparsable files are skipped, the rest are analyzed.
     """
     del name
-    records, _ = infer_types_report(entry, simplify=simplify)
-    return records
+    return infer_types_report(entry, simplify=simplify)[0]
 
 
-def infer_types_report(
-    entry: str | Path,
-    *,
-    simplify: bool = True,
-) -> tuple[list[TypeRecord], list[str]]:
+def infer_types_report(entry: str | Path, *, simplify: bool = True) -> tuple[list[TypeRecord], list[str]]:
     """Like :func:`infer_types`, but also returns the diagnostics collected:
     the directory walk's, one per skipped file in the walk's order, one per
     import that escapes the project root, then the suspicious operations."""
     entry_path = Path(entry)
-    if entry_path.is_dir():
-        analyzer = _Analyzer(entry_path, simplify, tags=True)
-        files = {name: str(path) for name, path in analyzer.files.items()}
-    elif entry_path.is_file():
-        analyzer = _Analyzer(None, simplify, tags=True)
-        files = {entry_path.stem: str(entry)}
-    else:
+    if not (entry_path.is_dir() or entry_path.is_file()):
         raise FileNotFoundError(f"entry point not found: {entry}")
+    analyzer = _Analyzer(entry_path, simplify, tags=True)  # it walks a directory only
+    files = ({name: str(path) for name, path in analyzer.files.items()} if entry_path.is_dir()
+             else {entry_path.stem: str(entry)})
     diagnostics = DiagnosticLog(analyzer.diagnostics)  # so far, the directory walk's
     for name, file in files.items():
         analyzer.load(file, name)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from lancet import callgraph
 from lancet.callgraph import analyze, output_edges, output_mods, to_simple_json
+from lancet.cfg import head_exprs, iter_eager
 from lancet.cli import main
 from lancet.typeinfer import infer_types
 
@@ -481,3 +483,16 @@ def test_a_from_import_out_of_a_directory_without_init_binds_the_module(tmp_path
     # A call-graph run keeps no tags; type inference reads the literal's.
     [x] = [r for r in infer_types("t", root) if r.function == "g" and r.parameter == "x"]
     assert x.type == {"int"}
+
+
+@pytest.mark.parametrize("simplify", [True, False], ids=["simplified", "raw"])
+def test_head_nodes_are_the_eager_walk_of_the_heads_filtered(simplify):
+    """``_Analyzer.head_nodes`` walks on its own stack; it keeps exactly the
+    calls, operators and yields of ``iter_eager`` over ``head_exprs``, in order."""
+    kinds = (ast.Call, ast.BinOp, ast.Yield)
+    for path in corpus_files():
+        analyzer = callgraph._Analyzer(None, simplify, tags=True)
+        analyzer.load(path, path.stem)
+        for stmt in (stmt for scope in analyzer.table.scopes for stmt in scope.statements):
+            expected = [node for expr in head_exprs(stmt) for node in iter_eager(expr) if type(node) in kinds]
+            assert [id(node) for node in analyzer.head_nodes(stmt)] == [id(node) for node in expected], path

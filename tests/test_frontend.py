@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import enum
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from lancet.frontend import (
     unparse,
     walk,
 )
+from lancet.modgraph import Unresolved
 
 from helpers import corpus_files, trees_equal
 from strategies import programs
@@ -492,12 +494,19 @@ _json_values = st.recursive(
 )
 
 
+_Level = enum.IntEnum("_Level", "LOW HIGH")  # an int subclass
+
+
 @settings(max_examples=150, deadline=None)
 @given(_json_values)
 @example(float("nan"))
 @example([float("inf"), float("-inf"), -0.0, 2 ** 64, -(2 ** 100)])
 @example({"": [], "a": {}, "b": ((),), "c": [{"d": [[], {}]}]})
 @example({"\ud800": "\udfff", '"\\': "\x00\u2028é"})
+# Subclasses of the types written by their exact type take the isinstance path.
+@example({Unresolved("a.b"): Unresolved("c"), "k": [Unresolved("d")]})
+@example([_Level.HIGH, {"level": _Level.LOW}, (_Level.LOW,)])
+@example([True, [False, {"t": True, "f": [False, None]}], {"b": False}])
 def test_dump_json_is_json_dumps_byte_for_byte(value):
     assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 

@@ -316,3 +316,28 @@ def test_discover_resolves_below_a_link_through_its_target(tmp_path):
         f"{root / 'y'}: skipped: {root / 'z' / 'inner'} is already part of the project",
         f"{root / 'z'}: skipped: {root / 'z'} is already part of the project",
     ]
+
+
+@pytest.mark.parametrize("form", [".", "proj", "absolute"])
+def test_discover_keeps_the_form_of_the_root_as_given(tmp_path, monkeypatch, form):
+    """Entry types come from ``os.scandir`` and each path is built as
+    ``directory / name``, so paths and diagnostics read as ``Path.iterdir``
+    spells them: ``pkg/m.py`` under ``.``, ``proj/pkg/m.py`` under ``proj``.
+    ``pkg/up`` links back to the root, and ``loop``, a link to itself, is no
+    directory, as ``Path.is_dir`` has it."""
+    base = tmp_path.resolve()
+    root = base / "proj"
+    _write(root, {"a.py": "", "pkg/__init__.py": "", "pkg/m.py": "", "d.py/x.py": "", ".hidden/h.py": "",
+                  "__pycache__/c.py": ""})
+    (root / "pkg" / "up").symlink_to(root, target_is_directory=True)
+    (root / "loop").symlink_to(root / "loop")
+    monkeypatch.chdir(root if form == "." else base)
+    given, prefix = {".": (".", ""), "proj": ("proj", "proj/"), "absolute": (str(root), f"{root}/")}[form]
+    tree, diagnostics = discover(given)
+    assert [(node.full_name, node.path) for node in tree.iter_modules()] == [
+        ("proj.a", f"{prefix}a.py"), ("proj.pkg", f"{prefix}pkg/__init__.py"), ("proj.pkg.m", f"{prefix}pkg/m.py"),
+    ]
+    assert diagnostics == [
+        f"{prefix}d.py: skipped: a directory, not a module",
+        f"{prefix}pkg/up: skipped: {root} is already part of the project",
+    ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from lancet.typeinfer import default_table, infer_types, infer_types_report, loa
 from helpers import (CORPUS, corpus_files, observe_types, perfbench_gen, round_robin, type_agrees,
                      write_files)
 from strategies import programs
+from test_differential import _gen_executable
 
 TI = CORPUS / "typeinfer"
 
@@ -86,6 +88,30 @@ def test_records_are_sorted_by_file_and_line():
     records = infer_types(name="sorted", entry=TI)
     keys = [(r.file, r.line_number) for r in records]
     assert keys == sorted(keys)
+
+
+def _full_key(record) -> tuple[str, int, str, str, str]:
+    return (record.file, record.line_number, record.variable or "", record.parameter or "",
+            record.function or "")
+
+
+@pytest.mark.parametrize("entry", sorted(p for p in CORPUS.iterdir() if p.is_dir()), ids=lambda p: p.name)
+def test_records_follow_the_full_five_field_key_on_corpus_directories(entry):
+    keys = [_full_key(r) for r in infer_types(name="keys", entry=entry)]
+    assert keys and keys == sorted(keys)
+
+
+def test_records_follow_the_full_five_field_key_on_generated_programs(tmp_path):
+    """Records that share a file and a line still come in key order: in the
+    one-line ``def``, the return, then the parameter, then the variable."""
+    rng = random.Random(31)
+    sources = {f"gen{i}.py": _gen_executable(rng) for i in range(30)}
+    write_files(tmp_path, {**sources, "one_line.py": "def f(a): x = a; return x\n"})
+    for path in [tmp_path, *sorted(tmp_path.glob("*.py"))]:
+        keys = [_full_key(r) for r in infer_types(name="keys", entry=path)]
+        assert keys == sorted(keys), path
+    one_line = [key[1:] for key in map(_full_key, infer_types(name="one", entry=tmp_path / "one_line.py"))]
+    assert one_line == [(1, "", "", "f"), (1, "", "a", "f"), (1, "x", "", "f")]
 
 
 def test_reassigned_variable_unions_distinct_literal_types(tmp_path):

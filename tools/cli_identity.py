@@ -63,7 +63,11 @@ lambda, two classes named ``C`` in the two branches of an ``if``, a user's own
 under each kind of expression that a call-graph run does not walk because it
 keeps no type tags (a sum, a subscript, a comparison, a unary minus, an
 augmented assignment, a comprehension), beside a call through ``f or g`` and
-a parameter that receives both a literal and a function.  Two
+a parameter that receives both a literal and a function, and one file
+per rule of type inference's seed pass: a generator's return, a bare
+``return`` and a body that falls off its end, a pin inside a lambda body, a
+pin on the parameter of a def that a later def replaced, and an ``x +=
+f(y)`` that the solve evaluates twice.  Two
 directories run the directory subcommands only: one of 250 modules, each
 importing the next (``from . import m{i+1}``), and a project that holds a
 link to a sibling subpackage (walked before its target), a link from that
@@ -200,6 +204,24 @@ EDGE_CASES: dict[str, str | bytes] = {
         + "a, b = 1, 's'\nx = f(a) + g(b)\ny = [h(1)][0]\nz = k(2) < m(3)\nw = -n(4)\nx += p(5)\n"
         "s = [u * 2 for u in k([6])]\nh2 = f or g\nh2(7)\nq(1)\nt = q(f)\nt(8)\n\n\n"
         "def run(v):\n    o = q(g)\n    return o(v) + q(v)\n\n\nrun(9)\n"
+    ),
+    # One file per rule of type inference's seed pass.
+    "seed_generator.py": (
+        "def gen(n):\n    i = 0\n    while i < n:\n        yield i\n        i = i + 1\n\n\n"
+        "def last():\n    yield 1\n    return 2\n\n\nxs = gen(3)\nys = last()\n"
+    ),
+    "seed_none_return.py": (
+        "def bare(a):\n    if a:\n        return\n    return 1\n\n\n"
+        "def falls(a):\n    if a:\n        return a\n\n\nx = bare(1)\ny = falls(2)\n"
+    ),
+    "seed_lambda_pin.py": (
+        "def f(s):\n    hs = [lambda: s.upper()]\n    return hs\n\n\n"
+        "def g(t):\n    return lambda: t + 'x'\n\n\nf(1)\ng(2)\n"
+    ),
+    "seed_replaced_def.py": "def f(s):\n    return s.upper()\n\n\ndef f(s):\n    return s\n\n\nx = f(1)\n",
+    "seed_augassign.py": (
+        "def run(v):\n    x = 0\n    x += f(v)\n    return x\n\n\n"
+        "def f(a):\n    return a\n\n\nr = run(1)\n"
     ),
 }
 
